@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 
-from .errors import Degenerate, GaugeNotFound, NotMinimal
+from .errors import Degenerate, GaugeNotFound, IdentityViolated, NotMinimal
 from .exactlin import SparseMatrix, maybe_solve
 from .freecdga import (
     ClosedFormTower,
@@ -365,8 +365,10 @@ def strictify_closed_two_form(
     eta = Elem(alg, {m: c for (kind, m), c in zip(unknowns, x) if kind == "eta" and c})
     h = Elem(alg, {m: c for (kind, m), c in zip(unknowns, x) if kind == "h" and c})
     strict = alg.eps(eta)
-    assert alg.d(strict).is_zero() and alg.eps(strict).is_zero()
-    assert drop_overflow(omega - strict - alg.d(h) - alg.eps(h)).is_zero()
+    if not (alg.d(strict).is_zero() and alg.eps(strict).is_zero()):
+        raise IdentityViolated("strictified form is not d- and eps-closed")
+    if not drop_overflow(omega - strict - alg.d(h) - alg.eps(h)).is_zero():
+        raise IdentityViolated("omega - strict != (d + eps) h in the window")
     return StrictificationResult(eta, strict, h, window)
 
 

@@ -17,6 +17,10 @@ class NoSolution(SpwError):
     """solve_linear() was fed a right hand side outside the image."""
 
 
+class IdentityViolated(SpwError):
+    """An exact identity that holds by construction failed: an internal fault."""
+
+
 class BidegreeMismatch(SpwError):
     """A structure map does not land in its declared (weight, degree) slot."""
 
@@ -63,10 +67,6 @@ class NotInvariant(SpwError):
 
 class Degenerate(SpwError):
     """A pairing required to be invertible at the augmentation is not."""
-
-
-class NoAugmentation(SpwError):
-    """The all-generators-zero augmentation does not exist for this algebra."""
 
 
 class NotMinimal(SpwError):

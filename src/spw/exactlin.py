@@ -1,18 +1,21 @@
 """Exact sparse linear algebra over the rationals and over Q[hbar].
 
-Everything is Fraction arithmetic; no floats anywhere.  Elimination is
-fraction-free (Bareiss) on denominator-cleared integer rows, with the
-pivot chosen as the smallest nonzero magnitude in the current column to
-keep intermediate entries small.  Matrices are immutable and cache their
-echelon form.
+Everything is Fraction arithmetic; no floats anywhere.  One sparse,
+fraction-free elimination serves rank, pivot columns, kernels, solving
+and homology: rows are kept as primitive integer dicts, pivot columns
+are taken left to right, and the pivot row is the sparsest row with a
+nonzero in the current column (Markowitz), ties going to the smaller
+|pivot|.  Matrices are immutable and cache the forward echelon form, and
+the reduced echelon form once a kernel is asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
-from .errors import CompositionNonzero, NoSolution
+from .errors import CompositionNonzero, IdentityViolated, NoSolution
 
 Rat = Fraction
 
@@ -28,7 +31,7 @@ def _as_rat(x) -> Rat:
 class SparseMatrix:
     """Immutable sparse matrix over Q, stored as {(row, col): coeff}."""
 
-    __slots__ = ("rows", "cols", "_entries", "_ech")
+    __slots__ = ("rows", "cols", "_entries", "_fwd", "_rref")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -51,7 +54,8 @@ class SparseMatrix:
                 if v != 0:
                     data[i, j] = v
         self._entries = data
-        self._ech = None
+        self._fwd = None
+        self._rref = None
 
     # -- constructors -------------------------------------------------
 
@@ -101,12 +105,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self._entries
-
-    def to_dense(self):
-        out = [[Rat(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._entries.items():
-            out[i][j] = v
-        return out
 
     def __eq__(self, other):
         return (
@@ -185,98 +183,153 @@ class SparseMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def _echelon(self):
-        """Cached fraction-free echelon form.
+    def _forward(self):
+        """Cached forward echelon: [(pivot_col, {col: int})] in pivot order."""
+        if self._fwd is None:
+            self._fwd = _eliminate(_int_rows(self._entries.items()), self.cols)
+        return self._fwd
 
-        Returns (rows, pivot_cols): `rows` is a list of Fraction row
-        vectors in echelon form (pivot entry normalised to 1), and
-        `pivot_cols[r]` is the pivot column of row r.
-        """
-        if self._ech is None:
-            self._ech = _bareiss_echelon(self.to_dense())
-        return self._ech
+    def _reduced(self):
+        """Cached sparse reduced echelon: [(pivot_col, {col: Fraction})]."""
+        if self._rref is None:
+            self._rref = _reduce(self._forward())
+        return self._rref
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self._forward())
 
     def pivot_columns(self):
-        return tuple(self._echelon()[1])
+        return tuple(c for c, _ in self._forward())
 
 
-def _clear_denominators(row):
-    """Scale a Fraction row to coprime integers (sign preserved)."""
-    lcm = 1
-    for v in row:
-        if v:
+def _int_rows(items):
+    """{row: {col: int}} from ((row, col), Fraction) items.
+
+    Each row is primitive: denominators cleared, content divided out.
+    """
+    rows = {}
+    for (i, j), v in items:
+        rows.setdefault(i, {})[j] = v
+    for i, row in rows.items():
+        lcm = 1
+        for v in row.values():
             lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+        ints = {j: v.numerator * (lcm // v.denominator) for j, v in row.items()}
+        g = gcd(*ints.values())
+        rows[i] = {j: v // g for j, v in ints.items()} if g > 1 else ints
+    return rows
 
 
-def _bareiss_echelon(dense):
-    """Fraction-free row echelon; returns normalised Fraction rows + pivots."""
-    work = [_clear_denominators(r) for r in dense]
-    work = [r for r in work if any(r)]
-    n_cols = len(dense[0]) if dense else 0
-    pivot_cols = []
-    echelon_rows = []
-    prev_pivot = 1
-    col = 0
-    while work and col < n_cols:
-        # exact pivoting: smallest nonzero magnitude in this column
-        cand = [(abs(r[col]), idx) for idx, r in enumerate(work) if r[col]]
+def _eliminate(rows, n_cols):
+    """Fraction-free forward elimination of primitive integer rows.
+
+    `rows` ({row id: {col: int}}, no zero entries) is consumed.  Pivot
+    columns are taken left to right, so they are the leftmost independent
+    columns whatever the row choice.  Among the rows with a nonzero in the
+    pivot column the sparsest is the pivot row (Markowitz), ties going to
+    the smaller |pivot| and then the lower row id; a column -> rows index
+    means only those rows are touched.  Returns [(pivot_col, row)].
+    """
+    where = {}
+    for r, row in rows.items():
+        for j in row:
+            where.setdefault(j, set()).add(r)
+    echelon = []
+    for c in range(n_cols):
+        cand = where.pop(c, None)
         if not cand:
-            col += 1
             continue
-        _, best = min(cand)
-        pivot_row = work.pop(best)
-        p = pivot_row[col]
-        nxt = []
-        for r in work:
-            # Bareiss step; rows with r[col] = 0 are still rescaled by
-            # p/prev_pivot, otherwise later exact divisions would not be
-            rc = r[col]
-            r = [(p * r[j] - rc * pivot_row[j]) // prev_pivot for j in range(n_cols)]
-            if any(r):
-                nxt.append(r)
-        work = nxt
-        prev_pivot = p
-        pivot_cols.append(col)
-        echelon_rows.append(pivot_row)
-        col += 1
-    # back-substitute to reduced form over Q, pivots normalised to 1
-    reduced = [[Rat(v) for v in r] for r in echelon_rows]
-    for r_idx in range(len(reduced) - 1, -1, -1):
-        pc = pivot_cols[r_idx]
-        pv = reduced[r_idx][pc]
-        reduced[r_idx] = [v / pv for v in reduced[r_idx]]
-        for up in range(r_idx):
-            f = reduced[up][pc]
-            if f:
-                reduced[up] = [
-                    a - f * b for a, b in zip(reduced[up], reduced[r_idx])
-                ]
-    return reduced, pivot_cols
+        pr = min(cand, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
+        prow = rows.pop(pr)
+        rest = [(j, v) for j, v in prow.items() if j != c]
+        for j, _ in rest:
+            where[j].discard(pr)
+        p = prow[c]
+        for r in cand:
+            if r == pr:
+                continue
+            row = rows[r]
+            a = row.pop(c)
+            g = gcd(p, a)
+            fp, fa = p // g, a // g
+            # row <- fp * row - fa * prow, which clears column c
+            if fp != 1:
+                for j in row:
+                    row[j] *= fp
+            for j, v in rest:
+                w = row.get(j, 0) - fa * v
+                if w:
+                    if j not in row:
+                        where.setdefault(j, set()).add(r)
+                    row[j] = w
+                elif j in row:
+                    del row[j]
+                    where[j].discard(r)
+            if not row:
+                del rows[r]
+                continue
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+        echelon.append((c, prow))
+    return echelon
+
+
+def _reduce(echelon):
+    """Reduced row echelon form over Q from a forward echelon, pivots 1.
+
+    Back-substitutes bottom up in integers; a reduced row is zero in every
+    other pivot column, so clearing one pivot column never refills another.
+    """
+    pivot_row = {c: k for k, (c, _) in enumerate(echelon)}
+    done = [None] * len(echelon)
+    for k in range(len(echelon) - 1, -1, -1):
+        c, row = echelon[k]
+        row = dict(row)
+        for j in [j for j in row if j != c and j in pivot_row]:
+            below = done[pivot_row[j]]
+            q, a = below[j], row[j]
+            g = gcd(q, a)
+            fq, fa = q // g, a // g
+            if fq != 1:
+                for t in row:
+                    row[t] *= fq
+            for t, v in below.items():
+                w = row.get(t, 0) - fa * v
+                if w:
+                    row[t] = w
+                else:
+                    del row[t]
+        g = gcd(*row.values())
+        if g > 1:
+            row = {t: v // g for t, v in row.items()}
+        done[k] = row
+    return [(c, {t: Rat(v, row[c]) for t, v in row.items()})
+            for (c, _), row in zip(echelon, done)]
 
 
 def kernel_basis(m: SparseMatrix):
-    """Basis of ker(m) as Fraction tuples; empty matrix gives the standard basis."""
-    reduced, pivot_cols = m._echelon()
-    pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
+    """Basis of ker(m) as Fraction tuples, one per non-pivot column f.
+
+    The vector for f is e_f minus column f of the reduced echelon form,
+    placed at the pivot columns; an empty matrix gives the standard basis.
+    """
+    reduced = m._reduced()
+    by_free = {}
+    for c, row in reduced:
+        for j, v in row.items():
+            if j != c:
+                by_free.setdefault(j, []).append((c, v))
+    pivots = {c for c, _ in reduced}
     basis = []
-    for f in free_cols:
+    for f in range(m.cols):
+        if f in pivots:
+            continue
         v = [Rat(0)] * m.cols
         v[f] = Rat(1)
-        for r_idx in range(len(reduced) - 1, -1, -1):
-            pc = pivot_cols[r_idx]
-            s = sum(reduced[r_idx][j] * v[j] for j in range(pc + 1, m.cols) if v[j])
-            v[pc] = -s
+        for c, a in by_free.get(f, ()):
+            v[c] = -a
         basis.append(tuple(v))
     return basis
 
@@ -304,7 +357,9 @@ def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
     """Homology at the middle of  A --d_in--> B --d_out--> C.
 
     Checks d_out @ d_in == 0 exactly and raises CompositionNonzero otherwise.
-    Representatives are kernel vectors projecting to a quotient basis.
+    Representatives are the kernel vectors independent of the image and of
+    the kernel vectors before them: those whose columns are pivot columns
+    of [d_in | kernel vectors], found by one elimination.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
@@ -313,50 +368,37 @@ def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
     ker = kernel_basis(d_out)
     im_rank = d_in.rank()
     dim = len(ker) - im_rank
-    # pick kernel vectors independent modulo the image: echelon the image
-    # columns first, then keep kernel vectors that create new pivots
-    n = d_in.rows
-    image_cols = []
-    for (i, j), v in d_in.items():
-        while len(image_cols) <= j:
-            image_cols.append([Rat(0)] * n)
-        image_cols[j][i] = v
-    image_cols = [c for c in image_cols if any(c)]
     reps = []
-    stacked = list(image_cols)
-    current_rank = SparseMatrix.from_columns(stacked, rows=n).rank() if stacked else 0
-    for v in ker:
-        trial = stacked + [list(v)]
-        r = SparseMatrix.from_columns(trial, rows=n).rank()
-        if r > current_rank:
-            reps.append(v)
-            stacked = trial
-            current_rank = r
-        if len(reps) == dim:
-            break
+    if dim:
+        n = d_in.cols
+        entries = dict(d_in.items())
+        for t, v in enumerate(ker):
+            for i, x in enumerate(v):
+                if x:
+                    entries[i, n + t] = x
+        stacked = SparseMatrix(d_in.rows, n + len(ker), entries)
+        reps = [ker[c - n] for c in stacked.pivot_columns() if c >= n]
     return HomologyResult(dim, reps, len(ker), im_rank)
 
 
 def solve_linear(m: SparseMatrix, b):
     """One exact solution of m x = b plus a kernel basis.
 
-    Raises NoSolution when b is not in the image.
+    The solution is zero at the non-pivot columns.  Raises NoSolution when
+    b is not in the image.
     """
     if len(b) != m.rows:
         raise ValueError("rhs length mismatch")
     b = [_as_rat(x) for x in b]
-    aug_dense = m.to_dense()
-    for i in range(m.rows):
-        aug_dense[i] = aug_dense[i] + [b[i]]
-    reduced, pivot_cols = _bareiss_echelon(aug_dense) if m.rows else ([], [])
-    if m.cols in pivot_cols:
+    rhs = (((i, m.cols), v) for i, v in enumerate(b) if v)
+    reduced = _reduce(_eliminate(_int_rows(chain(m.items(), rhs)), m.cols + 1))
+    if reduced and reduced[-1][0] == m.cols:
         raise NoSolution("rhs not in the image")
     x = [Rat(0)] * m.cols
-    for r_idx in range(len(reduced) - 1, -1, -1):
-        pc = pivot_cols[r_idx]
-        s = sum(reduced[r_idx][j] * x[j] for j in range(pc + 1, m.cols) if x[j])
-        x[pc] = reduced[r_idx][m.cols] - s
-    assert m.mul_vec(x) == tuple(b)
+    for c, row in reduced:
+        x[c] = row.get(m.cols, Rat(0))
+    if m.mul_vec(x) != tuple(b):
+        raise IdentityViolated("solve_linear: m x != b")
     return tuple(x), kernel_basis(m)
 
 
@@ -461,65 +503,3 @@ class QPoly:
             else:
                 parts.append(f"{c}*h^{i}" if c != 1 else f"h^{i}")
         return " + ".join(parts)
-
-
-class PolySparseMatrix:
-    """Immutable sparse matrix over Q[hbar]."""
-
-    __slots__ = ("rows", "cols", "_entries")
-
-    def __init__(self, rows, cols, entries=None):
-        self.rows = rows
-        self.cols = cols
-        data = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for item in items:
-                if isinstance(entries, dict):
-                    (i, j), v = item
-                else:
-                    i, j, v = item
-                if not isinstance(v, QPoly):
-                    v = QPoly.const(v)
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                if (i, j) in data:
-                    raise ValueError(f"duplicate entry at ({i},{j})")
-                if not v.is_zero():
-                    data[i, j] = v
-        self._entries = data
-
-    def entry(self, i, j) -> QPoly:
-        return self._entries.get((i, j), QPoly())
-
-    def items(self):
-        return self._entries.items()
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        by_row = {}
-        for (i, j), v in other._entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        acc = {}
-        for (i, k), v in self._entries.items():
-            for j, w in by_row.get(k, ()):
-                acc[i, j] = acc.get((i, j), QPoly()) + v * w
-        return PolySparseMatrix(self.rows, other.cols, acc)
-
-    def specialize(self, value) -> SparseMatrix:
-        return SparseMatrix(
-            self.rows,
-            self.cols,
-            {k: v.evaluate(value) for k, v in self._entries.items()},
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolySparseMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self._entries == other._entries
-        )
-
-    def __repr__(self):
-        return f"PolySparseMatrix({self.rows}x{self.cols}, {len(self._entries)} entries)"

@@ -760,7 +760,7 @@ def closed_form_classes(
         window = Window(wmin=m + 1, wmax=m + 1, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
         cx, _ = graded_mixed_window(dr.algebra, window)
         col = weight_window_total_complex(cx, m + 1, m + 1)
-        fiber_dims[m] = col.homology(deg).dimension
+        fiber_dims[m] = col.homology_dim(deg)
     mod_dim = None
     if modulo_exact:
         mod_dim = _modulo_exact_dimension(dr, p, deg, wmax, max_len)
@@ -854,7 +854,7 @@ class KoszulComplex:
             wmin=0, wmax=0, dmin=min_degree - 1, dmax=1, max_len=max_len
         )
         total = total_complex_window(self.algebra, window)
-        return {(-m): total.homology(m).dimension for m in range(0, min_degree, -1)}
+        return {(-m): total.homology_dim(m) for m in range(0, min_degree, -1)}
 
 
 def koszul(b: FreeCDGA, fs, powers=None) -> KoszulComplex:
@@ -941,7 +941,7 @@ def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:
         dr = de_rham(b)
         window = Window(0, max(wmax, 0), -2, 2, max_len)
         h0 = {
-            w: total_complex_window(dr.algebra, Window(0, w, -2, 2, max_len)).homology(0).dimension
+            w: total_complex_window(dr.algebra, Window(0, w, -2, 2, max_len)).homology_dim(0)
             for w in range(0, wmax + 1)
         }
         return DFunctorResult(None, dr, {0: 1}, h0)
@@ -957,9 +957,9 @@ def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:
     weight0 = {}
     w0 = total_complex_window(dr.algebra, Window(0, 0, -3, 1, max_len))
     for m in range(-2, 1):
-        weight0[m] = w0.homology(m).dimension
+        weight0[m] = w0.homology_dim(m)
     h0 = {}
     for w in range(0, wmax + 1):
         total = total_complex_window(dr.algebra, Window(0, w, -2, 2, max_len))
-        h0[w] = total.homology(0).dimension
+        h0[w] = total.homology_dim(0)
     return DFunctorResult(k, dr, weight0, h0)

@@ -1,7 +1,9 @@
-"""Shared random generators for tests: valid complexes, algebras, matrices."""
+"""Shared random generators for tests: valid complexes, algebras, matrices,
+and the dense Bareiss elimination kept only as an oracle for `exactlin`."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 from spw.exactlin import SparseMatrix
 from spw.gradedmixed import BiGradedModule, GradedMixedComplex, cell_model, shift, tensor
@@ -176,3 +178,142 @@ def random_valid_cdga(rng, max_gens=4, degree_span=(-3, 3)):
             closed.append(i)
     alg.set_differential(d_vals)
     return alg
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle: the original Bareiss elimination and greedy homology loop
+# ---------------------------------------------------------------------------
+
+
+def _clear_denominators(row):
+    """Scale a Fraction row to coprime integers (sign preserved)."""
+    lcm = 1
+    for v in row:
+        if v:
+            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+    ints = [int(v * lcm) for v in row]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
+
+
+def _bareiss_echelon(dense):
+    """Fraction-free row echelon; returns normalised Fraction rows + pivots."""
+    work = [_clear_denominators(r) for r in dense]
+    work = [r for r in work if any(r)]
+    n_cols = len(dense[0]) if dense else 0
+    pivot_cols = []
+    echelon_rows = []
+    prev_pivot = 1
+    col = 0
+    while work and col < n_cols:
+        # exact pivoting: smallest nonzero magnitude in this column
+        cand = [(abs(r[col]), idx) for idx, r in enumerate(work) if r[col]]
+        if not cand:
+            col += 1
+            continue
+        _, best = min(cand)
+        pivot_row = work.pop(best)
+        p = pivot_row[col]
+        nxt = []
+        for r in work:
+            # Bareiss step; rows with r[col] = 0 are still rescaled by
+            # p/prev_pivot, otherwise later exact divisions would not be
+            rc = r[col]
+            r = [(p * r[j] - rc * pivot_row[j]) // prev_pivot for j in range(n_cols)]
+            if any(r):
+                nxt.append(r)
+        work = nxt
+        prev_pivot = p
+        pivot_cols.append(col)
+        echelon_rows.append(pivot_row)
+        col += 1
+    # back-substitute to reduced form over Q, pivots normalised to 1
+    reduced = [[F(v) for v in r] for r in echelon_rows]
+    for r_idx in range(len(reduced) - 1, -1, -1):
+        pc = pivot_cols[r_idx]
+        pv = reduced[r_idx][pc]
+        reduced[r_idx] = [v / pv for v in reduced[r_idx]]
+        for up in range(r_idx):
+            f = reduced[up][pc]
+            if f:
+                reduced[up] = [a - f * b for a, b in zip(reduced[up], reduced[r_idx])]
+    return reduced, pivot_cols
+
+
+def dense(m):
+    out = [[F(0)] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.items():
+        out[i][j] = v
+    return out
+
+
+def oracle_rank_and_pivots(m):
+    _, pivot_cols = _bareiss_echelon(dense(m))
+    return len(pivot_cols), tuple(pivot_cols)
+
+
+def oracle_kernel_basis(m):
+    reduced, pivot_cols = _bareiss_echelon(dense(m))
+    pivot_set = set(pivot_cols)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivot_set):
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for r_idx in range(len(reduced) - 1, -1, -1):
+            pc = pivot_cols[r_idx]
+            s = sum(reduced[r_idx][j] * v[j] for j in range(pc + 1, m.cols) if v[j])
+            v[pc] = -s
+        basis.append(tuple(v))
+    return basis
+
+
+def oracle_solve(m, b):
+    """The particular solution of m x = b (zero at free columns), or None."""
+    aug = [row + [F(x)] for row, x in zip(dense(m), b)]
+    reduced, pivot_cols = _bareiss_echelon(aug) if m.rows else ([], [])
+    if m.cols in pivot_cols:
+        return None
+    x = [F(0)] * m.cols
+    for r_idx in range(len(reduced) - 1, -1, -1):
+        pc = pivot_cols[r_idx]
+        s = sum(reduced[r_idx][j] * x[j] for j in range(pc + 1, m.cols) if x[j])
+        x[pc] = reduced[r_idx][m.cols] - s
+    return tuple(x)
+
+
+def oracle_homology_reps(d_in, d_out):
+    """Greedy representatives: re-rank the stacked columns per kernel vector."""
+    ker = oracle_kernel_basis(d_out)
+    dim = len(ker) - oracle_rank_and_pivots(d_in)[0]
+    n = d_in.rows
+    image_cols = [list(c) for c in zip(*dense(d_in))] if d_in.rows else []
+    stacked = [c for c in image_cols if any(c)]
+
+    def rank_of(cols):
+        return oracle_rank_and_pivots(SparseMatrix.from_columns(cols, rows=n))[0] if cols else 0
+
+    reps = []
+    current = rank_of(stacked)
+    for v in ker:
+        if len(reps) == dim:
+            break
+        r = rank_of(stacked + [list(v)])
+        if r > current:
+            reps.append(v)
+            stacked = stacked + [list(v)]
+            current = r
+    return reps
+
+
+def random_rational_matrix(rng, rows, cols, density=0.5):
+    ent = {
+        (i, j): F(rng.randrange(-4, 5), rng.randrange(1, 4))
+        for i in range(rows)
+        for j in range(cols)
+        if rng.random() < density
+    }
+    return SparseMatrix(rows, cols, ent)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from spw import compare
 from spw.compare import (
     SymplecticForm,
     darboux_leading_term,
@@ -11,7 +12,7 @@ from spw.compare import (
     strictify_closed_two_form,
     symplectic_to_poisson,
 )
-from spw.errors import Degenerate, NotMinimal
+from spw.errors import Degenerate, IdentityViolated, NotMinimal
 from spw.freecdga import ClosedFormTower, Elem, FreeCDGA, Window, de_rham
 from spw.polyvec import MaurerCartanTower, PolyvectorAlgebra, mc_check, strict_tower
 
@@ -272,3 +273,28 @@ def test_obstructed_leading_term_cannot_pass_mc():
     for m in pol.basis(3, n + 2, 3):
         p1 = Elem(pol.algebra, {m: F(1)})
         assert pol.d(p1).is_zero()
+
+
+def test_strictify_raises_when_a_solution_breaks_its_identities(monkeypatch):
+    # minimal base with d(xi) = x y, so eps(x dxi)-type forms need not be d-closed
+    b = FreeCDGA([("x", 0), ("y", 0), ("xi", -1)])
+    b.set_differential({"xi": b.gen("x") * b.gen("y")})
+    dr = de_rham(b)
+    tower = ClosedFormTower(dr, 2, -1, {2: dr.algebra.gen("dx") * dr.algebra.gen("dy")})
+    window = Window(1, 4, -1, 3, 4)
+
+    def unit_at_last_row(mat, rhs):
+        # an eta unknown whose eps is not d-closed: it has an entry in the
+        # last rows, which hold the d(eps(eta)) = 0 equations
+        _, j = max(k for k, _ in mat.items())
+        return tuple(F(int(t == j)) for t in range(mat.cols)), []
+
+    def zero_solution(mat, rhs):
+        return tuple(F(0) for _ in range(mat.cols)), []
+
+    monkeypatch.setattr(compare, "maybe_solve", unit_at_last_row)
+    with pytest.raises(IdentityViolated, match="not d- and eps-closed"):
+        strictify_closed_two_form(b, tower, window)
+    monkeypatch.setattr(compare, "maybe_solve", zero_solution)
+    with pytest.raises(IdentityViolated, match="in the window"):
+        strictify_closed_two_form(b, tower, window)

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from spw.errors import CompositionNonzero, NoSolution
+import helpers
+from spw import exactlin
+from spw.errors import CompositionNonzero, IdentityViolated, NoSolution
 from spw.exactlin import (
-    PolySparseMatrix,
     QPoly,
     SparseMatrix,
     homology,
@@ -13,6 +14,7 @@ from spw.exactlin import (
     maybe_solve,
     solve_linear,
 )
+from spw.gradedmixed import ChainComplex, realization
 
 
 def test_kernel_of_zero_map():
@@ -152,15 +154,98 @@ def test_homology_invariant_under_permutation():
     assert homology(d_in2, d_out2).dimension == h
 
 
-def test_qpoly_arithmetic_and_specialize():
+def test_qpoly_arithmetic():
     h = QPoly.hbar()
     p = (h + 1) * (h - 1)
     assert p == QPoly([-1, 0, 1])
     assert p.evaluate(2) == 3
-    m = PolySparseMatrix(2, 2, [(0, 0, h), (1, 1, QPoly.const(1))])
-    sq = m @ m
-    assert sq.entry(0, 0) == QPoly([0, 0, 1])
-    at0 = sq.specialize(0)
-    assert at0.entry(0, 0) == 0 and at0.entry(1, 1) == 1
-    at1 = m.specialize(1)
-    assert at1 == SparseMatrix.identity(2)
+    assert (h * h).evaluate(F(1, 2)) == F(1, 4)
+
+
+def _cross_check_matrices(rng):
+    """Random rational matrices, unimodular conjugates of low-rank ones,
+    and the degenerate shapes."""
+    yield SparseMatrix.zero(0, 4)
+    yield SparseMatrix.zero(4, 0)
+    yield SparseMatrix.zero(0, 0)
+    yield SparseMatrix.zero(3, 5)
+    for _ in range(40):
+        rows, cols = rng.randrange(0, 7), rng.randrange(0, 7)
+        yield helpers.random_rational_matrix(rng, rows, cols, rng.choice([0.2, 0.5, 0.9]))
+    for _ in range(20):
+        n, k = rng.randrange(1, 7), rng.randrange(1, 7)
+        r = rng.randrange(0, min(n, k) + 1)
+        low = helpers.random_rational_matrix(rng, n, r) @ helpers.random_rational_matrix(rng, r, k)
+        s, _ = helpers.random_unimodular(rng, n)
+        _, t_inv = helpers.random_unimodular(rng, k)
+        yield s @ low @ t_inv
+
+
+def test_elimination_matches_dense_oracle():
+    rng = random.Random(2015)
+    for m in _cross_check_matrices(rng):
+        assert (m.rank(), m.pivot_columns()) == helpers.oracle_rank_and_pivots(m)
+        assert kernel_basis(m) == helpers.oracle_kernel_basis(m)
+        x0 = [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(m.cols)]
+        solvable = m.mul_vec(x0)
+        other = [F(rng.randrange(-3, 4)) for _ in range(m.rows)]
+        for b in (solvable, other):
+            want = helpers.oracle_solve(m, b)
+            if want is None:
+                with pytest.raises(NoSolution):
+                    solve_linear(m, b)
+            else:
+                x, ker = solve_linear(m, b)
+                assert x == want and ker == kernel_basis(m)
+
+
+def _random_complex_pair(rng):
+    """d_in: Q^a -> Q^n and d_out: Q^n -> Q^c with d_out d_in = 0, mixed by a
+    unimodular change of basis in the middle."""
+    n = rng.randrange(1, 8)
+    d_out = helpers.random_rational_matrix(rng, rng.randrange(0, n + 1), n, 0.4)
+    ker = kernel_basis(d_out)
+    a = rng.randrange(0, 6)
+    if ker:
+        combo = helpers.random_rational_matrix(rng, len(ker), a, 0.5)
+        d_in = SparseMatrix.from_columns([list(v) for v in ker], rows=n) @ combo
+    else:
+        d_in = SparseMatrix.zero(n, a)
+    s, s_inv = helpers.random_unimodular(rng, n)
+    return s @ d_in, d_out @ s_inv
+
+
+def test_homology_representatives_match_greedy_oracle():
+    rng = random.Random(506)
+    for _ in range(60):
+        d_in, d_out = _random_complex_pair(rng)
+        h = homology(d_in, d_out)
+        assert h.representatives == helpers.oracle_homology_reps(d_in, d_out)
+        assert h.dimension == len(h.representatives)
+
+
+def test_homology_dims_is_rank_nullity_of_homology():
+    rng = random.Random(3)
+    for _ in range(10):
+        cx = realization(helpers.random_valid_complex(rng, 0, 4, pieces=3), 4)
+        dims = cx.homology_dims()
+        assert dims == {m: cx.homology(m).dimension for m in dims}
+
+
+def test_homology_dims_rejects_nonzero_square():
+    one = SparseMatrix.identity(1)
+    cx = ChainComplex({0: ["a"], 1: ["b"], 2: ["c"]}, {0: one, 1: one})
+    with pytest.raises(CompositionNonzero):
+        cx.homology_dims()
+
+
+def test_solve_linear_raises_when_its_solution_fails(monkeypatch):
+    real = exactlin._reduce
+
+    def corrupt(echelon):
+        return [(c, {t: v if t == c else 2 * v for t, v in row.items()})
+                for c, row in real(echelon)]
+
+    monkeypatch.setattr(exactlin, "_reduce", corrupt)
+    with pytest.raises(IdentityViolated):
+        solve_linear(SparseMatrix.identity(3), (1, 2, 3))
