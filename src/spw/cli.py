@@ -258,8 +258,13 @@ def cmd_strictify(manifest, args, report):
 
 def cmd_darboux(manifest, args, report):
     from .compare import darboux_leading_term
+    from .polyvec import mc_check
 
     _, _, _, tower = _poisson_inputs(manifest, args)
+    mc = mc_check(tower)
+    if not mc.valid:
+        report.check("Maurer-Cartan equations", False, witness=f"fails at i={mc.first_failure}")
+        return
     rep = darboux_leading_term(tower)
     report.check("d q = 0", rep.q_closed)
     report.check("[q, q] = 0", rep.q_self_bracket_zero)
@@ -556,10 +561,6 @@ def main(argv=None) -> int:
     out = report.to_json(timings) if args.json else report.to_text()
     sys.stdout.write(out)
     return report.exit_code
-
-
-def console_main():
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .polyvec import (
     PolyvectorAlgebra,
     check_strict_poisson,
     mc_check,
+    pairing_blocks,
     require_nondegenerate,
 )
 
@@ -124,26 +125,8 @@ class SymplecticForm:
         return form
 
     def _blocks_invertible(self) -> bool:
-        gens = self.de_rham.base.generators
-        degrees = sorted({g.degree for g in gens})
-        for d in degrees:
-            rows = [i for i, g in enumerate(gens) if g.degree == d]
-            cols = [j for j, g in enumerate(gens) if g.degree == self.n - d]
-            if len(rows) != len(cols):
-                return False
-            sub = SparseMatrix(
-                len(rows),
-                len(cols),
-                {
-                    (a, b): self.theta.entry(i, j)
-                    for a, i in enumerate(rows)
-                    for b, j in enumerate(cols)
-                    if self.theta.entry(i, j)
-                },
-            )
-            if sub.rank() < len(rows):
-                return False
-        return True
+        blocks = pairing_blocks(self.theta, self.de_rham.base.generators, self.n)
+        return all(r == c == k for r, c, k in blocks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +357,9 @@ def strictify_closed_two_form(
 
 def _residual_class_dim(mat, rhs):
     """1 if rhs is outside the column span (genuine in-window obstruction)."""
-    cols = [
-        [mat.entry(i, j) for i in range(mat.rows)] for j in range(mat.cols)
-    ]
-    base_rank = mat.rank()
-    aug = SparseMatrix.from_columns(cols + [list(rhs)], rows=mat.rows)
-    return aug.rank() - base_rank
+    ent = [(i, j, v) for (i, j), v in mat.items()]
+    ent += [(i, mat.cols, v) for i, v in enumerate(rhs) if v]
+    return SparseMatrix(mat.rows, mat.cols + 1, ent).rank() - mat.rank()
 
 
 # ---------------------------------------------------------------------------

@@ -567,15 +567,12 @@ def complex_to_dsl(cx, name: str) -> str:
     for which, blocks, dw in (("d", cx.d, 0), ("eps", cx.eps, 1)):
         for (p, m) in sorted(blocks):
             mat = blocks[p, m]
-            src = cx.module.labels(p, m)
             tgt = cx.module.labels(p + dw, m + 1)
-            for j, lab in enumerate(src):
-                terms = [
-                    coeff_str(mat.entry(i, j), tgt[i])
-                    for i in range(mat.rows)
-                    if mat.entry(i, j)
-                ]
-                if terms:
-                    lines.append(f"  {which}({lab}) = " + " + ".join(terms) + ";")
+            terms = {}
+            for (i, j), c in sorted(mat.items()):
+                terms.setdefault(j, []).append(coeff_str(c, tgt[i]))
+            for j, lab in enumerate(cx.module.labels(p, m)):
+                if j in terms:
+                    lines.append(f"  {which}({lab}) = " + " + ".join(terms[j]) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ from .gradedmixed import (
     GradedMixedComplex,
     weight_window_total_complex,
 )
-from .exactlin import SparseMatrix
+from .exactlin import SparseMatrix, _as_rat, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ class Generator:
     degree: int
     weight: int = 0
     internal_weight: int = 0
-
-
-def _as_rat(x):
-    if isinstance(x, Rat):
-        return x
-    if isinstance(x, int):
-        return Rat(x)
-    raise TypeError("exact coefficient expected")
 
 
 class FreeCDGA:
@@ -63,6 +55,7 @@ class FreeCDGA:
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
         self.generators = tuple(gens)
+        self.signature = tuple((g.name, g.degree, g.weight, g.internal_weight) for g in gens)
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.base_names = frozenset(base_names)
         for b in self.base_names:
@@ -72,10 +65,6 @@ class FreeCDGA:
         self.mixed = {}  # gen index -> Elem
 
     # -- identity ------------------------------------------------------
-
-    @property
-    def signature(self):
-        return tuple((g.name, g.degree, g.weight, g.internal_weight) for g in self.generators)
 
     def compatible(self, other) -> bool:
         return self.signature == other.signature
@@ -446,18 +435,25 @@ def _mono_bidegree(alg, mono):
     )
 
 
-def window_basis(alg: FreeCDGA, window: Window):
-    """Monomial basis of the window, closed under d and eps (see Window)."""
+def _closure(alg: FreeCDGA, window: Window):
+    """The window basis {mono: (w, d)} and {mono: (d mono, eps mono)}.
+
+    Each basis monomial's two images are computed once, as the closure
+    reaches it; see Window.
+    """
     inside = {}
     for m in enumerate_monomials(alg, window.max_len):
         w, d = _mono_bidegree(alg, m)
         if window.wmin <= w <= window.wmax and window.dmin <= d <= window.dmax:
             inside[m] = (w, d)
+    images = {}
     frontier = list(inside)
     for _ in range(window.closure_rounds):
         new = []
         for m in frontier:
-            for image in (alg.d(Elem(alg, {m: Rat(1)})), alg.eps(Elem(alg, {m: Rat(1)}))):
+            x = Elem(alg, {m: Rat(1)})
+            images[m] = (alg.d(x), alg.eps(x))
+            for image in images[m]:
                 for m2 in image.terms:
                     if m2 in inside:
                         continue
@@ -477,45 +473,45 @@ def window_basis(alg: FreeCDGA, window: Window):
         raise WindowTooSmall(
             "window closure did not terminate", witness=alg.mono_str(frontier[0])
         )
-    return inside
+    return inside, images
+
+
+def window_basis(alg: FreeCDGA, window: Window):
+    """Monomial basis of the window, closed under d and eps (see Window)."""
+    return _closure(alg, window)[0]
 
 
 def graded_mixed_window(alg: FreeCDGA, window: Window):
     """Finite GradedMixedComplex slice of a (mixed) cdga plus monomial index.
 
     Returns (complex, mono_of_label) where labels are canonical monomial
-    strings sorted deterministically inside each bidegree.
+    strings sorted deterministically inside each bidegree.  Images above
+    the window are projected away.
     """
-    inside = window_basis(alg, window)
-    basis = {}
-    mono_of = {}
-    for m, (w, d) in sorted(inside.items(), key=lambda kv: (kv[1], kv[0])):
-        lab = alg.mono_str(m)
-        basis.setdefault((w, d), []).append(lab)
-        mono_of[lab] = m
-    mod = BiGradedModule(basis)
-    index = {k: {lab: i for i, lab in enumerate(mod.labels(*k))} for k in mod.basis}
+    inside, images = _closure(alg, window)
+    monos = {}
+    for m, bideg in sorted(inside.items(), key=lambda kv: (kv[1], kv[0])):
+        monos.setdefault(bideg, []).append(m)
+    at = {bideg: {m: i for i, m in enumerate(ms)} for bideg, ms in monos.items()}
+    mod = BiGradedModule({bideg: [alg.mono_str(m) for m in ms] for bideg, ms in monos.items()})
+    mono_of = {lab: m for bideg, ms in monos.items() for lab, m in zip(mod.labels(*bideg), ms)}
 
-    def _blocks(op, dw):
+    def _blocks(k):
         out = {}
-        for (w, d), labels in mod.basis.items():
-            tgt = (w + dw, d + 1)
-            if mod.dim(*tgt) == 0:
+        for (w, d), ms in monos.items():
+            tgt = at.get((w + k, d + 1))
+            if tgt is None:
                 continue
             ent = {}
-            for j, lab in enumerate(labels):
-                image = op(Elem(alg, {mono_of[lab]: Rat(1)}))
-                for m2, c in image.terms.items():
-                    w2, d2 = _mono_bidegree(alg, m2)
-                    if w2 > window.wmax or d2 > window.dmax:
-                        continue
-                    lab2 = alg.mono_str(m2)
-                    ent[index[tgt][lab2], j] = c
+            for j, m in enumerate(ms):
+                for m2, c in images[m][k].terms.items():
+                    if m2 in inside:
+                        ent[tgt[m2], j] = c
             if ent:
-                out[w, d] = SparseMatrix(mod.dim(*tgt), len(labels), ent)
+                out[w, d] = SparseMatrix(len(tgt), len(ms), ent)
         return out
 
-    cx = GradedMixedComplex(mod, _blocks(alg.d, 0), _blocks(alg.eps, 1))
+    cx = GradedMixedComplex(mod, _blocks(0), _blocks(1))
     return cx, mono_of
 
 
@@ -774,66 +770,33 @@ def _modulo_exact_dimension(dr, p, deg, wmax, max_len):
     cx, mono_of = graded_mixed_window(dr.algebra, window)
     total = weight_window_total_complex(cx, p, wmax)
     labels = total.basis.get(deg, [])
-    index = {lab: i for i, lab in enumerate(labels)}
-    cocycles = exact_kernel = None
-    from .exactlin import SparseMatrix as _SM
-    from .exactlin import kernel_basis as _kb
-
-    cocycles = _kb(total.d_block(deg))
-    boundary_cols = [
-        [total.d_block(deg - 1).entry(i, j) for i in range(len(labels))]
-        for j in range(total.dim(deg - 1))
-    ]
-    # de Rham images of d-closed weight-(p-1) elements of degree deg-1
-    low = [
-        (lab, mono_of[lab])
-        for lab in cx.module.labels(p - 1, deg - 1)
-    ] if p >= 1 else []
-    if low:
-        closed_vecs = []
-        span = [Elem(dr.algebra, {m: Rat(1)}) for _, m in low]
-        d_mat_cols = []
-        d_targets = {}
-        for e in span:
-            img = dr.algebra.d(e)
-            for m2 in img.terms:
-                d_targets.setdefault(m2, len(d_targets))
-        for e in span:
-            img = dr.algebra.d(e)
-            col = [Rat(0)] * len(d_targets)
-            for m2, c in img.terms.items():
-                col[d_targets[m2]] = c
-            d_mat_cols.append(col)
-        dmat = (
-            _SM.from_columns(d_mat_cols, rows=len(d_targets))
-            if d_targets
-            else _SM.zero(0, len(low))
-        )
-        for v in _kb(dmat):
-            eta = dr.algebra.zero()
-            for coeff, (_, m) in zip(v, low):
-                if coeff:
-                    eta = eta + Elem(dr.algebra, {m: coeff})
-            img = dr.algebra.eps(eta)
-            col = [Rat(0)] * len(labels)
-            ok = True
-            for m2, c in img.terms.items():
-                key = (_mono_bidegree(dr.algebra, m2)[0], dr.algebra.mono_str(m2))
-                if key in index:
-                    col[index[key]] = c
-                else:
-                    ok = False
-            if ok:
-                boundary_cols.append(col)
-    boundary_cols = [c for c in boundary_cols if any(c)]
-    all_cols = boundary_cols + [list(v) for v in cocycles]
     if not labels:
         return 0
-    full_rank = _SM.from_columns(all_cols, rows=len(labels)).rank() if all_cols else 0
-    bdry_rank = (
-        _SM.from_columns(boundary_cols, rows=len(labels)).rank() if boundary_cols else 0
+    index = {mono_of[lab]: i for i, (_, lab) in enumerate(labels)}
+    boundary = [(i, j, v) for (i, j), v in total.d_block(deg - 1).items()]
+    n_bdry = total.dim(deg - 1)
+    # de Rham images of d-closed weight-(p-1) elements of degree deg-1
+    low = [mono_of[lab] for lab in cx.module.labels(p - 1, deg - 1)] if p >= 1 else []
+    if low:
+        d_targets = {}
+        d_ent = [
+            (d_targets.setdefault(m2, len(d_targets)), j, c)
+            for j, m in enumerate(low)
+            for m2, c in dr.algebra.d(Elem(dr.algebra, {m: Rat(1)})).terms.items()
+        ]
+        for v in kernel_basis(SparseMatrix(len(d_targets), len(low), d_ent)):
+            eta = Elem(dr.algebra, {m: c for c, m in zip(v, low) if c})
+            img = dr.algebra.eps(eta)
+            if all(m2 in index for m2 in img.terms):
+                boundary += [(index[m2], n_bdry, c) for m2, c in img.terms.items()]
+                n_bdry += 1
+    cocycles = kernel_basis(total.d_block(deg))
+    full = SparseMatrix(
+        len(labels),
+        n_bdry + len(cocycles),
+        boundary + [(i, n_bdry + t, x) for t, z in enumerate(cocycles) for i, x in enumerate(z) if x],
     )
-    return full_rank - bdry_rank
+    return full.rank() - SparseMatrix(len(labels), n_bdry, boundary).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +902,6 @@ def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:
     """
     if not ideal_gens:
         dr = de_rham(b)
-        window = Window(0, max(wmax, 0), -2, 2, max_len)
         h0 = {
             w: total_complex_window(dr.algebra, Window(0, w, -2, 2, max_len)).homology_dim(0)
             for w in range(0, wmax + 1)

@@ -168,10 +168,9 @@ def validate_mixed(e: GradedMixedComplex) -> MixedReport:
     violations = []
 
     def _report(name, p, m, mat):
-        for j in range(mat.cols):
-            col = [mat.entry(i, j) for i in range(mat.rows)]
-            if any(col):
-                violations.append((name, (p, m), e.module.labels(p, m)[j]))
+        labels = e.module.labels(p, m)
+        for j in sorted({j for (_, j), _ in mat.items()}):
+            violations.append((name, (p, m), labels[j]))
 
     for (p, m) in e.module.support():
         dd = e.d_block(p, m + 1) @ e.d_block(p, m)
@@ -212,50 +211,43 @@ def cell_model(m: int) -> GradedMixedComplex:
 def tensor(e: GradedMixedComplex, f: GradedMixedComplex) -> GradedMixedComplex:
     """Tensor product: weights add, Koszul signs from degree only."""
     basis = {}
-    for (p1, m1) in e.module.support():
-        for (p2, m2) in f.module.support():
-            key = (p1 + p2, m1 + m2)
-            for a in e.module.labels(p1, m1):
-                for b in f.module.labels(p2, m2):
-                    basis.setdefault(key, []).append(((p1, m1, a), (p2, m2, b)))
+    at = {}  # (s, t) -> offset of the labels a (x) b, a in E(s), b in F(t)
+    for s in e.module.support():
+        for t in f.module.support():
+            cell = basis.setdefault((s[0] + t[0], s[1] + t[1]), [])
+            at[s, t] = len(cell)
+            cell.extend(
+                ((*s, a), (*t, b)) for a in e.module.labels(*s) for b in f.module.labels(*t)
+            )
     mod = BiGradedModule(basis)
-    index = {
-        key: {lab: i for i, lab in enumerate(mod.labels(*key))} for key in mod.basis
-    }
 
-    def _assemble(which):
-        blocks = {}
-        for (p, m), labels in mod.basis.items():
-            tgt = (p + 1, m + 1) if which == "eps" else (p, m + 1)
-            if mod.dim(*tgt) == 0:
-                continue
-            ent = {}
-            for j, ((p1, m1, a), (p2, m2, b)) in enumerate(labels):
-                ia = e.module.labels(p1, m1).index(a)
-                ib = f.module.labels(p2, m2).index(b)
-                # first factor: (D a) (x) b
-                blk1 = e.eps_block(p1, m1) if which == "eps" else e.d_block(p1, m1)
-                np1 = p1 + 1 if which == "eps" else p1
-                for i in range(blk1.rows):
-                    v = blk1.entry(i, ia)
-                    if v:
-                        lab = ((np1, m1 + 1, e.module.labels(np1, m1 + 1)[i]), (p2, m2, b))
-                        ent[index[tgt][lab], j] = ent.get((index[tgt][lab], j), Rat(0)) + v
-                # second factor: (-1)^{m1} a (x) (D b)
-                blk2 = f.eps_block(p2, m2) if which == "eps" else f.d_block(p2, m2)
-                np2 = p2 + 1 if which == "eps" else p2
-                sign = -1 if m1 % 2 else 1
-                for i in range(blk2.rows):
-                    v = blk2.entry(i, ib)
-                    if v:
-                        lab = ((p1, m1, a), (np2, m2 + 1, f.module.labels(np2, m2 + 1)[i]))
-                        ent[index[tgt][lab], j] = ent.get((index[tgt][lab], j), Rat(0)) + sign * v
-            ent = {k: v for k, v in ent.items() if v}
-            if ent:
-                blocks[p, m] = SparseMatrix(mod.dim(*tgt), len(labels), ent)
-        return blocks
+    def _assemble(e_blocks, f_blocks, dw):
+        ent = {}
+        for (s, t), col0 in at.items():
+            out = ent.setdefault((s[0] + t[0], s[1] + t[1]), {})
+            nt = f.module.dim(*t)
+            # first factor: (D a) (x) b
+            s2 = (s[0] + dw, s[1] + 1)
+            if s in e_blocks:
+                row0 = at[s2, t]
+                for (i, ia), v in e_blocks[s].items():
+                    for ib in range(nt):
+                        out[row0 + i * nt + ib, col0 + ia * nt + ib] = v
+            # second factor: (-1)^{m1} a (x) (D b)
+            t2 = (t[0] + dw, t[1] + 1)
+            if t in f_blocks:
+                row0, nt2 = at[s, t2], f.module.dim(*t2)
+                sign = -1 if s[1] % 2 else 1
+                for (i, ib), v in f_blocks[t].items():
+                    for ia in range(e.module.dim(*s)):
+                        out[row0 + ia * nt2 + i, col0 + ia * nt + ib] = sign * v
+        return {
+            (p, m): SparseMatrix(mod.dim(p + dw, m + 1), mod.dim(p, m), vals)
+            for (p, m), vals in ent.items()
+            if vals
+        }
 
-    return GradedMixedComplex(mod, _assemble("d"), _assemble("eps"))
+    return GradedMixedComplex(mod, _assemble(e.d, f.d, 0), _assemble(e.eps, f.eps, 1))
 
 
 def shift(e: GradedMixedComplex, n: int, q: int) -> GradedMixedComplex:
@@ -361,38 +353,27 @@ def weight_window_total_complex(e: GradedMixedComplex, wmin: int, wmax: int) -> 
     Weights below wmin are cut (a subcomplex is removed: legitimate since
     d + eps never lowers weight); weights above wmax are projected away.
     """
-    basis = {}
+    cells = {}
+    at = {}  # (p, m) -> total index of each local index of E(p)^m
     for (p, m), labels in e.module.basis.items():
         if wmin <= p <= wmax:
-            for lab in labels:
-                basis.setdefault(m, []).append((p, lab))
-    for m in basis:
-        basis[m].sort(key=lambda t: (t[0], str(t[1])))
-    diff = {}
-    for m, labels in basis.items():
-        tgt = basis.get(m + 1, [])
-        if not tgt:
-            continue
-        tgt_index = {lab: i for i, lab in enumerate(tgt)}
-        ent = {}
-        for j, (p, lab) in enumerate(labels):
-            col = e.module.labels(p, m).index(lab)
-            dblk = e.d_block(p, m)
-            for i in range(dblk.rows):
-                v = dblk.entry(i, col)
-                if v:
-                    key = (p, e.module.labels(p, m + 1)[i])
-                    ent[tgt_index[key], j] = ent.get((tgt_index[key], j), Rat(0)) + v
-            eblk = e.eps_block(p, m)
-            if p + 1 <= wmax:
-                for i in range(eblk.rows):
-                    v = eblk.entry(i, col)
-                    if v:
-                        key = (p + 1, e.module.labels(p + 1, m + 1)[i])
-                        ent[tgt_index[key], j] = ent.get((tgt_index[key], j), Rat(0)) + v
-        ent = {k: v for k, v in ent.items() if v}
-        if ent:
-            diff[m] = SparseMatrix(len(tgt), len(labels), ent)
+            cells.setdefault(m, []).extend((p, lab, i) for i, lab in enumerate(labels))
+            at[p, m] = [0] * len(labels)
+    basis = {}
+    for m, cell in cells.items():
+        cell.sort(key=lambda t: (t[0], str(t[1])))
+        basis[m] = [(p, lab) for p, lab, _ in cell]
+        for k, (p, _, i) in enumerate(cell):
+            at[p, m][i] = k
+    ent = {}
+    for blocks, dw in ((e.d, 0), (e.eps, 1)):
+        for (p, m), blk in blocks.items():
+            src, tgt = at.get((p, m)), at.get((p + dw, m + 1))
+            if src is not None and tgt is not None:
+                out = ent.setdefault(m, {})
+                for (i, j), v in blk.items():
+                    out[tgt[i], src[j]] = v
+    diff = {m: SparseMatrix(len(basis[m + 1]), len(basis[m]), vals) for m, vals in ent.items()}
     cx = ChainComplex(basis, diff)
     cx.validate()
     return cx
@@ -412,81 +393,49 @@ def enriched_hom(e: GradedMixedComplex, f: GradedMixedComplex, weights=(0, 1, 2)
     """
     weights = sorted(weights)
     basis = {}
+    at = {}  # (s, t) -> offset of the maps E(s) -> F(t), by (a, b)
     for p in weights:
-        for (q, mu) in e.module.support():
-            for (q2, nu) in f.module.support():
-                if q2 != q + p:
+        for s in e.module.support():
+            for t in f.module.support():
+                if t[0] != s[0] + p:
                     continue
-                n = nu - mu
-                for a in e.module.labels(q, mu):
-                    for b in f.module.labels(q2, nu):
-                        basis.setdefault((p, n), []).append((q, mu, a, b))
+                cell = basis.setdefault((p, t[1] - s[1]), [])
+                at[s, t] = len(cell)
+                cell.extend(
+                    (*s, a, b) for a in e.module.labels(*s) for b in f.module.labels(*t)
+                )
     mod = BiGradedModule(basis)
 
-    def _apply(p, n, j, which):
-        """Image of the j-th basis map under delta (which='d') or eps."""
-        q, mu, a, b = mod.labels(p, n)[j]
-        ia = e.module.labels(q, mu).index(a)
-        ib = f.module.labels(q + p, mu + n).index(b)
-        out = {}
-        sign = -1 if n % 2 else 1
-        if which == "d":
-            post = f.d_block(q + p, mu + n)  # F(q+p)^{mu+n} -> F(q+p)^{mu+n+1}
-            for i in range(post.rows):
-                v = post.entry(i, ib)
-                if v:
-                    key = (q, mu, a, f.module.labels(q + p, mu + n + 1)[i])
-                    out[key] = out.get(key, Rat(0)) + v
-            # - (-1)^n u d_E: precompose with d on E(q)^{mu-1}
-            pre = e.d_block(q, mu - 1)
-            for col in range(pre.cols):
-                v = pre.entry(ia, col)
-                if v:
-                    key = (q, mu - 1, e.module.labels(q, mu - 1)[col], b)
-                    out[key] = out.get(key, Rat(0)) - sign * v
-        else:
-            post = f.eps_block(q + p, mu + n)
-            for i in range(post.rows):
-                v = post.entry(i, ib)
-                if v:
-                    key = (q, mu, a, f.module.labels(q + p + 1, mu + n + 1)[i])
-                    out[key] = out.get(key, Rat(0)) + v
-            pre = e.eps_block(q - 1, mu - 1)
-            for col in range(pre.cols):
-                v = pre.entry(ia, col)
-                if v:
-                    key = (q - 1, mu - 1, e.module.labels(q - 1, mu - 1)[col], b)
-                    out[key] = out.get(key, Rat(0)) - sign * v
-        return {k: v for k, v in out.items() if v}
+    def _assemble(e_blocks, f_blocks, dw):
+        ent = {}
+        for (s, t), col0 in at.items():
+            p, n = t[0] - s[0], t[1] - s[1]
+            if p + dw not in weights:
+                continue
+            out = ent.setdefault((p, n), {})
+            ns, nt = e.module.dim(*s), f.module.dim(*t)
+            # D_F u: E(s) -> F(t) -> F(t2)
+            t2 = (t[0] + dw, t[1] + 1)
+            if t in f_blocks:
+                row0, nt2 = at[s, t2], f.module.dim(*t2)
+                for (i, ib), v in f_blocks[t].items():
+                    for ia in range(ns):
+                        out[row0 + ia * nt2 + i, col0 + ia * nt + ib] = v
+            # - (-1)^n u D_E: E(s2) -> E(s) -> F(t)
+            s2 = (s[0] - dw, s[1] - 1)
+            if s2 in e_blocks:
+                row0 = at[s2, t]
+                sign = -1 if n % 2 else 1
+                for (ia, i), v in e_blocks[s2].items():
+                    for ib in range(nt):
+                        out[row0 + i * nt + ib, col0 + ia * nt + ib] = -sign * v
+        return {
+            (p, n): SparseMatrix(mod.dim(p + dw, n + 1), mod.dim(p, n), vals)
+            for (p, n), vals in ent.items()
+            if vals
+        }
 
-    d_blocks = {}
-    eps_blocks = {}
-    for (p, n), labels in mod.basis.items():
-        tgt_d = mod.labels(p, n + 1)
-        if tgt_d:
-            tgt_index = {lab: i for i, lab in enumerate(tgt_d)}
-            ent = {}
-            for j in range(len(labels)):
-                for key, v in _apply(p, n, j, "d").items():
-                    if key in tgt_index:
-                        ent[tgt_index[key], j] = v
-                    elif v:
-                        raise BidegreeMismatch(f"hom differential escapes window at {key}")
-            if ent:
-                d_blocks[p, n] = SparseMatrix(len(tgt_d), len(labels), ent)
-        if p + 1 in weights:
-            tgt_e = mod.labels(p + 1, n + 1)
-            tgt_index = {lab: i for i, lab in enumerate(tgt_e)}
-            ent = {}
-            for j in range(len(labels)):
-                for key, v in _apply(p, n, j, "eps").items():
-                    if key in tgt_index:
-                        ent[tgt_index[key], j] = v
-                    elif v:
-                        raise BidegreeMismatch(f"hom mixed map escapes window at {key}")
-            if ent:
-                eps_blocks[p, n] = SparseMatrix(len(tgt_e), len(labels), ent)
-    return GradedMixedComplex(mod, d_blocks, eps_blocks)
+    return GradedMixedComplex(mod, _assemble(e.d, f.d, 0), _assemble(e.eps, f.eps, 1))
 
 
 def dg_hom_complex(e: GradedMixedComplex, f: GradedMixedComplex) -> ChainComplex:

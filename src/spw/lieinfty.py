@@ -12,14 +12,10 @@ from fractions import Fraction as Rat
 from itertools import combinations
 
 from .errors import NotFreeOnV, NotInvariant
-from .exactlin import SparseMatrix, kernel_basis
+from .exactlin import SparseMatrix, _as_rat, kernel_basis
 from .freecdga import Elem, FreeCDGA, Generator, Window, apply_derivation, graded_mixed_window
 from .gradedmixed import GradedMixedComplex
 from .polyvec import MaurerCartanTower, PolyvectorAlgebra, mc_check
-
-
-def _as_rat(x):
-    return x if isinstance(x, Rat) else Rat(x)
 
 
 class LieAlgebra:

@@ -336,27 +336,25 @@ def nondegeneracy(arg, pol: PolyvectorAlgebra = None, n: int = None) -> Nondegen
             if c:
                 ent[i, j] = c
     theta = SparseMatrix(m, m, ent)
+    blocks = pairing_blocks(theta, gens, n)
+    ok = all(r == c == k for r, c, k in blocks.values())
+    return NondegeneracyReport(ok, theta, blocks)
+
+
+def pairing_blocks(theta: SparseMatrix, gens, n: int) -> dict:
+    """{d: (rows, cols, rank)} of the blocks of theta pairing the generators
+    of degree d (rows) with those of degree n - d (columns)."""
     blocks = {}
-    ok = True
-    degrees = sorted({g.degree for g in gens})
-    for d in degrees:
-        rows = [i for i, g in enumerate(gens) if g.degree == d]
-        cols = [j for j, g in enumerate(gens) if g.degree == n - d]
+    for d in sorted({g.degree for g in gens}):
+        rows = {i: a for a, i in enumerate(i for i, g in enumerate(gens) if g.degree == d)}
+        cols = {j: b for b, j in enumerate(j for j, g in enumerate(gens) if g.degree == n - d)}
         sub = SparseMatrix(
             len(rows),
             len(cols),
-            {
-                (a, b): theta.entry(i, j)
-                for a, i in enumerate(rows)
-                for b, j in enumerate(cols)
-                if theta.entry(i, j)
-            },
+            [(rows[i], cols[j], v) for (i, j), v in theta.items() if i in rows and j in cols],
         )
-        r = sub.rank()
-        blocks[d] = (len(rows), len(cols), r)
-        if len(rows) != len(cols) or r < len(rows):
-            ok = False
-    return NondegeneracyReport(ok, theta, blocks)
+        blocks[d] = (len(rows), len(cols), sub.rank())
+    return blocks
 
 
 def require_nondegenerate(arg, pol=None, n=None) -> NondegeneracyReport:

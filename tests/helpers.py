@@ -1,12 +1,22 @@
 """Shared random generators for tests: valid complexes, algebras, matrices,
-and the dense Bareiss elimination kept only as an oracle for `exactlin`."""
+the dense Bareiss elimination kept only as an oracle for `exactlin`, and the
+dense-scan window and total-complex assembly kept only as oracles for
+`freecdga.graded_mixed_window` and `gradedmixed.weight_window_total_complex`."""
 
 import random
 from fractions import Fraction as F
 from math import gcd
 
 from spw.exactlin import SparseMatrix
-from spw.gradedmixed import BiGradedModule, GradedMixedComplex, cell_model, shift, tensor
+from spw.freecdga import Elem, _mono_bidegree, window_basis
+from spw.gradedmixed import (
+    BiGradedModule,
+    ChainComplex,
+    GradedMixedComplex,
+    cell_model,
+    shift,
+    tensor,
+)
 
 
 def direct_sum(e, f):
@@ -317,3 +327,75 @@ def random_rational_matrix(rng, rows, cols, density=0.5):
         if rng.random() < density
     }
     return SparseMatrix(rows, cols, ent)
+
+
+def oracle_weight_window_total_complex(e, wmin, wmax):
+    """Total complex by dense column scans and label lookups."""
+    basis = {}
+    for (p, m), labels in e.module.basis.items():
+        if wmin <= p <= wmax:
+            for lab in labels:
+                basis.setdefault(m, []).append((p, lab))
+    for m in basis:
+        basis[m].sort(key=lambda t: (t[0], str(t[1])))
+    diff = {}
+    for m, labels in basis.items():
+        tgt = basis.get(m + 1, [])
+        if not tgt:
+            continue
+        tgt_index = {lab: i for i, lab in enumerate(tgt)}
+        ent = {}
+        for j, (p, lab) in enumerate(labels):
+            col = e.module.labels(p, m).index(lab)
+            dblk = e.d_block(p, m)
+            for i in range(dblk.rows):
+                v = dblk.entry(i, col)
+                if v:
+                    key = (p, e.module.labels(p, m + 1)[i])
+                    ent[tgt_index[key], j] = ent.get((tgt_index[key], j), F(0)) + v
+            eblk = e.eps_block(p, m)
+            if p + 1 <= wmax:
+                for i in range(eblk.rows):
+                    v = eblk.entry(i, col)
+                    if v:
+                        key = (p + 1, e.module.labels(p + 1, m + 1)[i])
+                        ent[tgt_index[key], j] = ent.get((tgt_index[key], j), F(0)) + v
+        ent = {k: v for k, v in ent.items() if v}
+        if ent:
+            diff[m] = SparseMatrix(len(tgt), len(labels), ent)
+    cx = ChainComplex(basis, diff)
+    cx.validate()
+    return cx
+
+
+def oracle_graded_mixed_window(alg, window):
+    """Window complex recomputing d and eps per basis label, rows by label."""
+    inside = window_basis(alg, window)
+    basis = {}
+    mono_of = {}
+    for m, (w, d) in sorted(inside.items(), key=lambda kv: (kv[1], kv[0])):
+        lab = alg.mono_str(m)
+        basis.setdefault((w, d), []).append(lab)
+        mono_of[lab] = m
+    mod = BiGradedModule(basis)
+    index = {k: {lab: i for i, lab in enumerate(mod.labels(*k))} for k in mod.basis}
+
+    def _blocks(op, dw):
+        out = {}
+        for (w, d), labels in mod.basis.items():
+            tgt = (w + dw, d + 1)
+            if mod.dim(*tgt) == 0:
+                continue
+            ent = {}
+            for j, lab in enumerate(labels):
+                image = op(Elem(alg, {mono_of[lab]: F(1)}))
+                for m2, c in image.terms.items():
+                    w2, d2 = _mono_bidegree(alg, m2)
+                    if w2 > window.wmax or d2 > window.dmax:
+                        continue
+                    ent[index[tgt][alg.mono_str(m2)], j] = c
+            if ent:
+                out[w, d] = SparseMatrix(mod.dim(*tgt), len(labels), ent)
+        return out
+
+    return GradedMixedComplex(mod, _blocks(alg.d, 0), _blocks(alg.eps, 1)), mono_of

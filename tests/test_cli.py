@@ -31,6 +31,15 @@ def test_check_poisson_failing_exit_one(capsys):
     assert "FAIL" in out
 
 
+def test_darboux_on_non_mc_tower_reports_failing_index(capsys):
+    code, out, err = run(capsys, "darboux", path("jacobi_failure.spw"), "--json")
+    assert code == 1
+    assert not err
+    report = json.loads(out)
+    assert report["verdicts"] == [{"check": "Maurer-Cartan equations", "status": "fail"}]
+    assert report["witnesses"] == {"Maurer-Cartan equations": "fails at i=0"}
+
+
 def test_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.spw"
     bad.write_text("algebra B { d(x = 1; }")

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from helpers import random_valid_cdga
+from helpers import (
+    oracle_graded_mixed_window,
+    oracle_weight_window_total_complex,
+    random_valid_cdga,
+)
 from spw.errors import NotRegular
 from spw.freecdga import (
     FreeCDGA,
@@ -15,8 +19,9 @@ from spw.freecdga import (
     koszul,
     koszul_tower_cotangent,
     validate_cdga,
+    window_basis,
 )
-from spw.gradedmixed import validate_mixed
+from spw.gradedmixed import validate_mixed, weight_window_total_complex
 
 
 def poly_line():
@@ -279,3 +284,44 @@ def test_weight_j_part_is_wedge_of_kaehler_module():
                     d = base_deg + sum(sym_degs[s] for s in word)
                     expected[d] = expected.get(d, 0) + 1
             assert got == expected
+
+
+def _de_rham_windows():
+    rng = random.Random(73)
+    algs = [poly_line(), poly_plane(), FreeCDGA([("x", 0), ("y", 0), ("a", 1)])]
+    algs += [random_valid_cdga(rng, max_gens=4) for _ in range(8)]
+    for b in algs:
+        for window in (Window(0, 3, -6, 6, 3), Window(1, 4, -2, 3, 4), Window(0, 2, -4, 1, 5)):
+            yield de_rham(b).algebra, window
+
+
+def test_graded_mixed_window_matches_per_label_oracle():
+    for alg, window in _de_rham_windows():
+        cx, mono_of = graded_mixed_window(alg, window)
+        want, want_mono_of = oracle_graded_mixed_window(alg, window)
+        assert mono_of == want_mono_of
+        assert cx.module.basis == want.module.basis
+        assert cx.d == want.d and cx.eps == want.eps
+        for wmin, wmax in ((window.wmin, window.wmax), (window.wmin + 1, window.wmax - 1)):
+            got = weight_window_total_complex(cx, wmin, wmax)
+            oracle = oracle_weight_window_total_complex(want, wmin, wmax)
+            assert got.basis == oracle.basis and got.diff == oracle.diff
+
+
+def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
+    for alg, window in _de_rham_windows():
+        calls = {"d": [], "eps": []}
+        for name, seen in calls.items():
+
+            def counted(x, op=getattr(alg, name), seen=seen):
+                seen.append(x)
+                return op(x)
+
+            monkeypatch.setattr(alg, name, counted)
+        cx, mono_of = graded_mixed_window(alg, window)
+        monos = sorted(mono_of.values())
+        for seen in calls.values():
+            assert sorted(m for x in seen for m in x.terms) == monos
+            assert all(len(x.terms) == 1 for x in seen)
+        monkeypatch.undo()
+        assert set(monos) == set(window_basis(alg, window))

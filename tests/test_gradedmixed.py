@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import direct_sum, random_valid_complex
+from helpers import (
+    direct_sum,
+    oracle_weight_window_total_complex,
+    random_tensor_pair,
+    random_valid_complex,
+)
 from spw.errors import BidegreeMismatch
 from spw.exactlin import SparseMatrix
 from spw.gradedmixed import (
@@ -18,6 +23,7 @@ from spw.gradedmixed import (
     tensor,
     unit_complex,
     validate_mixed,
+    weight_window_total_complex,
 )
 
 
@@ -250,3 +256,15 @@ def test_direct_sum_helper_is_valid():
     e = random_valid_complex(rng)
     f = random_valid_complex(rng)
     assert validate_mixed(direct_sum(e, f)).valid
+
+
+def test_total_complex_matches_dense_scan_oracle():
+    rng = random.Random(71)
+    for _ in range(25):
+        e, _, t = random_tensor_pair(rng)
+        for cx in (e, t, random_valid_complex(rng, 0, 4, pieces=4)):
+            for wmin, wmax in ((0, 4), (1, 2), (-1, 6), (2, 2)):
+                got = weight_window_total_complex(cx, wmin, wmax)
+                want = oracle_weight_window_total_complex(cx, wmin, wmax)
+                assert got.basis == want.basis
+                assert got.diff == want.diff
