@@ -141,7 +141,9 @@ def cmd_check_mixed(manifest, args, report):
         cx = dsl.build_complex(block)
     else:
         alg = dsl.build_algebra(block)
-        report.check("cdga identities", validate_cdga(alg).valid)
+        rep = validate_cdga(alg)
+        if not report.check("cdga identities", rep.valid, witness=rep.violations[:3] or None):
+            return
         cx, _ = graded_mixed_window(alg, _window(args))
     rep = validate_mixed(cx)
     report.check("mixed identities", rep.valid, witness=rep.violations[:3] or None)
@@ -487,13 +489,10 @@ def build_parser():
             p.add_argument("--target", help="block name to operate on")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--timings", action="store_true", help="include timings section")
-        p.add_argument(
-            "--max-weight", type=int, default=int(env.get("SPW_MAX_WEIGHT", 6))
-        )
-        p.add_argument(
-            "--max-degree", type=int, default=int(env.get("SPW_MAX_DEGREE", 8))
-        )
-        p.add_argument("--max-len", type=int, default=int(env.get("SPW_MAX_LEN", 6)))
+        # string defaults pass through type=int, so a bad value is a usage error
+        p.add_argument("--max-weight", type=int, default=env.get("SPW_MAX_WEIGHT", "6"))
+        p.add_argument("--max-degree", type=int, default=env.get("SPW_MAX_DEGREE", "8"))
+        p.add_argument("--max-len", type=int, default=env.get("SPW_MAX_LEN", "6"))
 
     for name in COMMANDS:
         if name == "operad":

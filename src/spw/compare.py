@@ -20,8 +20,9 @@ from .freecdga import (
     Elem,
     FreeCDGA,
     Window,
+    _closure,
+    _window_monomials,
     de_rham,
-    graded_mixed_window,
 )
 from .polyvec import (
     MaurerCartanTower,
@@ -175,39 +176,21 @@ def phi_pi(base: FreeCDGA, pi: Elem, n: int, window: Window = None) -> PhiPiResu
         images[g.name] = pol.include(base.gen(g.name))
         images["d" + g.name] = pol.bracket(pi, pol.include(base.gen(g.name)))
     result = PhiPiResult(pol, dr, images, True, {}, True)
-    cx, mono_of = graded_mixed_window(dr.algebra, window)
+    inside, dr_images = _closure(dr.algebra, window)
     chain_ok = True
-    for (p, m), labels in cx.module.basis.items():
-        cols = []
-        for lab in labels:
-            x = Elem(dr.algebra, {mono_of[lab]: Rat(1)})
-            lhs_d = result.apply(dr.algebra.d(x))
-            rhs_d = pol.d(result.apply(x))
-            if lhs_d != rhs_d:
-                chain_ok = False
-            lhs_e = result.apply(dr.algebra.eps(x))
-            rhs_e = pol.bracket(pi, result.apply(x))
-            if lhs_e != rhs_e:
-                chain_ok = False
-            cols.append(result.apply(x))
-        # bidegree-wise rank: images must stay independent
+    for (p, m), monos in _window_monomials(inside).items():
+        ent = []
         targets = {}
-        for e in cols:
-            for mm in e.terms:
-                targets.setdefault(mm, len(targets))
-        mat_cols = []
-        for e in cols:
-            col = [Rat(0)] * len(targets)
-            for mm, c in e.terms.items():
-                col[targets[mm]] = c
-            mat_cols.append(col)
-        rank = (
-            SparseMatrix.from_columns(mat_cols, rows=len(targets)).rank()
-            if targets
-            else 0
-        )
-        result.iso_blocks[p, m] = (len(labels), rank)
-        if rank < len(labels):
+        for j, mono in enumerate(monos):
+            phi_x = result.apply(Elem(dr.algebra, {mono: Rat(1)}))
+            dx, ex = dr_images[mono]
+            if result.apply(dx) != pol.d(phi_x) or result.apply(ex) != pol.bracket(pi, phi_x):
+                chain_ok = False
+            ent += [(targets.setdefault(mm, len(targets)), j, c) for mm, c in phi_x.terms.items()]
+        # bidegree-wise rank: images must stay independent
+        rank = SparseMatrix(len(targets), len(monos), ent).rank()
+        result.iso_blocks[p, m] = (len(monos), rank)
+        if rank < len(monos):
             result.bidegree_iso = False
     result.chain_map_ok = chain_ok
     return result
@@ -283,13 +266,19 @@ def strictify_closed_two_form(
     # (weights >= 2, degree n+1); equations per monomial:
     #   eps(eta) + (d + eps)(h) = omega            (degree n+2)
     #   d(eps(eta)) = 0                            (degree n+3)
-    from .freecdga import window_basis
-
-    basis = window_basis(alg, window)
+    basis, images = _closure(alg, window)
     eta_monos = [
         m for m, (w, d) in basis.items() if w == 1 and d == n + 1
     ]
     h_monos = [m for m, (w, d) in basis.items() if 2 <= w and d == n + 1]
+
+    def image(e, k):
+        """d (k = 0) or eps (k = 1) of e, from the closure's images where it has them."""
+        out = alg.zero()
+        for m, c in e.terms.items():
+            img = images[m][k] if m in images else (alg.d, alg.eps)[k](Elem(alg, {m: Rat(1)}))
+            out = out + img.scale(c)
+        return out
 
     def drop_overflow(e):
         return Elem(
@@ -303,41 +292,27 @@ def strictify_closed_two_form(
 
     unknowns = [("eta", m) for m in eta_monos] + [("h", m) for m in h_monos]
     targets = {}
-
-    def reg(e):
-        for mm in e.terms:
-            targets.setdefault(mm, len(targets))
-
-    images = []
-    for kind, mono in unknowns:
-        x = Elem(alg, {mono: Rat(1)})
-        if kind == "eta":
-            main = drop_overflow(alg.eps(x))
-            side = drop_overflow(alg.d(alg.eps(x)))  # strictness: must vanish
-        else:
-            main = drop_overflow(alg.d(x) + alg.eps(x))
-            side = alg.zero()
-        images.append((main, side))
-        reg(main)
     side_targets = {}
-    for _, side in images:
-        for mm in side.terms:
-            side_targets.setdefault(mm, len(side_targets))
-    reg(omega)
+    main_ent = []
+    side_ent = []
+    for j, (kind, mono) in enumerate(unknowns):
+        d_x, eps_x = images[mono]
+        if kind == "eta":
+            main = drop_overflow(eps_x)
+            side = drop_overflow(image(eps_x, 0))  # strictness: must vanish
+            side_ent += [(side_targets.setdefault(mm, len(side_targets)), j, c) for mm, c in side.terms.items()]
+        else:
+            main = drop_overflow(d_x + eps_x)
+        main_ent += [(targets.setdefault(mm, len(targets)), j, c) for mm, c in main.terms.items()]
+    for mm in omega.terms:
+        targets.setdefault(mm, len(targets))
     n_main = len(targets)
-    n_side = len(side_targets)
-    cols = []
-    for main, side in images:
-        col = [Rat(0)] * (n_main + n_side)
-        for mm, c in main.terms.items():
-            col[targets[mm]] = c
-        for mm, c in side.terms.items():
-            col[n_main + side_targets[mm]] = c
-        cols.append(col)
-    rhs = [Rat(0)] * (n_main + n_side)
+    rhs = [Rat(0)] * (n_main + len(side_targets))
     for mm, c in omega.terms.items():
         rhs[targets[mm]] = c
-    mat = SparseMatrix.from_columns(cols, rows=n_main + n_side) if cols else SparseMatrix.zero(n_main + n_side, 0)
+    mat = SparseMatrix(
+        len(rhs), len(unknowns), main_ent + [(n_main + i, j, c) for i, j, c in side_ent]
+    )
     sol = maybe_solve(mat, rhs)
     if sol is None:
         res_dim = _residual_class_dim(mat, rhs)
@@ -347,10 +322,10 @@ def strictify_closed_two_form(
     x, _ = sol
     eta = Elem(alg, {m: c for (kind, m), c in zip(unknowns, x) if kind == "eta" and c})
     h = Elem(alg, {m: c for (kind, m), c in zip(unknowns, x) if kind == "h" and c})
-    strict = alg.eps(eta)
-    if not (alg.d(strict).is_zero() and alg.eps(strict).is_zero()):
+    strict = image(eta, 1)
+    if not (image(strict, 0).is_zero() and image(strict, 1).is_zero()):
         raise IdentityViolated("strictified form is not d- and eps-closed")
-    if not drop_overflow(omega - strict - alg.d(h) - alg.eps(h)).is_zero():
+    if not drop_overflow(omega - strict - image(h, 0) - image(h, 1)).is_zero():
         raise IdentityViolated("omega - strict != (d + eps) h in the window")
     return StrictificationResult(eta, strict, h, window)
 

@@ -177,9 +177,6 @@ class Block:
                 return v
         return None
 
-    def keys_with_base(self, base):
-        return [(k, v) for k, v in self.entries if k[0] == base]
-
 
 @dataclass
 class Manifest:
@@ -234,6 +231,10 @@ class _Parser:
         if self.peek().kind == "/":
             self.advance()
             den = self.expect("number", "denominator")
+            if not int(den.text):
+                raise ParseError(
+                    "zero denominator", den.line, den.col, expected=("nonzero denominator",)
+                )
             value = value / int(den.text)
         return -value if neg else value
 
@@ -454,10 +455,10 @@ def build_algebra(block: Block):
     d_vals = {}
     eps_vals = {}
     for key, expr in block.entries:
-        if key[0] == "d" and len(key) == 2:
-            d_vals[key[1]] = eval_poly(expr, alg)
-        elif key[0] == "eps" and len(key) == 2:
-            eps_vals[key[1]] = eval_poly(expr, alg)
+        if key[0] in ("d", "eps") and len(key) == 2:
+            if key[1] not in alg.index:
+                raise UnresolvedReference(f"{key[0]}({key[1]}) names no generator")
+            (d_vals if key[0] == "d" else eps_vals)[key[1]] = eval_poly(expr, alg)
     alg.set_differential(d_vals)
     alg.set_mixed(eps_vals)
     return alg
@@ -475,6 +476,8 @@ def build_lie(block: Block):
     for key, expr in block.entries:
         if key[0] != "bracket":
             continue
+        if len(key) != 3 or not all(1 <= q <= dim for q in key[1:]):
+            raise UnresolvedReference(f"bracket indices must be [i][j] with 1 <= i, j <= {dim}")
         i, j = key[1] - 1, key[2] - 1
         comps = {}
         terms = expr.terms if isinstance(expr, Add) else (expr,)
@@ -493,9 +496,10 @@ def build_lie(block: Block):
                     names.append(f.ident)
                 else:
                     raise UnresolvedReference(f"bad bracket term {f.show()}")
-            if len(names) != 1 or not names[0].startswith("e"):
-                raise UnresolvedReference("bracket values are combinations of e1..eN")
-            k = int(names[0][1:]) - 1
+            k = names[0][1:] if len(names) == 1 and names[0].startswith("e") else ""
+            if not (k.isdigit() and 1 <= int(k) <= dim):
+                raise UnresolvedReference(f"bracket values are combinations of e1..e{dim}")
+            k = int(k) - 1
             comps[k] = comps.get(k, Rat(0)) + sign * coeff
         brackets[i, j] = comps
     return LieAlgebra.from_brackets(dim, brackets)

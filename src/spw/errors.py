@@ -101,7 +101,7 @@ class ParseError(SpwError):
 
 
 class DuplicateName(SpwError):
-    """Two DSL blocks share a name."""
+    """Two DSL blocks, or two generators of an algebra, share a name."""
 
 
 class UnresolvedReference(SpwError):

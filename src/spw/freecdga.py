@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 
-from .errors import NotRegular, SignError, WindowTooSmall
+from .errors import BidegreeMismatch, DuplicateName, NotRegular, SignError, WindowTooSmall
 from .gradedmixed import (
     BiGradedModule,
     ChainComplex,
@@ -53,7 +53,7 @@ class FreeCDGA:
                 gens.append(Generator(*g))
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate generator names")
+            raise DuplicateName("duplicate generator names")
         self.generators = tuple(gens)
         self.signature = tuple((g.name, g.degree, g.weight, g.internal_weight) for g in gens)
         self.index = {g.name: i for i, g in enumerate(gens)}
@@ -116,9 +116,6 @@ class FreeCDGA:
 
     def eps(self, elem: "Elem") -> "Elem":
         return apply_derivation(self, elem, self.mixed, parity=1)
-
-    def total_d(self, elem: "Elem") -> "Elem":
-        return self.d(elem) + self.eps(elem)
 
     def partial(self, name, elem: "Elem") -> "Elem":
         """Left graded partial derivative with respect to one generator."""
@@ -253,16 +250,6 @@ class Elem:
         wts = {sum(self.algebra.gen_weight(i) for i in m) for m in self.terms}
         return wts.pop() if len(wts) == 1 else (0 if not wts else None)
 
-    def weight_component(self, w) -> "Elem":
-        return Elem(
-            self.algebra,
-            {
-                m: c
-                for m, c in self.terms.items()
-                if sum(self.algebra.gen_weight(i) for i in m) == w
-            },
-        )
-
     def constant_term(self) -> Rat:
         return self.terms.get((), Rat(0))
 
@@ -307,18 +294,31 @@ def apply_derivation(alg, elem, values, parity):
     values: {gen index: Elem}.  On a word l_1..l_k the j-th term carries
     the sign (-1)^(parity * (deg l_1 + .. + deg l_{j-1})).
     """
-    out = alg.zero()
+    acc = {}
     for mono, coeff in elem.terms.items():
         pre_parity = 0
         for j, letter in enumerate(mono):
             val = values.get(letter)
-            if val is not None and not val.is_zero():
-                sign = -1 if (parity and pre_parity % 2) else 1
-                prefix = Elem(alg, {mono[:j]: Rat(1)})
-                suffix = Elem(alg, {mono[j + 1:]: Rat(1)})
-                out = out + (prefix * val * suffix).scale(sign * coeff)
+            if val is not None:
+                c0 = -coeff if parity and pre_parity % 2 else coeff
+                head, tail = mono[:j], mono[j + 1:]
+                for t, c in val.terms.items():
+                    left = mono_mul(alg, head, t)
+                    if left is None:
+                        continue
+                    right = mono_mul(alg, left[1], tail)
+                    if right is None:
+                        continue
+                    m = right[1]
+                    v = c0 * c if left[0] == right[0] else -(c0 * c)
+                    if m in acc:
+                        v += acc[m]
+                        if not v:
+                            del acc[m]
+                            continue
+                    acc[m] = v
             pre_parity += alg.gen_degree(letter)
-    return out
+    return Elem(alg, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +481,42 @@ def window_basis(alg: FreeCDGA, window: Window):
     return _closure(alg, window)[0]
 
 
+def _window_monomials(inside):
+    """The window monomials grouped by bidegree, in sorted order."""
+    monos = {}
+    for m, bideg in sorted(inside.items(), key=lambda kv: (kv[1], kv[0])):
+        monos.setdefault(bideg, []).append(m)
+    return monos
+
+
+def _derivation_blocks(alg, monos, image, k):
+    """Blocks of a map of bidegree (k, 1) given by image(mono) -> Elem.
+
+    Rows are keyed by monomial.  Image terms outside the window are
+    projected away; a term inside it at another bidegree raises
+    BidegreeMismatch.
+    """
+    at = {m: (bideg, i) for bideg, ms in monos.items() for i, m in enumerate(ms)}
+    out = {}
+    for (w, d), ms in monos.items():
+        tgt = (w + k, d + 1)
+        ent = {}
+        for j, m in enumerate(ms):
+            for m2, c in image(m).terms.items():
+                pos = at.get(m2)
+                if pos is None:
+                    continue
+                if pos[0] != tgt:
+                    raise BidegreeMismatch(
+                        f"image of {alg.mono_str(m)} has the term {alg.mono_str(m2)} "
+                        f"in bidegree {pos[0]}, expected {tgt}"
+                    )
+                ent[pos[1], j] = c
+        if ent:
+            out[w, d] = SparseMatrix(len(monos[tgt]), len(ms), ent)
+    return out
+
+
 def graded_mixed_window(alg: FreeCDGA, window: Window):
     """Finite GradedMixedComplex slice of a (mixed) cdga plus monomial index.
 
@@ -489,30 +525,12 @@ def graded_mixed_window(alg: FreeCDGA, window: Window):
     the window are projected away.
     """
     inside, images = _closure(alg, window)
-    monos = {}
-    for m, bideg in sorted(inside.items(), key=lambda kv: (kv[1], kv[0])):
-        monos.setdefault(bideg, []).append(m)
-    at = {bideg: {m: i for i, m in enumerate(ms)} for bideg, ms in monos.items()}
+    monos = _window_monomials(inside)
     mod = BiGradedModule({bideg: [alg.mono_str(m) for m in ms] for bideg, ms in monos.items()})
     mono_of = {lab: m for bideg, ms in monos.items() for lab, m in zip(mod.labels(*bideg), ms)}
-
-    def _blocks(k):
-        out = {}
-        for (w, d), ms in monos.items():
-            tgt = at.get((w + k, d + 1))
-            if tgt is None:
-                continue
-            ent = {}
-            for j, m in enumerate(ms):
-                for m2, c in images[m][k].terms.items():
-                    if m2 in inside:
-                        ent[tgt[m2], j] = c
-            if ent:
-                out[w, d] = SparseMatrix(len(tgt), len(ms), ent)
-        return out
-
-    cx = GradedMixedComplex(mod, _blocks(0), _blocks(1))
-    return cx, mono_of
+    d = _derivation_blocks(alg, monos, lambda m: images[m][0], 0)
+    eps = _derivation_blocks(alg, monos, lambda m: images[m][1], 1)
+    return GradedMixedComplex(mod, d, eps), mono_of
 
 
 def total_complex_window(alg: FreeCDGA, window: Window) -> ChainComplex:
@@ -524,10 +542,6 @@ def total_complex_window(alg: FreeCDGA, window: Window) -> ChainComplex:
 # ---------------------------------------------------------------------------
 # Kaehler differentials and de Rham algebras
 # ---------------------------------------------------------------------------
-
-
-def _symbol_name(name):
-    return "d" + name
 
 
 @dataclass
@@ -550,48 +564,53 @@ class KaehlerModule:
         return self.ambient.d(self.ambient.gen(sym))
 
 
-def kaehler(b: FreeCDGA) -> KaehlerModule:
-    """Kaehler module on d<g> for non-base generators; d(dg) = dR(d g)."""
+def _with_symbols(b: FreeCDGA, shift):
+    """B[d<g>] on a symbol d<g> of degree deg(g) + shift and weight
+    wt(g) + 1 for each non-base generator g, and the universal derivation
+    u: g -> d<g> of parity `shift` as {gen index: Elem}.
+
+    The differential of B is carried over, with d(d<g>) = (-1)^shift u(d g).
+    Raises BidegreeMismatch when some d g is not of bidegree
+    (wt(g), deg(g) + 1).
+    """
     gens = list(b.generators)
-    symbols = []
     for g in b.generators:
         if g.name in b.base_names:
             continue
-        sym = _symbol_name(g.name)
-        if sym in b.index:
-            raise ValueError(f"symbol name {sym!r} collides with a generator")
-        gens.append(Generator(sym, g.degree, g.weight + 1, g.internal_weight))
-        symbols.append(sym)
-    amb = FreeCDGA(gens, base_names=b.base_names)
-
-    def include(e: Elem) -> Elem:
-        return Elem(amb, dict(e.terms))
-
-    # universal derivation (degree 0): g -> dg on non-base generators
-    dr_values = {
-        amb.index[g.name]: amb.gen(_symbol_name(g.name))
+        if "d" + g.name in b.index:
+            raise DuplicateName(f"symbol name {'d' + g.name!r} collides with a generator")
+        gens.append(Generator("d" + g.name, g.degree + shift, g.weight + 1, g.internal_weight))
+    alg = FreeCDGA(gens, base_names=b.base_names)
+    u = {
+        alg.index[g.name]: alg.gen("d" + g.name)
         for g in b.generators
         if g.name not in b.base_names
     }
-
-    def dr(e: Elem) -> Elem:
-        return apply_derivation(amb, e, dr_values, parity=0)
-
     d_vals = {}
     for i, g in enumerate(b.generators):
         dg = b.differential.get(i)
-        if dg is not None:
-            d_vals[g.name] = include(dg)
-    for g in b.generators:
-        if g.name in b.base_names:
+        if dg is None:
             continue
-        dg = b.differential.get(b.index[g.name])
-        if dg is not None:
-            val = dr(include(dg))
-            if not val.is_zero():
-                d_vals[_symbol_name(g.name)] = val
-    amb.set_differential(d_vals)
-    return KaehlerModule(base=b, ambient=amb, symbols=tuple(symbols))
+        want = (g.weight, g.degree + 1)
+        for m in dg.terms:
+            if _mono_bidegree(b, m) != want:
+                raise BidegreeMismatch(
+                    f"d({g.name}) has the term {b.mono_str(m)} outside bidegree {want}"
+                )
+        d_vals[g.name] = Elem(alg, dg.terms)
+    for i, g in enumerate(b.generators):
+        if g.name not in b.base_names and i in b.differential:
+            val = apply_derivation(alg, d_vals[g.name], u, parity=shift)
+            d_vals["d" + g.name] = val.scale(-1) if shift % 2 else val
+    alg.set_differential(d_vals)
+    return alg, u
+
+
+def kaehler(b: FreeCDGA) -> KaehlerModule:
+    """Kaehler module on d<g> for non-base generators; d(dg) = dR(d g)."""
+    amb, _ = _with_symbols(b, 0)
+    symbols = tuple(g.name for g in amb.generators[len(b.generators):])
+    return KaehlerModule(base=b, ambient=amb, symbols=symbols)
 
 
 @dataclass
@@ -606,10 +625,6 @@ class DeRhamAlgebra:
     algebra: FreeCDGA
     symbols: tuple
 
-    def include(self, e: Elem) -> Elem:
-        """View an element of the base inside the de Rham algebra."""
-        return Elem(self.algebra, dict(e.terms))
-
     def weight_dim_window(self, j, max_len):
         """Dimension of the weight-j part per degree within the word window."""
         dims = {}
@@ -622,44 +637,10 @@ class DeRhamAlgebra:
 
 def de_rham(b: FreeCDGA) -> DeRhamAlgebra:
     """Strict de Rham graded mixed cdga of B (relative to its base)."""
-    gens = list(b.generators)
-    symbols = []
-    for g in b.generators:
-        if g.name in b.base_names:
-            continue
-        sym = _symbol_name(g.name)
-        if sym in b.index:
-            raise ValueError(f"symbol name {sym!r} collides with a generator")
-        gens.append(Generator(sym, g.degree + 1, g.weight + 1, g.internal_weight))
-        symbols.append(sym)
-    dr_alg = FreeCDGA(gens, base_names=b.base_names)
-
-    def include(e: Elem) -> Elem:
-        return Elem(dr_alg, dict(e.terms))
-
-    eps_vals = {
-        g.name: dr_alg.gen(_symbol_name(g.name))
-        for g in b.generators
-        if g.name not in b.base_names
-    }
-    dr_alg.set_mixed(eps_vals)
-
-    d_vals = {}
-    for i, g in enumerate(b.generators):
-        dg = b.differential.get(i)
-        if dg is not None:
-            d_vals[g.name] = include(dg)
-    for g in b.generators:
-        if g.name in b.base_names:
-            continue
-        dg = b.differential.get(b.index[g.name])
-        if dg is not None:
-            # d(dg) = -eps(d g): forced by anticommutation
-            val = dr_alg.eps(include(dg)).scale(-1)
-            if not val.is_zero():
-                d_vals[_symbol_name(g.name)] = val
-    dr_alg.set_differential(d_vals)
-    return DeRhamAlgebra(base=b, algebra=dr_alg, symbols=tuple(symbols))
+    alg, u = _with_symbols(b, 1)
+    alg.mixed = u
+    symbols = tuple(g.name for g in alg.generators[len(b.generators):])
+    return DeRhamAlgebra(base=b, algebra=alg, symbols=symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,6 @@ class BiGradedModule:
     def degrees(self):
         return sorted({m for _, m in self.basis})
 
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.basis.values())
-
 
 class GradedMixedComplex:
     """BiGradedModule plus d and eps stored as per-bidegree blocks.

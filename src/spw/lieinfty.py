@@ -13,7 +13,15 @@ from itertools import combinations
 
 from .errors import NotFreeOnV, NotInvariant
 from .exactlin import SparseMatrix, _as_rat, kernel_basis
-from .freecdga import Elem, FreeCDGA, Generator, Window, apply_derivation, graded_mixed_window
+from .freecdga import (
+    Elem,
+    FreeCDGA,
+    Generator,
+    Window,
+    _derivation_blocks,
+    apply_derivation,
+    graded_mixed_window,
+)
 from .gradedmixed import GradedMixedComplex
 from .polyvec import MaurerCartanTower, PolyvectorAlgebra, mc_check
 
@@ -46,19 +54,6 @@ class LieAlgebra:
 
     def bracket(self, i, j):
         return self.c[i][j]
-
-    def ad_matrix(self, x):
-        """Matrix of ad_{e_x} in the basis."""
-        return SparseMatrix(
-            self.dim,
-            self.dim,
-            {
-                (k, j): self.c[x][j][k]
-                for j in range(self.dim)
-                for k in range(self.dim)
-                if self.c[x][j][k]
-            },
-        )
 
 
 @classmethod
@@ -264,25 +259,15 @@ def weak_mixed_from_derivations(alg: FreeCDGA, eps_values, window: Window) -> We
     """Assemble blocks of a weak mixed structure whose eps_i are the odd
     derivation extensions of the given generator values."""
     cx, mono_of = graded_mixed_window(alg, window)
+    monos = {bideg: [mono_of[lab] for lab in labels] for bideg, labels in cx.module.basis.items()}
     eps_list = []
     for i, values in enumerate(eps_values):
         vals = {alg.index[name]: v for name, v in values.items()}
-        blocks = {}
-        for (p, m), labels in cx.module.basis.items():
-            tgt = (p + i + 1, m + 1)
-            if cx.module.dim(*tgt) == 0:
-                continue
-            tgt_index = {lab: t for t, lab in enumerate(cx.module.labels(*tgt))}
-            ent = {}
-            for j, lab in enumerate(labels):
-                img = apply_derivation(alg, Elem(alg, {mono_of[lab]: Rat(1)}), vals, parity=1)
-                for m2, cco in img.terms.items():
-                    lab2 = alg.mono_str(m2)
-                    if lab2 in tgt_index:
-                        ent[tgt_index[lab2], j] = cco
-            if ent:
-                blocks[p, m] = SparseMatrix(cx.module.dim(*tgt), len(labels), ent)
-        eps_list.append(blocks)
+
+        def image(m, vals=vals):
+            return apply_derivation(alg, Elem(alg, {m: Rat(1)}), vals, parity=1)
+
+        eps_list.append(_derivation_blocks(alg, monos, image, i + 1))
     return WeakMixedStructure(cx.module, cx.d, eps_list)
 
 

@@ -80,10 +80,6 @@ class PolyvectorAlgebra:
     def is_theta(self, i) -> bool:
         return i >= self._n_base
 
-    def pv_weight(self, elem: Elem):
-        """Polyvector weight (number of dual symbols), None if mixed."""
-        return elem.weight()
-
     def d(self, elem: Elem) -> Elem:
         return self.algebra.d(elem)
 

@@ -1,14 +1,18 @@
 """Shared random generators for tests: valid complexes, algebras, matrices,
-the dense Bareiss elimination kept only as an oracle for `exactlin`, and the
+the dense Bareiss elimination kept only as an oracle for `exactlin`, the
 dense-scan window and total-complex assembly kept only as oracles for
-`freecdga.graded_mixed_window` and `gradedmixed.weight_window_total_complex`."""
+`freecdga.graded_mixed_window` and `gradedmixed.weight_window_total_complex`,
+and the Elem-product derivation, the per-label weak mixed assembly and the
+separate de Rham/Kaehler builders kept only as oracles for
+`freecdga.apply_derivation`, `lieinfty.weak_mixed_from_derivations` and
+`freecdga.de_rham`/`kaehler`."""
 
 import random
 from fractions import Fraction as F
 from math import gcd
 
 from spw.exactlin import SparseMatrix
-from spw.freecdga import Elem, _mono_bidegree, window_basis
+from spw.freecdga import Elem, FreeCDGA, Generator, _mono_bidegree, window_basis
 from spw.gradedmixed import (
     BiGradedModule,
     ChainComplex,
@@ -399,3 +403,92 @@ def oracle_graded_mixed_window(alg, window):
         return out
 
     return GradedMixedComplex(mod, _blocks(alg.d, 0), _blocks(alg.eps, 1)), mono_of
+
+
+# ---------------------------------------------------------------------------
+# Oracles for derivations, weak mixed blocks and the symbol algebras
+# ---------------------------------------------------------------------------
+
+
+def oracle_apply_derivation(alg, elem, values, parity):
+    """Graded derivation by prefix * value * suffix Elem products per letter."""
+    out = alg.zero()
+    for mono, coeff in elem.terms.items():
+        pre_parity = 0
+        for j, letter in enumerate(mono):
+            val = values.get(letter)
+            if val is not None and not val.is_zero():
+                sign = -1 if (parity and pre_parity % 2) else 1
+                prefix = Elem(alg, {mono[:j]: F(1)})
+                suffix = Elem(alg, {mono[j + 1:]: F(1)})
+                out = out + (prefix * val * suffix).scale(sign * coeff)
+            pre_parity += alg.gen_degree(letter)
+    return out
+
+
+def oracle_weak_mixed_blocks(alg, eps_values, window):
+    """eps_i blocks imaging every basis label, target rows by label string."""
+    cx, mono_of = oracle_graded_mixed_window(alg, window)
+    eps_list = []
+    for i, values in enumerate(eps_values):
+        vals = {alg.index[name]: v for name, v in values.items()}
+        blocks = {}
+        for (p, m), labels in cx.module.basis.items():
+            tgt = (p + i + 1, m + 1)
+            if cx.module.dim(*tgt) == 0:
+                continue
+            tgt_index = {lab: t for t, lab in enumerate(cx.module.labels(*tgt))}
+            ent = {}
+            for j, lab in enumerate(labels):
+                img = oracle_apply_derivation(alg, Elem(alg, {mono_of[lab]: F(1)}), vals, 1)
+                for m2, c in img.terms.items():
+                    lab2 = alg.mono_str(m2)
+                    if lab2 in tgt_index:
+                        ent[tgt_index[lab2], j] = c
+            if ent:
+                blocks[p, m] = SparseMatrix(cx.module.dim(*tgt), len(labels), ent)
+        eps_list.append(blocks)
+    return cx, eps_list
+
+
+def _oracle_symbols(b, shift):
+    gens = list(b.generators)
+    for g in b.generators:
+        if g.name not in b.base_names:
+            gens.append(Generator("d" + g.name, g.degree + shift, g.weight + 1, g.internal_weight))
+    return FreeCDGA(gens, base_names=b.base_names)
+
+
+def _oracle_symbol_differential(b, alg, image_of_dg):
+    d_vals = {}
+    for i, g in enumerate(b.generators):
+        dg = b.differential.get(i)
+        if dg is not None:
+            d_vals[g.name] = Elem(alg, dict(dg.terms))
+    for g in b.generators:
+        if g.name in b.base_names:
+            continue
+        dg = b.differential.get(b.index[g.name])
+        if dg is not None:
+            val = image_of_dg(Elem(alg, dict(dg.terms)))
+            if not val.is_zero():
+                d_vals["d" + g.name] = val
+    alg.set_differential(d_vals)
+
+
+def oracle_de_rham(b):
+    """The de Rham algebra as built before the shared symbol builder."""
+    alg = _oracle_symbols(b, 1)
+    alg.set_mixed({g.name: alg.gen("d" + g.name) for g in b.generators if g.name not in b.base_names})
+    _oracle_symbol_differential(b, alg, lambda e: oracle_apply_derivation(alg, e, alg.mixed, 1).scale(-1))
+    return alg
+
+
+def oracle_kaehler(b):
+    """The Kaehler ambient algebra as built before the shared symbol builder."""
+    alg = _oracle_symbols(b, 0)
+    dr_values = {
+        alg.index[g.name]: alg.gen("d" + g.name) for g in b.generators if g.name not in b.base_names
+    }
+    _oracle_symbol_differential(b, alg, lambda e: oracle_apply_derivation(alg, e, dr_values, 0))
+    return alg

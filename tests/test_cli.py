@@ -192,3 +192,77 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("algebra B { gens = x(0); }"))
     code, out, _ = run(capsys, "check-cdga")
     assert code == 0
+
+
+INVALID_CDGAS = ("algebra B { gens = x(0); d(x) = x; }", "algebra B { gens = x(0), y(1); d(x) = x + y; }")
+
+
+@pytest.mark.parametrize("source", INVALID_CDGAS, ids=("d-not-of-degree-one", "d-inhomogeneous"))
+def test_derived_commands_on_an_invalid_cdga(tmp_path, capsys, source):
+    manifest = tmp_path / "bad.spw"
+    manifest.write_text(source)
+    code, out, err = run(capsys, "check-mixed", str(manifest), "--json")
+    assert code == 1 and not err
+    report = json.loads(out)
+    assert report["verdicts"] == [{"check": "cdga identities", "status": "fail"}]
+    assert "d^2" in report["witnesses"]["cdga identities"]
+    for command in ("de-rham", "closed-forms"):
+        code, out, err = run(capsys, command, str(manifest))
+        assert code == 2 and not out
+        assert err.startswith("error: d(x) has the term x outside bidegree (0, 1)")
+
+
+def run_exit(capsys, *argv):
+    """Exit code and stderr whether main returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, source, env, message",
+    [
+        pytest.param(
+            "check-cdga", "algebra B { gens = x(0), x(1); }", {}, "duplicate generator names",
+            id="duplicate-generator",
+        ),
+        pytest.param(
+            "de-rham", "algebra B { gens = x(0), dx(1); }", {}, "symbol name 'dx' collides",
+            id="symbol-collision",
+        ),
+        pytest.param(
+            "check-cdga", "algebra B { gens = x(0); d(y) = x; }", {}, "d(y) names no generator",
+            id="undeclared-d",
+        ),
+        pytest.param(
+            "check-mixed", "algebra B { gens = x(0); eps(y) = x; }", {}, "eps(y) names no generator",
+            id="undeclared-eps",
+        ),
+        pytest.param(
+            "check-cdga", "algebra B {\n  gens = x(0);\n  d(x) = 1/0;\n}", {}, "3:12: zero denominator",
+            id="zero-denominator",
+        ),
+        pytest.param("ce", "lie g { dim = 2; bracket[1][5] = e1; }", {}, "bracket indices", id="bracket-index-above-dim"),
+        pytest.param("ce", "lie g { dim = 2; bracket[0][1] = e1; }", {}, "bracket indices", id="bracket-index-zero"),
+        pytest.param("ce", "lie g { dim = 2; bracket[1][2] = e0; }", {}, "combinations of e1..e2", id="bracket-value-e0"),
+        pytest.param("ce", "lie g { dim = 2; bracket[1][2] = e3; }", {}, "combinations of e1..e2", id="bracket-value-above-dim"),
+        pytest.param(
+            "check-cdga", "algebra B { gens = x(0); }", {"SPW_MAX_WEIGHT": "six"}, "invalid int value",
+            id="env-max-weight",
+        ),
+        pytest.param(
+            "check-cdga", "algebra B { gens = x(0); }", {"SPW_MAX_LEN": "1.5"}, "invalid int value",
+            id="env-max-len",
+        ),
+    ],
+)
+def test_malformed_manifests_exit_two(tmp_path, capsys, monkeypatch, command, source, env, message):
+    manifest = tmp_path / "bad.spw"
+    manifest.write_text(source)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, err = run_exit(capsys, command, str(manifest))
+    assert code == 2
+    assert message in err and "Traceback" not in err

@@ -65,6 +65,34 @@ def test_phi_pi_block_dualization_on_four_generators():
     assert res.chain_map_ok and res.bidegree_iso
 
 
+# iso_blocks as computed by the per-label window assembly this replaced
+RECORDED_ISO_BLOCKS = {
+    0: [((0, 0), (10, 10)), ((1, 1), (12, 12)), ((2, 2), (3, 3))],
+    1: [
+        ((0, 0), (4, 4)), ((0, 1), (3, 3)), ((1, 1), (3, 3)), ((1, 2), (5, 5)),
+        ((1, 3), (2, 2)), ((2, 3), (2, 2)), ((2, 4), (3, 3)), ((2, 5), (1, 1)),
+    ],
+    2: [
+        ((0, 0), (4, 4)), ((0, 2), (3, 3)), ((0, 4), (2, 2)), ((0, 6), (1, 1)), ((1, 1), (3, 3)),
+        ((1, 3), (5, 5)), ((1, 5), (3, 3)), ((1, 7), (1, 1)), ((2, 4), (2, 2)), ((2, 6), (1, 1)),
+    ],
+    "four generators": [
+        ((0, 0), (6, 6)), ((0, 1), (6, 6)), ((0, 2), (1, 1)), ((1, 1), (6, 6)), ((1, 2), (10, 10)),
+        ((1, 3), (4, 4)), ((2, 2), (1, 1)), ((2, 3), (4, 4)), ((2, 4), (3, 3)),
+    ],
+}
+
+
+def test_phi_pi_iso_blocks_match_recorded_values():
+    for n in (0, 1, 2):
+        b, _, pi = cotangent_pair(n)
+        res = phi_pi(b, pi, n, Window(0, 2, -8, 8, 3))
+        assert list(res.iso_blocks.items()) == RECORDED_ISO_BLOCKS[n]
+    b, _, pi = random_constant_nondeg(random.Random(3), 1, pairs=2)
+    res = phi_pi(b, pi, 1, Window(0, 2, -8, 8, 2))
+    assert list(res.iso_blocks.items()) == RECORDED_ISO_BLOCKS["four generators"]
+
+
 def test_phi_pi_rejects_zero_pi():
     b = FreeCDGA([("x", 0), ("xi", 1)])
     pol = PolyvectorAlgebra(b, 2)
@@ -298,3 +326,37 @@ def test_strictify_raises_when_a_solution_breaks_its_identities(monkeypatch):
     monkeypatch.setattr(compare, "maybe_solve", zero_solution)
     with pytest.raises(IdentityViolated, match="in the window"):
         strictify_closed_two_form(b, tower, window)
+
+
+def _record_monomial_images(monkeypatch, alg):
+    """Record (map, monomial) for every d/eps call on one monomial of alg."""
+    seen = []
+    for name in ("d", "eps"):
+
+        def counted(x, op=getattr(alg, name), name=name):
+            if len(x.terms) == 1:
+                seen.append((name, next(iter(x.terms))))
+            return op(x)
+
+        monkeypatch.setattr(alg, name, counted)
+    return seen
+
+
+def test_phi_pi_and_strictify_image_each_monomial_once(monkeypatch):
+    recorded = []
+
+    def recording_de_rham(base):
+        dr = de_rham(base)
+        recorded.append(_record_monomial_images(monkeypatch, dr.algebra))
+        return dr
+
+    monkeypatch.setattr(compare, "de_rham", recording_de_rham)
+    b, _, pi = cotangent_pair(1)
+    phi_pi(b, pi, 1, Window(0, 2, -8, 8, 3))
+    b = minimal_sym_l(1)
+    dr = de_rham(b)
+    recorded.append(_record_monomial_images(monkeypatch, dr.algebra))
+    tower = ClosedFormTower(dr, 2, 1, {2: dr.algebra.gen("dx") * dr.algebra.gen("dxi")})
+    strictify_closed_two_form(b, tower, Window(1, 4, 1, 5, 4))
+    for seen in recorded:
+        assert seen and len(seen) == len(set(seen))

@@ -1,19 +1,26 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from helpers import (
+    oracle_apply_derivation,
+    oracle_de_rham,
     oracle_graded_mixed_window,
+    oracle_kaehler,
     oracle_weight_window_total_complex,
     random_valid_cdga,
 )
-from spw.errors import NotRegular
+from spw.errors import BidegreeMismatch, NotRegular
 from spw.freecdga import (
+    Elem,
     FreeCDGA,
     Window,
+    apply_derivation,
     closed_form_classes,
     d_functor,
     de_rham,
+    enumerate_monomials,
     graded_mixed_window,
     kaehler,
     koszul,
@@ -325,3 +332,69 @@ def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
             assert all(len(x.terms) == 1 for x in seen)
         monkeypatch.undo()
         assert set(monos) == set(window_basis(alg, window))
+
+
+def _random_elem(rng, alg, max_len=4, terms=12):
+    monos = list(enumerate_monomials(alg, max_len))
+    picked = rng.sample(monos, min(terms, len(monos)))
+    # many terms with unit coefficients, so images cancel and reappear
+    return Elem(alg, {m: F(rng.choice([-1, 1])) for m in picked})
+
+
+def test_apply_derivation_matches_elem_product_oracle_in_order():
+    rng = random.Random(89)
+    for _ in range(25):
+        b = random_valid_cdga(rng, max_gens=4)
+        dr = de_rham(b).algebra
+        amb = kaehler(b).ambient
+        universal = {amb.index[g.name]: amb.gen("d" + g.name) for g in b.generators}
+        cases = [(b, b.differential, 1), (dr, dr.differential, 1), (dr, dr.mixed, 1), (amb, universal, 0)]
+        for alg, values, parity in cases:
+            for _ in range(3):
+                e = _random_elem(rng, alg)
+                got = apply_derivation(alg, e, values, parity)
+                want = oracle_apply_derivation(alg, e, values, parity)
+                assert list(got.terms.items()) == list(want.terms.items())
+        for alg in (b, dr):
+            i = rng.randrange(len(alg.generators))
+            e = _random_elem(rng, alg)
+            want = oracle_apply_derivation(alg, e, {i: alg.one()}, alg.gen_degree(i) % 2)
+            assert list(alg.partial(alg.generators[i].name, e).terms.items()) == list(want.terms.items())
+
+
+def _relative(b, rng):
+    rel = FreeCDGA(b.generators, base_names=[g.name for g in b.generators if rng.random() < 0.4])
+    rel.differential = {i: Elem(rel, v.terms) for i, v in b.differential.items()}
+    return rel
+
+
+def _in_order(structure):
+    return [(i, list(e.terms.items())) for i, e in structure.items()]
+
+
+def test_de_rham_and_kaehler_match_the_separate_builders():
+    rng = random.Random(97)
+    for _ in range(20):
+        b = random_valid_cdga(rng, max_gens=4)
+        for base in (b, _relative(b, rng)):
+            dr, km = de_rham(base), kaehler(base)
+            symbols = tuple("d" + g.name for g in base.generators if g.name not in base.base_names)
+            assert dr.symbols == km.symbols == symbols
+            for got, want in ((dr.algebra, oracle_de_rham(base)), (km.ambient, oracle_kaehler(base))):
+                assert got.generators == want.generators
+                assert got.base_names == want.base_names
+                assert _in_order(got.differential) == _in_order(want.differential)
+                assert _in_order(got.mixed) == _in_order(want.mixed)
+
+
+def test_image_inside_the_window_at_another_bidegree_is_refused():
+    # d(x) = x is of degree 0, not 1; d(x) = x + y is inhomogeneous
+    line = FreeCDGA([("x", 0)])
+    line.set_differential({"x": line.gen("x")})
+    mixed = FreeCDGA([("x", 0), ("y", 1)])
+    mixed.set_differential({"x": mixed.gen("x") + mixed.gen("y")})
+    for alg in (line, mixed):
+        with pytest.raises(BidegreeMismatch, match="image of x has the term x"):
+            graded_mixed_window(alg, Window(0, 2, -2, 2, 3))
+        with pytest.raises(BidegreeMismatch, match=r"d\(x\) has the term x outside bidegree \(0, 1\)"):
+            de_rham(alg)

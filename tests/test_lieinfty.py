@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from spw.errors import NotFreeOnV, NotInvariant
-from spw.freecdga import Window
+from helpers import oracle_weak_mixed_blocks
+from spw.errors import BidegreeMismatch, NotFreeOnV, NotInvariant
+from spw.freecdga import Elem, Window, enumerate_monomials
 from spw.gradedmixed import realization, validate_mixed
 from spw.lieinfty import (
     InvariantTensor,
@@ -21,6 +22,7 @@ from spw.lieinfty import (
     linfty_validate,
     semi_strict_check,
     validate_lie,
+    weak_mixed_from_derivations,
     weak_mixed_validate,
     z_from_t,
 )
@@ -320,3 +322,48 @@ def test_semi_strict_rejects_noninvariant_z():
         bad4 = InvariantTensor("wedge3", {(0, 2, 3): F(1)})
     rep = semi_strict_check(g4, bad4)
     assert not rep.valid
+
+
+def random_linfty(rng):
+    """Linear d and brackets b_2, b_3 of degree +1 on 2-3 generators."""
+    gens = [(f"v{i+1}", rng.randint(-1, 2)) for i in range(rng.randint(2, 3))]
+    diff = {}
+    for name, deg in gens:
+        targets = [t for t, dt in gens if dt == deg + 1]
+        if targets and rng.random() < 0.5:
+            diff[name] = {rng.choice(targets): F(rng.choice([-1, 1, 2]))}
+    s = linfty_structure(gens, diff)
+    alg = s.sym
+    for k in (2, 3):
+        s.brackets[k] = {}
+        for g in alg.generators:
+            monos = [
+                m
+                for m in enumerate_monomials(alg, k)
+                if len(m) == k and sum(alg.gen_degree(i) for i in m) == g.degree + 1
+            ]
+            if monos and rng.random() < 0.8:
+                picked = rng.sample(monos, min(2, len(monos)))
+                s.brackets[k][g.name] = Elem(alg, {m: F(rng.choice([-2, -1, 1, 2])) for m in picked})
+    return s
+
+
+def test_weak_mixed_blocks_match_per_label_oracle():
+    rng = random.Random(59)
+    for _ in range(15):
+        s = random_linfty(rng)
+        eps_values = [s.brackets[2], s.brackets[3]]
+        for window in (Window(0, 3, -4, 6, 3), Window(1, 4, -2, 4, 4)):
+            w = weak_mixed_from_derivations(s.sym, eps_values, window)
+            cx, eps_list = oracle_weak_mixed_blocks(s.sym, eps_values, window)
+            assert w.module.basis == cx.module.basis
+            assert w.d == cx.d
+            assert w.eps_list == eps_list
+
+
+def test_weak_mixed_refuses_a_bracket_of_the_wrong_bidegree():
+    # b_2(a) = a stays in weight 1, while eps_0 must raise the weight by one
+    s = linfty_structure([("a", 1), ("b", 2)])
+    s.brackets[2] = {"a": s.sym.gen("a")}
+    with pytest.raises(BidegreeMismatch, match="image of a has the term a"):
+        linfty_to_weak_mixed(s, Window(0, 3, 0, 4, 3))
