@@ -450,7 +450,11 @@ def build_algebra(block: Block):
     base_names = []
     if base_expr is not None:
         items = base_expr.items if isinstance(base_expr, Items) else (base_expr,)
-        base_names = [i.ident for i in items]
+        gen_names = {g.name for g in gens}
+        for item in items:
+            if not (isinstance(item, Name) and item.ident in gen_names):
+                raise UnresolvedReference(f"base {item.show()} names no generator")
+            base_names.append(item.ident)
     alg = FreeCDGA(gens, base_names=base_names)
     d_vals = {}
     eps_vals = {}
@@ -471,7 +475,12 @@ def build_lie(block: Block):
     dim_expr = block.get(("dim",))
     if dim_expr is None:
         raise UnresolvedReference(f"lie block {block.name!r} needs dim")
-    dim = int(eval_scalar(dim_expr))
+    dim = eval_scalar(dim_expr)
+    if dim.denominator != 1 or dim < 1:
+        raise UnresolvedReference(
+            f"lie block {block.name!r} needs dim a positive integer, got {dim}"
+        )
+    dim = int(dim)
     brackets = {}
     for key, expr in block.entries:
         if key[0] != "bracket":

@@ -23,7 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 
-from .errors import BidegreeMismatch, DuplicateName, NotRegular, SignError, WindowTooSmall
+from .errors import (
+    BidegreeError,
+    BidegreeMismatch,
+    DuplicateName,
+    NotRegular,
+    SignError,
+    WindowTooSmall,
+)
 from .gradedmixed import (
     BiGradedModule,
     ChainComplex,
@@ -821,7 +828,9 @@ def koszul(b: FreeCDGA, fs, powers=None) -> KoszulComplex:
     for name, f, k in zip(odd, fs, powers):
         fk = Elem(alg, dict((f ** k).terms))
         if fk.constant_term():
-            raise ValueError("Koszul relations must be non-units")
+            raise BidegreeError(
+                f"Koszul relation {fk} has a (0, 0) component: it must be a non-unit"
+            )
         d_vals[name] = fk
         rels.append(f ** k)
     alg.set_differential(d_vals)
@@ -843,7 +852,7 @@ def koszul_tower_cotangent(b: FreeCDGA, fs, stages: int) -> CotangentTowerReport
     entry lies in (f) so the pro-system is zero after base change to B/(f)."""
     for f in fs:
         if f.constant_term():
-            raise ValueError("relations must be non-units")
+            raise BidegreeError(f"relation {f} has a (0, 0) component: it must be a non-unit")
     mats = []
     for _ in range(1, stages + 1):
         mat = [

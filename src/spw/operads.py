@@ -5,15 +5,20 @@ algebras of configuration-space cohomology, and Weyl structure maps.
 Multilinear Lie elements are normalised to the left-normed basis with the
 minimal label first (dimension (|I|-1)!); P_n monomials are products of
 such blocks sorted by minimal label, with Koszul signs driven by the
-bracket degree 1-n.  The BD_1 model works over Q[hbar] with the
-straightening rule  u v = v u + hbar {u, v}  on PBW block monomials.
+bracket degree 1-n.  The BD_1 model is P_1 over Q[hbar] with the
+straightening rule  u v = v u + hbar {u, v}  on PBW block monomials in
+place of the commutative product.
+
+Elements are linear combinations {key: coeff}; `_add` and `_bilinear`
+are the only places that accumulate them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Rat
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import prod
 
 from .errors import ArityTooLarge
 from .exactlin import QPoly, SparseMatrix
@@ -24,6 +29,40 @@ def _check_arity(labels):
     if len(labels) > 4:
         raise ArityTooLarge("operad computations are capped at arity 4")
     return tuple(sorted(labels))
+
+
+def _add(out, key, c):
+    """out[key] += c, dropping the key when the sum cancels."""
+    v = out.get(key, 0) + c
+    if v != 0:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
+def _bilinear(e1, e2, f):
+    """Bilinear extension of f(m1, m2) -> {m: c} to linear combinations."""
+    out = {}
+    for m1, c1 in e1.items():
+        for m2, c2 in e2.items():
+            for m, c in f(m1, m2).items():
+                _add(out, m, c * c1 * c2)
+    return out
+
+
+def _koszul_sort(items, key, odd):
+    """Stable bubble sort by key: (sign, sorted list), the sign flipping
+    whenever two odd items swap."""
+    items = list(items)
+    sign = 1
+    for i in range(len(items)):
+        for j in range(len(items) - 1 - i):
+            a, b = items[j], items[j + 1]
+            if key(a) > key(b):
+                items[j], items[j + 1] = b, a
+                if odd(a) and odd(b):
+                    sign = -sign
+    return sign, items
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +88,6 @@ class LieWords:
     def _koszul(self, du, dv) -> int:
         return -1 if ((du + self.b) * (dv + self.b)) % 2 else 1
 
-    def _flip(self, du, dv) -> int:
-        # [u, v] = flip * [v, u]
-        return -self._koszul(du, dv)
-
     def bracket_seqs(self, s, t):
         """[s, t] as {basis sequence: coeff} for basis sequences s, t.
 
@@ -66,12 +101,12 @@ class LieWords:
                 a, c = s[0], t[0]
                 if a < c:
                     return {(a, c): Rat(1)}
-                return {(c, a): Rat(self._flip(0, 0))}
+                return {(c, a): Rat(-self._koszul(0, 0))}
             if t[0] > s[0]:
                 return {s + t: Rat(1)}
             # t holds the global minimum: flip once; the singleton-left
             # recursion below only shrinks its right argument
-            flip = self._flip(self.word_degree(s), 0)
+            flip = -self._koszul(self.word_degree(s), 0)
             return {
                 seq: flip * c for seq, c in self.bracket_seqs(t, s).items()
             }
@@ -79,12 +114,12 @@ class LieWords:
         out = {}
         for seq, co in self.bracket_seqs(s, tp).items():
             for seq2, co2 in self.bracket_seqs(seq, c).items():
-                out[seq2] = out.get(seq2, Rat(0)) + co * co2
+                _add(out, seq2, co * co2)
         sign = -self._koszul(self.word_degree(tp), 0)
         for seq, co in self.bracket_seqs(s, c).items():
             for seq2, co2 in self.bracket_seqs(seq, tp).items():
-                out[seq2] = out.get(seq2, Rat(0)) + sign * co * co2
-        return {k: v for k, v in out.items() if v}
+                _add(out, seq2, sign * co * co2)
+        return out
 
     def basis(self, labels):
         labels = tuple(sorted(labels))
@@ -101,6 +136,8 @@ class LieWords:
 
 class PnSpace:
     """Multilinear part of the P_n operad on a label set."""
+
+    one = Rat(1)
 
     def __init__(self, n: int, labels):
         self.labels = _check_arity(labels)
@@ -119,22 +156,14 @@ class PnSpace:
 
     def sort_blocks(self, blocks):
         """Canonical order by minimal label; Koszul sign from block degrees."""
-        blocks = list(blocks)
-        sign = 1
-        for i in range(len(blocks)):
-            for j in range(len(blocks) - 1 - i):
-                if min(blocks[j]) > min(blocks[j + 1]):
-                    if (self.block_degree(blocks[j]) * self.block_degree(blocks[j + 1])) % 2:
-                        sign = -sign
-                    blocks[j], blocks[j + 1] = blocks[j + 1], blocks[j]
+        sign, blocks = _koszul_sort(blocks, min, lambda bl: self.block_degree(bl) % 2)
         return sign, tuple(blocks)
 
     def basis(self):
         """All products of Lie-basis blocks over set partitions."""
         out = set()
         for part in _set_partitions(list(self.labels)):
-            choices = [self.lie.basis(bl) for bl in part]
-            for combo in _cartesian(choices):
+            for combo in product(*(self.lie.basis(bl) for bl in part)):
                 _, mono = self.sort_blocks(combo)
                 out.add(mono)
         return sorted(out)
@@ -144,63 +173,59 @@ class PnSpace:
         return {mono: Rat(sign)}
 
     def product(self, e1, e2):
-        out = {}
-        for m1, c1 in e1.items():
-            for m2, c2 in e2.items():
-                for mono, s in self.product_mono(m1, m2).items():
-                    v = out.get(mono, Rat(0)) + s * c1 * c2
-                    if v:
-                        out[mono] = v
-                    else:
-                        out.pop(mono, None)
-        return out
+        return _bilinear(e1, e2, self.product_mono)
 
     def bracket_mono(self, m1, m2):
         """Biderivation extension of the block-level Lie bracket."""
-        b = self.b
-        if len(m1) == 0 or len(m2) == 0:
+        if not m1 or not m2:
             return {}
         if len(m1) == 1 and len(m2) == 1:
             return {
                 (seq,): c for seq, c in self.lie.bracket_seqs(m1[0], m2[0]).items()
             }
+        one = self.one
         if len(m1) == 1:
-            w, rest = m2[0], m2[1:]
-            out = {}
-            for mono, c in self.bracket_mono(m1, (w,)).items():
-                for mono2, c2 in self.product_mono(mono, rest).items():
-                    out[mono2] = out.get(mono2, Rat(0)) + c * c2
-            sign = -1 if ((self.mono_degree(m1) + b) * self.block_degree(w)) % 2 else 1
-            for mono, c in self.bracket_mono(m1, rest).items():
-                for mono2, c2 in self.product_mono((w,), mono).items():
-                    out[mono2] = out.get(mono2, Rat(0)) + sign * c * c2
-            return {k: v for k, v in out.items() if v}
-        v, rest = m1[0], m1[1:]
-        out = {}
-        for mono, c in self.bracket_mono(rest, m2).items():
-            for mono2, c2 in self.product_mono((v,), mono).items():
-                out[mono2] = out.get(mono2, Rat(0)) + c * c2
-        sign = (
-            -1
-            if (self.mono_degree(rest) * (self.mono_degree(m2) + b)) % 2
-            else 1
-        )
-        for mono, c in self.bracket_mono((v,), m2).items():
-            for mono2, c2 in self.product_mono(mono, rest).items():
-                out[mono2] = out.get(mono2, Rat(0)) + sign * c * c2
-        return {k: v for k, v in out.items() if v}
+            # {a, w rest} = {a, w} rest + (-1)^{(|a|+b)|w|} w {a, rest}
+            head, rest = m2[:1], m2[1:]
+            odd = (self.mono_degree(m1) + self.b) * self.mono_degree(head) % 2
+            out = self.product(self.bracket_mono(m1, head), {rest: one})
+            second = self.product({head: one}, self.bracket_mono(m1, rest))
+        else:
+            # {v rest, X} = v {rest, X} + (-1)^{|rest|(|X|+b)} {v, X} rest
+            head, rest = m1[:1], m1[1:]
+            odd = self.mono_degree(rest) * (self.mono_degree(m2) + self.b) % 2
+            out = self.product({head: one}, self.bracket_mono(rest, m2))
+            second = self.product(self.bracket_mono(head, m2), {rest: one})
+        for mono, c in second.items():
+            _add(out, mono, -c if odd else c)
+        return out
 
     def bracket(self, e1, e2):
-        out = {}
-        for m1, c1 in e1.items():
-            for m2, c2 in e2.items():
-                for mono, c in self.bracket_mono(m1, m2).items():
-                    v = out.get(mono, Rat(0)) + c * c1 * c2
-                    if v:
-                        out[mono] = v
-                    else:
-                        out.pop(mono, None)
-        return out
+        return _bilinear(e1, e2, self.bracket_mono)
+
+    def compose(self, e1, label, e2):
+        """Operadic substitution of e2 into the slot `label` of e1: the
+        block holding the label is a left-normed bracket, rebuilt around
+        e2 by the bracket, and multiplied back between its neighbours."""
+        one = self.one
+
+        def substitute(seq, value):
+            if len(seq) == 1:
+                return value
+            prefix, last = seq[:-1], seq[-1]
+            if last == label:
+                return self.bracket({(prefix,): one}, value)
+            return self.bracket(substitute(prefix, value), {((last,),): one})
+
+        def compose_mono(m1, m2):
+            target = next((i for i, bl in enumerate(m1) if label in bl), None)
+            if target is None:
+                raise ValueError("label not in monomial")
+            pieces = substitute(m1[target], {m2: one})
+            acc = self.product({m1[:target]: one}, pieces)
+            return self.product(acc, {m1[target + 1:]: one})
+
+        return _bilinear(e1, e2, compose_mono)
 
 
 def _set_partitions(items):
@@ -212,15 +237,6 @@ def _set_partitions(items):
         yield [[first]] + [list(bl) for bl in part]
         for i in range(len(part)):
             yield [list(bl) if j != i else [first] + list(bl) for j, bl in enumerate(part)]
-
-
-def _cartesian(choices):
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for tail in _cartesian(choices[1:]):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +294,14 @@ def multilinear_basis(operad: str, labels, n: int = 1) -> MultilinearSpace:
 # ---------------------------------------------------------------------------
 
 
-class BD1Space:
-    """PBW block monomials over Q[hbar] with  u v = v u + hbar {u, v}."""
+class BD1Space(PnSpace):
+    """P_1 over Q[hbar] on PBW block monomials, with the product
+    u v = v u + hbar {u, v}: bracket and composition are P_1's."""
+
+    one = QPoly.const(1)
 
     def __init__(self, labels):
-        self.labels = _check_arity(labels)
-        self.lie = LieWords(0)
-
-    def basis(self):
-        return PnSpace(1, self.labels).basis()
+        super().__init__(1, labels)
 
     def straighten(self, blocks):
         """Canonical form of a block word as {monomial: QPoly}."""
@@ -294,92 +309,19 @@ class BD1Space:
         for i in range(len(blocks) - 1):
             if min(blocks[i]) > min(blocks[i + 1]):
                 swapped = blocks[:i] + (blocks[i + 1], blocks[i]) + blocks[i + 2:]
-                out = self._scale(self.straighten(swapped), QPoly.const(1))
+                out = self.straighten(swapped)
                 br = self.lie.bracket_seqs(blocks[i], blocks[i + 1])
                 for seq, c in br.items():
                     merged = blocks[:i] + (seq,) + blocks[i + 2:]
                     for mono, poly in self.straighten(merged).items():
-                        add = poly * QPoly.hbar() * QPoly.const(c)
-                        out[mono] = out.get(mono, QPoly()) + add
-                return {k: v for k, v in out.items() if not v.is_zero()}
-        return {blocks: QPoly.const(1)}
+                        _add(out, mono, poly * QPoly.hbar() * c)
+                return out
+        return {blocks: self.one}
 
-    @staticmethod
-    def _scale(elem, poly):
-        return {k: v * poly for k, v in elem.items()}
+    def product_mono(self, m1, m2):
+        return self.straighten(m1 + m2)
 
-    def mul(self, e1, e2):
-        out = {}
-        for m1, p1 in e1.items():
-            for m2, p2 in e2.items():
-                for mono, p in self.straighten(m1 + m2).items():
-                    out[mono] = out.get(mono, QPoly()) + p * p1 * p2
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def hbar_bracket(self, e1, e2):
-        """{P, Q} with  P Q - Q P = hbar {P, Q}: Leibniz in both slots."""
-        out = {}
-        for m1, p1 in e1.items():
-            for m2, p2 in e2.items():
-                for mono, p in self._bracket_mono(m1, m2).items():
-                    out[mono] = out.get(mono, QPoly()) + p * p1 * p2
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def _bracket_mono(self, m1, m2):
-        if not m1 or not m2:
-            return {}
-        if len(m1) == 1 and len(m2) == 1:
-            return {
-                (seq,): QPoly.const(c)
-                for seq, c in self.lie.bracket_seqs(m1[0], m2[0]).items()
-            }
-        if len(m1) == 1:
-            # {a, u v} = {a, u} v + u {a, v}
-            head, rest = (m2[0],), m2[1:]
-            out = self.mul(self._bracket_mono(m1, head), {rest: QPoly.const(1)})
-            for mono, p in self.mul({head: QPoly.const(1)}, self._bracket_mono(m1, rest)).items():
-                out[mono] = out.get(mono, QPoly()) + p
-            return {k: v for k, v in out.items() if not v.is_zero()}
-        head, rest = (m1[0],), m1[1:]
-        out = self.mul({head: QPoly.const(1)}, self._bracket_mono(rest, m2))
-        for mono, p in self.mul(self._bracket_mono(head, m2), {rest: QPoly.const(1)}).items():
-            out[mono] = out.get(mono, QPoly()) + p
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def substitute_lie(self, seq, label, value):
-        """Plug a general element into one letter of a Lie block."""
-        if len(seq) == 1:
-            if seq[0] != label:
-                raise ValueError("label not in block")
-            return value
-        prefix, last = seq[:-1], seq[-1]
-        if last == label:
-            return self.hbar_bracket({(prefix,): QPoly.const(1)}, value)
-        if label in prefix:
-            return self.hbar_bracket(
-                self.substitute_lie(prefix, label, value), {((last,),): QPoly.const(1)}
-            )
-        raise ValueError("label not in block")
-
-    def compose(self, e1, label, e2):
-        """Operadic substitution of e2 into the slot `label` of e1."""
-        out = {}
-        for m1, p1 in e1.items():
-            for m2, p2 in e2.items():
-                target = None
-                for idx, bl in enumerate(m1):
-                    if label in bl:
-                        target = idx
-                        break
-                if target is None:
-                    raise ValueError("label not in monomial")
-                pieces = self.substitute_lie(m1[target], label, {m2: QPoly.const(1)})
-                acc = {m1[:target]: QPoly.const(1)}
-                acc = self.mul(acc, pieces)
-                acc = self.mul(acc, {m1[target + 1:]: QPoly.const(1)})
-                for mono, p in acc.items():
-                    out[mono] = out.get(mono, QPoly()) + p * p1 * p2
-        return {k: v for k, v in out.items() if not v.is_zero()}
+    mul = PnSpace.product
 
     def specialize(self, elem, value):
         return {k: v.evaluate(value) for k, v in elem.items() if v.evaluate(value)}
@@ -419,60 +361,22 @@ def expand_to_words(mono, lie):
     def expand_seq(seq):
         if len(seq) == 1:
             return {seq: Rat(1)}
-        prefix = expand_seq(seq[:-1])
-        last = seq[-1]
+        last = seq[-1:]
         out = {}
-        for w, c in prefix.items():
-            out[w + (last,)] = out.get(w + (last,), Rat(0)) + c
-            out[(last,) + w] = out.get((last,) + w, Rat(0)) - c
+        for w, c in expand_seq(seq[:-1]).items():
+            _add(out, w + last, c)
+            _add(out, last + w, -c)
         return out
 
     acc = {(): Rat(1)}
     for bl in mono:
-        nxt = {}
-        for w, c in acc.items():
-            for w2, c2 in expand_seq(bl).items():
-                nxt[w + w2] = nxt.get(w + w2, Rat(0)) + c * c2
-        acc = nxt
-    return {k: v for k, v in acc.items() if v}
+        acc = _bilinear(acc, expand_seq(bl), lambda w1, w2: {w1 + w2: 1})
+    return acc
 
 
 def pn_compose(n, e1, label, e2, labels_out):
     """Operadic substitution in P_n via Leibniz/biderivation expansion."""
-    space = PnSpace(n, labels_out)
-
-    def subst_block(seq, value):
-        if len(seq) == 1:
-            if seq[0] != label:
-                raise ValueError
-            return value
-        prefix, last = seq[:-1], seq[-1]
-        if last == label:
-            return space.bracket({(prefix,): Rat(1)}, value)
-        return space.bracket(subst_block(prefix, value), {((last,),): Rat(1)})
-
-    out = {}
-    for m1, c1 in e1.items():
-        for m2, c2 in e2.items():
-            target = None
-            for idx, bl in enumerate(m1):
-                if label in bl:
-                    target = idx
-                    break
-            if label in m1[target] and len(m1[target]) == 1:
-                pieces = {m2: Rat(1)}
-            else:
-                pieces = subst_block(m1[target], {m2: Rat(1)})
-            acc = {m1[:target]: Rat(1)}
-            acc = space.product(acc, pieces)
-            acc = space.product(acc, {m1[target + 1:]: Rat(1)})
-            for mono, c in acc.items():
-                v = out.get(mono, Rat(0)) + c * c1 * c2
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
-    return out
+    return PnSpace(n, labels_out).compose(e1, label, e2)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +439,15 @@ def _eval_tree(space: PnSpace, tree: _Tree):
     return space.bracket(lv, rv)
 
 
+def _eval_sum(space: PnSpace, summands):
+    """sum of c * tree over [(key, c, tree)], as {(key, monomial): coeff}."""
+    out = {}
+    for key, c, tree in summands:
+        for mono, cc in _eval_tree(space, tree).items():
+            _add(out, (key, mono), c * cc)
+    return out
+
+
 def _bd0_differential(tree: _Tree):
     """d(m) = hbar b, d(b) = 0, extended as an odd operadic derivation:
     d(kappa(L, R)) = (d kappa)(L, R) + (-1)^{|kappa|} kappa(dL, R)
@@ -564,49 +477,33 @@ def bd0_check() -> BD0Report:
     labels = (1, 2, 3)
     space = PnSpace(0, labels)
 
-    def eval_sum(summands):
-        out = {}
-        for power, sign, tree in summands:
-            for mono, c in _eval_tree(space, tree).items():
-                key = (power, mono)
-                v = out.get(key, Rat(0)) + sign * c
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return out
+    def d_of_summands(summands):
+        return [
+            (power + p2, sign * s2, t2)
+            for power, sign, tree in summands
+            for p2, s2, t2 in _bd0_differential(tree)
+        ]
 
     l1, l2, l3 = (_Tree.leaf_(i) for i in labels)
     # d{,} = 0 and d(.) = hbar {,} at arity 2
-    d_b = _bd0_differential(_Tree.b(_Tree.leaf_(1), _Tree.leaf_(2)))
-    d_m = _bd0_differential(_Tree.m(_Tree.leaf_(1), _Tree.leaf_(2)))
-    dm_eval = eval_sum(d_m)
-    bracket_eval = _eval_tree(space, _Tree.b(_Tree.leaf_(1), _Tree.leaf_(2)))
-    ok_db = not d_b
-    ok_dm = dm_eval == {(1, mono): c for mono, c in bracket_eval.items()}
+    ok_db = not _bd0_differential(_Tree.b(l1, l2))
+    ok_dm = _eval_sum(space, _bd0_differential(_Tree.m(l1, l2))) == _eval_sum(
+        space, [(1, 1, _Tree.b(l1, l2))]
+    )
 
     # d^2 on all two-node words at arity 3
-    def d_of_summands(summands):
-        out = []
-        for power, sign, tree in summands:
-            for p2, s2, t2 in _bd0_differential(tree):
-                out.append((power + p2, sign * s2, t2))
-        return out
-
     two_node_words = []
     for mk1 in (_Tree.m, _Tree.b):
         for mk2 in (_Tree.m, _Tree.b):
             two_node_words.append(mk1(mk2(l1, l2), l3))
             two_node_words.append(mk1(l1, mk2(l2, l3)))
-    dd_ok = all(not eval_sum(d_of_summands(_bd0_differential(t))) for t in two_node_words)
+    dd_ok = all(
+        not _eval_sum(space, d_of_summands(_bd0_differential(t))) for t in two_node_words
+    )
 
     # d of the associativity relation word reduces to zero in P_0(3)[hbar]
     assoc = [(0, 1, _Tree.m(_Tree.m(l1, l2), l3)), (0, -1, _Tree.m(l1, _Tree.m(l2, l3)))]
-    d_assoc = []
-    for power, sign, tree in assoc:
-        for p2, s2, t2 in _bd0_differential(tree):
-            d_assoc.append((power + p2, sign * s2, t2))
-    relations_ok = not eval_sum(d_assoc)
+    relations_ok = not _eval_sum(space, d_of_summands(assoc))
     return BD0Report(ok_db, ok_dm, dd_ok, relations_ok)
 
 
@@ -661,8 +558,8 @@ def hopf_coproduct_check(n: int) -> HopfReport:
     def collect(triples):
         acc = {}
         for c, key in triples:
-            acc[key] = acc.get(key, 0) + c
-        return {k: v for k, v in acc.items() if v}
+            _add(acc, key, c)
+        return acc
 
     coassoc = all(
         collect(cop_left(cop(g))) == collect(cop_right(cop(g))) for g in ("m", "b")
@@ -706,19 +603,14 @@ def hopf_coproduct_check(n: int) -> HopfReport:
                     out.append((s, _Tree(kl, la, lb), _Tree(kr, ra, rb)))
         return out
 
-    def tensor_reduce(summands):
+    def tensor_reduce(word):
+        """nabla of sum c * tree over [(c, tree)] in P_n(3) (x) P_n(3)."""
         acc = {}
-        for s, lt, rt in summands:
-            lv = _eval_tree(space, lt)
-            rv = _eval_tree(space, rt)
-            for m1, c1 in lv.items():
-                for m2, c2 in rv.items():
-                    key = (m1, m2)
-                    v = acc.get(key, Rat(0)) + s * c1 * c2
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
+        for c, t in word:
+            for s, lt, rt in coproduct_tree(t):
+                lv, rv = _eval_tree(space, lt), _eval_tree(space, rt)
+                for key, v in _bilinear(lv, rv, lambda m1, m2: {(m1, m2): 1}).items():
+                    _add(acc, key, c * s * v)
         return acc
 
     leibniz = [
@@ -732,30 +624,11 @@ def hopf_coproduct_check(n: int) -> HopfReport:
         (-1, _Tree.b(_Tree.b(l1, l2), l3)),
         (-jacobi_sign, _Tree.b(l2, _Tree.b(l1, l3))),
     ]
-    killed = True
-    for word in (leibniz, jacobi):
-        # the word itself must reduce to zero (sanity of the normaliser)
-        direct = {}
-        for c, t in word:
-            for mono, cc in _eval_tree(space, t).items():
-                v = direct.get(mono, Rat(0)) + c * cc
-                if v:
-                    direct[mono] = v
-                else:
-                    direct.pop(mono, None)
-        if direct:
-            killed = False
-            continue
-        total = {}
-        for c, t in word:
-            for key, v in tensor_reduce(coproduct_tree(t)).items():
-                vv = total.get(key, Rat(0)) + c * v
-                if vv:
-                    total[key] = vv
-                else:
-                    total.pop(key, None)
-        if total:
-            killed = False
+    # each word must itself reduce to zero (sanity of the normaliser)
+    killed = all(
+        not _eval_sum(space, [(None, c, t) for c, t in word]) and not tensor_reduce(word)
+        for word in (leibniz, jacobi)
+    )
     return HopfReport(coassoc, cocomm, killed)
 
 
@@ -786,47 +659,43 @@ class ArnoldAlgebra:
             return 1, (i, j)
         return (1 if (self.n + 1) % 2 == 0 else -1), (j, i)
 
-    def reduce_word(self, letters, coeff=Rat(1)):
-        """Normalise a product of a_xy letters to {basis word: coeff}."""
+    def _sorted_word(self, letters):
+        """(sign, word): the letters oriented and graded-commutatively sorted
+        by (j, i), each of degree n; None if a letter repeats (a_ij^2 = 0)."""
         sign = 1
         oriented = []
-        for (i, j) in letters:
+        for i, j in letters:
             s, pair = self.orient(i, j)
             sign *= s
             oriented.append(pair)
-        # graded-commutative sort by (j, i); letters have degree n
-        for i in range(len(oriented)):
-            for j in range(len(oriented) - 1 - i):
-                a, b = oriented[j], oriented[j + 1]
-                if (a[1], a[0]) > (b[1], b[0]):
-                    oriented[j], oriented[j + 1] = b, a
-                    if self.n % 2:
-                        sign = -sign
-        if len(set(oriented)) != len(oriented):
+        s, word = _koszul_sort(oriented, lambda p: (p[1], p[0]), lambda _: self.n % 2)
+        if len(set(word)) != len(word):
+            return None
+        return sign * s, tuple(word)
+
+    def reduce_word(self, letters, coeff=Rat(1)):
+        """Normalise a product of a_xy letters to {basis word: coeff}."""
+        sorted_word = self._sorted_word(letters)
+        if sorted_word is None:
             return {}
+        sign, word = sorted_word
         # duplicate larger index: Arnold rewrite on the first offending pair
-        for t in range(len(oriented) - 1):
-            (i1, j1), (i2, j2) = oriented[t], oriented[t + 1]
+        for t in range(len(word) - 1):
+            (i1, j1), (i2, j2) = word[t], word[t + 1]
             if j1 == j2:
-                rest_before = oriented[:t]
-                rest_after = oriented[t + 2:]
                 out = {}
                 # a_{i1 j} a_{i2 j} = a_{i1 i2} a_{i2 j} + (-1)^{n+1} a_{i1 j} a_{i1 i2}
                 for repl, extra_sign in (
-                    ([(i1, i2), (i2, j1)], 1),
-                    ([(i1, j1), (i1, i2)], 1 if (self.n + 1) % 2 == 0 else -1),
+                    (((i1, i2), (i2, j1)), 1),
+                    (((i1, j1), (i1, i2)), 1 if (self.n + 1) % 2 == 0 else -1),
                 ):
                     sub = self.reduce_word(
-                        rest_before + repl + rest_after, coeff * sign * extra_sign
+                        word[:t] + repl + word[t + 2:], coeff * sign * extra_sign
                     )
                     for k, v in sub.items():
-                        vv = out.get(k, Rat(0)) + v
-                        if vv:
-                            out[k] = vv
-                        else:
-                            out.pop(k, None)
+                        _add(out, k, v)
                 return out
-        return {tuple(oriented): coeff * sign}
+        return {word: coeff * sign}
 
     @staticmethod
     def canonical_word(pairs):
@@ -855,23 +724,14 @@ class ArnoldAlgebra:
         return out
 
     def mul(self, e1, e2):
-        out = {}
-        for w1, c1 in e1.items():
-            for w2, c2 in e2.items():
-                for w, c in self.reduce_word(list(w1) + list(w2), c1 * c2).items():
-                    v = out.get(w, Rat(0)) + c
-                    if v:
-                        out[w] = v
-                    else:
-                        out.pop(w, None)
-        return out
+        return _bilinear(e1, e2, lambda w1, w2: self.reduce_word(w1 + w2))
 
     def rank_certificate(self, length):
         """Independent check that the normal forms are a linear basis:
-        dim = (square-free words) - rank(Arnold relation multiples)."""
-        from itertools import combinations as comb
+        dim = (square-free words) - rank(Arnold relation multiples).
 
-        ambient = [self.canonical_word(c) for c in comb(self.pairs, length)]
+        Shares orientation and sorting with `reduce_word`, not its rewrite."""
+        ambient = [self.canonical_word(c) for c in combinations(self.pairs, length)]
         index = {w: i for i, w in enumerate(ambient)}
         rel_rows = []
         triples = [
@@ -881,47 +741,23 @@ class ArnoldAlgebra:
             for j in self.labels
             if len({i, k, j}) == 3
         ]
-        multipliers = [()] if length == 2 else list(comb(self.pairs, length - 2))
+        multipliers = list(combinations(self.pairs, length - 2))
         for (i, k, j) in triples:
             for mult in multipliers:
                 row = {}
-                for term in (
-                    [(i, k), (k, j)],
-                    [(k, j), (j, i)],
-                    [(j, i), (i, k)],
-                ):
-                    sign = Rat(1)
-                    oriented = []
-                    for (a, bb) in term:
-                        s, pair = self.orient(a, bb)
-                        sign *= s
-                        oriented.append(pair)
-                    if len(set(oriented)) < 2:
-                        continue
-                    arr = list(oriented) + list(mult)
-                    for x in range(len(arr)):
-                        for y in range(len(arr) - 1 - x):
-                            a1, a2 = arr[y], arr[y + 1]
-                            if (a1[1], a1[0]) > (a2[1], a2[0]):
-                                arr[y], arr[y + 1] = a2, a1
-                                if self.n % 2:
-                                    sign = -sign
-                    if len(set(arr)) != len(arr):
-                        continue
-                    key = tuple(arr)
-                    if key in index:
-                        row[index[key]] = row.get(index[key], Rat(0)) + sign
+                for term in (((i, k), (k, j)), ((k, j), (j, i)), ((j, i), (i, k))):
+                    sorted_word = self._sorted_word(term + mult)
+                    if sorted_word is not None and sorted_word[1] in index:
+                        _add(row, index[sorted_word[1]], sorted_word[0])
                 if row:
                     rel_rows.append(row)
         mat = SparseMatrix(
             len(rel_rows),
             len(ambient),
-            {(r, c): v for r, row in enumerate(rel_rows) for c, v in row.items() if v},
+            [(r, c, v) for r, row in enumerate(rel_rows) for c, v in row.items()],
         )
-        ambient_dim = len(ambient)
-        quotient_dim = ambient_dim - mat.rank()
-        normal_forms = len(self.basis(length))
-        return quotient_dim, normal_forms
+        quotient_dim = len(ambient) - mat.rank()
+        return quotient_dim, len(self.basis(length))
 
 
 def arnold_algebra(n: int, labels) -> ArnoldAlgebra:
@@ -977,53 +813,37 @@ class WeylMap:
         out = {}
         for word, tensors in state.items():
             for monos, coeff in tensors.items():
-                for si, li in enumerate(self.labels):
-                    for sj, lj in enumerate(self.labels):
-                        if si == sj:
-                            continue
-                        for (k, l), tv in self.t.items():
-                            tv = tv * Rat(1, 2)
-                            for c1, m1 in self._apply_partial(monos, si, k):
-                                for c2, m2 in self._apply_partial(m1, sj, l):
-                                    # multiply a_{li lj} into the word; it
-                                    # passes the B-factors (degree D) first
-                                    d_total = sum(
-                                        sum(self.base.gen_degree(i) for i in mm)
-                                        for mm in m2
+                for (si, li), (sj, lj) in permutations(enumerate(self.labels), 2):
+                    for (k, l), tv in self.t.items():
+                        tv = tv * Rat(1, 2)
+                        for c1, m1 in self._apply_partial(monos, si, k):
+                            for c2, m2 in self._apply_partial(m1, sj, l):
+                                # multiply a_{li lj} into the word; it
+                                # passes the B-factors (degree D) first
+                                d_total = sum(
+                                    self.base.gen_degree(i) for mm in m2 for i in mm
+                                )
+                                s = -1 if (self.n % 2 and d_total % 2) else 1
+                                for w2, cw in self.arnold.reduce_word(
+                                    ((li, lj),) + word
+                                ).items():
+                                    _add(
+                                        out.setdefault(w2, {}),
+                                        m2,
+                                        s * cw * tv * c1 * c2 * coeff,
                                     )
-                                    s = -1 if (self.n % 2 and d_total % 2) else 1
-                                    for w2, cw in self.arnold.reduce_word(
-                                        [(li, lj)] + list(word)
-                                    ).items():
-                                        key = (w2, m2)
-                                        v = (
-                                            out.get(w2, {}).get(m2, Rat(0))
-                                            + s * cw * tv * c1 * c2 * coeff
-                                        )
-                                        out.setdefault(w2, {})
-                                        if v:
-                                            out[w2][m2] = v
-                                        else:
-                                            out[w2].pop(m2, None)
         return {w: t for w, t in out.items() if t}
 
     def structure_map(self, inputs):
         """inputs: list of Elems of B, one per label; returns
         {arnold word: Elem of B} after exp(a) then multiplication."""
-        state = {(): {}}
-        from itertools import product as iproduct
-
         base_tensors = {}
-        for combo in iproduct(*[list(e.terms.items()) for e in inputs]):
+        for combo in product(*(e.terms.items() for e in inputs)):
             monos = tuple(m for m, _ in combo)
-            coeff = Rat(1)
-            for _, c in combo:
-                coeff *= c
-            base_tensors[monos] = base_tensors.get(monos, Rat(0)) + coeff
-        state = {(): base_tensors}
+            _add(base_tensors, monos, prod((c for _, c in combo), start=Rat(1)))
         # exp(a): arnold words are nilpotent beyond arity-1 letters
-        total = {w: dict(t) for w, t in state.items()}
-        power = state
+        power = {(): base_tensors}
+        total = dict(power)
         factorial = 1
         for m in range(1, self.arity * (self.arity - 1) + 1):
             power = self.apply_a(power)
@@ -1031,22 +851,18 @@ class WeylMap:
                 break
             factorial *= m
             for w, tensors in power.items():
+                tgt = total.setdefault(w, {})
                 for monos, c in tensors.items():
-                    tgt = total.setdefault(w, {})
-                    v = tgt.get(monos, Rat(0)) + c / factorial
-                    if v:
-                        tgt[monos] = v
-                    else:
-                        tgt.pop(monos, None)
+                    _add(tgt, monos, c / factorial)
         # multiply the factors together
         out = {}
         for w, tensors in total.items():
             acc = self.base.zero()
             for monos, c in tensors.items():
-                prod = self.base.scalar(c)
+                term = self.base.scalar(c)
                 for mono in monos:
-                    prod = prod * Elem(self.base, {mono: Rat(1)})
-                acc = acc + prod
+                    term = term * Elem(self.base, {mono: Rat(1)})
+                acc = acc + term
             if not acc.is_zero():
                 out[w] = acc
         return out

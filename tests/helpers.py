@@ -5,13 +5,15 @@ dense-scan window and total-complex assembly kept only as oracles for
 and the Elem-product derivation, the per-label weak mixed assembly and the
 separate de Rham/Kaehler builders kept only as oracles for
 `freecdga.apply_derivation`, `lieinfty.weak_mixed_from_derivations` and
-`freecdga.de_rham`/`kaehler`."""
+`freecdga.de_rham`/`kaehler`, and the separate P_n and BD_1 operations,
+`pn_compose` and Arnold certificate rows kept only as oracles for the one
+linear-combination layer of `operads`."""
 
 import random
 from fractions import Fraction as F
 from math import gcd
 
-from spw.exactlin import SparseMatrix
+from spw.exactlin import QPoly, SparseMatrix
 from spw.freecdga import Elem, FreeCDGA, Generator, _mono_bidegree, window_basis
 from spw.gradedmixed import (
     BiGradedModule,
@@ -21,6 +23,7 @@ from spw.gradedmixed import (
     shift,
     tensor,
 )
+from spw.operads import LieWords
 
 
 def direct_sum(e, f):
@@ -492,3 +495,287 @@ def oracle_kaehler(b):
     }
     _oracle_symbol_differential(b, alg, lambda e: oracle_apply_derivation(alg, e, dr_values, 0))
     return alg
+
+
+# ---------------------------------------------------------------------------
+# Operad oracles: P_n and BD_1 each with their own product, bracket,
+# substitution and accumulation loops, and the Arnold normal form and
+# certificate rows each with their own sort
+# ---------------------------------------------------------------------------
+
+
+class OraclePn:
+    """P_n product and biderivation bracket on block monomials."""
+
+    def __init__(self, n):
+        self.b = (1 - n) % 2
+        self.lie = LieWords(1 - n)
+
+    def block_degree(self, block):
+        return (len(block) - 1) * self.b
+
+    def mono_degree(self, blocks):
+        return sum(self.block_degree(bl) for bl in blocks)
+
+    def sort_blocks(self, blocks):
+        blocks = list(blocks)
+        sign = 1
+        for i in range(len(blocks)):
+            for j in range(len(blocks) - 1 - i):
+                if min(blocks[j]) > min(blocks[j + 1]):
+                    if (self.block_degree(blocks[j]) * self.block_degree(blocks[j + 1])) % 2:
+                        sign = -sign
+                    blocks[j], blocks[j + 1] = blocks[j + 1], blocks[j]
+        return sign, tuple(blocks)
+
+    def product_mono(self, m1, m2):
+        sign, mono = self.sort_blocks(m1 + m2)
+        return {mono: F(sign)}
+
+    def product(self, e1, e2):
+        out = {}
+        for m1, c1 in e1.items():
+            for m2, c2 in e2.items():
+                for mono, s in self.product_mono(m1, m2).items():
+                    v = out.get(mono, F(0)) + s * c1 * c2
+                    if v:
+                        out[mono] = v
+                    else:
+                        out.pop(mono, None)
+        return out
+
+    def bracket_mono(self, m1, m2):
+        b = self.b
+        if len(m1) == 0 or len(m2) == 0:
+            return {}
+        if len(m1) == 1 and len(m2) == 1:
+            return {(seq,): c for seq, c in self.lie.bracket_seqs(m1[0], m2[0]).items()}
+        if len(m1) == 1:
+            w, rest = m2[0], m2[1:]
+            out = {}
+            for mono, c in self.bracket_mono(m1, (w,)).items():
+                for mono2, c2 in self.product_mono(mono, rest).items():
+                    out[mono2] = out.get(mono2, F(0)) + c * c2
+            sign = -1 if ((self.mono_degree(m1) + b) * self.block_degree(w)) % 2 else 1
+            for mono, c in self.bracket_mono(m1, rest).items():
+                for mono2, c2 in self.product_mono((w,), mono).items():
+                    out[mono2] = out.get(mono2, F(0)) + sign * c * c2
+            return {k: v for k, v in out.items() if v}
+        v, rest = m1[0], m1[1:]
+        out = {}
+        for mono, c in self.bracket_mono(rest, m2).items():
+            for mono2, c2 in self.product_mono((v,), mono).items():
+                out[mono2] = out.get(mono2, F(0)) + c * c2
+        sign = -1 if (self.mono_degree(rest) * (self.mono_degree(m2) + b)) % 2 else 1
+        for mono, c in self.bracket_mono((v,), m2).items():
+            for mono2, c2 in self.product_mono(mono, rest).items():
+                out[mono2] = out.get(mono2, F(0)) + sign * c * c2
+        return {k: v for k, v in out.items() if v}
+
+    def bracket(self, e1, e2):
+        out = {}
+        for m1, c1 in e1.items():
+            for m2, c2 in e2.items():
+                for mono, c in self.bracket_mono(m1, m2).items():
+                    v = out.get(mono, F(0)) + c * c1 * c2
+                    if v:
+                        out[mono] = v
+                    else:
+                        out.pop(mono, None)
+        return out
+
+
+def oracle_pn_compose(n, e1, label, e2):
+    """Substitution in P_n: left-normed block substitution, then products."""
+    space = OraclePn(n)
+
+    def subst_block(seq, value):
+        if len(seq) == 1:
+            if seq[0] != label:
+                raise ValueError
+            return value
+        prefix, last = seq[:-1], seq[-1]
+        if last == label:
+            return space.bracket({(prefix,): F(1)}, value)
+        return space.bracket(subst_block(prefix, value), {((last,),): F(1)})
+
+    out = {}
+    for m1, c1 in e1.items():
+        for m2, c2 in e2.items():
+            target = next(idx for idx, bl in enumerate(m1) if label in bl)
+            pieces = subst_block(m1[target], {m2: F(1)})
+            acc = space.product({m1[:target]: F(1)}, pieces)
+            acc = space.product(acc, {m1[target + 1:]: F(1)})
+            for mono, c in acc.items():
+                v = out.get(mono, F(0)) + c * c1 * c2
+                if v:
+                    out[mono] = v
+                else:
+                    out.pop(mono, None)
+    return out
+
+
+class OracleBD1:
+    """PBW block monomials over Q[hbar] with  u v = v u + hbar {u, v}."""
+
+    def __init__(self):
+        self.lie = LieWords(0)
+
+    def straighten(self, blocks):
+        blocks = tuple(blocks)
+        for i in range(len(blocks) - 1):
+            if min(blocks[i]) > min(blocks[i + 1]):
+                swapped = blocks[:i] + (blocks[i + 1], blocks[i]) + blocks[i + 2:]
+                out = self._scale(self.straighten(swapped), QPoly.const(1))
+                br = self.lie.bracket_seqs(blocks[i], blocks[i + 1])
+                for seq, c in br.items():
+                    merged = blocks[:i] + (seq,) + blocks[i + 2:]
+                    for mono, poly in self.straighten(merged).items():
+                        add = poly * QPoly.hbar() * QPoly.const(c)
+                        out[mono] = out.get(mono, QPoly()) + add
+                return {k: v for k, v in out.items() if not v.is_zero()}
+        return {blocks: QPoly.const(1)}
+
+    @staticmethod
+    def _scale(elem, poly):
+        return {k: v * poly for k, v in elem.items()}
+
+    def mul(self, e1, e2):
+        out = {}
+        for m1, p1 in e1.items():
+            for m2, p2 in e2.items():
+                for mono, p in self.straighten(m1 + m2).items():
+                    out[mono] = out.get(mono, QPoly()) + p * p1 * p2
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    def hbar_bracket(self, e1, e2):
+        out = {}
+        for m1, p1 in e1.items():
+            for m2, p2 in e2.items():
+                for mono, p in self._bracket_mono(m1, m2).items():
+                    out[mono] = out.get(mono, QPoly()) + p * p1 * p2
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    def _bracket_mono(self, m1, m2):
+        if not m1 or not m2:
+            return {}
+        if len(m1) == 1 and len(m2) == 1:
+            return {
+                (seq,): QPoly.const(c)
+                for seq, c in self.lie.bracket_seqs(m1[0], m2[0]).items()
+            }
+        if len(m1) == 1:
+            # {a, u v} = {a, u} v + u {a, v}
+            head, rest = (m2[0],), m2[1:]
+            out = self.mul(self._bracket_mono(m1, head), {rest: QPoly.const(1)})
+            for mono, p in self.mul({head: QPoly.const(1)}, self._bracket_mono(m1, rest)).items():
+                out[mono] = out.get(mono, QPoly()) + p
+            return {k: v for k, v in out.items() if not v.is_zero()}
+        head, rest = (m1[0],), m1[1:]
+        out = self.mul({head: QPoly.const(1)}, self._bracket_mono(rest, m2))
+        for mono, p in self.mul(self._bracket_mono(head, m2), {rest: QPoly.const(1)}).items():
+            out[mono] = out.get(mono, QPoly()) + p
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    def substitute_lie(self, seq, label, value):
+        if len(seq) == 1:
+            if seq[0] != label:
+                raise ValueError("label not in block")
+            return value
+        prefix, last = seq[:-1], seq[-1]
+        if last == label:
+            return self.hbar_bracket({(prefix,): QPoly.const(1)}, value)
+        if label in prefix:
+            return self.hbar_bracket(
+                self.substitute_lie(prefix, label, value), {((last,),): QPoly.const(1)}
+            )
+        raise ValueError("label not in block")
+
+    def compose(self, e1, label, e2):
+        out = {}
+        for m1, p1 in e1.items():
+            for m2, p2 in e2.items():
+                target = next((idx for idx, bl in enumerate(m1) if label in bl), None)
+                if target is None:
+                    raise ValueError("label not in monomial")
+                pieces = self.substitute_lie(m1[target], label, {m2: QPoly.const(1)})
+                acc = self.mul({m1[:target]: QPoly.const(1)}, pieces)
+                acc = self.mul(acc, {m1[target + 1:]: QPoly.const(1)})
+                for mono, p in acc.items():
+                    out[mono] = out.get(mono, QPoly()) + p * p1 * p2
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _oracle_oriented_sort(alg, letters, sign):
+    """Orient a_xy letters and bubble-sort them by (j, i); (sign, list)."""
+    oriented = []
+    for (i, j) in letters:
+        s, pair = alg.orient(i, j)
+        sign *= s
+        oriented.append(pair)
+    for x in range(len(oriented)):
+        for y in range(len(oriented) - 1 - x):
+            a, b = oriented[y], oriented[y + 1]
+            if (a[1], a[0]) > (b[1], b[0]):
+                oriented[y], oriented[y + 1] = b, a
+                if alg.n % 2:
+                    sign = -sign
+    return sign, oriented
+
+
+def oracle_reduce_word(alg, letters, coeff=F(1)):
+    """Arnold normal form of a product of a_xy letters."""
+    sign, oriented = _oracle_oriented_sort(alg, letters, 1)
+    if len(set(oriented)) != len(oriented):
+        return {}
+    for t in range(len(oriented) - 1):
+        (i1, j1), (i2, j2) = oriented[t], oriented[t + 1]
+        if j1 == j2:
+            out = {}
+            for repl, extra_sign in (
+                ([(i1, i2), (i2, j1)], 1),
+                ([(i1, j1), (i1, i2)], 1 if (alg.n + 1) % 2 == 0 else -1),
+            ):
+                sub = oracle_reduce_word(
+                    alg, oriented[:t] + repl + oriented[t + 2:], coeff * sign * extra_sign
+                )
+                for k, v in sub.items():
+                    vv = out.get(k, F(0)) + v
+                    if vv:
+                        out[k] = vv
+                    else:
+                        out.pop(k, None)
+            return out
+    return {tuple(oriented): coeff * sign}
+
+
+def oracle_rank_certificate(alg, length):
+    """(square-free words - rank of Arnold relation multiples, normal forms)."""
+    from itertools import combinations
+
+    ambient = [alg.canonical_word(c) for c in combinations(alg.pairs, length)]
+    index = {w: i for i, w in enumerate(ambient)}
+    rel_rows = []
+    triples = [
+        (i, k, j) for i in alg.labels for k in alg.labels for j in alg.labels
+        if len({i, k, j}) == 3
+    ]
+    multipliers = [()] if length == 2 else list(combinations(alg.pairs, length - 2))
+    for (i, k, j) in triples:
+        for mult in multipliers:
+            row = {}
+            for term in ([(i, k), (k, j)], [(k, j), (j, i)], [(j, i), (i, k)]):
+                sign, arr = _oracle_oriented_sort(alg, list(term) + list(mult), F(1))
+                if len(set(arr)) != len(arr):
+                    continue
+                key = tuple(arr)
+                if key in index:
+                    row[index[key]] = row.get(index[key], F(0)) + sign
+            if row:
+                rel_rows.append(row)
+    mat = SparseMatrix(
+        len(rel_rows),
+        len(ambient),
+        {(r, c): v for r, row in enumerate(rel_rows) for c, v in row.items() if v},
+    )
+    return len(ambient) - mat.rank(), len(alg.basis(length))

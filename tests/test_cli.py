@@ -182,8 +182,9 @@ def test_operad_commands(capsys):
     code, out, _ = run(capsys, "operad", "arnold", "--arity", "3", "--n", "2", "--json")
     assert code == 0
     assert json.loads(out)["tables"]["hilbert series"] == {"0": 1, "2": 3, "4": 2}
-    code, _, _ = run(capsys, "operad", "weyl", "--n", "2")
-    assert code == 0
+    for n in range(4):
+        code, _, _ = run(capsys, "operad", "weyl", "--n", str(n))
+        assert code == 0
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -248,6 +249,18 @@ def run_exit(capsys, *argv):
         pytest.param("ce", "lie g { dim = 2; bracket[0][1] = e1; }", {}, "bracket indices", id="bracket-index-zero"),
         pytest.param("ce", "lie g { dim = 2; bracket[1][2] = e0; }", {}, "combinations of e1..e2", id="bracket-value-e0"),
         pytest.param("ce", "lie g { dim = 2; bracket[1][2] = e3; }", {}, "combinations of e1..e2", id="bracket-value-above-dim"),
+        pytest.param("check-cdga", "algebra B { gens = x(0); base = y; }", {}, "base y names no generator", id="base-undeclared"),
+        pytest.param("check-cdga", "algebra B { gens = x(0); base = 1; }", {}, "base 1 names no generator", id="base-number"),
+        pytest.param("ce", "lie g { dim = 2/3; }", {}, "dim a positive integer", id="dim-fraction"),
+        pytest.param("ce", "lie g { dim = -1; }", {}, "dim a positive integer", id="dim-negative"),
+        pytest.param(
+            "koszul", "algebra B { gens = x(0); } ideal I { on = B; gens = 1; }", {}, "(0, 0) component",
+            id="koszul-unit-relation",
+        ),
+        pytest.param(
+            "d-functor", "algebra B { gens = x(0); } ideal I { on = B; gens = 1; }", {}, "(0, 0) component",
+            id="d-functor-unit-relation",
+        ),
         pytest.param(
             "check-cdga", "algebra B { gens = x(0); }", {"SPW_MAX_WEIGHT": "six"}, "invalid int value",
             id="env-max-weight",

@@ -1,8 +1,17 @@
+import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import factorial
 
 import pytest
 
+from helpers import (
+    OracleBD1,
+    OraclePn,
+    oracle_pn_compose,
+    oracle_rank_certificate,
+    oracle_reduce_word,
+)
 from spw.errors import ArityTooLarge
 from spw.exactlin import QPoly
 from spw.freecdga import FreeCDGA, Generator
@@ -10,6 +19,7 @@ from spw.operads import (
     BD1Space,
     LieWords,
     PnSpace,
+    _koszul_sort,
     arnold_algebra,
     as_compose,
     bd0_check,
@@ -112,6 +122,101 @@ def test_pn_relation_words_die_in_the_normal_form():
         add(acc, space.bracket(space.bracket(mono(1), mono(2)), mono(3)), F(-1))
         add(acc, space.bracket(mono(2), space.bracket(mono(1), mono(3))), -sign)
         assert not acc
+
+
+# -- the linear-combination layer against the separate oracles -----------------
+
+
+def _pn_case(n):
+    oracle = OraclePn(n)
+    return pytest.param(
+        lambda labels: PnSpace(n, labels),
+        oracle.product,
+        oracle.bracket,
+        lambda e1, label, e2: oracle_pn_compose(n, e1, label, e2),
+        F(1),
+        id=f"P{n}",
+    )
+
+
+_BD1 = OracleBD1()
+# (space on labels, oracle product, bracket and compose, unit coefficient)
+CASES = [_pn_case(n) for n in range(4)] + [
+    pytest.param(
+        BD1Space, _BD1.mul, _BD1.hbar_bracket, _BD1.compose, QPoly.const(1), id="BD1"
+    )
+]
+
+
+def _seeded_labels(rng, k):
+    """k distinct labels drawn from 1..9, so label order varies by seed."""
+    return tuple(sorted(rng.sample(range(1, 10), k)))
+
+
+@pytest.mark.parametrize("make, product, bracket, compose, one", CASES)
+def test_product_and_bracket_match_the_oracle(make, product, bracket, compose, one):
+    # every pair of basis monomials on disjoint label sets, arity <= 4
+    rng = random.Random(7)
+    for k in (2, 3, 4):
+        labels = _seeded_labels(rng, k)
+        space = make(labels)
+        for r in range(1, k):
+            for left in combinations(labels, r):
+                right = tuple(x for x in labels if x not in left)
+                for m1 in make(left).basis():
+                    for m2 in make(right).basis():
+                        e1, e2 = {m1: one}, {m2: one}
+                        assert space.product(e1, e2) == product(e1, e2)
+                        assert space.bracket(e1, e2) == bracket(e1, e2)
+
+
+@pytest.mark.parametrize("make, product, bracket, compose, one", CASES)
+def test_compose_matches_the_oracle_in_every_slot(make, product, bracket, compose, one):
+    # e1 on labels L1 and e2 on {slot} + F with F fresh, for every slot of e1
+    rng = random.Random(8)
+    for k in (2, 3, 4):
+        labels = _seeded_labels(rng, k)
+        space = make(labels)
+        for k1 in range(1, k):
+            for outer in combinations(labels, k1):
+                fresh = tuple(x for x in labels if x not in outer)
+                for slot in outer:
+                    for m1 in make(outer).basis():
+                        for m2 in make((slot,) + fresh).basis():
+                            e1, e2 = {m1: one}, {m2: one}
+                            assert space.compose(e1, slot, e2) == compose(e1, slot, e2)
+
+
+def test_compose_of_a_missing_label_is_a_value_error():
+    with pytest.raises(ValueError, match="label not in monomial"):
+        pn_compose(2, {((1,), (2,)): F(1)}, 3, {((3,),): F(1)}, (1, 2, 3))
+    with pytest.raises(ValueError, match="label not in monomial"):
+        BD1Space((1, 2, 3)).compose({((1, 2),): QPoly.const(1)}, 3, {((3,),): QPoly.const(1)})
+
+
+def test_koszul_sort_sign_is_the_sign_on_the_odd_items():
+    rng = random.Random(11)
+    for _ in range(300):
+        # (key, odd, position): the position tells equal-key items apart
+        items = [(rng.randrange(4), rng.random() < 0.5, p) for p in range(rng.randrange(8))]
+        sign, out = _koszul_sort(items, lambda it: it[0], lambda it: it[1])
+        assert out == sorted(items, key=lambda it: it[0])
+        odd_keys = [it[0] for it in items if it[1]]
+        inversions = sum(a > b for a, b in combinations(odd_keys, 2))
+        assert sign == (-1) ** inversions
+
+
+def test_arnold_normal_form_and_certificate_match_the_oracle():
+    rng = random.Random(3)
+    for n in range(4):
+        alg = arnold_algebra(n, (1, 2, 3, 4))
+        for _ in range(200):
+            letters = [tuple(rng.sample(alg.labels, 2)) for _ in range(rng.randrange(5))]
+            assert alg.reduce_word(letters) == oracle_reduce_word(alg, letters)
+        for labels in ((1, 2, 3), (1, 2, 3, 4)):
+            alg = arnold_algebra(n, labels)
+            for length in range(2, len(labels)):
+                assert alg.rank_certificate(length) == oracle_rank_certificate(alg, length)
 
 
 # -- BD_1 ------------------------------------------------------------------------
@@ -362,8 +467,9 @@ def test_weyl_transposition_equivariance():
     # swapping the inputs matches a_12 -> (-1)^{n+1} a_21 with the Koszul
     # sign of the inputs
     b = sym_v_dual(2)
-    t = {(0, 1): F(1), (1, 0): F(1)}
-    for n in (1, 2):
+    for n in range(4):
+        # a degree -n bracket on degree-1 generators has t_10 = (-1)^n t_01
+        t = {(0, 1): F(1), (1, 0): F((-1) ** n)}
         wm = weyl_structure_map(b, t, (1, 2), n=n)
         x, y = b.gen("xi1"), b.gen("xi2")
         out_xy = wm.structure_map([x, y])
@@ -374,6 +480,7 @@ def test_weyl_transposition_equivariance():
         # a_12 coefficient: swap relabels 1 <-> 2, i.e. a_12 -> a_21
         a_xy = out_xy.get(((1, 2),), b.zero())
         a_yx = out_yx.get(((1, 2),), b.zero())
+        assert a_xy.constant_term() == 1
         orient_sign = 1 if (n + 1) % 2 == 0 else -1
         assert a_yx == a_xy.scale(koszul * orient_sign)
 
