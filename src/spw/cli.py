@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction as Rat
+from typing import Callable, NamedTuple
 
 from . import __version__, dsl
 from .errors import (
@@ -331,14 +332,20 @@ def cmd_z_from_t(manifest, args, report):
     )
 
 
-def cmd_koszul(manifest, args, report):
-    from .freecdga import koszul
-
+def _ideal_inputs(manifest, args):
     block = _target_block(manifest, args, ("ideal",))
     alg = _algebra_of(manifest, block)
     gens_expr = block.get(("gens",))
+    if gens_expr is None:
+        raise dsl.UnresolvedReference(f"ideal block {block.name!r} needs gens")
     items = gens_expr.items if isinstance(gens_expr, dsl.Items) else (gens_expr,)
-    fs = [dsl.eval_poly(item, alg) for item in items]
+    return alg, [dsl.eval_poly(item, alg) for item in items]
+
+
+def cmd_koszul(manifest, args, report):
+    from .freecdga import koszul
+
+    alg, fs = _ideal_inputs(manifest, args)
     k = koszul(alg, fs)
     dims = k.homotopy_dims(max_len=args.max_len, min_degree=-3)
     report.table("homotopy dims", dims)
@@ -348,11 +355,7 @@ def cmd_koszul(manifest, args, report):
 def cmd_d_functor(manifest, args, report):
     from .freecdga import d_functor
 
-    block = _target_block(manifest, args, ("ideal",))
-    alg = _algebra_of(manifest, block)
-    gens_expr = block.get(("gens",))
-    items = gens_expr.items if isinstance(gens_expr, dsl.Items) else (gens_expr,)
-    fs = [dsl.eval_poly(item, alg) for item in items]
+    alg, fs = _ideal_inputs(manifest, args)
     res = d_functor(alg, fs, wmax=args.max_weight, max_len=args.max_len)
     report.table("weight-0 homology", res.weight0_h0_dims)
     report.table("realization H0 convergence", res.realization_h0_dims)
@@ -452,81 +455,102 @@ def cmd_operad(manifest, args, report):
         raise ValueError(which)
 
 
+class _Command(NamedTuple):
+    handler: Callable
+    manifest: bool = True  # reads a manifest file (or stdin)
+    options: tuple = ()  # (flags, add_argument keywords) after the common options
+
+
+def _option(*flags, **kwargs):
+    return flags, kwargs
+
+
 COMMANDS = {
-    "check-cdga": cmd_check_cdga,
-    "check-mixed": cmd_check_mixed,
-    "de-rham": cmd_de_rham,
-    "closed-forms": cmd_closed_forms,
-    "check-poisson": cmd_check_poisson,
-    "mc": cmd_mc,
-    "dualize": cmd_dualize,
-    "strictify": cmd_strictify,
-    "darboux": cmd_darboux,
-    "ce": cmd_ce,
-    "lie-from-mixed": cmd_lie_from_mixed,
-    "invariants": cmd_invariants,
-    "z-from-t": cmd_z_from_t,
-    "koszul": cmd_koszul,
-    "d-functor": cmd_d_functor,
-    "realize": cmd_realize,
-    "tate": cmd_tate,
-    "operad": cmd_operad,
+    "check-cdga": _Command(cmd_check_cdga),
+    "check-mixed": _Command(cmd_check_mixed),
+    "de-rham": _Command(cmd_de_rham),
+    "closed-forms": _Command(
+        cmd_closed_forms,
+        options=(_option("--p", type=int, default=2), _option("--degree", type=int, default=0)),
+    ),
+    "check-poisson": _Command(cmd_check_poisson),
+    "mc": _Command(cmd_mc),
+    "dualize": _Command(cmd_dualize),
+    "strictify": _Command(cmd_strictify),
+    "darboux": _Command(cmd_darboux),
+    "ce": _Command(cmd_ce),
+    "lie-from-mixed": _Command(cmd_lie_from_mixed),
+    "invariants": _Command(
+        cmd_invariants, options=(_option("--kind", choices=("sym2", "wedge3"), required=True),)
+    ),
+    "z-from-t": _Command(cmd_z_from_t),
+    "koszul": _Command(cmd_koszul),
+    "d-functor": _Command(cmd_d_functor),
+    "realize": _Command(cmd_realize),
+    "tate": _Command(cmd_tate, options=(_option("--stage", type=int, default=1),)),
+    "operad": _Command(
+        cmd_operad,
+        manifest=False,
+        options=(
+            _option("operad", choices=("pn", "as", "lie", "bd1", "bd0", "arnold", "weyl")),
+            _option("--arity", type=int, default=2),
+            _option("--n", type=int, default=1),
+            _option("--specialize", type=int, default=None),
+        ),
+    ),
 }
 
-_NEEDS_MANIFEST = {name for name in COMMANDS} - {"operad"}
+# (dest, environment variable, default) of the window options; main()
+# reads the environment on every call
+_LIMITS = (
+    ("max_weight", "SPW_MAX_WEIGHT", "6"),
+    ("max_degree", "SPW_MAX_DEGREE", "8"),
+    ("max_len", "SPW_MAX_LEN", "6"),
+)
 
 
 def build_parser():
+    """The spw argument parser; `parser.commands` maps each command name to
+    its subparser."""
     parser = argparse.ArgumentParser(
         prog="spw",
         description="Exact workbench for graded mixed and shifted Poisson checks",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    env = os.environ
-
-    def common(p, manifest=True):
-        if manifest:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name)
+        if command.manifest:
             p.add_argument("manifest", nargs="?", help="manifest file (default stdin)")
             p.add_argument("--target", help="block name to operate on")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--timings", action="store_true", help="include timings section")
-        # string defaults pass through type=int, so a bad value is a usage error
-        p.add_argument("--max-weight", type=int, default=env.get("SPW_MAX_WEIGHT", "6"))
-        p.add_argument("--max-degree", type=int, default=env.get("SPW_MAX_DEGREE", "8"))
-        p.add_argument("--max-len", type=int, default=env.get("SPW_MAX_LEN", "6"))
-
-    for name in COMMANDS:
-        if name == "operad":
-            continue
-        p = sub.add_parser(name)
-        common(p)
-        if name == "closed-forms":
-            p.add_argument("--p", type=int, default=2)
-            p.add_argument("--degree", type=int, default=0)
-        if name == "invariants":
-            p.add_argument("--kind", choices=("sym2", "wedge3"), required=True)
-        if name == "tate":
-            p.add_argument("--stage", type=int, default=1)
-    p = sub.add_parser("operad")
-    p.add_argument(
-        "operad", choices=("pn", "as", "lie", "bd1", "bd0", "arnold", "weyl")
-    )
-    common(p, manifest=False)
-    p.add_argument("--arity", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--specialize", type=int, default=None)
+        for dest, _, default in _LIMITS:
+            # string defaults pass through type=int, so a bad value is a usage error
+            p.add_argument("--" + dest.replace("_", "-"), type=int, default=default)
+        for flags, kwargs in command.options:
+            p.add_argument(*flags, **kwargs)
+    parser.commands = sub.choices
     return parser
 
 
+_parser = None  # built by the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    limits = {dest: os.environ.get(var, default) for dest, var, default in _LIMITS}
+    for sub in _parser.commands.values():
+        sub.set_defaults(**limits)
+    args = _parser.parse_args(argv)
+    command = COMMANDS[args.command]
     started = time.monotonic()
     source = ""
     manifest = None
     try:
-        if args.command in _NEEDS_MANIFEST:
+        if command.manifest:
             if args.manifest:
                 with open(args.manifest, "r", encoding="utf-8") as fh:
                     source = fh.read()
@@ -534,7 +558,7 @@ def main(argv=None) -> int:
                 source = sys.stdin.read()
             manifest = dsl.parse(source)
         report = Report(args.command, source)
-        COMMANDS[args.command](manifest, args, report)
+        command.handler(manifest, args, report)
     except (ParseError, dsl.DuplicateName, dsl.UnresolvedReference) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -443,6 +443,10 @@ def build_algebra(block: Block):
                 raise UnresolvedReference(
                     f"generator spec must be name(degree[, weight]), got {item.show()}"
                 )
+            if any(a.denominator != 1 for a in item.args):
+                raise UnresolvedReference(
+                    f"generator {item.show()} needs an integer degree and weight"
+                )
             degree = int(item.args[0])
             weight = int(item.args[1]) if len(item.args) > 1 else 0
             gens.append(Generator(item.ident, degree, weight))

@@ -531,7 +531,13 @@ def graded_mixed_window(alg: FreeCDGA, window: Window):
     strings sorted deterministically inside each bidegree.  Images above
     the window are projected away.
     """
-    inside, images = _closure(alg, window)
+    return _mixed_complex(alg, *_closure(alg, window))
+
+
+def _mixed_complex(alg, inside, images):
+    """The complex on the basis `inside` from the stored (d, eps) images,
+    and its label -> monomial index; image terms outside `inside` are
+    projected away."""
     monos = _window_monomials(inside)
     mod = BiGradedModule({bideg: [alg.mono_str(m) for m in ms] for bideg, ms in monos.items()})
     mono_of = {lab: m for bideg, ms in monos.items() for lab, m in zip(mod.labels(*bideg), ms)}
@@ -719,12 +725,16 @@ def closed_form_classes(
     """
     dr = de_rham(b)
     deg = n + p
+    # one closure serves every stage and fibre: d and eps never lower
+    # weight, so the weights <= top of this window are the window of
+    # weights p..top
+    window = Window(wmin=p, wmax=wmax, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
+    inside, images = _closure(dr.algebra, window)
+    cx, mono_of = _mixed_complex(dr.algebra, inside, images)
     stage_dims = {}
     reps = []
     dim = 0
     for top in range(p, wmax + 1):
-        window = Window(wmin=p, wmax=top, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
-        cx, mono_of = graded_mixed_window(dr.algebra, window)
         total = weight_window_total_complex(cx, p, top)
         h = total.homology(deg)
         stage_dims[top] = h.dimension
@@ -741,19 +751,37 @@ def closed_form_classes(
     fiber_dims = {}
     for m in range(p, wmax):
         # fiber of stage m+1 -> stage m: H^{n+p} of the weight-(m+1) column
-        window = Window(wmin=m + 1, wmax=m + 1, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
-        cx, _ = graded_mixed_window(dr.algebra, window)
-        col = weight_window_total_complex(cx, m + 1, m + 1)
-        fiber_dims[m] = col.homology_dim(deg)
+        fiber, _ = _mixed_complex(dr.algebra, _column(inside, images, m + 1, max_len), images)
+        fiber_dims[m] = weight_window_total_complex(fiber, m + 1, m + 1).homology_dim(deg)
     mod_dim = None
     if modulo_exact:
         mod_dim = _modulo_exact_dimension(dr, p, deg, wmax, max_len)
     return ClosedFormReport(dim, reps, stage_dims, fiber_dims, mod_dim)
 
 
+def _column(inside, images, w, max_len):
+    """The basis of the one-weight window at weight w: the window words of
+    weight w and length <= max_len, closed under their d-images inside the
+    window.  Not the weight-w slice, which also holds the eps-images of
+    longer words of weight w - 1."""
+    column = {m: bideg for m, bideg in inside.items() if bideg[0] == w and len(m) <= max_len}
+    frontier = list(column)
+    while frontier:
+        new = []
+        for m in frontier:
+            for m2 in images[m][0].terms:
+                if m2 in inside and m2 not in column:
+                    column[m2] = inside[m2]
+                    new.append(m2)
+        frontier = new
+    return column
+
+
 def _modulo_exact_dimension(dr, p, deg, wmax, max_len):
     """Cocycles in weights p..wmax at degree `deg`, modulo total boundaries
     and de Rham images of d-closed weight-(p-1) elements."""
+    # not the stages' window: closing from weight p-1 adds eps-images at
+    # weight p that the Hodge stages do not hold
     window = Window(wmin=max(p - 1, 0), wmax=wmax, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
     cx, mono_of = graded_mixed_window(dr.algebra, window)
     total = weight_window_total_complex(cx, p, wmax)
@@ -810,8 +838,12 @@ class KoszulComplex:
 
 def koszul(b: FreeCDGA, fs, powers=None) -> KoszulComplex:
     """K(B, f_1^{n_1}, .., f_p^{n_p}): odd X_i in degree -1 with dX_i = f_i^{n_i}."""
-    if any(g.degree != 0 for g in b.generators):
-        raise ValueError("Koszul base must be a discrete polynomial ring")
+    for g in b.generators:
+        if g.degree != 0:
+            raise BidegreeError(
+                f"Koszul base generator {g.name} has degree {g.degree}: "
+                "the base must be a discrete polynomial ring"
+            )
     if powers is None:
         powers = [1] * len(fs)
     gens = list(b.generators)

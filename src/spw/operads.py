@@ -741,7 +741,8 @@ class ArnoldAlgebra:
             for j in self.labels
             if len({i, k, j}) == 3
         ]
-        multipliers = list(combinations(self.pairs, length - 2))
+        # below length 2 there are no relation multiples
+        multipliers = list(combinations(self.pairs, length - 2)) if length >= 2 else []
         for (i, k, j) in triples:
             for mult in multipliers:
                 row = {}

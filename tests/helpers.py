@@ -5,16 +5,26 @@ dense-scan window and total-complex assembly kept only as oracles for
 and the Elem-product derivation, the per-label weak mixed assembly and the
 separate de Rham/Kaehler builders kept only as oracles for
 `freecdga.apply_derivation`, `lieinfty.weak_mixed_from_derivations` and
-`freecdga.de_rham`/`kaehler`, and the separate P_n and BD_1 operations,
+`freecdga.de_rham`/`kaehler`, the separate P_n and BD_1 operations,
 `pn_compose` and Arnold certificate rows kept only as oracles for the one
-linear-combination layer of `operads`."""
+linear-combination layer of `operads`, and the window-per-stage closed-form
+computation kept only as an oracle for `freecdga.closed_form_classes`."""
 
 import random
 from fractions import Fraction as F
 from math import gcd
 
 from spw.exactlin import QPoly, SparseMatrix
-from spw.freecdga import Elem, FreeCDGA, Generator, _mono_bidegree, window_basis
+from spw.freecdga import (
+    Elem,
+    FreeCDGA,
+    Generator,
+    Window,
+    _mono_bidegree,
+    de_rham,
+    graded_mixed_window,
+    window_basis,
+)
 from spw.gradedmixed import (
     BiGradedModule,
     ChainComplex,
@@ -22,6 +32,7 @@ from spw.gradedmixed import (
     cell_model,
     shift,
     tensor,
+    weight_window_total_complex,
 )
 from spw.operads import LieWords
 
@@ -779,3 +790,40 @@ def oracle_rank_certificate(alg, length):
         {(r, c): v for r, row in enumerate(rel_rows) for c, v in row.items() if v},
     )
     return len(ambient) - mat.rank(), len(alg.basis(length))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for closed_form_classes: a fresh window per Hodge stage and fibre
+# ---------------------------------------------------------------------------
+
+
+def oracle_closed_form_classes(b, p, n, wmax, max_len):
+    """(dimension, stage dims, fiber dims, representative components) with
+    one window of weights p..top per stage and one of weight m+1 per fibre."""
+    dr = de_rham(b)
+    deg = n + p
+    stage_dims = {}
+    reps = []
+    dim = 0
+    for top in range(p, wmax + 1):
+        window = Window(wmin=p, wmax=top, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
+        cx, mono_of = graded_mixed_window(dr.algebra, window)
+        total = weight_window_total_complex(cx, p, top)
+        h = total.homology(deg)
+        stage_dims[top] = h.dimension
+        if top == wmax:
+            dim = h.dimension
+            labels = total.basis.get(deg, [])
+            for v in h.representatives:
+                comps = {}
+                for coeff, (w, lab) in zip(v, labels):
+                    if coeff:
+                        e = comps.get(w, dr.algebra.zero())
+                        comps[w] = e + Elem(dr.algebra, {mono_of[lab]: coeff})
+                reps.append(comps)
+    fiber_dims = {}
+    for m in range(p, wmax):
+        window = Window(wmin=m + 1, wmax=m + 1, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
+        cx, _ = graded_mixed_window(dr.algebra, window)
+        fiber_dims[m] = weight_window_total_complex(cx, m + 1, m + 1).homology_dim(deg)
+    return dim, stage_dims, fiber_dims, reps

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from spw import cli
 from spw.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "examples_dsl")
@@ -262,6 +263,24 @@ def run_exit(capsys, *argv):
             id="d-functor-unit-relation",
         ),
         pytest.param(
+            "check-cdga", "algebra B { gens = x(1/2); }", {}, "integer degree and weight", id="degree-fraction",
+        ),
+        pytest.param(
+            "check-cdga", "algebra B { gens = x(0, 1/2); }", {}, "integer degree and weight", id="weight-fraction",
+        ),
+        pytest.param(
+            "koszul", "algebra B { gens = x(0); } ideal I { on = B; gensgens = x; }", {}, "needs gens",
+            id="koszul-no-gens",
+        ),
+        pytest.param(
+            "koszul", "algebra B { gens = x(0), y(1); } ideal I { on = B; gens = x; }", {},
+            "discrete polynomial ring", id="koszul-graded-base",
+        ),
+        pytest.param(
+            "d-functor", "algebra B { gens = x(0), y(1); } ideal I { on = B; gens = x; }", {},
+            "discrete polynomial ring", id="d-functor-graded-base",
+        ),
+        pytest.param(
             "check-cdga", "algebra B { gens = x(0); }", {"SPW_MAX_WEIGHT": "six"}, "invalid int value",
             id="env-max-weight",
         ),
@@ -279,3 +298,30 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, monkeypatch, command, so
     code, err = run_exit(capsys, command, str(manifest))
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+def test_two_calls_build_the_parser_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(2):
+        code, _, _ = run(capsys, "operad", "pn", "--arity", "2")
+        assert code == 0
+    assert len(builds) == 1
+
+
+def test_max_weight_is_read_from_the_environment_on_each_call(capsys, monkeypatch):
+    argv = ("closed-forms", path("plane_poisson.spw"), "--target", "B", "--max-len", "4", "--json")
+    stages = []
+    for weight in ("3", "4"):
+        monkeypatch.setenv("SPW_MAX_WEIGHT", weight)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        stages.append(sorted(json.loads(out)["tables"]["hodge stages"]))
+    assert stages == [["2", "3"], ["2", "3", "4"]]

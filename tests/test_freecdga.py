@@ -5,13 +5,15 @@ import pytest
 
 from helpers import (
     oracle_apply_derivation,
+    oracle_closed_form_classes,
     oracle_de_rham,
     oracle_graded_mixed_window,
     oracle_kaehler,
     oracle_weight_window_total_complex,
     random_valid_cdga,
 )
-from spw.errors import BidegreeMismatch, NotRegular
+from spw import freecdga
+from spw.errors import BidegreeMismatch, NotRegular, SpwError
 from spw.freecdga import (
     Elem,
     FreeCDGA,
@@ -133,6 +135,51 @@ def test_de_rham_eps_is_derivation_on_quadratic_monomials():
 def test_closed_forms_no_two_forms_on_line():
     rep = closed_form_classes(poly_line(), p=2, n=0, wmax=3, max_len=4)
     assert rep.dimension == 0
+
+
+def test_closed_forms_run_one_closure(monkeypatch):
+    closures = []
+    closure = freecdga._closure
+
+    def counting(alg, window):
+        closures.append(window)
+        return closure(alg, window)
+
+    monkeypatch.setattr(freecdga, "_closure", counting)
+    closed_form_classes(poly_plane(), p=2, n=0, wmax=5, max_len=4)
+    assert len(closures) == 1
+
+
+def _closed_form_answer(b, p, n, wmax, max_len):
+    rep = closed_form_classes(b, p, n, wmax, max_len=max_len)
+    towers = [t.components for t in rep.representatives]
+    return rep.dimension, rep.stage_dims, rep.fiber_dims, towers
+
+
+def test_closed_forms_match_a_window_per_stage_and_fiber():
+    rng = random.Random(11)
+    for _ in range(300):
+        b = random_valid_cdga(rng, max_gens=4)
+        p, n = rng.randint(0, 2), rng.randint(-2, 1)
+        wmax, max_len = p + rng.randint(0, 3), rng.randint(2, 4)
+        try:
+            want = oracle_closed_form_classes(b, p, n, wmax, max_len)
+        except SpwError as exc:
+            with pytest.raises(type(exc)):
+                closed_form_classes(b, p, n, wmax, max_len=max_len)
+            continue
+        assert _closed_form_answer(b, p, n, wmax, max_len) == want
+
+
+def test_closed_form_fiber_is_not_the_weight_slice():
+    # d lengthens g2 to g1*g3, so the window of weights 2..3 holds words of
+    # weight 2 longer than max_len, and their eps-image dg1*dg2*dg3; the
+    # window of weight 3 alone does not hold it
+    b = FreeCDGA([("g1", -2), ("g2", -1), ("g3", 2)])
+    b.set_differential({"g2": -(b.gen("g1") * b.gen("g3"))})
+    answer = _closed_form_answer(b, 2, 0, 3, 2)
+    assert answer == oracle_closed_form_classes(b, 2, 0, 3, 2)
+    assert answer[2] == {2: 0}
 
 
 def brute_plane_two_form_classes(max_poly_deg):

@@ -389,14 +389,16 @@ def test_arnold_relation_reduces_to_zero():
 
 
 def test_arnold_rank_certificates():
-    for n in (1, 2):
-        for labels in ((1, 2, 3), (1, 2, 3, 4)):
-            alg = arnold_algebra(n, labels)
-            for length in (2, 3):
-                if length > len(labels) - 1:
-                    continue
-                quotient_dim, normal_forms = alg.rank_certificate(length)
-                assert quotient_dim == normal_forms
+    # both sides at every length 0..k-1 are the coefficients of the
+    # Arnold series prod_{j<k} (1 + j t)
+    for k in range(1, 5):
+        series = [1]
+        for j in range(k):
+            series = [a + j * b for a, b in zip(series + [0], [0] + series)]
+        for n in range(4):
+            alg = arnold_algebra(n, tuple(range(1, k + 1)))
+            for length in range(k):
+                assert alg.rank_certificate(length) == (series[length], series[length])
 
 
 def test_arnold_orientation():
