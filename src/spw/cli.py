@@ -1,7 +1,8 @@
 """Command line front end: parse a manifest, run checks, emit reports.
 
 Exit codes: 0 all checks pass; 1 a mathematical check failed; 2 usage or
-parse error; 3 a window was too small / a bounded check is inconclusive.
+parse error; 3 a window was too small / a bounded check is inconclusive;
+4 an internal error (a bug in spw, not in the input).
 Reports are byte-deterministic for a fixed input and version; timings are
 emitted only on request and live in a separate section.
 """
@@ -21,8 +22,8 @@ from . import __version__, dsl
 from .errors import (
     Degenerate,
     GaugeNotFound,
+    IdentityViolated,
     NotRegular,
-    ParseError,
     SpwError,
     WindowTooSmall,
 )
@@ -99,7 +100,7 @@ def _window(args):
     )
 
 
-def _target_block(manifest, args, kinds):
+def _target_block(manifest, args, *kinds):
     name = args.target
     if name is None:
         for b in manifest.blocks:
@@ -114,21 +115,13 @@ def _target_block(manifest, args, kinds):
     return block
 
 
-def _algebra_of(manifest, block):
-    on = block.get(("on",))
-    if on is None:
-        raise dsl.UnresolvedReference(f"block {block.name!r} needs on = <algebra>")
-    return dsl.build_algebra(manifest.block(on.ident))
-
-
 # -- commands ------------------------------------------------------------------
 
 
 def cmd_check_cdga(manifest, args, report):
     from .freecdga import validate_cdga
 
-    block = _target_block(manifest, args, ("algebra",))
-    alg = dsl.build_algebra(block)
+    alg = dsl.build_algebra(_target_block(manifest, args, "algebra"))
     rep = validate_cdga(alg)
     report.check("cdga identities", rep.valid, witness=rep.violations[:3] or None)
 
@@ -137,7 +130,7 @@ def cmd_check_mixed(manifest, args, report):
     from .freecdga import graded_mixed_window, validate_cdga
     from .gradedmixed import validate_mixed
 
-    block = _target_block(manifest, args, ("algebra", "complex"))
+    block = _target_block(manifest, args, "algebra", "complex")
     if block.kind == "complex":
         cx = dsl.build_complex(block)
     else:
@@ -154,8 +147,7 @@ def cmd_de_rham(manifest, args, report):
     from .freecdga import de_rham, graded_mixed_window
     from .gradedmixed import validate_mixed
 
-    block = _target_block(manifest, args, ("algebra",))
-    alg = dsl.build_algebra(block)
+    alg = dsl.build_algebra(_target_block(manifest, args, "algebra"))
     dr = de_rham(alg)
     cx, _ = graded_mixed_window(dr.algebra, _window(args))
     rep = validate_mixed(cx)
@@ -167,8 +159,7 @@ def cmd_de_rham(manifest, args, report):
 def cmd_closed_forms(manifest, args, report):
     from .freecdga import closed_form_classes
 
-    block = _target_block(manifest, args, ("algebra",))
-    alg = dsl.build_algebra(block)
+    alg = dsl.build_algebra(_target_block(manifest, args, "algebra"))
     rep = closed_form_classes(
         alg, args.p, args.degree, args.max_weight, max_len=args.max_len
     )
@@ -178,33 +169,11 @@ def cmd_closed_forms(manifest, args, report):
     report.check("towers are cocycles", all(t.check_cocycle(args.max_weight) for t in rep.representatives))
 
 
-def _poisson_inputs(manifest, args):
-    from .polyvec import MaurerCartanTower, PolyvectorAlgebra
-
-    block = _target_block(manifest, args, ("poisson",))
-    alg = _algebra_of(manifest, block)
-    shift_expr = block.get(("shift",))
-    n = int(dsl.eval_scalar(shift_expr)) if shift_expr is not None else 0
-    pol = PolyvectorAlgebra(alg, n + 1)
-    components = []
-    i = 0
-    while True:
-        expr = block.get((f"p{i}",))
-        if expr is None:
-            break
-        components.append(dsl.eval_poly(expr, pol.algebra))
-        i += 1
-    if not components:
-        raise dsl.UnresolvedReference(f"poisson block {block.name!r} needs p0")
-    tower = MaurerCartanTower(pol, n, components)
-    return alg, pol, n, tower
-
-
 def cmd_check_poisson(manifest, args, report):
     from .polyvec import check_strict_poisson
 
-    alg, pol, n, tower = _poisson_inputs(manifest, args)
-    rep = check_strict_poisson(alg, n, tower.component(0), pol)
+    tower = dsl.build_poisson(_target_block(manifest, args, "poisson"))
+    rep = check_strict_poisson(tower.pol.base, tower.n, tower.component(0), tower.pol)
     report.check("d pi = 0", rep.d_pi.is_zero(), witness=rep.d_pi)
     report.check("[pi, pi] = 0", rep.self_bracket.is_zero(), witness=rep.self_bracket)
     if rep.valid:
@@ -217,7 +186,7 @@ def cmd_check_poisson(manifest, args, report):
 def cmd_mc(manifest, args, report):
     from .polyvec import mc_check
 
-    _, _, _, tower = _poisson_inputs(manifest, args)
+    tower = dsl.build_poisson(_target_block(manifest, args, "poisson"))
     rep = mc_check(tower)
     report.check(
         "Maurer-Cartan equations",
@@ -229,8 +198,8 @@ def cmd_mc(manifest, args, report):
 def cmd_dualize(manifest, args, report):
     from .compare import poisson_to_form, symplectic_to_poisson
 
-    alg, pol, n, tower = _poisson_inputs(manifest, args)
-    form = poisson_to_form(alg, tower.component(0), n)
+    tower = dsl.build_poisson(_target_block(manifest, args, "poisson"))
+    form = poisson_to_form(tower.pol.base, tower.component(0), tower.n)
     report.check("closed and strictly closed", True)
     report.table("omega", {"value": repr(form.omega)})
     back = symplectic_to_poisson(form)
@@ -239,21 +208,10 @@ def cmd_dualize(manifest, args, report):
 
 def cmd_strictify(manifest, args, report):
     from .compare import strictify_closed_two_form
-    from .freecdga import ClosedFormTower, de_rham
 
-    block = _target_block(manifest, args, ("form",))
-    alg = _algebra_of(manifest, block)
-    n_expr = block.get(("degree",))
-    n = int(dsl.eval_scalar(n_expr)) if n_expr is not None else 0
-    dr = de_rham(alg)
-    comps = {}
-    for key, expr in block.entries:
-        if key[0].startswith("w") and key[0][1:].isdigit():
-            w = int(key[0][1:])
-            comps[w] = dsl.eval_poly(expr, dr.algebra)
-    tower = ClosedFormTower(dr, 2, n, comps)
-    window = Window(1, args.max_weight, n, n + 4, args.max_len)
-    res = strictify_closed_two_form(alg, tower, window)
+    tower = dsl.build_form(_target_block(manifest, args, "form"))
+    window = Window(1, args.max_weight, tower.n, tower.n + 4, args.max_len)
+    res = strictify_closed_two_form(tower.de_rham.base, tower, window)
     report.check("strict representative found", True)
     report.table("strict form", {"value": repr(res.strict_form)})
     report.table("potential", {"value": repr(res.eta)})
@@ -263,7 +221,7 @@ def cmd_darboux(manifest, args, report):
     from .compare import darboux_leading_term
     from .polyvec import mc_check
 
-    _, _, _, tower = _poisson_inputs(manifest, args)
+    tower = dsl.build_poisson(_target_block(manifest, args, "poisson"))
     mc = mc_check(tower)
     if not mc.valid:
         report.check("Maurer-Cartan equations", False, witness=f"fails at i={mc.first_failure}")
@@ -279,8 +237,7 @@ def cmd_ce(manifest, args, report):
     from .gradedmixed import realization, validate_mixed
     from .lieinfty import ce_complex, validate_lie
 
-    block = _target_block(manifest, args, ("lie",))
-    g = dsl.build_lie(block)
+    g = dsl.build_lie(_target_block(manifest, args, "lie"))
     report.check("Lie identities", validate_lie(g).valid)
     cx = ce_complex(g)
     report.check("CE mixed identities", validate_mixed(cx).valid)
@@ -291,8 +248,7 @@ def cmd_ce(manifest, args, report):
 def cmd_lie_from_mixed(manifest, args, report):
     from .lieinfty import lie_from_mixed
 
-    block = _target_block(manifest, args, ("algebra",))
-    alg = dsl.build_algebra(block)
+    alg = dsl.build_algebra(_target_block(manifest, args, "algebra"))
     g = lie_from_mixed(alg)
     report.check("extracted bracket satisfies Jacobi", True)
     table = {}
@@ -309,8 +265,7 @@ def cmd_lie_from_mixed(manifest, args, report):
 def cmd_invariants(manifest, args, report):
     from .lieinfty import invariants
 
-    block = _target_block(manifest, args, ("lie",))
-    g = dsl.build_lie(block)
+    g = dsl.build_lie(_target_block(manifest, args, "lie"))
     kind = {"sym2": "sym2", "wedge3": "wedge3"}[args.kind]
     basis = invariants(g, kind)
     report.table("dimension", {kind: len(basis)})
@@ -320,8 +275,7 @@ def cmd_invariants(manifest, args, report):
 def cmd_z_from_t(manifest, args, report):
     from .lieinfty import killing_form, semi_strict_check, z_from_t
 
-    block = _target_block(manifest, args, ("lie",))
-    g = dsl.build_lie(block)
+    g = dsl.build_lie(_target_block(manifest, args, "lie"))
     t = killing_form(g)
     z = z_from_t(g, t)
     report.check("Z is nonzero", bool(z.coeffs))
@@ -332,20 +286,10 @@ def cmd_z_from_t(manifest, args, report):
     )
 
 
-def _ideal_inputs(manifest, args):
-    block = _target_block(manifest, args, ("ideal",))
-    alg = _algebra_of(manifest, block)
-    gens_expr = block.get(("gens",))
-    if gens_expr is None:
-        raise dsl.UnresolvedReference(f"ideal block {block.name!r} needs gens")
-    items = gens_expr.items if isinstance(gens_expr, dsl.Items) else (gens_expr,)
-    return alg, [dsl.eval_poly(item, alg) for item in items]
-
-
 def cmd_koszul(manifest, args, report):
     from .freecdga import koszul
 
-    alg, fs = _ideal_inputs(manifest, args)
+    alg, fs = dsl.build_ideal(_target_block(manifest, args, "ideal"))
     k = koszul(alg, fs)
     dims = k.homotopy_dims(max_len=args.max_len, min_degree=-3)
     report.table("homotopy dims", dims)
@@ -355,7 +299,7 @@ def cmd_koszul(manifest, args, report):
 def cmd_d_functor(manifest, args, report):
     from .freecdga import d_functor
 
-    alg, fs = _ideal_inputs(manifest, args)
+    alg, fs = dsl.build_ideal(_target_block(manifest, args, "ideal"))
     res = d_functor(alg, fs, wmax=args.max_weight, max_len=args.max_len)
     report.table("weight-0 homology", res.weight0_h0_dims)
     report.table("realization H0 convergence", res.realization_h0_dims)
@@ -371,8 +315,7 @@ def cmd_d_functor(manifest, args, report):
 def cmd_realize(manifest, args, report):
     from .gradedmixed import realization
 
-    block = _target_block(manifest, args, ("complex",))
-    cx = dsl.build_complex(block)
+    cx = dsl.build_complex(_target_block(manifest, args, "complex"))
     total = realization(cx, args.max_weight)
     report.table("homology dims", total.homology_dims())
     report.check("computed", True)
@@ -381,8 +324,7 @@ def cmd_realize(manifest, args, report):
 def cmd_tate(manifest, args, report):
     from .gradedmixed import realization, tate_realization
 
-    block = _target_block(manifest, args, ("complex",))
-    cx = dsl.build_complex(block)
+    cx = dsl.build_complex(_target_block(manifest, args, "complex"))
     base = realization(cx, args.max_weight)
     full, _ = tate_realization(cx, args.stage, args.max_weight)
     report.table("realization homology", base.homology_dims())
@@ -559,9 +501,6 @@ def main(argv=None) -> int:
             manifest = dsl.parse(source)
         report = Report(args.command, source)
         command.handler(manifest, args, report)
-    except (ParseError, dsl.DuplicateName, dsl.UnresolvedReference) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WindowTooSmall as exc:
         print(f"window too small: {exc}", file=sys.stderr)
         return 3
@@ -574,12 +513,15 @@ def main(argv=None) -> int:
     except (Degenerate, NotRegular) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except SpwError as exc:
+    except IdentityViolated as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    except (SpwError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a bug, not a bad input: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     timings = (
         {"total_seconds": round(time.monotonic() - started, 6)} if args.timings else None
     )

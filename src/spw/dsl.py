@@ -4,7 +4,7 @@ Grammar:
 
     manifest :=  block*
     block    :=  kind NAME "{" (stmt)* "}"
-    kind     :=  algebra | lie | poisson | form | ideal | options | complex
+    kind     :=  algebra | lie | poisson | form | ideal | complex
     stmt     :=  key "=" expr ";"
     key      :=  NAME | NAME "[" INT "]" "[" INT "]" | NAME "(" NAME ")"
     expr     :=  sum of products of factors; factors are rationals p/q,
@@ -12,19 +12,29 @@ Grammar:
                  comma lists at top level; line comments start with #.
 
 Every numeric literal is an exact rational.  Parsing is total: either a
-Manifest or a ParseError with line/column and the expected token set.
+Manifest whose every block fits SCHEMA, or a ParseError with line/column
+and the expected token set.  The builders read a block only through the
+values SCHEMA checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction as Rat
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import DuplicateName, ParseError, UnresolvedReference
 
-BLOCK_KINDS = ("algebra", "lie", "poisson", "form", "ideal", "options", "complex")
+# a token, a newline, or blanks and comments (no group)
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<number>\d+)|(?P<name>[^\W\d]\w*)"
+    r"|(?P<punct>[{}()\[\]=;,*+\-^@/])"
+)
+_MAX_DIGITS = 4300  # int() refuses longer decimal strings
 
-_PUNCT = "{}()[]=;,*+-^@/"
+EXPONENT_CAP = 64  # largest k in f^k: x^k is a word of k letters
 
 
 @dataclass
@@ -37,47 +47,21 @@ class Token:
 
 def tokenize(source: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < n and source[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(Token("number", source[start:i], line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("name", source[start:i], line, start_col))
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col, expected=("token",))
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col, expected=("token",))
+        if m.lastgroup == "number" and len(m.group()) > _MAX_DIGITS:
+            raise ParseError("number too long", line, col, expected=(f"at most {_MAX_DIGITS} digits",))
+        if m.lastgroup == "newline":
+            line, line_start = line + 1, m.end()
+        elif m.lastgroup:
+            kind = m.group() if m.lastgroup == "punct" else m.lastgroup
+            tokens.append(Token(kind, m.group(), line, col))
+        pos = m.end()
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -169,7 +153,11 @@ class Block:
     kind: str
     name: str
     entries: list  # of (key tuple, expr AST); key = (base, *qualifiers)
-    line: int = 0
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
+    at: list = field(default_factory=list, repr=False, compare=False)  # (line, col) of each key
+    # SCHEMA shape -> checked value, set by parse
+    values: dict = field(default_factory=dict, repr=False, compare=False)
 
     def get(self, key):
         for k, v in self.entries:
@@ -180,19 +168,13 @@ class Block:
 
 @dataclass
 class Manifest:
-    blocks: list
-    source: str = ""
+    blocks: list  # equal manifests have equal kinds, names and entries
 
     def block(self, name):
         for b in self.blocks:
             if b.name == name:
                 return b
         raise UnresolvedReference(f"no block named {name!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, Manifest) and [
-            (b.kind, b.name, b.entries) for b in self.blocks
-        ] == [(b.kind, b.name, b.entries) for b in other.blocks]
 
 
 class _Parser:
@@ -208,6 +190,10 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, kind):
+        """The next token, consumed, if it has this kind; else None."""
+        return self.advance() if self.peek().kind == kind else None
+
     def expect(self, kind, expected=None):
         tok = self.peek()
         if tok.kind != kind:
@@ -222,14 +208,10 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_rational(self) -> Rat:
-        neg = False
-        if self.peek().kind == "-":
-            self.advance()
-            neg = True
+        neg = self.accept("-")
         num = self.expect("number", "number")
         value = Rat(int(num.text))
-        if self.peek().kind == "/":
-            self.advance()
+        if self.accept("/"):
             den = self.expect("number", "denominator")
             if not int(den.text):
                 raise ParseError(
@@ -242,17 +224,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number" or tok.kind == "-":
             base = Num(self.parse_rational())
-        elif tok.kind == "@":
-            self.advance()
-            name = self.expect("name", "generator name")
-            base = Dual(name.text)
-        elif tok.kind == "name":
-            self.advance()
-            if self.peek().kind == "(":
-                self.advance()
+        elif self.accept("@"):
+            base = Dual(self.expect("name", "generator name").text)
+        elif self.accept("name"):
+            if self.accept("("):
                 args = [self.parse_rational()]
-                while self.peek().kind == ",":
-                    self.advance()
+                while self.accept(","):
                     args.append(self.parse_rational())
                 self.expect(")", "')'")
                 base = Call(tok.text, tuple(args))
@@ -265,16 +242,21 @@ class _Parser:
                 tok.col,
                 expected=("number", "name", "@"),
             )
-        if self.peek().kind == "^":
-            self.advance()
+        if self.accept("^"):
             exp = self.expect("number", "exponent")
+            if int(exp.text) > EXPONENT_CAP:
+                raise ParseError(
+                    f"exponent {exp.text} is above the cap {EXPONENT_CAP}",
+                    exp.line,
+                    exp.col,
+                    expected=(f"an exponent <= {EXPONENT_CAP}",),
+                )
             base = Pow(base, int(exp.text))
         return base
 
     def parse_term(self):
         factors = [self.parse_factor()]
-        while self.peek().kind == "*":
-            self.advance()
+        while self.accept("*"):
             factors.append(self.parse_factor())
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
@@ -287,14 +269,10 @@ class _Parser:
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def parse_expr(self):
-        first = self.parse_sum()
-        if self.peek().kind != ",":
-            return first
-        items = [first]
-        while self.peek().kind == ",":
-            self.advance()
+        items = [self.parse_sum()]
+        while self.accept(","):
             items.append(self.parse_sum())
-        return Items(tuple(items))
+        return items[0] if len(items) == 1 else Items(tuple(items))
 
     # -- statements ----------------------------------------------------------
 
@@ -302,17 +280,14 @@ class _Parser:
         name = self.expect("name", "key")
         key = [name.text]
         if self.peek().kind == "[":
-            while self.peek().kind == "[":
-                self.advance()
-                idx = self.expect("number", "index")
+            while self.accept("["):
+                key.append(int(self.expect("number", "index").text))
                 self.expect("]", "']'")
-                key.append(int(idx.text))
-        elif self.peek().kind == "(":
-            self.advance()
+        elif self.accept("("):
             arg = self.expect("name", "generator name")
             self.expect(")", "')'")
             key.append(arg.text)
-        return tuple(key)
+        return tuple(key), (name.line, name.col)
 
     def parse_block(self):
         kind_tok = self.expect("name", "block kind")
@@ -325,61 +300,271 @@ class _Parser:
             )
         name_tok = self.expect("name", "block name")
         self.expect("{", "'{'")
-        entries = []
+        block = Block(kind_tok.text, name_tok.text, [], kind_tok.line, kind_tok.col)
         while self.peek().kind != "}":
-            key = self.parse_key()
+            key, at = self.parse_key()
             self.expect("=", "'='")
-            expr = self.parse_expr()
+            block.entries.append((key, self.parse_expr()))
+            block.at.append(at)
             self.expect(";", "';'")
-            entries.append((key, expr))
         self.expect("}", "'}'")
-        return Block(kind_tok.text, name_tok.text, entries, kind_tok.line)
+        return block
 
 
 def parse(source: str) -> Manifest:
     tokens = tokenize(source)
     parser = _Parser(tokens)
-    blocks = []
-    seen = set()
+    blocks = {}
     while parser.peek().kind != "eof":
         block = parser.parse_block()
-        if block.name in seen:
+        if block.name in blocks:
             raise DuplicateName(f"duplicate block name {block.name!r}")
-        seen.add(block.name)
-        blocks.append(block)
-    manifest = Manifest(blocks, source)
-    _resolve_references(manifest)
-    return manifest
+        blocks[block.name] = block
+    for block in blocks.values():
+        _check_block(block, blocks)
+    return Manifest(list(blocks.values()))
 
 
-def _resolve_references(manifest: Manifest):
-    names = {b.name for b in manifest.blocks}
-    for block in manifest.blocks:
-        for key, expr in block.entries:
-            if key[0] == "on":
-                if not isinstance(expr, Name) or expr.ident not in names:
-                    raise UnresolvedReference(
-                        f"block {block.name!r} refers to unknown block "
-                        f"{expr.show() if hasattr(expr, 'show') else expr!r}"
-                    )
+def _key_text(key) -> str:
+    """A key as written: gens, p0, d(x), bracket[1][2]."""
+    base, *quals = key
+    if quals and all(isinstance(q, int) for q in quals):
+        return base + "".join(f"[{q}]" for q in quals)
+    return f"{base}({quals[0]})" if quals else base
 
 
 def serialize(manifest: Manifest) -> str:
     out = []
     for block in manifest.blocks:
         out.append(f"{block.kind} {block.name} {{")
-        for key, expr in block.entries:
-            base = key[0]
-            quals = key[1:]
-            if quals and all(isinstance(q, int) for q in quals):
-                key_str = base + "".join(f"[{q}]" for q in quals)
-            elif quals:
-                key_str = f"{base}({quals[0]})"
-            else:
-                key_str = base
-            out.append(f"  {key_str} = {expr.show()};")
+        out += [f"  {_key_text(key)} = {expr.show()};" for key, expr in block.entries]
         out.append("}")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the manifest schema
+# ---------------------------------------------------------------------------
+
+class _Fault(Exception):
+    """A value that does not fit its key; parse reports it at the key."""
+
+
+def _items(expr):
+    return expr.items if isinstance(expr, Items) else (expr,)
+
+
+def _integer(expr, key, values, blocks, least=None):
+    value = expr.value if isinstance(expr, Num) else None
+    if value is None or value.denominator != 1 or least is not None and value < least:
+        what = "an integer" if least is None else "a positive integer"
+        raise _Fault(f"needs {_key_text(key)} {what}, got {expr.show()}")
+    return int(value)
+
+
+def _calls(expr, key, values, blocks, arities, form):
+    """[(name, *integer arguments)] of a list of calls such as x(0), y(1, 2)."""
+    out = []
+    for item in _items(expr):
+        if not isinstance(item, Call) or len(item.args) not in arities:
+            raise _Fault(f"{form}, got {item.show()}")
+        if any(a.denominator != 1 for a in item.args):
+            raise _Fault(f"{item.show()} needs an integer degree and weight")
+        out.append((item.ident, *map(int, item.args)))
+    return out
+
+
+def _cells(expr, key, values, blocks):
+    """{(weight, degree): [labels]} of a basis with distinct labels."""
+    cells, labels = {}, set()
+    form = "basis entries are name(weight, degree)"
+    for label, *bidegree in _calls(expr, key, values, blocks, (2,), form):
+        if label in labels:
+            raise _Fault(f"duplicate basis label {label!r}")
+        labels.add(label)
+        cells.setdefault(tuple(bidegree), []).append(label)
+    return cells
+
+
+def _base(expr, key, values, blocks):
+    gens = {g[0] for g in values["gens"]}
+    for item in _items(expr):
+        if not (isinstance(item, Name) and item.ident in gens):
+            raise _Fault(f"base {item.show()} names no generator")
+    return [item.ident for item in _items(expr)]
+
+
+def _polynomial(expr, key, values, blocks):
+    """The expression itself: its names resolve when a builder evaluates it."""
+    parts = [expr]
+    while parts:
+        e = parts.pop()
+        if isinstance(e, (Add, Mul)):
+            parts += e.terms if isinstance(e, Add) else e.factors
+        elif isinstance(e, (Neg, Pow)):
+            parts.append(e.arg if isinstance(e, Neg) else e.base)
+        elif not isinstance(e, (Num, Name, Dual)):
+            raise _Fault(f"needs {_key_text(key)} a polynomial, got {e.show()}")
+    return expr
+
+
+def _polynomials(expr, key, values, blocks):
+    return [_polynomial(item, key, values, blocks) for item in _items(expr)]
+
+
+def _algebra_block(expr, key, values, blocks):
+    if not isinstance(expr, Name):
+        raise _Fault(f"needs on a block name, got {expr.show()}")
+    if expr.ident not in blocks:
+        raise UnresolvedReference(f"refers to unknown block {expr.ident!r}")
+    target = blocks[expr.ident]
+    if target.kind != "algebra":
+        raise _Fault(f"on = {target.name} names a {target.kind} block, not an algebra")
+    return target
+
+
+def _on_generator(expr, key, values, blocks):
+    if key[1] not in {g[0] for g in values["gens"]}:
+        raise _Fault(f"{_key_text(key)} names no generator")
+    return _polynomial(expr, key, values, blocks)
+
+
+def _combination(expr, labels, what):
+    """[(coeff, label)] of a sum of rational multiples of labels."""
+    out = []
+    for term in expr.terms if isinstance(expr, Add) else (expr,):
+        coeff, names = Rat(1), []
+        if isinstance(term, Neg):
+            coeff, term = Rat(-1), term.arg
+        for f in term.factors if isinstance(term, Mul) else (term,):
+            if isinstance(f, Num):
+                coeff *= f.value
+            elif isinstance(f, Name) and f.ident in labels:
+                names.append(f.ident)
+            else:
+                raise _Fault(f"{what}, got {expr.show()}")
+        if len(names) == 1:
+            out.append((coeff, names[0]))
+        elif names or coeff:
+            raise _Fault(f"{what}, got {expr.show()}")
+    return out
+
+
+def _bracket(expr, key, values, blocks):
+    """{k: coeff} of [e_i, e_j] for i < j."""
+    dim, (i, j) = values["dim"], key[1:]
+    if i == j or not (1 <= i <= dim and 1 <= j <= dim):
+        raise _Fault(f"bracket indices must be [i][j] with i != j and 1 <= i, j <= {dim}")
+    comps = {}
+    labels = {f"e{k + 1}": k for k in range(dim)}
+    for coeff, label in _combination(expr, labels, f"bracket values are combinations of e1..e{dim}"):
+        k = labels[label]
+        comps[k] = comps.get(k, Rat(0)) + (coeff if i < j else -coeff)
+    return comps
+
+
+def _on_cell(expr, key, values, blocks):
+    labels = {label for labels in values["basis"].values() for label in labels}
+    if key[1] not in labels:
+        raise _Fault(f"{_key_text(key)} names no basis label")
+    return _combination(expr, labels, f"{key[0]} values are combinations of basis labels")
+
+
+class Key(NamedTuple):
+    check: Callable  # (expr, key, values of the keys above, blocks) -> what builders read
+    required: bool = False
+    default: object = None  # of a plain key; a pattern key defaults to {}
+    first: int = 0  # of a p<i> key, written as the run p<first>, p<first+1>, .. with no gap
+
+
+# block kind -> key shape -> Key.  Shapes: a plain name (gens), a name with
+# an index suffix (p<i>: p0, p1, ..; w02 is w2), a name with a name
+# argument (d(<x>)), and two indices (bracket[i][j]; bracket[2][1] is
+# bracket[1][2]).  Keys are checked in this order, so a check may read the
+# values of the keys above it.
+SCHEMA = {
+    "algebra": {
+        "gens": Key(
+            partial(_calls, arities=(1, 2), form="generator spec must be name(degree[, weight])"),
+            default=(),
+        ),
+        "base": Key(_base, default=()),
+        "d(<x>)": Key(_on_generator),
+        "eps(<x>)": Key(_on_generator),
+    },
+    "lie": {"dim": Key(partial(_integer, least=1), required=True), "bracket[i][j]": Key(_bracket)},
+    "poisson": {
+        "on": Key(_algebra_block, required=True),
+        "shift": Key(_integer, default=0),
+        "p<i>": Key(_polynomial, required=True),
+    },
+    "form": {
+        "on": Key(_algebra_block, required=True),
+        "degree": Key(_integer, default=0),
+        "w<i>": Key(_polynomial, first=2),
+    },
+    "ideal": {"on": Key(_algebra_block, required=True), "gens": Key(_polynomials, required=True)},
+    "complex": {
+        "basis": Key(_cells, required=True),
+        "d(<x>)": Key(_on_cell),
+        "eps(<x>)": Key(_on_cell),
+    },
+}
+BLOCK_KINDS = tuple(SCHEMA)
+
+
+def _shape(key):
+    """(shape, argument) of a key: (gens, None), (p<i>, 1) for p01,
+    (d(<x>), x), and (bracket[i][j], (1, 2)) for bracket[2][1]."""
+    base, *quals = key
+    stem = base.rstrip("0123456789")
+    if not quals:
+        return (f"{stem}<i>", int(base[len(stem):])) if stem != base else (base, None)
+    if len(quals) == 1 and isinstance(quals[0], str):
+        return f"{base}(<x>)", quals[0]
+    if len(quals) == 2 and all(isinstance(q, int) for q in quals):
+        return f"{base}[i][j]", tuple(sorted(quals))
+    return _key_text(key), None
+
+
+def _check_block(block, blocks):
+    """Check `block` against SCHEMA and set `block.values`: the value of
+    each plain shape, and {argument: value} of each pattern shape."""
+    spec = SCHEMA[block.kind]
+    found = {shape: {} for shape in spec}  # shape -> {argument: (key, expr, at)}
+    faults = []  # unknown and repeated keys, reported after a missing key
+    for (key, expr), at in zip(block.entries, block.at):
+        shape, arg = _shape(key)
+        if shape in spec and arg not in found[shape]:
+            found[shape][arg] = (key, expr, at)
+        else:
+            what = "duplicate" if shape in spec else "unknown"
+            message = f"{what} key {_key_text(key)} in {block.kind} block {block.name!r}"
+            faults.append(ParseError(message, *at, expected=tuple(spec)))
+    for shape, rule in spec.items():
+        if rule.required and not found[shape]:
+            missing = shape.replace("<i>", str(rule.first))
+            message = f"{block.kind} block {block.name!r} needs {missing}"
+            raise ParseError(message, block.line, block.col)
+    if faults:
+        raise faults[0]
+    for shape, rule in spec.items():
+        args = found[shape]
+        checked = {}
+        for arg, (key, expr, at) in args.items():
+            try:
+                # a tower p<first>, p<first+1>, .. has no gap
+                if isinstance(arg, int) and (
+                    arg < rule.first or arg > rule.first and arg - 1 not in args
+                ):
+                    earlier = shape.replace("<i>", str(max(arg - 1, rule.first)))
+                    raise _Fault(f"{_key_text(key)} needs {earlier} before it")
+                checked[arg] = rule.check(expr, key, block.values, blocks)
+            except _Fault as exc:
+                raise ParseError(str(exc), *at) from None
+            except UnresolvedReference as exc:
+                raise UnresolvedReference(f"{at[0]}:{at[1]}: block {block.name!r} {exc}") from None
+        block.values[shape] = checked.get(None, rule.default) if shape.isidentifier() else checked
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +572,7 @@ def serialize(manifest: Manifest) -> str:
 # ---------------------------------------------------------------------------
 
 
-def eval_scalar(expr) -> Rat:
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Neg):
-        return -eval_scalar(expr.arg)
-    raise UnresolvedReference(f"expected a rational, got {expr.show()}")
-
-
-def eval_poly(expr, algebra, dual_prefix="@"):
+def eval_poly(expr, algebra):
     """Evaluate an expression AST inside a FreeCDGA.
 
     Names resolve to generators; `dx` style names resolve to the de Rham
@@ -403,16 +580,11 @@ def eval_poly(expr, algebra, dual_prefix="@"):
     """
     if isinstance(expr, Num):
         return algebra.scalar(expr.value)
-    if isinstance(expr, Name):
-        ident = expr.ident
-        if ident in algebra.index:
-            return algebra.gen(ident)
-        raise UnresolvedReference(f"unknown generator {ident!r}")
-    if isinstance(expr, Dual):
-        dual = "@" + expr.ident
-        if dual in algebra.index:
-            return algebra.gen(dual)
-        raise UnresolvedReference(f"unknown dual generator {dual!r}")
+    if isinstance(expr, (Name, Dual)):
+        if expr.show() in algebra.index:
+            return algebra.gen(expr.show())
+        what = "dual generator" if isinstance(expr, Dual) else "generator"
+        raise UnresolvedReference(f"unknown {what} {expr.show()!r}")
     if isinstance(expr, Pow):
         return eval_poly(expr.base, algebra) ** expr.exponent
     if isinstance(expr, Neg):
@@ -434,41 +606,10 @@ def build_algebra(block: Block):
     """algebra B { gens = x(0), xi(-1, 0); d(xi) = x^2; eps(x) = dx; }"""
     from .freecdga import FreeCDGA, Generator
 
-    gens_expr = block.get(("gens",))
-    gens = []
-    if gens_expr is not None:
-        items = gens_expr.items if isinstance(gens_expr, Items) else (gens_expr,)
-        for item in items:
-            if not isinstance(item, Call):
-                raise UnresolvedReference(
-                    f"generator spec must be name(degree[, weight]), got {item.show()}"
-                )
-            if any(a.denominator != 1 for a in item.args):
-                raise UnresolvedReference(
-                    f"generator {item.show()} needs an integer degree and weight"
-                )
-            degree = int(item.args[0])
-            weight = int(item.args[1]) if len(item.args) > 1 else 0
-            gens.append(Generator(item.ident, degree, weight))
-    base_expr = block.get(("base",))
-    base_names = []
-    if base_expr is not None:
-        items = base_expr.items if isinstance(base_expr, Items) else (base_expr,)
-        gen_names = {g.name for g in gens}
-        for item in items:
-            if not (isinstance(item, Name) and item.ident in gen_names):
-                raise UnresolvedReference(f"base {item.show()} names no generator")
-            base_names.append(item.ident)
-    alg = FreeCDGA(gens, base_names=base_names)
-    d_vals = {}
-    eps_vals = {}
-    for key, expr in block.entries:
-        if key[0] in ("d", "eps") and len(key) == 2:
-            if key[1] not in alg.index:
-                raise UnresolvedReference(f"{key[0]}({key[1]}) names no generator")
-            (d_vals if key[0] == "d" else eps_vals)[key[1]] = eval_poly(expr, alg)
-    alg.set_differential(d_vals)
-    alg.set_mixed(eps_vals)
+    v = block.values
+    alg = FreeCDGA([Generator(*g) for g in v["gens"]], base_names=v["base"])
+    alg.set_differential({x: eval_poly(e, alg) for x, e in v["d(<x>)"].items()})
+    alg.set_mixed({x: eval_poly(e, alg) for x, e in v["eps(<x>)"].items()})
     return alg
 
 
@@ -476,93 +617,46 @@ def build_lie(block: Block):
     """lie g { dim = 3; bracket[1][2] = 2*e2; } with basis symbols e1..eN."""
     from .lieinfty import LieAlgebra
 
-    dim_expr = block.get(("dim",))
-    if dim_expr is None:
-        raise UnresolvedReference(f"lie block {block.name!r} needs dim")
-    dim = eval_scalar(dim_expr)
-    if dim.denominator != 1 or dim < 1:
-        raise UnresolvedReference(
-            f"lie block {block.name!r} needs dim a positive integer, got {dim}"
-        )
-    dim = int(dim)
-    brackets = {}
-    for key, expr in block.entries:
-        if key[0] != "bracket":
-            continue
-        if len(key) != 3 or not all(1 <= q <= dim for q in key[1:]):
-            raise UnresolvedReference(f"bracket indices must be [i][j] with 1 <= i, j <= {dim}")
-        i, j = key[1] - 1, key[2] - 1
-        comps = {}
-        terms = expr.terms if isinstance(expr, Add) else (expr,)
-        for term in terms:
-            sign = Rat(1)
-            if isinstance(term, Neg):
-                sign = Rat(-1)
-                term = term.arg
-            coeff = Rat(1)
-            names = []
-            factors = term.factors if isinstance(term, Mul) else (term,)
-            for f in factors:
-                if isinstance(f, Num):
-                    coeff *= f.value
-                elif isinstance(f, Name):
-                    names.append(f.ident)
-                else:
-                    raise UnresolvedReference(f"bad bracket term {f.show()}")
-            k = names[0][1:] if len(names) == 1 and names[0].startswith("e") else ""
-            if not (k.isdigit() and 1 <= int(k) <= dim):
-                raise UnresolvedReference(f"bracket values are combinations of e1..e{dim}")
-            k = int(k) - 1
-            comps[k] = comps.get(k, Rat(0)) + sign * coeff
-        brackets[i, j] = comps
-    return LieAlgebra.from_brackets(dim, brackets)
+    brackets = block.values["bracket[i][j]"]
+    return LieAlgebra.from_brackets(
+        block.values["dim"], {(i - 1, j - 1): comps for (i, j), comps in brackets.items()}
+    )
 
 
 def build_complex(block: Block):
     """complex E { basis = a(0, 0), b(1, 1); d(a) = ...; eps(a) = b; }"""
     from .gradedmixed import BiGradedModule, GradedMixedComplex
 
-    basis_expr = block.get(("basis",))
-    if basis_expr is None:
-        raise UnresolvedReference(f"complex block {block.name!r} needs basis")
-    items = basis_expr.items if isinstance(basis_expr, Items) else (basis_expr,)
-    basis = {}
-    for item in items:
-        if not isinstance(item, Call) or len(item.args) != 2:
-            raise UnresolvedReference("basis entries are name(weight, degree)")
-        basis.setdefault((int(item.args[0]), int(item.args[1])), []).append(item.ident)
-    module = BiGradedModule(basis)
+    v = block.values
+    return GradedMixedComplex.from_maps(BiGradedModule(v["basis"]), v["d(<x>)"], v["eps(<x>)"])
 
-    def linear_map(expr):
-        terms = expr.terms if isinstance(expr, Add) else (expr,)
-        out = []
-        for term in terms:
-            sign = Rat(1)
-            if isinstance(term, Neg):
-                sign = Rat(-1)
-                term = term.arg
-            coeff = Rat(1)
-            name = None
-            for f in term.factors if isinstance(term, Mul) else (term,):
-                if isinstance(f, Num):
-                    coeff *= f.value
-                elif isinstance(f, Name):
-                    name = f.ident
-            if name is None:
-                if coeff == 0:
-                    continue
-                raise UnresolvedReference("complex maps need a target basis label")
-            out.append((sign * coeff, name))
-        return out
 
-    d_map = {}
-    eps_map = {}
-    for key, expr in block.entries:
-        if key[0] == "d" and len(key) == 2:
-            d_map[key[1]] = linear_map(expr)
-        elif key[0] == "eps" and len(key) == 2:
-            eps_map[key[1]] = linear_map(expr)
-    return GradedMixedComplex.from_maps(module, d_map, eps_map)
+def build_poisson(block: Block):
+    """poisson P { on = B; shift = n; p0 = ..; p1 = ..; }: the Maurer-Cartan
+    tower in Pol(B, n+1), whose `pol.base` is B."""
+    from .polyvec import MaurerCartanTower, PolyvectorAlgebra
+
+    v = block.values
+    pol = PolyvectorAlgebra(build_algebra(v["on"]), v["shift"] + 1)
+    tower = [eval_poly(e, pol.algebra) for _, e in sorted(v["p<i>"].items())]
+    return MaurerCartanTower(pol, v["shift"], tower)
+
+
+def build_form(block: Block):
+    """form F { on = B; degree = n; w2 = ..; }: the closed 2-form tower in
+    DR(B), whose `de_rham.base` is B."""
+    from .freecdga import ClosedFormTower, de_rham
+
+    v = block.values
+    dr = de_rham(build_algebra(v["on"]))
+    comps = {w: eval_poly(e, dr.algebra) for w, e in v["w<i>"].items()}
+    return ClosedFormTower(dr, 2, v["degree"], comps)
+
+
+def build_ideal(block: Block):
+    """(algebra B, generators) of ideal I { on = B; gens = f1, f2; }"""
+    alg = build_algebra(block.values["on"])
+    return alg, [eval_poly(e, alg) for e in block.values["gens"]]
 
 
 def complex_to_dsl(cx, name: str) -> str:

@@ -736,18 +736,19 @@ def closed_form_classes(
     dim = 0
     for top in range(p, wmax + 1):
         total = weight_window_total_complex(cx, p, top)
+        if top < wmax:  # the towers are read off the top stage only
+            stage_dims[top] = total.homology_dim(deg)
+            continue
         h = total.homology(deg)
-        stage_dims[top] = h.dimension
-        if top == wmax:
-            dim = h.dimension
-            labels = total.basis.get(deg, [])
-            for v in h.representatives:
-                comps = {}
-                for coeff, (w, lab) in zip(v, labels):
-                    if coeff:
-                        e = comps.get(w, dr.algebra.zero())
-                        comps[w] = e + Elem(dr.algebra, {mono_of[lab]: coeff})
-                reps.append(ClosedFormTower(dr, p, n, comps))
+        stage_dims[top] = dim = h.dimension
+        labels = total.basis.get(deg, [])
+        for v in h.representatives:
+            comps = {}
+            for coeff, (w, lab) in zip(v, labels):
+                if coeff:
+                    e = comps.get(w, dr.algebra.zero())
+                    comps[w] = e + Elem(dr.algebra, {mono_of[lab]: coeff})
+            reps.append(ClosedFormTower(dr, p, n, comps))
     fiber_dims = {}
     for m in range(p, wmax):
         # fiber of stage m+1 -> stage m: H^{n+p} of the weight-(m+1) column
@@ -924,11 +925,7 @@ def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:
     """
     if not ideal_gens:
         dr = de_rham(b)
-        h0 = {
-            w: total_complex_window(dr.algebra, Window(0, w, -2, 2, max_len)).homology_dim(0)
-            for w in range(0, wmax + 1)
-        }
-        return DFunctorResult(None, dr, {0: 1}, h0)
+        return DFunctorResult(None, dr, {0: 1}, _h0_by_weight(dr, wmax, max_len))
     k = koszul(b, ideal_gens)
     probe = k.homotopy_dims(max_len=max_len, min_degree=-3)
     if any(v for i, v in probe.items() if i >= 1):
@@ -942,8 +939,12 @@ def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:
     w0 = total_complex_window(dr.algebra, Window(0, 0, -3, 1, max_len))
     for m in range(-2, 1):
         weight0[m] = w0.homology_dim(m)
-    h0 = {}
-    for w in range(0, wmax + 1):
-        total = total_complex_window(dr.algebra, Window(0, w, -2, 2, max_len))
-        h0[w] = total.homology_dim(0)
-    return DFunctorResult(k, dr, weight0, h0)
+    return DFunctorResult(k, dr, weight0, _h0_by_weight(dr, wmax, max_len))
+
+
+def _h0_by_weight(dr, wmax, max_len):
+    """{w: dim H^0 of the total complex in weights 0..w} for w = 0..wmax,
+    from one window: d and eps never lower weight, so the words of weight
+    <= w of the weight-wmax window are the weight-w window."""
+    cx, _ = graded_mixed_window(dr.algebra, Window(0, wmax, -2, 2, max_len))
+    return {w: weight_window_total_complex(cx, 0, w).homology_dim(0) for w in range(wmax + 1)}

@@ -7,8 +7,10 @@ separate de Rham/Kaehler builders kept only as oracles for
 `freecdga.apply_derivation`, `lieinfty.weak_mixed_from_derivations` and
 `freecdga.de_rham`/`kaehler`, the separate P_n and BD_1 operations,
 `pn_compose` and Arnold certificate rows kept only as oracles for the one
-linear-combination layer of `operads`, and the window-per-stage closed-form
-computation kept only as an oracle for `freecdga.closed_form_classes`."""
+linear-combination layer of `operads`, the window-per-stage closed-form
+computation kept only as an oracle for `freecdga.closed_form_classes`, and
+the window-per-weight H^0 sequence kept only as an oracle for
+`freecdga.d_functor`."""
 
 import random
 from fractions import Fraction as F
@@ -23,6 +25,7 @@ from spw.freecdga import (
     _mono_bidegree,
     de_rham,
     graded_mixed_window,
+    total_complex_window,
     window_basis,
 )
 from spw.gradedmixed import (
@@ -827,3 +830,12 @@ def oracle_closed_form_classes(b, p, n, wmax, max_len):
         cx, _ = graded_mixed_window(dr.algebra, window)
         fiber_dims[m] = weight_window_total_complex(cx, m + 1, m + 1).homology_dim(deg)
     return dim, stage_dims, fiber_dims, reps
+
+
+def oracle_h0_by_weight(dr, wmax, max_len):
+    """The d-functor's realization H^0 sequence with a fresh window of
+    weights 0..w for each w."""
+    return {
+        w: total_complex_window(dr.algebra, Window(0, w, -2, 2, max_len)).homology_dim(0)
+        for w in range(0, wmax + 1)
+    }

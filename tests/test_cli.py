@@ -5,6 +5,7 @@ import pytest
 
 from spw import cli
 from spw.cli import main
+from spw.errors import IdentityViolated
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "examples_dsl")
 
@@ -214,6 +215,10 @@ def test_derived_commands_on_an_invalid_cdga(tmp_path, capsys, source):
         assert err.startswith("error: d(x) has the term x outside bidegree (0, 1)")
 
 
+PLANE = "algebra B { gens = x(0), y(0); }\n"
+LINE = "algebra B { gens = x(0), xi(1); }\n"
+
+
 def run_exit(capsys, *argv):
     """Exit code and stderr whether main returns or argparse exits."""
     try:
@@ -281,6 +286,80 @@ def run_exit(capsys, *argv):
             "discrete polynomial ring", id="d-functor-graded-base",
         ),
         pytest.param(
+            "check-cdga", "algebra B { gens = x(1, 2, 3); }", {}, "must be name(degree[, weight])",
+            id="generator-three-arguments",
+        ),
+        pytest.param("check-cdga", "algebra B { gens = x(0); foo = 3; }", {}, "unknown key foo", id="unknown-key"),
+        pytest.param(
+            "check-cdga", "algebra B { gensgens = x(0); }", {}, "unknown key gensgens", id="misspelt-gens",
+        ),
+        pytest.param(
+            "check-cdga", "algebra B {\n  gens = x(0);\n  gens = y(0);\n}", {}, "3:3: duplicate key gens",
+            id="second-gens",
+        ),
+        pytest.param(
+            "check-poisson", PLANE + "poisson P { on = B; shift = 1/2; p0 = @x*@y; }", {},
+            "needs shift an integer", id="shift-fraction",
+        ),
+        pytest.param(
+            "strictify", LINE + "form F { on = B; degree = 1/2; w2 = dx*dxi; }", {},
+            "needs degree an integer", id="form-degree-fraction",
+        ),
+        pytest.param(
+            "strictify", LINE + "form F { on = B; w1 = dx; }", {}, "w1 needs w2 before it", id="form-weight-one",
+        ),
+        pytest.param(
+            "strictify", LINE + "form F { on = B; wx = dx*dxi; }", {}, "unknown key wx", id="form-weight-name",
+        ),
+        pytest.param(
+            "strictify", LINE + "form F { on = B; w2 = dx*dxi; w02 = dx*dxi; }", {}, "duplicate key w02",
+            id="form-weight-twice",
+        ),
+        pytest.param(
+            "check-poisson", PLANE + "poisson P {\n  on = B;\n  p0 = @x*@y;\n  p2 = 0;\n}", {},
+            "5:3: p2 needs p1 before it", id="tower-gap",
+        ),
+        pytest.param(
+            "realize", "complex E { basis = a(1/2, 0); }", {}, "a(1/2, 0) needs an integer degree and weight",
+            id="cell-weight-fraction",
+        ),
+        pytest.param(
+            "realize", "complex E { basis = a(0, 0), b(0, 1); d(zz) = b; }", {}, "d(zz) names no basis label",
+            id="complex-undeclared-source",
+        ),
+        pytest.param(
+            "realize", "complex E { basis = a(0, 0), b(0, 1), c(0, 1); d(a) = 2*b*c; }", {},
+            "combinations of basis labels", id="complex-product-term",
+        ),
+        pytest.param(
+            "realize", "complex E { basis = a(0, 0), a(0, 1); }", {}, "duplicate basis label 'a'",
+            id="complex-duplicate-label",
+        ),
+        pytest.param(
+            "check-poisson", "lie g { dim = 1; }\npoisson P { on = g; p0 = 0; }", {},
+            "2:13: on = g names a lie block", id="on-wrong-kind",
+        ),
+        pytest.param(
+            "check-cdga", "algebra B { gens = x(0); d[1][2] = x; }", {}, "unknown key d[1][2]",
+            id="algebra-indexed-d",
+        ),
+        pytest.param(
+            "ce", "lie g { dim = 2; bracket[1][2] = e1; bracket[2][1] = -1*e1; }", {},
+            "duplicate key bracket[2][1]", id="bracket-both-orders",
+        ),
+        pytest.param(
+            "check-poisson", PLANE + "poisson P { on = B; p0 = x^100000*@x*@y; }", {},
+            "exponent 100000 is above the cap 64", id="exponent-above-cap",
+        ),
+        pytest.param(
+            "check-cdga", "options O { window = 1; }", {}, "unknown block kind 'options'", id="options-block",
+        ),
+        pytest.param(
+            "check-cdga", "algebra B { gens = x(0); d(x) = " + "1" * 5000 + "; }", {}, "1:33: number too long",
+            id="digits-above-int-limit",
+        ),
+        pytest.param("check-cdga", "algebra B { gens = x(0\u00b2); }", {}, "expected ')'", id="superscript-digit"),
+        pytest.param(
             "check-cdga", "algebra B { gens = x(0); }", {"SPW_MAX_WEIGHT": "six"}, "invalid int value",
             id="env-max-weight",
         ),
@@ -325,3 +404,29 @@ def test_max_weight_is_read_from_the_environment_on_each_call(capsys, monkeypatc
         assert code == 0
         stages.append(sorted(json.loads(out)["tables"]["hodge stages"]))
     assert stages == [["2", "3"], ["2", "3", "4"]]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (RuntimeError("boom"), "internal error: RuntimeError: boom\n"),
+        (IdentityViolated("d^2 != 0 by construction"), "internal error: IdentityViolated: d^2 != 0 by construction\n"),
+    ],
+    ids=("runtime-error", "identity-violated"),
+)
+def test_an_internal_fault_exits_four_without_a_traceback(capsys, monkeypatch, fault, message):
+    def handler(manifest, args, report):
+        raise fault
+
+    monkeypatch.setitem(cli.COMMANDS, "operad", cli.COMMANDS["operad"]._replace(handler=handler))
+    code, out, err = run(capsys, "operad", "pn")
+    assert (code, out, err) == (4, "", message)
+
+
+def test_an_interrupt_is_not_an_internal_fault(monkeypatch):
+    def handler(manifest, args, report):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.COMMANDS, "operad", cli.COMMANDS["operad"]._replace(handler=handler))
+    with pytest.raises(KeyboardInterrupt):
+        main(["operad", "pn"])

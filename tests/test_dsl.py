@@ -113,17 +113,17 @@ def test_build_complex_cell_model():
 
 
 def test_items_lists_parse():
-    m = parse("options O { window = 1, 2, 3; }")
-    expr = m.block("O").get(("window",))
+    m = parse("algebra B { gens = x(0); } ideal I { on = B; gens = x, x^2, 2*x; }")
+    expr = m.block("I").get(("gens",))
     assert isinstance(expr, Items) and len(expr.items) == 3
 
 
 def test_numeric_literals_are_exact():
-    m = parse("options O { ratio = 1/3; }")
-    from spw.dsl import eval_scalar
+    m = parse("algebra B { gens = x(0); } poisson P { on = B; p0 = 1/3; }")
+    from spw.dsl import Num
     from fractions import Fraction
 
-    assert eval_scalar(m.block("O").get(("ratio",))) == Fraction(1, 3)
+    assert m.block("P").get(("p0",)) == Num(Fraction(1, 3))
 
 
 def test_complex_serialization_round_trip_exact():

@@ -8,6 +8,7 @@ from helpers import (
     oracle_closed_form_classes,
     oracle_de_rham,
     oracle_graded_mixed_window,
+    oracle_h0_by_weight,
     oracle_kaehler,
     oracle_weight_window_total_complex,
     random_valid_cdga,
@@ -292,6 +293,50 @@ def test_d_functor_line_origin():
     dr_alg = res.de_rham.algebra
     i = dr_alg.index["dX1"]
     assert dr_alg.generators[i].degree == 0 and dr_alg.generators[i].weight == 1
+
+
+def _random_ideal(rng, b):
+    """Up to two non-unit polynomials in the degree-0 generators of b."""
+    names = [g.name for g in b.generators]
+    fs = []
+    for _ in range(rng.randint(0, 2)):
+        f = b.zero()
+        for _ in range(rng.randint(1, 2)):
+            f = f + b.monomial(rng.choices(names, k=rng.randint(1, 2)), rng.choice((1, -1, 2)))
+        fs.append(f)
+    return fs
+
+
+def test_d_functor_h0_matches_a_window_per_weight():
+    rng = random.Random(29)
+    compared = 0
+    for _ in range(40):
+        b = FreeCDGA([(f"x{i}", 0) for i in range(rng.randint(1, 2))])
+        fs = _random_ideal(rng, b)
+        wmax, max_len = rng.randint(0, 3), rng.randint(2, 4)
+        try:
+            res = d_functor(b, fs, wmax=wmax, max_len=max_len)
+        except NotRegular:
+            continue
+        assert res.realization_h0_dims == oracle_h0_by_weight(res.de_rham, wmax, max_len)
+        compared += 1
+    assert compared >= 20
+
+
+def test_d_functor_runs_three_closures(monkeypatch):
+    # the Koszul probe, the weight-0 window and one window for the H^0
+    # sequence; a window per weight ran wmax + 3 = 9 at the default wmax
+    closures = []
+    closure = freecdga._closure
+
+    def counting(alg, window):
+        closures.append(window)
+        return closure(alg, window)
+
+    monkeypatch.setattr(freecdga, "_closure", counting)
+    b = poly_line()
+    d_functor(b, [b.gen("x")], wmax=6, max_len=6)
+    assert len(closures) == 3
 
 
 def test_d_functor_rejects_non_regular():
