@@ -384,7 +384,7 @@ def cmd_operad(manifest, args, report):
         b = FreeCDGA([Generator(f"xi{i+1}", 1) for i in range(2)])
         # a bracket of degree -n on degree-1 generators has
         # {a, b} = (-1)^n {b, a}, so the pairing must too
-        t = {(0, 1): Rat(1), (1, 0): Rat(-1 if args.n % 2 else 1)}
+        t = {(0, 1): 1, (1, 0): -1 if args.n % 2 else 1}
         wm = operads.weyl_structure_map(b, t, (1, 2), n=args.n)
         out0 = wm.structure_map([b.gen("xi1"), b.gen("xi2")])
         report.check("degree-0 part is multiplication", out0[()] == b.gen("xi1") * b.gen("xi2"))

@@ -73,7 +73,7 @@ def _reconstruct_two_tensor(alg: FreeCDGA, symbols, mat: SparseMatrix) -> Elem:
             t = probe.entry(i, j)
             if t == 0:
                 continue
-            out = out + mono_elem.scale(mat.entry(i, j) / t)
+            out = out + mono_elem.scale(Rat(mat.entry(i, j)) / t)
     check = _second_partials(alg, symbols, out)
     if check != mat:
         raise Degenerate("matrix is not graded-symmetric for these symbols")
@@ -84,7 +84,7 @@ def _invert(mat: SparseMatrix) -> SparseMatrix:
     n = mat.rows
     cols = []
     for e in range(n):
-        rhs = [Rat(1) if t == e else Rat(0) for t in range(n)]
+        rhs = [1 if t == e else 0 for t in range(n)]
         sol = maybe_solve(mat, rhs)
         if sol is None:
             raise Degenerate("pairing matrix is singular")
@@ -182,7 +182,7 @@ def phi_pi(base: FreeCDGA, pi: Elem, n: int, window: Window = None) -> PhiPiResu
         ent = []
         targets = {}
         for j, mono in enumerate(monos):
-            phi_x = result.apply(Elem(dr.algebra, {mono: Rat(1)}))
+            phi_x = result.apply(Elem(dr.algebra, {mono: 1}))
             dx, ex = dr_images[mono]
             if result.apply(dx) != pol.d(phi_x) or result.apply(ex) != pol.bracket(pi, phi_x):
                 chain_ok = False
@@ -276,7 +276,7 @@ def strictify_closed_two_form(
         """d (k = 0) or eps (k = 1) of e, from the closure's images where it has them."""
         out = alg.zero()
         for m, c in e.terms.items():
-            img = images[m][k] if m in images else (alg.d, alg.eps)[k](Elem(alg, {m: Rat(1)}))
+            img = images[m][k] if m in images else (alg.d, alg.eps)[k](Elem(alg, {m: 1}))
             out = out + img.scale(c)
         return out
 
@@ -307,7 +307,7 @@ def strictify_closed_two_form(
     for mm in omega.terms:
         targets.setdefault(mm, len(targets))
     n_main = len(targets)
-    rhs = [Rat(0)] * (n_main + len(side_targets))
+    rhs = [0] * (n_main + len(side_targets))
     for mm, c in omega.terms.items():
         rhs[targets[mm]] = c
     mat = SparseMatrix(

@@ -217,7 +217,7 @@ class _Parser:
                 raise ParseError(
                     "zero denominator", den.line, den.col, expected=("nonzero denominator",)
                 )
-            value = value / int(den.text)
+            value = Rat(int(num.text), int(den.text))
         return -value if neg else value
 
     def parse_factor(self):

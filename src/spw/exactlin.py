@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over the rationals and over Q[hbar].
 
-Everything is Fraction arithmetic; no floats anywhere.  One sparse,
-fraction-free elimination serves rank, pivot columns, kernels, solving
-and homology: rows are kept as primitive integer dicts, pivot columns
-are taken left to right, and the pivot row is the sparsest row with a
-nonzero in the current column (Markowitz), ties going to the smaller
-|pivot|.  Matrices are immutable and cache the forward echelon form, and
-the reduced echelon form once a kernel is asked for.
+Coefficients are `int` while integral and `Fraction` otherwise; never
+`float`.  One sparse, fraction-free elimination serves rank, pivot
+columns, kernels, solving and homology: rows are kept as primitive
+integer dicts, pivot columns are taken left to right, and the pivot row
+is the sparsest row with a nonzero in the current column (Markowitz),
+ties going to the smaller |pivot|.  Matrices are immutable and cache the
+forward echelon form, and the reduced echelon form once a kernel is
+asked for.
 """
 
 from __future__ import annotations
@@ -20,16 +21,23 @@ from .errors import CompositionNonzero, IdentityViolated, NoSolution
 Rat = Fraction
 
 
-def _as_rat(x) -> Rat:
-    if isinstance(x, Rat):
+def _as_rat(x):
+    """An exact coefficient: an `int` when integral, else a `Fraction`.
+
+    A `bool` becomes the `int` it stands for; a `float` raises TypeError.
+    """
+    if type(x) is int:
         return x
+    if isinstance(x, Rat):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Rat(x)
+        return int(x)
     raise TypeError(f"exact coefficient expected, got {type(x).__name__}")
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over Q, stored as {(row, col): coeff}."""
+    """Immutable sparse matrix over Q, stored as {(row, col): coeff}; see
+    `_as_rat` for the coefficient types."""
 
     __slots__ = ("rows", "cols", "_entries", "_fwd", "_rref")
 
@@ -97,8 +105,8 @@ class SparseMatrix:
 
     # -- accessors ----------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Rat:
-        return self._entries.get((i, j), Rat(0))
+    def entry(self, i: int, j: int):
+        return self._entries.get((i, j), 0)
 
     def items(self):
         return self._entries.items()
@@ -127,7 +135,7 @@ class SparseMatrix:
             raise ValueError("shape mismatch in matrix sum")
         data = dict(self._entries)
         for k, v in other._entries.items():
-            w = data.get(k, Rat(0)) + v
+            w = data.get(k, 0) + v
             if w:
                 data[k] = w
             else:
@@ -160,7 +168,7 @@ class SparseMatrix:
         for (i, k), v in self._entries.items():
             for j, w in by_row.get(k, ()):
                 key = (i, j)
-                s = acc.get(key, Rat(0)) + v * w
+                s = acc.get(key, 0) + v * w
                 if s:
                     acc[key] = s
                 else:
@@ -170,7 +178,7 @@ class SparseMatrix:
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [Rat(0)] * self.rows
+        out = [0] * self.rows
         for (i, j), a in self._entries.items():
             if v[j]:
                 out[i] += a * v[j]
@@ -203,7 +211,7 @@ class SparseMatrix:
 
 
 def _int_rows(items):
-    """{row: {col: int}} from ((row, col), Fraction) items.
+    """{row: {col: int}} from ((row, col), int or Fraction) items.
 
     Each row is primitive: denominators cleared, content divided out.
     """
@@ -464,7 +472,7 @@ class QPoly:
         other = other if isinstance(other, QPoly) else QPoly.const(other)
         if self.is_zero() or other.is_zero():
             return QPoly()
-        out = [Rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -482,9 +490,9 @@ class QPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def evaluate(self, value) -> Rat:
+    def evaluate(self, value):
         value = _as_rat(value)
-        acc = Rat(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc

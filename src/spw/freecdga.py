@@ -62,6 +62,10 @@ class FreeCDGA:
         if len(set(names)) != len(names):
             raise DuplicateName("duplicate generator names")
         self.generators = tuple(gens)
+        # per-letter data, indexed by generator index on the hot paths
+        self.degrees = tuple(g.degree for g in gens)
+        self.parities = tuple(g.degree % 2 for g in gens)
+        self.weights = tuple(g.weight for g in gens)
         self.signature = tuple((g.name, g.degree, g.weight, g.internal_weight) for g in gens)
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.base_names = frozenset(base_names)
@@ -77,10 +81,10 @@ class FreeCDGA:
         return self.signature == other.signature
 
     def gen_degree(self, i) -> int:
-        return self.generators[i].degree
+        return self.degrees[i]
 
     def gen_weight(self, i) -> int:
-        return self.generators[i].weight
+        return self.weights[i]
 
     # -- element constructors -------------------------------------------
 
@@ -88,14 +92,14 @@ class FreeCDGA:
         return Elem(self, {})
 
     def one(self) -> "Elem":
-        return Elem(self, {(): Rat(1)})
+        return Elem(self, {(): 1})
 
     def scalar(self, c) -> "Elem":
         c = _as_rat(c)
         return Elem(self, {(): c} if c else {})
 
     def gen(self, name) -> "Elem":
-        return Elem(self, {(self.index[name],): Rat(1)})
+        return Elem(self, {(self.index[name],): 1})
 
     def monomial(self, names, coeff=1) -> "Elem":
         e = self.scalar(coeff)
@@ -128,7 +132,7 @@ class FreeCDGA:
         """Left graded partial derivative with respect to one generator."""
         i = self.index[name]
         return apply_derivation(
-            self, elem, {i: self.one()}, parity=self.gen_degree(i) % 2
+            self, elem, {i: self.one()}, parity=self.parities[i]
         )
 
     # -- display ----------------------------------------------------------
@@ -186,7 +190,7 @@ class Elem:
             raise ValueError("elements of different algebras")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Rat(0)) + c
+            s = terms.get(m, 0) + c
             if s:
                 terms[m] = s
             else:
@@ -225,7 +229,7 @@ class Elem:
                 if sm is None:
                     continue
                 sign, m = sm
-                v = acc.get(m, Rat(0)) + sign * c1 * c2
+                v = acc.get(m, 0) + sign * c1 * c2
                 if v:
                     acc[m] = v
                 else:
@@ -246,7 +250,8 @@ class Elem:
         return out
 
     def mono_degree(self, mono) -> int:
-        return sum(self.algebra.gen_degree(i) for i in mono)
+        degrees = self.algebra.degrees
+        return sum(degrees[i] for i in mono)
 
     def degree(self):
         """Cohomological degree if homogeneous, else None."""
@@ -254,18 +259,19 @@ class Elem:
         return degs.pop() if len(degs) == 1 else (0 if not degs else None)
 
     def weight(self):
-        wts = {sum(self.algebra.gen_weight(i) for i in m) for m in self.terms}
+        weights = self.algebra.weights
+        wts = {sum(weights[i] for i in m) for m in self.terms}
         return wts.pop() if len(wts) == 1 else (0 if not wts else None)
 
-    def constant_term(self) -> Rat:
-        return self.terms.get((), Rat(0))
+    def constant_term(self):
+        return self.terms.get((), 0)
 
     def augmentation(self) -> "Elem":
         """Image under all generators -> 0: the constant part."""
         return self.algebra.scalar(self.constant_term())
 
-    def coefficient(self, mono) -> Rat:
-        return self.terms.get(tuple(mono), Rat(0))
+    def coefficient(self, mono):
+        return self.terms.get(tuple(mono), 0)
 
     def __repr__(self):
         if self.is_zero():
@@ -284,13 +290,15 @@ def mono_mul(alg, m1, m2):
 
     Sign: one transposition per crossing pair of odd letters.
     """
+    parities = alg.parities
     sign_exp = 0
-    odd1 = [i for i in m1 if alg.gen_degree(i) % 2]
-    for b in m2:
-        if alg.gen_degree(b) % 2:
-            if b in odd1:
-                return None
-            sign_exp += sum(1 for a in odd1 if a > b)
+    odd1 = [i for i in m1 if parities[i]]
+    if odd1:
+        for b in m2:
+            if parities[b]:
+                if b in odd1:
+                    return None
+                sign_exp += sum(1 for a in odd1 if a > b)
     merged = tuple(sorted(m1 + m2))
     return (-1 if sign_exp % 2 else 1), merged
 
@@ -299,32 +307,43 @@ def apply_derivation(alg, elem, values, parity):
     """Extend generator values to a graded derivation of the given parity.
 
     values: {gen index: Elem}.  On a word l_1..l_k the j-th term carries
-    the sign (-1)^(parity * (deg l_1 + .. + deg l_{j-1})).
+    the sign (-1)^(parity * (deg l_1 + .. + deg l_{j-1})).  Its word
+    l_1..l_{j-1} t l_{j+1}..l_k for a value term t is
+    (-1)^(|l_1..l_{j-1}| |t|) t * rest, rest the word without l_j: one
+    merge, signed by the odd letters of t that cross odd letters of rest.
     """
+    if not values:
+        return Elem(alg, {})
+    parities = alg.parities
+    parity = parity % 2
     acc = {}
     for mono, coeff in elem.terms.items():
-        pre_parity = 0
+        pre = 0
         for j, letter in enumerate(mono):
             val = values.get(letter)
             if val is not None:
-                c0 = -coeff if parity and pre_parity % 2 else coeff
-                head, tail = mono[:j], mono[j + 1:]
+                rest = mono[:j] + mono[j + 1:]
+                odd_rest = None
                 for t, c in val.terms.items():
-                    left = mono_mul(alg, head, t)
-                    if left is None:
-                        continue
-                    right = mono_mul(alg, left[1], tail)
-                    if right is None:
-                        continue
-                    m = right[1]
-                    v = c0 * c if left[0] == right[0] else -(c0 * c)
+                    flip = parity & pre
+                    odd_t = [b for b in t if parities[b]]
+                    if odd_t:
+                        if odd_rest is None:
+                            odd_rest = [a for a in rest if parities[a]]
+                        if any(b in odd_rest for b in odd_t):
+                            continue  # an odd letter squared
+                        flip ^= (pre & len(odd_t)) ^ (
+                            sum(1 for b in odd_t for a in odd_rest if a < b) & 1
+                        )
+                    m = tuple(sorted(t + rest))
+                    v = -(coeff * c) if flip else coeff * c
                     if m in acc:
                         v += acc[m]
                         if not v:
                             del acc[m]
                             continue
                     acc[m] = v
-            pre_parity += alg.gen_degree(letter)
+            pre ^= parities[letter]
     return Elem(alg, acc)
 
 
@@ -419,7 +438,7 @@ def enumerate_monomials(alg: FreeCDGA, max_len: int):
     def rec(start, budget):
         yield ()
         for i in range(start, n):
-            cap = 1 if alg.gen_degree(i) % 2 else budget
+            cap = 1 if alg.parities[i] else budget
             if budget == 0:
                 return
             word = ()
@@ -436,10 +455,7 @@ def enumerate_monomials(alg: FreeCDGA, max_len: int):
 
 
 def _mono_bidegree(alg, mono):
-    return (
-        sum(alg.gen_weight(i) for i in mono),
-        sum(alg.gen_degree(i) for i in mono),
-    )
+    return sum(map(alg.weights.__getitem__, mono)), sum(map(alg.degrees.__getitem__, mono))
 
 
 def _closure(alg: FreeCDGA, window: Window):
@@ -458,7 +474,7 @@ def _closure(alg: FreeCDGA, window: Window):
     for _ in range(window.closure_rounds):
         new = []
         for m in frontier:
-            x = Elem(alg, {m: Rat(1)})
+            x = Elem(alg, {m: 1})
             images[m] = (alg.d(x), alg.eps(x))
             for image in images[m]:
                 for m2 in image.terms:
@@ -690,8 +706,7 @@ class ClosedFormTower:
         total = self.total()
         image = alg.d(total) + alg.eps(total)
         for m in image.terms:
-            w = sum(alg.gen_weight(i) for i in m)
-            if w <= wmax:
+            if _mono_bidegree(alg, m)[0] <= wmax:
                 return False
         return True
 
@@ -799,7 +814,7 @@ def _modulo_exact_dimension(dr, p, deg, wmax, max_len):
         d_ent = [
             (d_targets.setdefault(m2, len(d_targets)), j, c)
             for j, m in enumerate(low)
-            for m2, c in dr.algebra.d(Elem(dr.algebra, {m: Rat(1)})).terms.items()
+            for m2, c in dr.algebra.d(Elem(dr.algebra, {m: 1})).terms.items()
         ]
         for v in kernel_basis(SparseMatrix(len(d_targets), len(low), d_ent)):
             eta = Elem(dr.algebra, {m: c for c, m in zip(v, low) if c})

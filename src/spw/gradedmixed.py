@@ -16,7 +16,6 @@ here once and used everywhere:
 
 from __future__ import annotations
 
-from fractions import Fraction as Rat
 
 from . import exactlin
 from .errors import BidegreeMismatch, CompositionNonzero
@@ -116,7 +115,7 @@ class GradedMixedComplex:
                             f"at (w={tp}, deg={tm}); expected (w={want[0]}, deg={want[1]})"
                         )
                     key = (p, m)
-                    ent.setdefault(key, {})[ti, i] = ent.get(key, {}).get((ti, i), Rat(0)) + coeff
+                    ent.setdefault(key, {})[ti, i] = ent.get(key, {}).get((ti, i), 0) + coeff
             return {
                 key: SparseMatrix(
                     module.dim(key[0] + d_weight, key[1] + 1), module.dim(*key), vals
@@ -200,8 +199,8 @@ def cell_model(m: int) -> GradedMixedComplex:
         basis.setdefault((n, 0), []).append(f"x{n}")
         basis.setdefault((n + 1, 1), []).append(f"y{n}")
     mod = BiGradedModule(basis)
-    d_map = {f"x{n}": [(Rat(1), f"y{n-1}")] for n in range(1, m + 1)}
-    eps_map = {f"x{n}": [(Rat(1), f"y{n}")] for n in range(m + 1)}
+    d_map = {f"x{n}": [(1, f"y{n-1}")] for n in range(1, m + 1)}
+    eps_map = {f"x{n}": [(1, f"y{n}")] for n in range(m + 1)}
     return GradedMixedComplex.from_maps(mod, d_map, eps_map)
 
 

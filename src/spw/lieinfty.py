@@ -45,7 +45,7 @@ class LieAlgebra:
     @classmethod
     def from_brackets(cls, n, brackets):
         """brackets: {(i, j): {k: coeff}} for i < j, zero elsewhere."""
-        c = [[[Rat(0)] * n for _ in range(n)] for _ in range(n)]
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
         for (i, j), comps in brackets.items():
             for k, v in comps.items():
                 c[i][j][k] = _as_rat(v)
@@ -157,7 +157,7 @@ def lie_from_mixed(b: FreeCDGA) -> LieAlgebra:
     if any(not v.is_zero() for v in b.differential.values()):
         raise NotFreeOnV("cohomological differential must vanish")
     n = len(b.generators)
-    c = [[[Rat(0)] * n for _ in range(n)] for _ in range(n)]
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
         img = b.mixed.get(k, b.zero())
         for mono, coeff in img.terms.items():
@@ -265,7 +265,7 @@ def weak_mixed_from_derivations(alg: FreeCDGA, eps_values, window: Window) -> We
         vals = {alg.index[name]: v for name, v in values.items()}
 
         def image(m, vals=vals):
-            return apply_derivation(alg, Elem(alg, {m: Rat(1)}), vals, parity=1)
+            return apply_derivation(alg, Elem(alg, {m: 1}), vals, parity=1)
 
         eps_list.append(_derivation_blocks(alg, monos, image, i + 1))
     return WeakMixedStructure(cx.module, cx.d, eps_list)
@@ -348,29 +348,21 @@ def _wedge3_basis(n):
 def _ad_on_sym2(g, x, t):
     """Coefficients of ad_x(t) for t symmetric: {(i<=j): c}.
 
-    Computed on the full symmetric matrix T (keys split off-diagonally)
-    as C T + T C^T with C[a][m] = c[x][m][a], then folded back; this keeps
-    the unordered-pair normalisation exact when slots collide.
+    On the full symmetric matrix T of t this is P + P^T with P = C T and
+    C[a][m] = c[x][m][a]; P is summed over the nonzero entries of T and
+    of the structure constants only, and the pair (a, b) of P folds onto
+    the unordered key, twice on the diagonal.
     """
-    n = g.dim
-    full = [[Rat(0)] * n for _ in range(n)]
-    for (i, j), c in t.items():
-        full[i][j] += c
-        if i != j:
-            full[j][i] += c
-    out_full = [[Rat(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            s = Rat(0)
-            for m in range(n):
-                s += g.c[x][m][a] * full[m][b] + g.c[x][m][b] * full[a][m]
-            out_full[a][b] = s
     out = {}
-    for i in range(n):
-        for j in range(i, n):
-            if out_full[i][j]:
-                out[i, j] = out_full[i][j]
-    return out
+    for (i, j), v in t.items():
+        for m, b in ((i, j), (j, i)) if i != j else ((i, j),):
+            for a, coeff in enumerate(g.c[x][m]):
+                if not coeff:
+                    continue
+                key = (a, b) if a <= b else (b, a)
+                w = coeff * v
+                out[key] = out.get(key, 0) + (2 * w if a == b else w)
+    return {k: v for k, v in out.items() if v}
 
 
 def _wedge_sort(idx):
@@ -401,7 +393,7 @@ def _ad_on_wedge3(g, x, t):
                 if ws is None:
                     continue
                 sign, key = ws
-                out[key] = out.get(key, Rat(0)) + sign * coeff * c
+                out[key] = out.get(key, 0) + sign * coeff * c
     return {k: v for k, v in out.items() if v}
 
 
@@ -420,10 +412,10 @@ def invariants(g: LieAlgebra, kind: str):
     ent = {}
     for xi, x in enumerate(range(g.dim)):
         for j, b in enumerate(basis):
-            img = act(g, x, {b: Rat(1)})
+            img = act(g, x, {b: 1})
             for key, v in img.items():
                 ent[xi * len(basis) + index[key], j] = (
-                    ent.get((xi * len(basis) + index[key], j), Rat(0)) + v
+                    ent.get((xi * len(basis) + index[key], j), 0) + v
                 )
     mat = SparseMatrix(g.dim * len(basis), len(basis), {k: v for k, v in ent.items() if v})
     out = []
@@ -445,7 +437,7 @@ def killing_form(g: LieAlgebra) -> InvariantTensor:
     k_{ij} = tr(ad_i ad_j) is returned as a sym2 tensor.
     """
     n = g.dim
-    k = [[Rat(0)] * n for _ in range(n)]
+    k = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             k[i][j] = sum(g.c[i][m][l] * g.c[j][l][m] for m in range(n) for l in range(n))
@@ -454,7 +446,7 @@ def killing_form(g: LieAlgebra) -> InvariantTensor:
     mat = SparseMatrix.from_rows(k)
     cols = []
     for e in range(n):
-        rhs = [Rat(1) if t == e else Rat(0) for t in range(n)]
+        rhs = [1 if t == e else 0 for t in range(n)]
         x, _ = solve_linear(mat, rhs)
         cols.append(list(x))
     coeffs = {}
@@ -477,8 +469,8 @@ def z_from_t(g: LieAlgebra, t: InvariantTensor) -> InvariantTensor:
 
     def tt(i, j):
         if i <= j:
-            return t.coeffs.get((i, j), Rat(0))
-        return t.coeffs.get((j, i), Rat(0))
+            return t.coeffs.get((i, j), 0)
+        return t.coeffs.get((j, i), 0)
 
     raw = {}
     for a in range(n):
@@ -489,18 +481,18 @@ def z_from_t(g: LieAlgebra, t: InvariantTensor) -> InvariantTensor:
                         coeff = tt(a, b) * tt(c_, d) * g.c[b][c_][m]
                         if coeff:
                             key = (a, m, d)
-                            raw[key] = raw.get(key, Rat(0)) + coeff
+                            raw[key] = raw.get(key, 0) + coeff
     # antisymmetrize with the 1/6 projector, read off wedge coefficients
     coeffs = {}
     for key in _wedge3_basis(n):
-        total = Rat(0)
+        total = 0
         from itertools import permutations
 
         for perm in permutations(range(3)):
             sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
             idx = tuple(key[p] for p in perm)
-            total += sign * raw.get(idx, Rat(0))
-        v = total / 6
+            total += sign * raw.get(idx, 0)
+        v = Rat(total, 6)
         if v:
             coeffs[key] = v
     z = InvariantTensor("wedge3", coeffs)

@@ -100,10 +100,10 @@ class LieWords:
             if len(s) == 1:
                 a, c = s[0], t[0]
                 if a < c:
-                    return {(a, c): Rat(1)}
-                return {(c, a): Rat(-self._koszul(0, 0))}
+                    return {(a, c): 1}
+                return {(c, a): -self._koszul(0, 0)}
             if t[0] > s[0]:
-                return {s + t: Rat(1)}
+                return {s + t: 1}
             # t holds the global minimum: flip once; the singleton-left
             # recursion below only shrinks its right argument
             flip = -self._koszul(self.word_degree(s), 0)
@@ -137,7 +137,7 @@ class LieWords:
 class PnSpace:
     """Multilinear part of the P_n operad on a label set."""
 
-    one = Rat(1)
+    one = 1
 
     def __init__(self, n: int, labels):
         self.labels = _check_arity(labels)
@@ -170,7 +170,7 @@ class PnSpace:
 
     def product_mono(self, m1, m2):
         sign, mono = self.sort_blocks(m1 + m2)
-        return {mono: Rat(sign)}
+        return {mono: sign}
 
     def product(self, e1, e2):
         return _bilinear(e1, e2, self.product_mono)
@@ -360,7 +360,7 @@ def expand_to_words(mono, lie):
     """Commutator expansion of a PBW monomial at hbar = 1 into As words."""
     def expand_seq(seq):
         if len(seq) == 1:
-            return {seq: Rat(1)}
+            return {seq: 1}
         last = seq[-1:]
         out = {}
         for w, c in expand_seq(seq[:-1]).items():
@@ -368,7 +368,7 @@ def expand_to_words(mono, lie):
             _add(out, last + w, -c)
         return out
 
-    acc = {(): Rat(1)}
+    acc = {(): 1}
     for bl in mono:
         acc = _bilinear(acc, expand_seq(bl), lambda w1, w2: {w1 + w2: 1})
     return acc
@@ -431,7 +431,7 @@ class _Tree:
 
 def _eval_tree(space: PnSpace, tree: _Tree):
     if tree.kind == "leaf":
-        return {((tree.leaf,),): Rat(1)}
+        return {((tree.leaf,),): 1}
     lv = _eval_tree(space, tree.left)
     rv = _eval_tree(space, tree.right)
     if tree.kind == "m":
@@ -673,7 +673,7 @@ class ArnoldAlgebra:
             return None
         return sign * s, tuple(word)
 
-    def reduce_word(self, letters, coeff=Rat(1)):
+    def reduce_word(self, letters, coeff=1):
         """Normalise a product of a_xy letters to {basis word: coeff}."""
         sorted_word = self._sorted_word(letters)
         if sorted_word is None:
@@ -781,7 +781,7 @@ class WeylMap:
 
     def __init__(self, base: FreeCDGA, t_matrix, labels, n: int):
         self.base = base
-        self.t = t_matrix  # dict (k, l) -> Rat over generator indices
+        self.t = t_matrix  # dict (k, l) -> coefficient over generator indices
         self.labels = _check_arity(labels)
         self.arity = len(self.labels)
         self.arnold = ArnoldAlgebra(n, self.labels)
@@ -790,7 +790,7 @@ class WeylMap:
     def _apply_partial(self, monos, slot, gen_index):
         """Left partial at one tensor slot; returns (sign, new monos) list."""
         alg = self.base
-        target = Elem(alg, {monos[slot]: Rat(1)})
+        target = Elem(alg, {monos[slot]: 1})
         img = alg.partial(alg.generators[gen_index].name, target)
         parity = alg.gen_degree(gen_index) % 2
         passed = sum(
@@ -841,7 +841,7 @@ class WeylMap:
         base_tensors = {}
         for combo in product(*(e.terms.items() for e in inputs)):
             monos = tuple(m for m, _ in combo)
-            _add(base_tensors, monos, prod((c for _, c in combo), start=Rat(1)))
+            _add(base_tensors, monos, prod((c for _, c in combo), start=1))
         # exp(a): arnold words are nilpotent beyond arity-1 letters
         power = {(): base_tensors}
         total = dict(power)
@@ -854,7 +854,7 @@ class WeylMap:
             for w, tensors in power.items():
                 tgt = total.setdefault(w, {})
                 for monos, c in tensors.items():
-                    _add(tgt, monos, c / factorial)
+                    _add(tgt, monos, Rat(c) / factorial)
         # multiply the factors together
         out = {}
         for w, tensors in total.items():
@@ -862,7 +862,7 @@ class WeylMap:
             for monos, c in tensors.items():
                 term = self.base.scalar(c)
                 for mono in monos:
-                    term = term * Elem(self.base, {mono: Rat(1)})
+                    term = term * Elem(self.base, {mono: 1})
                 acc = acc + term
             if not acc.is_zero():
                 out[w] = acc

@@ -85,16 +85,16 @@ class PolyvectorAlgebra:
 
     # -- bracket -----------------------------------------------------------
 
-    def _pair(self, a: int, b: int) -> Rat:
+    def _pair(self, a: int, b: int) -> int:
         n = self.shift
         if self.is_theta(a) and not self.is_theta(b) and a - self._n_base == b:
-            return Rat(1)
+            return 1
         if self.is_theta(b) and not self.is_theta(a) and b - self._n_base == a:
             da = self.algebra.gen_degree(a)
             db = self.algebra.gen_degree(b)
             s = (da + n) * (db + n)
-            return Rat(1) if s % 2 else Rat(-1)
-        return Rat(0)
+            return 1 if s % 2 else -1
+        return 0
 
     def _bracket_mono(self, m1, m2) -> Elem:
         key = (m1, m2)
@@ -110,17 +110,17 @@ class PolyvectorAlgebra:
         elif len(m1) == 1:
             v = m1[0]
             w, rest = m2[0], m2[1:]
-            t1 = self._bracket_mono((v,), (w,)) * Elem(alg, {rest: Rat(1)})
+            t1 = self._bracket_mono((v,), (w,)) * Elem(alg, {rest: 1})
             sign = -1 if ((alg.gen_degree(v) + n) * alg.gen_degree(w)) % 2 else 1
-            t2 = (Elem(alg, {(w,): Rat(1)}) * self._bracket_mono((v,), rest)).scale(sign)
+            t2 = (Elem(alg, {(w,): 1}) * self._bracket_mono((v,), rest)).scale(sign)
             out = t1 + t2
         else:
             v, rest = m1[0], m1[1:]
             deg_rest = sum(alg.gen_degree(i) for i in rest)
             deg_m2 = sum(alg.gen_degree(i) for i in m2)
-            t1 = Elem(alg, {(v,): Rat(1)}) * self._bracket_mono(rest, m2)
+            t1 = Elem(alg, {(v,): 1}) * self._bracket_mono(rest, m2)
             sign = -1 if (deg_rest * (deg_m2 + n)) % 2 else 1
-            t2 = (self._bracket_mono((v,), m2) * Elem(alg, {rest: Rat(1)})).scale(sign)
+            t2 = (self._bracket_mono((v,), m2) * Elem(alg, {rest: 1})).scale(sign)
             out = t1 + t2
         self._bracket_cache[key] = out
         return out

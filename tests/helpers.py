@@ -8,11 +8,17 @@ separate de Rham/Kaehler builders kept only as oracles for
 `freecdga.de_rham`/`kaehler`, the separate P_n and BD_1 operations,
 `pn_compose` and Arnold certificate rows kept only as oracles for the one
 linear-combination layer of `operads`, the window-per-stage closed-form
-computation kept only as an oracle for `freecdga.closed_form_classes`, and
+computation kept only as an oracle for `freecdga.closed_form_classes`,
 the window-per-weight H^0 sequence kept only as an oracle for
-`freecdga.d_functor`."""
+`freecdga.d_functor`, Fraction-only products, derivations and matrix
+operations kept as oracles for the int-first coefficients of `Elem` and
+`SparseMatrix`, the dense adjoint action kept only as an oracle for
+`lieinfty._ad_on_sym2`, the Poincare-lemma count of de Rham window
+cohomology, and the per-case time limit of the CLI tests."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction as F
 from math import gcd
 
@@ -839,3 +845,181 @@ def oracle_h0_by_weight(dr, wmax, max_len):
         w: total_complex_window(dr.algebra, Window(0, w, -2, 2, max_len)).homology_dim(0)
         for w in range(0, wmax + 1)
     }
+
+
+# ---------------------------------------------------------------------------
+# Fraction-only oracles for the int-first coefficients
+# ---------------------------------------------------------------------------
+
+
+def random_coefficient(rng):
+    """A nonzero exact coefficient: an int, an integral Fraction, or a
+    non-integer Fraction."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+    if kind == 1:
+        return F(rng.choice([-2, -1, 1, 2]))
+    return F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([2, 3, 6]))
+
+
+def oracle_word_product(alg, m1, m2):
+    """(sign, word) of m1 * m2, bubble-sorting the concatenation with one
+    sign per swap of two odd letters; None if an odd letter repeats."""
+    odd = [alg.generators[i].degree % 2 == 1 for i in range(len(alg.generators))]
+    word, sign = list(m1 + m2), 1
+    for a in range(len(word)):
+        for b in range(len(word) - 1 - a):
+            if word[b] > word[b + 1]:
+                if odd[word[b]] and odd[word[b + 1]]:
+                    sign = -sign
+                word[b], word[b + 1] = word[b + 1], word[b]
+    odd_letters = [i for i in word if odd[i]]
+    if len(set(odd_letters)) != len(odd_letters):
+        return None
+    return sign, tuple(word)
+
+
+def _collect(pairs):
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, F(0)) + F(c)
+    return {k: c for k, c in out.items() if c}
+
+
+def oracle_sum(x, y):
+    """{key: Fraction} of two coefficient dicts added."""
+    return _collect(list(x.items()) + list(y.items()))
+
+
+def oracle_product(alg, x, y):
+    """{word: Fraction} of the product of two term dicts of `alg`."""
+    pairs = []
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            sw = oracle_word_product(alg, m1, m2)
+            if sw is not None:
+                pairs.append((sw[1], sw[0] * F(c1) * F(c2)))
+    return _collect(pairs)
+
+
+def oracle_derivation(alg, x, values, parity):
+    """{word: Fraction} of the graded derivation of the given parity with
+    generator values {gen index: term dict}, applied to the term dict x:
+    prefix * value * suffix per letter."""
+    pairs = []
+    for mono, coeff in x.items():
+        pre = 0
+        for j, letter in enumerate(mono):
+            if letter in values:
+                sign = -1 if parity % 2 and pre % 2 else 1
+                left = oracle_product(alg, {mono[:j]: sign * F(coeff)}, values[letter])
+                pairs += oracle_product(alg, left, {mono[j + 1:]: F(1)}).items()
+            pre += alg.generators[letter].degree
+    return _collect(pairs)
+
+
+def oracle_matmul(a, b):
+    """{(i, j): Fraction} of the dense Fraction product of two SparseMatrix."""
+    da, db = dense(a), dense(b)
+    return _collect(
+        ((i, j), sum((da[i][k] * db[k][j] for k in range(a.cols)), F(0)))
+        for i in range(a.rows)
+        for j in range(b.cols)
+    )
+
+
+def oracle_ad_on_sym2(g, x, t):
+    """ad_x(t) for t symmetric as {(i<=j): Fraction}, on the dense n x n
+    matrix T of t: C T + T C^T with C[a][m] = c[x][m][a], folded back."""
+    n = g.dim
+    full = [[F(0)] * n for _ in range(n)]
+    for (i, j), c in t.items():
+        full[i][j] += c
+        if i != j:
+            full[j][i] += c
+    out = {}
+    for i in range(n):
+        for j in range(i, n):
+            s = sum(
+                (g.c[x][m][i] * full[m][j] + g.c[x][m][j] * full[i][m] for m in range(n)), F(0)
+            )
+            if s:
+                out[i, j] = s
+    return out
+
+
+def poincare_window_dims(gens, size):
+    """homology_dims() of the total complex of the de Rham window of the
+    free algebra on gens = [(degree, weight)] with zero differential, for
+    wmin = 0, wmax = dmax = max_len = size and dmin = -size.
+
+    DR(B) is free on the letters g and dg, and the window only carries the
+    de Rham differential, which keeps the word length l and c = weight -
+    degree.  On l >= 1 each strand (l, c) is exact (Poincare lemma: the
+    Euler contraction h has eps h + h eps = l), so the window's piece of a
+    strand, weights lo..hi, has cohomology at its two ends only, read off
+    the monomial counts by rank-nullity.
+    """
+    counts = {(0, 0, 0): 1}  # (length, weight, degree) -> number of words
+    for degree, weight in gens:
+        for deg, wt in ((degree, weight), (degree + 1, weight + 1)):
+            cap = 1 if deg % 2 else size
+            grown = {}
+            for (length, w, m), n in counts.items():
+                for e in range(min(cap, size - length) + 1):
+                    key = (length + e, w + e * wt, m + e * deg)
+                    grown[key] = grown.get(key, 0) + n
+            counts = grown
+    strands = {}
+    for (length, w, m), n in counts.items():
+        strands.setdefault((length, w - m), {})[w] = n
+    degrees = [m for (_, w, m) in counts if 0 <= w <= size and -size <= m <= size]
+    dims = {m: 0 for m in range(min(degrees), max(degrees) + 1)}
+    for (length, c), by_weight in strands.items():
+        lo, hi = max(0, c - size), min(size, size + c)
+        for m in dims:
+            w = m + c
+            if not lo <= w <= hi:
+                continue
+            if length == 0 or lo == hi:
+                dims[m] += by_weight.get(w, 0)
+                continue
+            if w == lo:
+                dims[m] += by_weight.get(w, 0) - _rank_out(by_weight, w)
+            elif w == hi:
+                dims[m] += by_weight.get(w, 0) - _rank_out(by_weight, w - 1)
+    return dims
+
+
+def _rank_out(by_weight, x):
+    """Rank of eps out of weight x along an exact strand with the given
+    number of words per weight."""
+    return sum((-1) ** (x - j) * by_weight.get(j, 0) for j in range(min(by_weight), x + 1))
+
+
+# ---------------------------------------------------------------------------
+# A per-case time limit
+# ---------------------------------------------------------------------------
+
+
+class CaseTimeout(BaseException):
+    """Raised by `time_limit`; a BaseException, so no handler in spw can
+    swallow it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise CaseTimeout inside the block once `seconds` of wall time have
+    passed (SIGALRM; main thread only)."""
+
+    def expire(signum, frame):
+        raise CaseTimeout
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

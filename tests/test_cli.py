@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from helpers import CaseTimeout, time_limit
 from spw import cli
 from spw.cli import main
 from spw.errors import IdentityViolated
@@ -216,6 +217,7 @@ def test_derived_commands_on_an_invalid_cdga(tmp_path, capsys, source):
 
 
 PLANE = "algebra B { gens = x(0), y(0); }\n"
+ROW_LIMIT_S = 5.0
 LINE = "algebra B { gens = x(0), xi(1); }\n"
 
 
@@ -374,7 +376,11 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, monkeypatch, command, so
     manifest.write_text(source)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    code, err = run_exit(capsys, command, str(manifest))
+    try:
+        with time_limit(ROW_LIMIT_S):
+            code, err = run_exit(capsys, command, str(manifest))
+    except CaseTimeout:
+        pytest.fail(f"no answer within {ROW_LIMIT_S} s")
     assert code == 2
     assert message in err and "Traceback" not in err
 

@@ -13,6 +13,7 @@ from spw.compare import (
     symplectic_to_poisson,
 )
 from spw.errors import Degenerate, IdentityViolated, NotMinimal
+from spw.exactlin import SparseMatrix
 from spw.freecdga import ClosedFormTower, Elem, FreeCDGA, Window, de_rham
 from spw.polyvec import MaurerCartanTower, PolyvectorAlgebra, mc_check, strict_tower
 
@@ -360,3 +361,15 @@ def test_phi_pi_and_strictify_image_each_monomial_once(monkeypatch):
     strictify_closed_two_form(b, tower, Window(1, 4, 1, 5, 4))
     for seen in recorded:
         assert seen and len(seen) == len(set(seen))
+
+
+def test_reconstruct_two_tensor_from_an_integer_matrix_is_exact():
+    # the second partials of x^2 are 2, so the coefficient 3 of the
+    # (x, x) slot needs 3 / 2: a Fraction division of ints
+    alg = FreeCDGA([("x", 0), ("y", 0), ("t", 1), ("u", 1)])
+    symbols = ("x", "y", "t", "u")
+    mat = SparseMatrix(4, 4, {(0, 0): 3, (0, 1): 5, (1, 0): 5, (2, 3): 1, (3, 2): -1})
+    out = compare._reconstruct_two_tensor(alg, symbols, mat)
+    assert out.coefficient(alg.index[n] for n in ("x", "x")) == F(3, 2)
+    assert all(type(c) in (int, F) for c in out.terms.values())
+    assert compare._second_partials(alg, symbols, out) == mat

@@ -1,5 +1,6 @@
 import glob
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -154,3 +155,11 @@ def test_complex_serialization_round_trip_exact():
         assert back.eps == relabeled.eps
         # and the serialization itself is stable
         assert complex_to_dsl(back, f"E{i}") == text
+
+
+def test_rational_literals_are_exact_fractions():
+    # a quotient of integer literals is a Fraction division, never a float
+    for value, want, kind in (("4/2*z", 2, int), ("4/2*z + 1/3*z", Fraction(7, 3), Fraction)):
+        alg = build_algebra(parse(f"algebra C {{ gens = y(0), z(1); d(y) = {value}; }}").block("C"))
+        (coeff,) = alg.d(alg.gen("y")).terms.values()
+        assert coeff == want and type(coeff) is kind

@@ -249,3 +249,40 @@ def test_solve_linear_raises_when_its_solution_fails(monkeypatch):
     monkeypatch.setattr(exactlin, "_reduce", corrupt)
     with pytest.raises(IdentityViolated):
         solve_linear(SparseMatrix.identity(3), (1, 2, 3))
+
+
+def test_as_rat_keeps_integers_as_int():
+    for x, want, kind in ((3, 3, int), (F(4, 2), 2, int), (F(1, 2), F(1, 2), F), (True, 1, int)):
+        got = exactlin._as_rat(x)
+        assert got == want and type(got) is kind
+    # str(True) is "True": a bool must not reach a report as a coefficient
+    assert str(SparseMatrix(1, 1, {(0, 0): True}).entry(0, 0)) == "1"
+    for bad in (1.0, 0.5, "1"):
+        with pytest.raises(TypeError):
+            exactlin._as_rat(bad)
+
+
+def _random_sparse(rng, rows, cols):
+    return SparseMatrix(
+        rows, cols,
+        {(i, j): helpers.random_coefficient(rng)
+         for i in range(rows) for j in range(cols) if rng.random() < 0.4},
+    )
+
+
+def test_sparse_sum_and_product_match_fraction_oracle():
+    rng = random.Random(2015)
+    for _ in range(60):
+        n, k, m = (rng.randint(1, 6) for _ in range(3))
+        a, a2, b = _random_sparse(rng, n, k), _random_sparse(rng, n, k), _random_sparse(rng, k, m)
+        for got, want in (
+            (a + a2, helpers.oracle_sum(dict(a.items()), dict(a2.items()))),
+            (a @ b, helpers.oracle_matmul(a, b)),
+            (a.scale(F(-2, 3)), {key: F(-2, 3) * v for key, v in a.items()}),
+        ):
+            assert dict(got.items()) == want
+            assert all(type(v) in (int, F) for _, v in got.items())
+        # integer inputs stay int, integral Fractions included
+        ints = [SparseMatrix(x.rows, x.cols, {key: v * 6 for key, v in x.items()}) for x in (a, a2, b)]
+        for got in (ints[0] + ints[1], ints[0] @ ints[2], ints[0] - ints[1]):
+            assert all(type(v) is int for _, v in got.items())

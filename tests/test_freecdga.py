@@ -7,10 +7,15 @@ from helpers import (
     oracle_apply_derivation,
     oracle_closed_form_classes,
     oracle_de_rham,
+    oracle_derivation,
     oracle_graded_mixed_window,
     oracle_h0_by_weight,
     oracle_kaehler,
+    oracle_product,
+    oracle_sum,
     oracle_weight_window_total_complex,
+    poincare_window_dims,
+    random_coefficient,
     random_valid_cdga,
 )
 from spw import freecdga
@@ -490,3 +495,47 @@ def test_image_inside_the_window_at_another_bidegree_is_refused():
             graded_mixed_window(alg, Window(0, 2, -2, 2, 3))
         with pytest.raises(BidegreeMismatch, match=r"d\(x\) has the term x outside bidegree \(0, 1\)"):
             de_rham(alg)
+
+
+def _random_terms(rng, alg, max_len=3, terms=6):
+    monos = list(enumerate_monomials(alg, max_len))
+    return {m: random_coefficient(rng) for m in rng.sample(monos, min(terms, len(monos)))}
+
+
+def test_elem_arithmetic_matches_fraction_oracle():
+    rng = random.Random(1506)
+    for _ in range(40):
+        gens = [(f"g{i}", rng.randint(-2, 2), rng.randint(0, 2)) for i in range(rng.randint(1, 4))]
+        alg = FreeCDGA(gens)
+        x, y = (_random_terms(rng, alg) for _ in range(2))
+        ex, ey = Elem(alg, x), Elem(alg, y)
+        c = random_coefficient(rng)
+        values = {i: _random_terms(rng, alg, max_len=2, terms=2) for i in range(len(gens)) if rng.random() < 0.7}
+        elems = {i: Elem(alg, v) for i, v in values.items()}
+        parity = rng.randrange(2)
+        cases = (
+            (ex + ey, oracle_sum(x, y)),
+            (ex * ey, oracle_product(alg, x, y)),
+            (ex.scale(c), oracle_sum({m: c * v for m, v in x.items()}, {})),
+            (apply_derivation(alg, ex, elems, parity), oracle_derivation(alg, x, values, parity)),
+        )
+        for got, want in cases:
+            assert got.terms == want
+            assert all(type(v) in (int, F) for v in got.terms.values())
+        # int inputs give int coefficients, never an integral Fraction
+        ix, iy = (Elem(alg, {m: int(6 * v) for m, v in t.items()}) for t in (x, y))
+        ivals = {i: Elem(alg, {m: int(6 * v) for m, v in t.items()}) for i, t in values.items()}
+        outs = (ix + iy, ix * iy, ix.scale(F(4, 2)), apply_derivation(alg, ix, ivals, parity))
+        assert all(type(v) is int for e in outs for v in e.terms.values())
+
+
+def test_de_rham_window_dims_match_the_poincare_count():
+    # the derham_dims benchmark shapes and the (3, 3, 6) rung; B free with
+    # d = 0, even generators of degree 0 and odd ones of degree 1
+    for ke, ko, size in ((1, 3, 4), (2, 1, 5), (1, 2, 5), (2, 2, 3), (3, 1, 3), (3, 0, 5),
+                         (1, 1, 5), (0, 2, 4), (3, 3, 6)):
+        gens = [(f"x{i}", 0) for i in range(ke)] + [(f"t{i}", 1) for i in range(ko)]
+        dr = de_rham(FreeCDGA(gens))
+        cx, _ = graded_mixed_window(dr.algebra, Window(0, size, -size, size, size))
+        dims = weight_window_total_complex(cx, 0, size).homology_dims()
+        assert dims == poincare_window_dims([(d, 0) for _, d in gens], size), (ke, ko, size)

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 
-from helpers import oracle_weak_mixed_blocks
+from helpers import oracle_ad_on_sym2, oracle_weak_mixed_blocks, random_coefficient
+from spw import lieinfty
 from spw.errors import BidegreeMismatch, NotFreeOnV, NotInvariant
 from spw.freecdga import Elem, Window, enumerate_monomials
 from spw.gradedmixed import realization, validate_mixed
@@ -367,3 +369,37 @@ def test_weak_mixed_refuses_a_bracket_of_the_wrong_bidegree():
     s.brackets[2] = {"a": s.sym.gen("a")}
     with pytest.raises(BidegreeMismatch, match="image of a has the term a"):
         linfty_to_weak_mixed(s, Window(0, 3, 0, 4, 3))
+
+
+def test_ad_on_sym2_matches_the_dense_oracle():
+    rng = random.Random(1506)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        brackets = {
+            (i, j): {k: random_coefficient(rng) for k in range(n) if rng.random() < 0.3}
+            for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6
+        }
+        g = LieAlgebra.from_brackets(n, brackets)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        t = {p: random_coefficient(rng) for p in rng.sample(pairs, rng.randint(1, len(pairs)))}
+        for x in range(n):
+            assert lieinfty._ad_on_sym2(g, x, t) == oracle_ad_on_sym2(g, x, t)
+
+
+def test_sym2_invariants_of_a_dim12_algebra_are_fast():
+    # nonabelian2 + an abelian k^10: the invariants are Sym^2 k^10
+    g = LieAlgebra.from_brackets(12, {(0, 1): {0: 1}})
+    start = time.perf_counter()
+    basis = invariants(g, "sym2")
+    assert time.perf_counter() - start < 1.0
+    assert len(basis) == comb(11, 2)
+
+
+def test_z_from_t_with_an_integer_tensor_is_exact():
+    # the sl2 Casimir with int coefficients: the 1/6 projector is a
+    # Fraction division, so Z equals the one of the Fraction tensor
+    g = LieAlgebra.sl2()
+    z = z_from_t(g, InvariantTensor("sym2", {(0, 0): 1, (1, 2): 2}))
+    assert z.coeffs == z_from_t(g, InvariantTensor("sym2", {(0, 0): F(1), (1, 2): F(2)})).coeffs
+    assert z.coeffs and all(type(v) in (int, F) for v in z.coeffs.values())
+    assert semi_strict_check(g, z).valid

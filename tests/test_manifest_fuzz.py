@@ -12,10 +12,8 @@ import contextlib
 import io
 import os
 import random
-import signal
 
-import pytest
-
+from helpers import CaseTimeout, time_limit
 from spw import dsl
 from spw.cli import main
 
@@ -43,11 +41,6 @@ WORDS = (
 PUNCT = tuple("{}()[]=;,*+-^@/")
 MUTANTS_PER_MANIFEST = 80
 LIMIT_S = 5.0
-
-
-class CaseTimeout(BaseException):
-    """Raised by the per-case timer; a BaseException, so no handler in spw
-    can swallow it."""
 
 
 def mutate(rng, texts):
@@ -90,10 +83,6 @@ def mutants():
     return cases
 
 
-def _timeout(signum, frame):
-    raise CaseTimeout
-
-
 def run_case(command, extra, source, stdin):
     """(exit code or "timeout", stderr) of one in-process run."""
     err = io.StringIO()
@@ -102,14 +91,15 @@ def run_case(command, extra, source, stdin):
     stdin.write(source)
     stdin.seek(0)
     argv = [command, *extra, "--json", "--max-weight", "2", "--max-len", "3"]
-    signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with (
+            time_limit(LIMIT_S),
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+        ):
             code = main(argv)
     except CaseTimeout:
         code = "timeout"
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
     return code, err.getvalue()
 
 
@@ -118,13 +108,9 @@ def test_mutated_manifests_keep_the_exit_code_contract(monkeypatch):
         monkeypatch.delenv(var, raising=False)
     stdin = io.StringIO()
     monkeypatch.setattr("sys.stdin", stdin)
-    previous = signal.signal(signal.SIGALRM, _timeout)
     faults = []
-    try:
-        for case, command, extra, source in mutants():
-            code, err = run_case(command, extra, source, stdin)
-            if code not in (0, 1, 2, 3) or "Traceback" in err:
-                faults.append((case, code, err.strip()[-200:], source))
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+    for case, command, extra, source in mutants():
+        code, err = run_case(command, extra, source, stdin)
+        if code not in (0, 1, 2, 3) or "Traceback" in err:
+            faults.append((case, code, err.strip()[-200:], source))
     assert not faults, faults[:5]

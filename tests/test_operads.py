@@ -496,3 +496,17 @@ def test_weyl_arity3_smoke():
     assert out[()] == ins[0] * ins[1] * ins[2]
     # some first-order term exists
     assert any(len(w) == 1 for w in out)
+
+
+def test_weyl_structure_map_with_an_integer_pairing_is_exact():
+    # exp(a) divides the k-th power of a by k!: a Fraction division even
+    # when the pairing and the inputs carry int coefficients
+    b = sym_v_dual(3)
+    x = [b.gen(f"xi{i + 1}") for i in range(3)]
+    ins = [x[0] * x[1], x[1] * x[2], x[0] * x[2]]
+    t_int = {(0, 1): 1, (1, 0): 1, (1, 2): 1, (2, 1): 1, (0, 2): 2, (2, 0): 2}
+    out = weyl_structure_map(b, t_int, (1, 2, 3), n=2).structure_map(ins)
+    want = weyl_structure_map(b, {k: F(v) for k, v in t_int.items()}, (1, 2, 3), n=2).structure_map(ins)
+    assert out == want
+    assert any(len(w) == 2 for w in out)  # a second power of a, divided by 2
+    assert all(type(c) in (int, F) for e in out.values() for c in e.terms.values())
