@@ -88,7 +88,7 @@ def _invert(mat: SparseMatrix) -> SparseMatrix:
         sol = maybe_solve(mat, rhs)
         if sol is None:
             raise Degenerate("pairing matrix is singular")
-        cols.append(list(sol[0]))
+        cols.append(list(sol))
     return SparseMatrix.from_columns(cols, rows=n)
 
 
@@ -319,9 +319,8 @@ def strictify_closed_two_form(
         raise GaugeNotFound(
             "no gauge in the window", residual_class_dim=res_dim
         )
-    x, _ = sol
-    eta = Elem(alg, {m: c for (kind, m), c in zip(unknowns, x) if kind == "eta" and c})
-    h = Elem(alg, {m: c for (kind, m), c in zip(unknowns, x) if kind == "h" and c})
+    eta = Elem(alg, {m: c for (kind, m), c in zip(unknowns, sol) if kind == "eta" and c})
+    h = Elem(alg, {m: c for (kind, m), c in zip(unknowns, sol) if kind == "h" and c})
     strict = image(eta, 1)
     if not (image(strict, 0).is_zero() and image(strict, 1).is_zero()):
         raise IdentityViolated("strictified form is not d- and eps-closed")

@@ -342,20 +342,14 @@ def kernel_basis(m: SparseMatrix):
     return basis
 
 
-def rank(m: SparseMatrix) -> int:
-    return m.rank()
-
-
 class HomologyResult:
     """Dimension plus representative cycles for ker(d_out)/im(d_in)."""
 
-    __slots__ = ("dimension", "representatives", "kernel_dimension", "image_rank")
+    __slots__ = ("dimension", "representatives")
 
-    def __init__(self, dimension, representatives, kernel_dimension, image_rank):
+    def __init__(self, dimension, representatives):
         self.dimension = dimension
         self.representatives = representatives
-        self.kernel_dimension = kernel_dimension
-        self.image_rank = image_rank
 
     def __repr__(self):
         return f"HomologyResult(dim={self.dimension})"
@@ -374,8 +368,7 @@ def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
     if not (d_out @ d_in).is_zero():
         raise CompositionNonzero("d_out o d_in != 0")
     ker = kernel_basis(d_out)
-    im_rank = d_in.rank()
-    dim = len(ker) - im_rank
+    dim = len(ker) - d_in.rank()
     reps = []
     if dim:
         n = d_in.cols
@@ -386,11 +379,11 @@ def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
                     entries[i, n + t] = x
         stacked = SparseMatrix(d_in.rows, n + len(ker), entries)
         reps = [ker[c - n] for c in stacked.pivot_columns() if c >= n]
-    return HomologyResult(dim, reps, len(ker), im_rank)
+    return HomologyResult(dim, reps)
 
 
 def solve_linear(m: SparseMatrix, b):
-    """One exact solution of m x = b plus a kernel basis.
+    """One exact solution x of m x = b, as a Fraction tuple.
 
     The solution is zero at the non-pivot columns.  Raises NoSolution when
     b is not in the image.
@@ -407,7 +400,7 @@ def solve_linear(m: SparseMatrix, b):
         x[c] = row.get(m.cols, Rat(0))
     if m.mul_vec(x) != tuple(b):
         raise IdentityViolated("solve_linear: m x != b")
-    return tuple(x), kernel_basis(m)
+    return tuple(x)
 
 
 def maybe_solve(m: SparseMatrix, b):

@@ -541,25 +541,23 @@ def _derivation_blocks(alg, monos, image, k):
 
 
 def graded_mixed_window(alg: FreeCDGA, window: Window):
-    """Finite GradedMixedComplex slice of a (mixed) cdga plus monomial index.
+    """Finite GradedMixedComplex slice of a (mixed) cdga, and its basis.
 
-    Returns (complex, mono_of_label) where labels are canonical monomial
-    strings sorted deterministically inside each bidegree.  Images above
-    the window are projected away.
+    Returns (complex, basis): the labels of the complex are the window's
+    monomial tuples, sorted inside each bidegree, and basis is the window
+    basis {mono: (w, d)}.  Images above the window are projected away.
     """
-    return _mixed_complex(alg, *_closure(alg, window))
+    inside, images = _closure(alg, window)
+    return _mixed_complex(alg, inside, images), inside
 
 
 def _mixed_complex(alg, inside, images):
-    """The complex on the basis `inside` from the stored (d, eps) images,
-    and its label -> monomial index; image terms outside `inside` are
-    projected away."""
+    """The complex on the monomials of `inside` from the stored (d, eps)
+    images; image terms outside `inside` are projected away."""
     monos = _window_monomials(inside)
-    mod = BiGradedModule({bideg: [alg.mono_str(m) for m in ms] for bideg, ms in monos.items()})
-    mono_of = {lab: m for bideg, ms in monos.items() for lab, m in zip(mod.labels(*bideg), ms)}
     d = _derivation_blocks(alg, monos, lambda m: images[m][0], 0)
     eps = _derivation_blocks(alg, monos, lambda m: images[m][1], 1)
-    return GradedMixedComplex(mod, d, eps), mono_of
+    return GradedMixedComplex(BiGradedModule(monos), d, eps)
 
 
 def total_complex_window(alg: FreeCDGA, window: Window) -> ChainComplex:
@@ -711,10 +709,6 @@ class ClosedFormTower:
         return True
 
 
-def underlying_form(tower: ClosedFormTower) -> Elem:
-    return tower.underlying_form()
-
-
 @dataclass
 class ClosedFormReport:
     dimension: int
@@ -745,7 +739,7 @@ def closed_form_classes(
     # weights p..top
     window = Window(wmin=p, wmax=wmax, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
     inside, images = _closure(dr.algebra, window)
-    cx, mono_of = _mixed_complex(dr.algebra, inside, images)
+    cx = _mixed_complex(dr.algebra, inside, images)
     stage_dims = {}
     reps = []
     dim = 0
@@ -759,15 +753,15 @@ def closed_form_classes(
         labels = total.basis.get(deg, [])
         for v in h.representatives:
             comps = {}
-            for coeff, (w, lab) in zip(v, labels):
+            for coeff, (w, mono) in zip(v, labels):
                 if coeff:
                     e = comps.get(w, dr.algebra.zero())
-                    comps[w] = e + Elem(dr.algebra, {mono_of[lab]: coeff})
+                    comps[w] = e + Elem(dr.algebra, {mono: coeff})
             reps.append(ClosedFormTower(dr, p, n, comps))
     fiber_dims = {}
     for m in range(p, wmax):
         # fiber of stage m+1 -> stage m: H^{n+p} of the weight-(m+1) column
-        fiber, _ = _mixed_complex(dr.algebra, _column(inside, images, m + 1, max_len), images)
+        fiber = _mixed_complex(dr.algebra, _column(inside, images, m + 1, max_len), images)
         fiber_dims[m] = weight_window_total_complex(fiber, m + 1, m + 1).homology_dim(deg)
     mod_dim = None
     if modulo_exact:
@@ -799,16 +793,16 @@ def _modulo_exact_dimension(dr, p, deg, wmax, max_len):
     # not the stages' window: closing from weight p-1 adds eps-images at
     # weight p that the Hodge stages do not hold
     window = Window(wmin=max(p - 1, 0), wmax=wmax, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
-    cx, mono_of = graded_mixed_window(dr.algebra, window)
+    cx, _ = graded_mixed_window(dr.algebra, window)
     total = weight_window_total_complex(cx, p, wmax)
     labels = total.basis.get(deg, [])
     if not labels:
         return 0
-    index = {mono_of[lab]: i for i, (_, lab) in enumerate(labels)}
+    index = {mono: i for i, (_, mono) in enumerate(labels)}
     boundary = [(i, j, v) for (i, j), v in total.d_block(deg - 1).items()]
     n_bdry = total.dim(deg - 1)
     # de Rham images of d-closed weight-(p-1) elements of degree deg-1
-    low = [mono_of[lab] for lab in cx.module.labels(p - 1, deg - 1)] if p >= 1 else []
+    low = cx.module.labels(p - 1, deg - 1) if p >= 1 else []
     if low:
         d_targets = {}
         d_ent = [

@@ -258,8 +258,7 @@ def weak_mixed_validate(w: WeakMixedStructure, bound=None) -> WeakMixedReport:
 def weak_mixed_from_derivations(alg: FreeCDGA, eps_values, window: Window) -> WeakMixedStructure:
     """Assemble blocks of a weak mixed structure whose eps_i are the odd
     derivation extensions of the given generator values."""
-    cx, mono_of = graded_mixed_window(alg, window)
-    monos = {bideg: [mono_of[lab] for lab in labels] for bideg, labels in cx.module.basis.items()}
+    cx, _ = graded_mixed_window(alg, window)
     eps_list = []
     for i, values in enumerate(eps_values):
         vals = {alg.index[name]: v for name, v in values.items()}
@@ -267,7 +266,7 @@ def weak_mixed_from_derivations(alg: FreeCDGA, eps_values, window: Window) -> We
         def image(m, vals=vals):
             return apply_derivation(alg, Elem(alg, {m: 1}), vals, parity=1)
 
-        eps_list.append(_derivation_blocks(alg, monos, image, i + 1))
+        eps_list.append(_derivation_blocks(alg, cx.module.basis, image, i + 1))
     return WeakMixedStructure(cx.module, cx.d, eps_list)
 
 
@@ -447,8 +446,7 @@ def killing_form(g: LieAlgebra) -> InvariantTensor:
     cols = []
     for e in range(n):
         rhs = [1 if t == e else 0 for t in range(n)]
-        x, _ = solve_linear(mat, rhs)
-        cols.append(list(x))
+        cols.append(list(solve_linear(mat, rhs)))
     coeffs = {}
     for i in range(n):
         for j in range(i, n):

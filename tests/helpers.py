@@ -364,7 +364,7 @@ def oracle_weight_window_total_complex(e, wmin, wmax):
             for lab in labels:
                 basis.setdefault(m, []).append((p, lab))
     for m in basis:
-        basis[m].sort(key=lambda t: (t[0], str(t[1])))
+        basis[m].sort(key=lambda t: t[0])
     diff = {}
     for m, labels in basis.items():
         tgt = basis.get(m + 1, [])
@@ -390,9 +390,7 @@ def oracle_weight_window_total_complex(e, wmin, wmax):
         ent = {k: v for k, v in ent.items() if v}
         if ent:
             diff[m] = SparseMatrix(len(tgt), len(labels), ent)
-    cx = ChainComplex(basis, diff)
-    cx.validate()
-    return cx
+    return ChainComplex(basis, diff)
 
 
 def oracle_graded_mixed_window(alg, window):
@@ -816,7 +814,7 @@ def oracle_closed_form_classes(b, p, n, wmax, max_len):
     dim = 0
     for top in range(p, wmax + 1):
         window = Window(wmin=p, wmax=top, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
-        cx, mono_of = graded_mixed_window(dr.algebra, window)
+        cx, _ = graded_mixed_window(dr.algebra, window)
         total = weight_window_total_complex(cx, p, top)
         h = total.homology(deg)
         stage_dims[top] = h.dimension
@@ -825,10 +823,10 @@ def oracle_closed_form_classes(b, p, n, wmax, max_len):
             labels = total.basis.get(deg, [])
             for v in h.representatives:
                 comps = {}
-                for coeff, (w, lab) in zip(v, labels):
+                for coeff, (w, mono) in zip(v, labels):
                     if coeff:
                         e = comps.get(w, dr.algebra.zero())
-                        comps[w] = e + Elem(dr.algebra, {mono_of[lab]: coeff})
+                        comps[w] = e + Elem(dr.algebra, {mono: coeff})
                 reps.append(comps)
     fiber_dims = {}
     for m in range(p, wmax):

@@ -338,6 +338,10 @@ def run_exit(capsys, *argv):
             id="complex-duplicate-label",
         ),
         pytest.param(
+            "realize", "complex E { basis = a(0, 0), b(1, 1), c(2, 2); eps(a) = b; eps(b) = c; }", {},
+            "d^2 != 0 at degree 0", id="complex-eps-squared-nonzero",
+        ),
+        pytest.param(
             "check-poisson", "lie g { dim = 1; }\npoisson P { on = g; p0 = 0; }", {},
             "2:13: on = g names a lie block", id="on-wrong-kind",
         ),

@@ -104,9 +104,7 @@ def test_homology_representatives_project_to_basis():
 
 
 def test_solve_identity():
-    x, ker = solve_linear(SparseMatrix.identity(3), (1, F(2, 3), -5))
-    assert x == (1, F(2, 3), -5)
-    assert ker == []
+    assert solve_linear(SparseMatrix.identity(3), (1, F(2, 3), -5)) == (1, F(2, 3), -5)
 
 
 def test_solve_zero_map_no_solution():
@@ -117,16 +115,15 @@ def test_solve_zero_map_no_solution():
 
 def test_solve_back_substitution():
     m = SparseMatrix.from_rows([[1, 1], [0, 1]])
-    x, ker = solve_linear(m, (3, 1))
-    assert x == (2, 1)
-    assert ker == []
+    assert solve_linear(m, (3, 1)) == (2, 1)
+    assert kernel_basis(m) == []
 
 
 def test_solve_underdetermined_returns_kernel():
     m = SparseMatrix.from_rows([[1, 1, 0]])
-    x, ker = solve_linear(m, (5,))
+    x = solve_linear(m, (5,))
     assert m.mul_vec(x) == (5,)
-    assert len(ker) == 2
+    assert len(kernel_basis(m)) == 2
 
 
 def test_homology_invariant_under_permutation():
@@ -195,8 +192,7 @@ def test_elimination_matches_dense_oracle():
                 with pytest.raises(NoSolution):
                     solve_linear(m, b)
             else:
-                x, ker = solve_linear(m, b)
-                assert x == want and ker == kernel_basis(m)
+                assert solve_linear(m, b) == want
 
 
 def _random_complex_pair(rng):
@@ -234,9 +230,8 @@ def test_homology_dims_is_rank_nullity_of_homology():
 
 def test_homology_dims_rejects_nonzero_square():
     one = SparseMatrix.identity(1)
-    cx = ChainComplex({0: ["a"], 1: ["b"], 2: ["c"]}, {0: one, 1: one})
-    with pytest.raises(CompositionNonzero):
-        cx.homology_dims()
+    with pytest.raises(CompositionNonzero, match=r"d\^2 != 0 at degree 0"):
+        ChainComplex({0: ["a"], 1: ["b"], 2: ["c"]}, {0: one, 1: one})
 
 
 def test_solve_linear_raises_when_its_solution_fails(monkeypatch):

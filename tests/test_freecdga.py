@@ -20,6 +20,7 @@ from helpers import (
 )
 from spw import freecdga
 from spw.errors import BidegreeMismatch, NotRegular, SpwError
+from spw.exactlin import SparseMatrix
 from spw.freecdga import (
     Elem,
     FreeCDGA,
@@ -400,16 +401,19 @@ def _de_rham_windows():
 
 
 def test_graded_mixed_window_matches_per_label_oracle():
+    # the oracle labels by monomial string: compare through alg.mono_str
     for alg, window in _de_rham_windows():
-        cx, mono_of = graded_mixed_window(alg, window)
+        cx, inside = graded_mixed_window(alg, window)
         want, want_mono_of = oracle_graded_mixed_window(alg, window)
-        assert mono_of == want_mono_of
-        assert cx.module.basis == want.module.basis
+        assert inside == window_basis(alg, window)
+        assert {alg.mono_str(m): m for m in inside} == want_mono_of
+        assert {k: [alg.mono_str(m) for m in ms] for k, ms in cx.module.basis.items()} == want.module.basis
         assert cx.d == want.d and cx.eps == want.eps
         for wmin, wmax in ((window.wmin, window.wmax), (window.wmin + 1, window.wmax - 1)):
             got = weight_window_total_complex(cx, wmin, wmax)
             oracle = oracle_weight_window_total_complex(want, wmin, wmax)
-            assert got.basis == oracle.basis and got.diff == oracle.diff
+            named = {k: [(p, alg.mono_str(m)) for p, m in labels] for k, labels in got.basis.items()}
+            assert named == oracle.basis and got.diff == oracle.diff
 
 
 def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
@@ -422,8 +426,8 @@ def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
                 return op(x)
 
             monkeypatch.setattr(alg, name, counted)
-        cx, mono_of = graded_mixed_window(alg, window)
-        monos = sorted(mono_of.values())
+        cx, inside = graded_mixed_window(alg, window)
+        monos = sorted(inside)
         for seen in calls.values():
             assert sorted(m for x in seen for m in x.terms) == monos
             assert all(len(x.terms) == 1 for x in seen)
@@ -539,3 +543,22 @@ def test_de_rham_window_dims_match_the_poincare_count():
         cx, _ = graded_mixed_window(dr.algebra, Window(0, size, -size, size, size))
         dims = weight_window_total_complex(cx, 0, size).homology_dims()
         assert dims == poincare_window_dims([(d, 0) for _, d in gens], size), (ke, ko, size)
+
+
+def test_de_rham_total_complex_forms_each_square_once(monkeypatch):
+    # d^2 is checked when the total complex is built, one product per pair
+    # of nonzero composable blocks, and homology_dims forms none of its own
+    calls = []
+    matmul = SparseMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(SparseMatrix, "__matmul__", counted)
+    gens = [(f"x{i}", 0) for i in range(4)] + [(f"t{i}", 1) for i in range(4)]
+    cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 6, -6, 6, 6))
+    total = weight_window_total_complex(cx, 0, 6)
+    total.homology_dims()
+    assert len(calls) == sum(m + 1 in total.diff for m in total.diff)
+    assert len(calls) <= len(total.degrees()) == 7

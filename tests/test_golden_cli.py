@@ -1,8 +1,9 @@
 """Golden CLI table: every documented `--json` invocation, in-process.
 
-Each row of `golden_cli.json` is the exit code and the sha256 of stdout of
-one invocation: the manifest commands on every `examples_dsl/` manifest
-(`invariants` with both kinds) and `operad` at arities 2..4, n = 0..3.
+Each row of `golden_cli.json` is the exit code and the sha256 of stdout
+and of stderr of one invocation: the manifest commands on every
+`examples_dsl/` manifest (`invariants` with both kinds) and `operad` at
+arities 2..4, n = 0..3.
 A change that alters a report on purpose rewrites the table with
 `PYTHONPATH=src python tests/test_golden_cli.py` and says which rows moved
 and why.
@@ -47,13 +48,14 @@ def invocations():
 
 
 def run(argv):
-    """(exit code, sha256 of stdout) of one in-process invocation."""
+    """(exit code, sha256 of stdout, sha256 of stderr) of one in-process
+    invocation."""
     if argv[0] != "operad":
         argv = [argv[0], os.path.join(DATA, argv[1]), *argv[2:]]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    return [code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))]
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +84,7 @@ if __name__ == "__main__":
         try:
             rows[" ".join(argv)] = run(argv)
         except Exception as exc:  # a traceback row: recorded, never passes
-            rows[" ".join(argv)] = [type(exc).__name__, None]
+            rows[" ".join(argv)] = [type(exc).__name__, None, None]
             print(f"{' '.join(argv)}: {exc!r}", file=sys.stderr)
     with open(TABLE, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=1, sort_keys=True)

@@ -10,6 +10,7 @@ from helpers import (
 )
 from spw.errors import BidegreeMismatch
 from spw.exactlin import SparseMatrix
+from spw.freecdga import FreeCDGA, Window, de_rham, graded_mixed_window
 from spw.gradedmixed import (
     BiGradedModule,
     GradedMixedComplex,
@@ -235,6 +236,25 @@ def test_tate_realization_negative_weight_unit():
     assert full.homology(0).dimension == 1
 
 
+def test_tate_comparison_is_a_tail_inclusion_that_commutes_with_d():
+    rng = random.Random(89)
+    for _ in range(15):
+        e = random_valid_complex(rng, -2, 3, pieces=3)
+        small = realization(e, 4)
+        for stage in (0, 1, 3):
+            full, cmp = tate_realization(e, stage, 4)
+            assert sorted(cmp) == small.degrees()
+            for m, inc in cmp.items():
+                off = full.dim(m) - small.dim(m)
+                assert full.basis[m][off:] == small.basis[m]
+                assert all(p < 0 for p, _ in full.basis[m][:off])
+                assert inc == SparseMatrix(
+                    full.dim(m), small.dim(m), [(off + j, j, 1) for j in range(small.dim(m))]
+                )
+                inc_next = cmp.get(m + 1, SparseMatrix.zero(full.dim(m + 1), 0))
+                assert full.d_block(m) @ inc == inc_next @ small.d_block(m)
+
+
 def test_tate_homology_stabilizes_for_bounded_negative_weights():
     rng = random.Random(29)
     for _ in range(10):
@@ -256,6 +276,26 @@ def test_direct_sum_helper_is_valid():
     e = random_valid_complex(rng)
     f = random_valid_complex(rng)
     assert validate_mixed(direct_sum(e, f)).valid
+
+
+def _weight_ordered(total, e, wmin, wmax):
+    """Degree m of `total` is the labels of E(p)^m over p = wmin..wmax."""
+    return all(
+        total.basis.get(m, []) == [(p, lab) for p in range(wmin, wmax + 1) for lab in e.module.labels(p, m)]
+        for m in e.module.degrees()
+    ) and set(total.degrees()) <= set(e.module.degrees())
+
+
+def test_total_complex_degrees_are_weight_ordered():
+    rng = random.Random(83)
+    for _ in range(25):
+        e = random_valid_complex(rng, -1, 4, pieces=4)
+        for wmin, wmax in ((0, 4), (-1, 2), (1, 1), (2, 6)):
+            assert _weight_ordered(weight_window_total_complex(e, wmin, wmax), e, wmin, wmax)
+    dr = de_rham(FreeCDGA([("x", 0), ("y", 0), ("a", 1)]))
+    cx, _ = graded_mixed_window(dr.algebra, Window(0, 3, -3, 4, 3))
+    for wmin, wmax in ((0, 3), (1, 2), (2, 2)):
+        assert _weight_ordered(weight_window_total_complex(cx, wmin, wmax), cx, wmin, wmax)
 
 
 def test_total_complex_matches_dense_scan_oracle():

@@ -182,7 +182,7 @@ def test_weak_mixed_correction_via_ternary_bracket():
     s2 = linfty_structure(gens, diff, {2: b2})
     assert not weak_mixed_validate(linfty_to_weak_mixed(s2, window)).valid
 
-    from spw.exactlin import SparseMatrix, solve_linear
+    from spw.exactlin import SparseMatrix, kernel_basis, solve_linear
     from spw.freecdga import Elem, enumerate_monomials
 
     alg = s2.sym
@@ -219,7 +219,8 @@ def test_weak_mixed_correction_via_ternary_bracket():
         for m in candidates
     ]
     mat = SparseMatrix.from_columns(cols, rows=len(zero_vec))
-    x, kernel = solve_linear(mat, [-v for v in zero_vec])
+    x = solve_linear(mat, [-v for v in zero_vec])
+    kernel = kernel_basis(mat)
     # scan the affine solution space for a correction passing everything
     trials = [x] + [
         tuple(a + s * b for a, b in zip(x, k)) for k in kernel for s in (1, -1)
@@ -358,7 +359,8 @@ def test_weak_mixed_blocks_match_per_label_oracle():
         for window in (Window(0, 3, -4, 6, 3), Window(1, 4, -2, 4, 4)):
             w = weak_mixed_from_derivations(s.sym, eps_values, window)
             cx, eps_list = oracle_weak_mixed_blocks(s.sym, eps_values, window)
-            assert w.module.basis == cx.module.basis
+            named = {k: [s.sym.mono_str(m) for m in ms] for k, ms in w.module.basis.items()}
+            assert named == cx.module.basis
             assert w.d == cx.d
             assert w.eps_list == eps_list
 

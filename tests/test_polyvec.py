@@ -381,7 +381,7 @@ def test_mc_tower_with_solved_correction():
             vec[targets[mm]] = c
         from spw.exactlin import solve_linear
 
-        x, _ = solve_linear(SparseMatrix.from_columns(cols, rows=len(targets)), vec)
+        x = solve_linear(SparseMatrix.from_columns(cols, rows=len(targets)), vec)
         p1 = Elem(pol.algebra, {m: c for m, c in zip(basis, x) if c})
         fixed = MaurerCartanTower(pol, n, [p0, p1])
         assert mc_check(fixed).valid
