@@ -81,15 +81,10 @@ def _reconstruct_two_tensor(alg: FreeCDGA, symbols, mat: SparseMatrix) -> Elem:
 
 
 def _invert(mat: SparseMatrix) -> SparseMatrix:
-    n = mat.rows
-    cols = []
-    for e in range(n):
-        rhs = [1 if t == e else 0 for t in range(n)]
-        sol = maybe_solve(mat, rhs)
-        if sol is None:
-            raise Degenerate("pairing matrix is singular")
-        cols.append(list(sol))
-    return SparseMatrix.from_columns(cols, rows=n)
+    inv = maybe_solve(mat, SparseMatrix.identity(mat.rows))
+    if inv is None:
+        raise Degenerate("pairing matrix is singular")
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +244,7 @@ def strictify_closed_two_form(
 
     Requires the differential of B to vanish at the augmentation to first
     order (minimality); the search is a bounded linear solve, and failure
-    raises GaugeNotFound carrying the in-window residual class dimension.
+    raises GaugeNotFound when the window holds no solution.
     """
     for i, g in enumerate(b.generators):
         dg = b.differential.get(i)
@@ -307,33 +302,25 @@ def strictify_closed_two_form(
     for mm in omega.terms:
         targets.setdefault(mm, len(targets))
     n_main = len(targets)
-    rhs = [0] * (n_main + len(side_targets))
-    for mm, c in omega.terms.items():
-        rhs[targets[mm]] = c
+    n_rows = n_main + len(side_targets)
+    rhs = SparseMatrix(n_rows, 1, [(targets[mm], 0, c) for mm, c in omega.terms.items()])
     mat = SparseMatrix(
-        len(rhs), len(unknowns), main_ent + [(n_main + i, j, c) for i, j, c in side_ent]
+        n_rows, len(unknowns), main_ent + [(n_main + i, j, c) for i, j, c in side_ent]
     )
     sol = maybe_solve(mat, rhs)
     if sol is None:
-        res_dim = _residual_class_dim(mat, rhs)
-        raise GaugeNotFound(
-            "no gauge in the window", residual_class_dim=res_dim
-        )
-    eta = Elem(alg, {m: c for (kind, m), c in zip(unknowns, sol) if kind == "eta" and c})
-    h = Elem(alg, {m: c for (kind, m), c in zip(unknowns, sol) if kind == "h" and c})
+        raise GaugeNotFound("no gauge in the window")
+    parts = {"eta": {}, "h": {}}
+    for (j, _), c in sol.items():
+        kind, m = unknowns[j]
+        parts[kind][m] = c
+    eta, h = Elem(alg, parts["eta"]), Elem(alg, parts["h"])
     strict = image(eta, 1)
     if not (image(strict, 0).is_zero() and image(strict, 1).is_zero()):
         raise IdentityViolated("strictified form is not d- and eps-closed")
     if not drop_overflow(omega - strict - image(h, 0) - image(h, 1)).is_zero():
         raise IdentityViolated("omega - strict != (d + eps) h in the window")
     return StrictificationResult(eta, strict, h, window)
-
-
-def _residual_class_dim(mat, rhs):
-    """1 if rhs is outside the column span (genuine in-window obstruction)."""
-    ent = [(i, j, v) for (i, j), v in mat.items()]
-    ent += [(i, mat.cols, v) for i, v in enumerate(rhs) if v]
-    return SparseMatrix(mat.rows, mat.cols + 1, ent).rank() - mat.rank()
 
 
 # ---------------------------------------------------------------------------

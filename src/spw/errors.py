@@ -74,16 +74,8 @@ class NotMinimal(SpwError):
 
 
 class GaugeNotFound(SpwError):
-    """A bounded gauge search failed; distinguishes window from obstruction.
-
-    `residual_class_dim` is the dimension of the cohomology class of the
-    residual in the truncated window: nonzero means genuine obstruction,
-    zero means the window was too small for the gauge itself.
-    """
-
-    def __init__(self, message, residual_class_dim=None):
-        super().__init__(message)
-        self.residual_class_dim = residual_class_dim
+    """A bounded gauge search found no solution: the form has no strict
+    representative with a gauge in the window (an obstruction there)."""
 
 
 class ArityTooLarge(SpwError):

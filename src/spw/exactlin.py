@@ -75,34 +75,6 @@ class SparseMatrix:
     def identity(cls, n: int) -> "SparseMatrix":
         return cls(n, n, [(i, i, 1) for i in range(n)])
 
-    @classmethod
-    def from_rows(cls, rowlists, cols=None) -> "SparseMatrix":
-        rowlists = [list(r) for r in rowlists]
-        if cols is None:
-            cols = len(rowlists[0]) if rowlists else 0
-        ent = []
-        for i, r in enumerate(rowlists):
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(r):
-                if v:
-                    ent.append((i, j, v))
-        return cls(len(rowlists), cols, ent)
-
-    @classmethod
-    def from_columns(cls, collists, rows=None) -> "SparseMatrix":
-        collists = [list(c) for c in collists]
-        if rows is None:
-            rows = len(collists[0]) if collists else 0
-        ent = []
-        for j, c in enumerate(collists):
-            if len(c) != rows:
-                raise ValueError("ragged columns")
-            for i, v in enumerate(c):
-                if v:
-                    ent.append((i, j, v))
-        return cls(rows, len(collists), ent)
-
     # -- accessors ----------------------------------------------------
 
     def entry(self, i: int, j: int):
@@ -174,15 +146,6 @@ class SparseMatrix:
                 else:
                     acc.pop(key, None)
         return SparseMatrix(self.rows, other.cols, acc)
-
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [0] * self.rows
-        for (i, j), a in self._entries.items():
-            if v[j]:
-                out[i] += a * v[j]
-        return tuple(out)
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
@@ -318,32 +281,29 @@ def _reduce(echelon):
 
 
 def kernel_basis(m: SparseMatrix):
-    """Basis of ker(m) as Fraction tuples, one per non-pivot column f.
+    """Basis of ker(m) as sparse vectors {col: coeff}, one per non-pivot
+    column f, in the order of f.
 
     The vector for f is e_f minus column f of the reduced echelon form,
-    placed at the pivot columns; an empty matrix gives the standard basis.
+    placed at the pivot columns; those all lie left of f, so the keys
+    ascend.  Zero entries are left out; an empty matrix gives the
+    standard basis.
     """
     reduced = m._reduced()
-    by_free = {}
+    pivots = {c for c, _ in reduced}
+    basis = {f: {} for f in range(m.cols) if f not in pivots}
     for c, row in reduced:
         for j, v in row.items():
             if j != c:
-                by_free.setdefault(j, []).append((c, v))
-    pivots = {c for c, _ in reduced}
-    basis = []
-    for f in range(m.cols):
-        if f in pivots:
-            continue
-        v = [Rat(0)] * m.cols
+                basis[j][c] = -v
+    for f, v in basis.items():
         v[f] = Rat(1)
-        for c, a in by_free.get(f, ()):
-            v[c] = -a
-        basis.append(tuple(v))
-    return basis
+    return list(basis.values())
 
 
 class HomologyResult:
-    """Dimension plus representative cycles for ker(d_out)/im(d_in)."""
+    """Dimension plus representative cycles for ker(d_out)/im(d_in), each a
+    sparse vector {index: coeff} as `kernel_basis` gives them."""
 
     __slots__ = ("dimension", "representatives")
 
@@ -359,9 +319,9 @@ def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
     """Homology at the middle of  A --d_in--> B --d_out--> C.
 
     Checks d_out @ d_in == 0 exactly and raises CompositionNonzero otherwise.
-    Representatives are the kernel vectors independent of the image and of
-    the kernel vectors before them: those whose columns are pivot columns
-    of [d_in | kernel vectors], found by one elimination.
+    Representatives are the `kernel_basis(d_out)` vectors independent of
+    the image and of the kernel vectors before them: those whose columns
+    are pivot columns of [d_in | kernel vectors], found by one elimination.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
@@ -374,37 +334,38 @@ def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
         n = d_in.cols
         entries = dict(d_in.items())
         for t, v in enumerate(ker):
-            for i, x in enumerate(v):
-                if x:
-                    entries[i, n + t] = x
+            for i, x in v.items():
+                entries[i, n + t] = x
         stacked = SparseMatrix(d_in.rows, n + len(ker), entries)
         reps = [ker[c - n] for c in stacked.pivot_columns() if c >= n]
     return HomologyResult(dim, reps)
 
 
-def solve_linear(m: SparseMatrix, b):
-    """One exact solution x of m x = b, as a Fraction tuple.
+def solve_linear(m: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """The exact solution x of m x = b that is zero at the non-pivot
+    columns of m, for a matrix b of right-hand sides.
 
-    The solution is zero at the non-pivot columns.  Raises NoSolution when
-    b is not in the image.
+    One elimination of [m | b] serves every column of b.  Raises
+    NoSolution when any column of b is outside the image of m, and
+    IdentityViolated when m x != b.
     """
-    if len(b) != m.rows:
-        raise ValueError("rhs length mismatch")
-    b = [_as_rat(x) for x in b]
-    rhs = (((i, m.cols), v) for i, v in enumerate(b) if v)
-    reduced = _reduce(_eliminate(_int_rows(chain(m.items(), rhs)), m.cols + 1))
-    if reduced and reduced[-1][0] == m.cols:
+    if b.rows != m.rows:
+        raise ValueError("rhs rows mismatch")
+    n = m.cols
+    rhs = (((i, n + j), v) for (i, j), v in b.items())
+    reduced = _reduce(_eliminate(_int_rows(chain(m.items(), rhs)), n + b.cols))
+    if reduced and reduced[-1][0] >= n:
         raise NoSolution("rhs not in the image")
-    x = [Rat(0)] * m.cols
-    for c, row in reduced:
-        x[c] = row.get(m.cols, Rat(0))
-    if m.mul_vec(x) != tuple(b):
+    x = SparseMatrix(
+        n, b.cols, [(c, j - n, v) for c, row in reduced for j, v in row.items() if j >= n]
+    )
+    if m @ x != b:
         raise IdentityViolated("solve_linear: m x != b")
-    return tuple(x)
+    return x
 
 
 def maybe_solve(m: SparseMatrix, b):
-    """solve_linear that returns None instead of raising."""
+    """solve_linear that returns None instead of raising NoSolution."""
     try:
         return solve_linear(m, b)
     except NoSolution:

@@ -753,10 +753,10 @@ def closed_form_classes(
         labels = total.basis.get(deg, [])
         for v in h.representatives:
             comps = {}
-            for coeff, (w, mono) in zip(v, labels):
-                if coeff:
-                    e = comps.get(w, dr.algebra.zero())
-                    comps[w] = e + Elem(dr.algebra, {mono: coeff})
+            for i, coeff in v.items():
+                w, mono = labels[i]
+                comps.setdefault(w, {})[mono] = coeff
+            comps = {w: Elem(dr.algebra, terms) for w, terms in comps.items()}
             reps.append(ClosedFormTower(dr, p, n, comps))
     fiber_dims = {}
     for m in range(p, wmax):
@@ -811,7 +811,7 @@ def _modulo_exact_dimension(dr, p, deg, wmax, max_len):
             for m2, c in dr.algebra.d(Elem(dr.algebra, {m: 1})).terms.items()
         ]
         for v in kernel_basis(SparseMatrix(len(d_targets), len(low), d_ent)):
-            eta = Elem(dr.algebra, {m: c for c, m in zip(v, low) if c})
+            eta = Elem(dr.algebra, {low[i]: c for i, c in v.items()})
             img = dr.algebra.eps(eta)
             if all(m2 in index for m2 in img.terms):
                 boundary += [(index[m2], n_bdry, c) for m2, c in img.terms.items()]
@@ -820,7 +820,7 @@ def _modulo_exact_dimension(dr, p, deg, wmax, max_len):
     full = SparseMatrix(
         len(labels),
         n_bdry + len(cocycles),
-        boundary + [(i, n_bdry + t, x) for t, z in enumerate(cocycles) for i, x in enumerate(z) if x],
+        boundary + [(i, n_bdry + t, x) for t, z in enumerate(cocycles) for i, x in z.items()],
     )
     return full.rank() - SparseMatrix(len(labels), n_bdry, boundary).rank()
 

@@ -44,9 +44,6 @@ class BiGradedModule:
     def support(self):
         return sorted(self.basis)
 
-    def weights(self):
-        return sorted({p for p, _ in self.basis})
-
     def degrees(self):
         return sorted({m for _, m in self.basis})
 
@@ -328,16 +325,18 @@ def tate_realization(e: GradedMixedComplex, stage: int, wmax: int):
     Returns (complex, comparison) where comparison maps
     realization(e, wmax) into the stage complex degreewise (a subcomplex
     inclusion, since the total differential never lowers the weight): the
-    weights 0..wmax are the tail of each degree of the stage complex.
+    labels of weight >= 0 are the tail of each degree of the stage complex.
     """
     if stage < 0:
         raise ValueError("stage must be >= 0")
     full = weight_window_total_complex(e, -stage, wmax)
-    small = realization(e, wmax)
     comparison = {}
-    for m in small.degrees():
-        k, off = small.dim(m), full.dim(m) - small.dim(m)
-        comparison[m] = SparseMatrix(full.dim(m), k, [(off + j, j, 1) for j in range(k)])
+    for m in full.degrees():
+        labels = full.basis[m]
+        off = sum(1 for p, _ in labels if p < 0)
+        k = len(labels) - off
+        if k:
+            comparison[m] = SparseMatrix(len(labels), k, [(off + j, j, 1) for j in range(k)])
     return full, comparison
 
 
@@ -431,33 +430,27 @@ def enriched_hom(e: GradedMixedComplex, f: GradedMixedComplex, weights=(0, 1, 2)
 def dg_hom_complex(e: GradedMixedComplex, f: GradedMixedComplex) -> ChainComplex:
     """The dg-hom  Z_eps(Hom^gr(E, F)(0)): eps-closed weight-0 maps.
 
-    Basis per degree: a kernel basis of the mixed map on weight-0 homs;
-    the differential is the hom differential expressed in that basis.
+    Basis per degree: a kernel basis of the mixed map on weight-0 homs,
+    as the columns of K[n]; the differential in degree n is the solution
+    of K[n+1] x = d K[n].
     """
     hom = enriched_hom(e, f, weights=(0, 1))
     degrees = sorted({n for (p, n) in hom.module.basis if p == 0})
     kernels = {}
     for n in degrees:
         eps_blk = hom.eps_block(0, n)
-        kernels[n] = kernel_basis(eps_blk) if eps_blk.cols else []
-    basis = {n: [f"z{n}_{i}" for i in range(len(kernels[n]))] for n in degrees}
-    diff = {}
-    for n in degrees:
-        if not kernels[n] or not kernels.get(n + 1):
-            continue
-        dblk = hom.d_block(0, n)
-        target_mat = SparseMatrix.from_columns(
-            [list(v) for v in kernels[n + 1]], rows=hom.module.dim(0, n + 1)
+        ker = kernel_basis(eps_blk)
+        kernels[n] = SparseMatrix(
+            eps_blk.cols, len(ker), [(i, t, x) for t, v in enumerate(ker) for i, x in v.items()]
         )
-        cols = []
-        for v in kernels[n]:
-            image = dblk.mul_vec(v)
-            # d preserves ker(eps) since d and eps anticommute
-            cols.append(list(solve_linear(target_mat, image)))
-        mat = SparseMatrix.from_columns(cols, rows=len(kernels[n + 1]))
-        if not mat.is_zero():
-            diff[n] = mat
-    return ChainComplex({n: basis[n] for n in degrees if basis[n]}, diff)
+    basis = {n: [f"z{n}_{i}" for i in range(kernels[n].cols)] for n in degrees}
+    # d preserves ker(eps) since d and eps anticommute
+    diff = {
+        n: solve_linear(kernels[n + 1], hom.d_block(0, n) @ kernels[n])
+        for n in degrees
+        if n + 1 in kernels
+    }
+    return ChainComplex(basis, diff)
 
 
 def realization_oracle_dims(e: GradedMixedComplex, wmax: int, degrees) -> dict:

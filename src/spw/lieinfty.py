@@ -12,7 +12,7 @@ from fractions import Fraction as Rat
 from itertools import combinations
 
 from .errors import NotFreeOnV, NotInvariant
-from .exactlin import SparseMatrix, _as_rat, kernel_basis
+from .exactlin import SparseMatrix, _as_rat, kernel_basis, solve_linear
 from .freecdga import (
     Elem,
     FreeCDGA,
@@ -417,11 +417,7 @@ def invariants(g: LieAlgebra, kind: str):
                     ent.get((xi * len(basis) + index[key], j), 0) + v
                 )
     mat = SparseMatrix(g.dim * len(basis), len(basis), {k: v for k, v in ent.items() if v})
-    out = []
-    for vec in kernel_basis(mat):
-        coeffs = {b: vec[i] for b, i in index.items() if vec[i]}
-        out.append(InvariantTensor(kind, coeffs))
-    return out
+    return [InvariantTensor(kind, {basis[i]: c for i, c in vec.items()}) for vec in kernel_basis(mat)]
 
 
 def is_invariant(g: LieAlgebra, tensor: InvariantTensor) -> bool:
@@ -436,24 +432,13 @@ def killing_form(g: LieAlgebra) -> InvariantTensor:
     k_{ij} = tr(ad_i ad_j) is returned as a sym2 tensor.
     """
     n = g.dim
-    k = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            k[i][j] = sum(g.c[i][m][l] * g.c[j][l][m] for m in range(n) for l in range(n))
-    from .exactlin import solve_linear
-
-    mat = SparseMatrix.from_rows(k)
-    cols = []
-    for e in range(n):
-        rhs = [1 if t == e else 0 for t in range(n)]
-        cols.append(list(solve_linear(mat, rhs)))
-    coeffs = {}
-    for i in range(n):
-        for j in range(i, n):
-            v = cols[j][i]
-            if v:
-                coeffs[i, j] = v
-    return InvariantTensor("sym2", coeffs)
+    k = {
+        (i, j): sum(g.c[i][m][l] * g.c[j][l][m] for m in range(n) for l in range(n))
+        for i in range(n)
+        for j in range(n)
+    }
+    inv = solve_linear(SparseMatrix(n, n, k), SparseMatrix.identity(n))
+    return InvariantTensor("sym2", {(i, j): v for (i, j), v in sorted(inv.items()) if i <= j})
 
 
 def z_from_t(g: LieAlgebra, t: InvariantTensor) -> InvariantTensor:

@@ -93,7 +93,7 @@ def random_unimodular(rng, n):
         # inverse gets the opposite column operation
         for k in range(n):
             sinv[k][j] -= c * sinv[k][i]
-    return SparseMatrix.from_rows(s), SparseMatrix.from_rows(sinv)
+    return from_dense(s, n), from_dense(sinv, n)
 
 
 def conjugate(e, rng):
@@ -281,6 +281,27 @@ def _bareiss_echelon(dense):
     return reduced, pivot_cols
 
 
+def from_dense(rows, width=None):
+    """The SparseMatrix of a list of dense rows, `width` columns wide (the
+    length of the first row when not given)."""
+    rows = [list(r) for r in rows]
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    assert all(len(r) == width for r in rows), "ragged rows"
+    return SparseMatrix(len(rows), width, [(i, j, v) for i, r in enumerate(rows) for j, v in enumerate(r) if v])
+
+
+def columns(vectors, n):
+    """The n x len(vectors) SparseMatrix with the sparse vectors {index:
+    coeff} as its columns."""
+    return SparseMatrix(n, len(vectors), [(i, t, x) for t, v in enumerate(vectors) for i, x in v.items()])
+
+
+def dense_vector(v, n):
+    """The length-n tuple of a sparse vector {index: coeff}."""
+    return tuple(v.get(i, 0) for i in range(n))
+
+
 def dense(m):
     out = [[F(0)] * m.cols for _ in range(m.rows)]
     for (i, j), v in m.items():
@@ -331,7 +352,7 @@ def oracle_homology_reps(d_in, d_out):
     stacked = [c for c in image_cols if any(c)]
 
     def rank_of(cols):
-        return oracle_rank_and_pivots(SparseMatrix.from_columns(cols, rows=n))[0] if cols else 0
+        return oracle_rank_and_pivots(from_dense(cols, n).transpose())[0] if cols else 0
 
     reps = []
     current = rank_of(stacked)
@@ -823,7 +844,7 @@ def oracle_closed_form_classes(b, p, n, wmax, max_len):
             labels = total.basis.get(deg, [])
             for v in h.representatives:
                 comps = {}
-                for coeff, (w, mono) in zip(v, labels):
+                for coeff, (w, mono) in zip(dense_vector(v, len(labels)), labels):
                     if coeff:
                         e = comps.get(w, dr.algebra.zero())
                         comps[w] = e + Elem(dr.algebra, {mono: coeff})

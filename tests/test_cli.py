@@ -100,6 +100,27 @@ def test_strictify_cotangent_form(capsys):
     assert "strict form" in out
 
 
+PLANE3 = "algebra B { gens = x(0), y(0), z(0); } form F { on = B; degree = 0; "
+
+
+@pytest.mark.parametrize(
+    "w2, code, out, err",
+    [
+        # de Rham closed only up to dx*dy*dz: no eta and gauge solve it in any window
+        ("x*dy*dz", 1, "", "obstruction: no gauge in the window\n"),
+        ("x*dx*dy", 0, '  potential: {"value": "-x*y*dx"}\n', ""),
+    ],
+    ids=("obstruction", "potential"),
+)
+def test_strictify_reports_an_obstruction_or_a_potential(capsys, monkeypatch, w2, code, out, err):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(PLANE3 + f"w2 = {w2}; }}"))
+    got_code, got_out, got_err = run(capsys, "strictify")
+    assert (got_code, got_err) == (code, err)
+    assert got_out.endswith(out)
+
+
 def test_ce_and_invariants_and_z(capsys):
     code, out, _ = run(capsys, "ce", path("sl2.spw"))
     assert code == 0

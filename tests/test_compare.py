@@ -316,10 +316,10 @@ def test_strictify_raises_when_a_solution_breaks_its_identities(monkeypatch):
         # an eta unknown whose eps is not d-closed: it has an entry in the
         # last rows, which hold the d(eps(eta)) = 0 equations
         _, j = max(k for k, _ in mat.items())
-        return tuple(F(int(t == j)) for t in range(mat.cols))
+        return SparseMatrix(mat.cols, 1, [(j, 0, 1)])
 
     def zero_solution(mat, rhs):
-        return tuple(F(0) for _ in range(mat.cols))
+        return SparseMatrix.zero(mat.cols, 1)
 
     monkeypatch.setattr(compare, "maybe_solve", unit_at_last_row)
     with pytest.raises(IdentityViolated, match="not d- and eps-closed"):

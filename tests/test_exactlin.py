@@ -21,7 +21,7 @@ def test_kernel_of_zero_map():
     m = SparseMatrix.zero(2, 2)
     basis = kernel_basis(m)
     assert len(basis) == 2
-    assert basis[0] == (1, 0) and basis[1] == (0, 1)
+    assert basis[0] == {0: 1} and basis[1] == {1: 1}
 
 
 def test_kernel_of_identity_is_empty():
@@ -30,12 +30,12 @@ def test_kernel_of_identity_is_empty():
 
 def test_kernel_rank_one_matrix():
     # [[1,2],[2,4]] has kernel spanned by (2,-1); row-reduced by hand
-    m = SparseMatrix.from_rows([[1, 2], [2, 4]])
+    m = helpers.from_dense([[1, 2], [2, 4]])
     basis = kernel_basis(m)
     assert len(basis) == 1
     (v,) = basis
-    assert v[0] * (-1) == v[1] * 2  # proportional to (2,-1)
-    assert m.mul_vec(v) == (0, 0)
+    assert v.get(0, 0) * (-1) == v.get(1, 0) * 2  # proportional to (2,-1)
+    assert (m @ helpers.columns([v], 2)).is_zero()
 
 
 def test_kernel_vectors_always_in_kernel_and_rank_nullity():
@@ -55,10 +55,10 @@ def test_kernel_vectors_always_in_kernel_and_rank_nullity():
         m = SparseMatrix(rows, cols, dedup)
         ker = kernel_basis(m)
         for v in ker:
-            assert m.mul_vec(v) == tuple([0] * rows)
+            assert (m @ helpers.columns([v], cols)).is_zero()
         assert len(ker) + m.rank() == cols
         if ker:
-            assert SparseMatrix.from_columns([list(v) for v in ker]).rank() == len(ker)
+            assert helpers.columns(ker, cols).rank() == len(ker)
 
 
 def test_homology_zero_differentials():
@@ -81,7 +81,7 @@ def test_homology_koszul_of_x_truncated():
     h0 = homology(d_in, SparseMatrix.zero(0, 4))
     assert h0.dimension == 1
     (rep,) = h0.representatives
-    assert rep[0] != 0  # the class of 1
+    assert rep.get(0, 0) != 0  # the class of 1
     hm1 = homology(SparseMatrix.zero(3, 0), d_in)
     assert hm1.dimension == 0
 
@@ -99,30 +99,38 @@ def test_homology_representatives_project_to_basis():
     d_in = SparseMatrix(3, 1, [(0, 0, 1)])
     h = homology(d_in, SparseMatrix.zero(0, 3))
     assert h.dimension == 2
-    cols = [[1, 0, 0]] + [list(v) for v in h.representatives]
-    assert SparseMatrix.from_columns(cols).rank() == 3
+    assert helpers.columns([{0: 1}, *h.representatives], 3).rank() == 3
+
+
+def _column(values):
+    return helpers.from_dense([[x] for x in values], 1)
+
+
+def _values(column):
+    """The dense tuple of a one-column SparseMatrix."""
+    return tuple(row[0] for row in helpers.dense(column))
 
 
 def test_solve_identity():
-    assert solve_linear(SparseMatrix.identity(3), (1, F(2, 3), -5)) == (1, F(2, 3), -5)
+    assert solve_linear(SparseMatrix.identity(3), _column((1, F(2, 3), -5))) == _column((1, F(2, 3), -5))
 
 
 def test_solve_zero_map_no_solution():
     with pytest.raises(NoSolution):
-        solve_linear(SparseMatrix.zero(2, 2), (1, 0))
-    assert maybe_solve(SparseMatrix.zero(2, 2), (1, 0)) is None
+        solve_linear(SparseMatrix.zero(2, 2), _column((1, 0)))
+    assert maybe_solve(SparseMatrix.zero(2, 2), _column((1, 0))) is None
 
 
 def test_solve_back_substitution():
-    m = SparseMatrix.from_rows([[1, 1], [0, 1]])
-    assert solve_linear(m, (3, 1)) == (2, 1)
+    m = helpers.from_dense([[1, 1], [0, 1]])
+    assert solve_linear(m, _column((3, 1))) == _column((2, 1))
     assert kernel_basis(m) == []
 
 
 def test_solve_underdetermined_returns_kernel():
-    m = SparseMatrix.from_rows([[1, 1, 0]])
-    x = solve_linear(m, (5,))
-    assert m.mul_vec(x) == (5,)
+    m = helpers.from_dense([[1, 1, 0]])
+    x = solve_linear(m, _column((5,)))
+    assert m @ x == _column((5,))
     assert len(kernel_basis(m)) == 2
 
 
@@ -133,15 +141,11 @@ def test_homology_invariant_under_permutation():
         d_in = SparseMatrix(
             b, a, {(i, j): rng.randrange(-2, 3) for i in range(b) for j in range(a)}
         )
-        ker = kernel_basis(d_in.transpose())
         # build d_out with rows annihilating the image: d_out @ d_in = 0
-        rows = [list(v) for v in kernel_basis(SparseMatrix.from_columns(
-            [list(d_in.mul_vec(tuple(1 if t == s else 0 for t in range(a)))) for s in range(a)]
-        ).transpose())]
-        del ker
+        rows = [helpers.dense_vector(v, b) for v in kernel_basis(d_in.transpose())]
         if rows:
             break
-    d_out = SparseMatrix.from_rows(rows[:c], cols=b)
+    d_out = helpers.from_dense(rows[:c], b)
     h = homology(d_in, d_out).dimension
     perm = list(range(b))
     rng.shuffle(perm)
@@ -182,17 +186,48 @@ def test_elimination_matches_dense_oracle():
     rng = random.Random(2015)
     for m in _cross_check_matrices(rng):
         assert (m.rank(), m.pivot_columns()) == helpers.oracle_rank_and_pivots(m)
-        assert kernel_basis(m) == helpers.oracle_kernel_basis(m)
+        assert [helpers.dense_vector(v, m.cols) for v in kernel_basis(m)] == helpers.oracle_kernel_basis(m)
         x0 = [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(m.cols)]
-        solvable = m.mul_vec(x0)
-        other = [F(rng.randrange(-3, 4)) for _ in range(m.rows)]
+        solvable = m @ _column(x0)
+        other = _column([F(rng.randrange(-3, 4)) for _ in range(m.rows)])
         for b in (solvable, other):
-            want = helpers.oracle_solve(m, b)
+            want = helpers.oracle_solve(m, _values(b))
             if want is None:
                 with pytest.raises(NoSolution):
                     solve_linear(m, b)
             else:
-                assert solve_linear(m, b) == want
+                assert _values(solve_linear(m, b)) == want
+
+
+def _dense_columns(m):
+    return [[row[j] for row in helpers.dense(m)] for j in range(m.cols)]
+
+
+def test_solve_linear_matches_the_single_column_oracle_column_by_column():
+    rng = random.Random(1015)
+    unsolvable = 0
+    for m in _cross_check_matrices(rng):
+        assert all(all(vec.values()) for vec in kernel_basis(m))  # no zero entry
+        k = rng.randrange(0, 4)
+        b = m @ helpers.random_rational_matrix(rng, m.cols, k)
+        x = solve_linear(m, b)
+        assert (x.rows, x.cols) == (m.cols, k)
+        want = [list(helpers.oracle_solve(m, col)) for col in _dense_columns(b)]
+        assert _dense_columns(x) == want
+        # one more column, at a random place, that may leave the image
+        extra = _dense_columns(helpers.random_rational_matrix(rng, m.rows, 1, 0.9))[0]
+        cols = _dense_columns(b)
+        cols.insert(rng.randrange(0, k + 1), extra)
+        wide = helpers.from_dense(cols, m.rows).transpose()
+        if helpers.oracle_solve(m, extra) is None:
+            unsolvable += 1
+            with pytest.raises(NoSolution):
+                solve_linear(m, wide)
+            assert maybe_solve(m, wide) is None
+        else:
+            got = _dense_columns(solve_linear(m, wide))
+            assert got == [list(helpers.oracle_solve(m, col)) for col in cols]
+    assert unsolvable > 10
 
 
 def _random_complex_pair(rng):
@@ -204,7 +239,7 @@ def _random_complex_pair(rng):
     a = rng.randrange(0, 6)
     if ker:
         combo = helpers.random_rational_matrix(rng, len(ker), a, 0.5)
-        d_in = SparseMatrix.from_columns([list(v) for v in ker], rows=n) @ combo
+        d_in = helpers.columns(ker, n) @ combo
     else:
         d_in = SparseMatrix.zero(n, a)
     s, s_inv = helpers.random_unimodular(rng, n)
@@ -216,7 +251,8 @@ def test_homology_representatives_match_greedy_oracle():
     for _ in range(60):
         d_in, d_out = _random_complex_pair(rng)
         h = homology(d_in, d_out)
-        assert h.representatives == helpers.oracle_homology_reps(d_in, d_out)
+        reps = [helpers.dense_vector(v, d_out.cols) for v in h.representatives]
+        assert reps == helpers.oracle_homology_reps(d_in, d_out)
         assert h.dimension == len(h.representatives)
 
 
@@ -243,7 +279,7 @@ def test_solve_linear_raises_when_its_solution_fails(monkeypatch):
 
     monkeypatch.setattr(exactlin, "_reduce", corrupt)
     with pytest.raises(IdentityViolated):
-        solve_linear(SparseMatrix.identity(3), (1, 2, 3))
+        solve_linear(SparseMatrix.identity(3), _column((1, 2, 3)))
 
 
 def test_as_rat_keeps_integers_as_int():

@@ -5,7 +5,14 @@ from math import comb
 
 import pytest
 
-from helpers import oracle_ad_on_sym2, oracle_weak_mixed_blocks, random_coefficient
+from helpers import (
+    dense,
+    dense_vector,
+    from_dense,
+    oracle_ad_on_sym2,
+    oracle_weak_mixed_blocks,
+    random_coefficient,
+)
 from spw import lieinfty
 from spw.errors import BidegreeMismatch, NotFreeOnV, NotInvariant
 from spw.freecdga import Elem, Window, enumerate_monomials
@@ -182,7 +189,7 @@ def test_weak_mixed_correction_via_ternary_bracket():
     s2 = linfty_structure(gens, diff, {2: b2})
     assert not weak_mixed_validate(linfty_to_weak_mixed(s2, window)).valid
 
-    from spw.exactlin import SparseMatrix, kernel_basis, solve_linear
+    from spw.exactlin import kernel_basis, solve_linear
     from spw.freecdga import Elem, enumerate_monomials
 
     alg = s2.sym
@@ -218,9 +225,9 @@ def test_weak_mixed_correction_via_ternary_bracket():
         [a - b for a, b in zip(i0_defect(Elem(alg, {m: F(1)})), zero_vec)]
         for m in candidates
     ]
-    mat = SparseMatrix.from_columns(cols, rows=len(zero_vec))
-    x = solve_linear(mat, [-v for v in zero_vec])
-    kernel = kernel_basis(mat)
+    mat = from_dense(cols, len(zero_vec)).transpose()
+    x = [row[0] for row in dense(solve_linear(mat, from_dense([[-v] for v in zero_vec], 1)))]
+    kernel = [dense_vector(k, mat.cols) for k in kernel_basis(mat)]
     # scan the affine solution space for a correction passing everything
     trials = [x] + [
         tuple(a + s * b for a, b in zip(x, k)) for k in kernel for s in (1, -1)

@@ -365,24 +365,15 @@ def test_mc_tower_with_solved_correction():
         rhs = pol.bracket(p0, p0).scale(F(-1, 2))
         basis = pol.basis(3, n + 2, max_len=4)
         targets = {}
-        cols = []
-        for m in basis:
+        ent = []
+        for j, m in enumerate(basis):
             img = pol.d(Elem(pol.algebra, {m: F(1)}))
-            for mm in img.terms:
-                targets.setdefault(mm, len(targets))
-        for m in basis:
-            img = pol.d(Elem(pol.algebra, {m: F(1)}))
-            col = [F(0)] * len(targets)
-            for mm, c in img.terms.items():
-                col[targets[mm]] = c
-            cols.append(col)
-        vec = [F(0)] * len(targets)
-        for mm, c in rhs.terms.items():
-            vec[targets[mm]] = c
+            ent += [(targets.setdefault(mm, len(targets)), j, c) for mm, c in img.terms.items()]
+        vec = SparseMatrix(len(targets), 1, [(targets[mm], 0, c) for mm, c in rhs.terms.items()])
         from spw.exactlin import solve_linear
 
-        x = solve_linear(SparseMatrix.from_columns(cols, rows=len(targets)), vec)
-        p1 = Elem(pol.algebra, {m: c for m, c in zip(basis, x) if c})
+        x = solve_linear(SparseMatrix(len(targets), len(basis), ent), vec)
+        p1 = Elem(pol.algebra, {basis[j]: c for (j, _), c in x.items()})
         fixed = MaurerCartanTower(pol, n, [p0, p1])
         assert mc_check(fixed).valid
     else:
