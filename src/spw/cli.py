@@ -439,6 +439,18 @@ COMMANDS = {
     ),
 }
 
+
+def _size(text):
+    """A window size: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 # (dest, environment variable, default) of the window options; main()
 # reads the environment on every call
 _LIMITS = (
@@ -465,8 +477,8 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--timings", action="store_true", help="include timings section")
         for dest, _, default in _LIMITS:
-            # string defaults pass through type=int, so a bad value is a usage error
-            p.add_argument("--" + dest.replace("_", "-"), type=int, default=default)
+            # string defaults pass through type=_size, so a bad value is a usage error
+            p.add_argument("--" + dest.replace("_", "-"), type=_size, default=default)
         for flags, kwargs in command.options:
             p.add_argument(*flags, **kwargs)
     parser.commands = sub.choices

@@ -178,7 +178,7 @@ def phi_pi(base: FreeCDGA, pi: Elem, n: int, window: Window = None) -> PhiPiResu
         targets = {}
         for j, mono in enumerate(monos):
             phi_x = result.apply(Elem(dr.algebra, {mono: 1}))
-            dx, ex = dr_images[mono]
+            dx, ex = (Elem(dr.algebra, image) for image in dr_images[mono])
             if result.apply(dx) != pol.d(phi_x) or result.apply(ex) != pol.bracket(pi, phi_x):
                 chain_ok = False
             ent += [(targets.setdefault(mm, len(targets)), j, c) for mm, c in phi_x.terms.items()]
@@ -271,7 +271,7 @@ def strictify_closed_two_form(
         """d (k = 0) or eps (k = 1) of e, from the closure's images where it has them."""
         out = alg.zero()
         for m, c in e.terms.items():
-            img = images[m][k] if m in images else (alg.d, alg.eps)[k](Elem(alg, {m: 1}))
+            img = Elem(alg, images[m][k]) if m in images else (alg.d, alg.eps)[k](Elem(alg, {m: 1}))
             out = out + img.scale(c)
         return out
 
@@ -291,7 +291,7 @@ def strictify_closed_two_form(
     main_ent = []
     side_ent = []
     for j, (kind, mono) in enumerate(unknowns):
-        d_x, eps_x = images[mono]
+        d_x, eps_x = (Elem(alg, img) for img in images[mono])
         if kind == "eta":
             main = drop_overflow(eps_x)
             side = drop_overflow(image(eps_x, 0))  # strictness: must vanish

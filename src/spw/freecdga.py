@@ -20,6 +20,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 
@@ -447,48 +448,176 @@ def enumerate_monomials(alg: FreeCDGA, max_len: int):
                 for rest in rec(i + 1, budget - e):
                     yield word + rest
 
-    seen = set()
-    for w in rec(0, max_len):
-        if w not in seen:
-            seen.add(w)
-            yield w
+    return rec(0, max_len)
 
 
 def _mono_bidegree(alg, mono):
     return sum(map(alg.weights.__getitem__, mono)), sum(map(alg.degrees.__getitem__, mono))
 
 
-def _closure(alg: FreeCDGA, window: Window):
-    """The window basis {mono: (w, d)} and {mono: (d mono, eps mono)}.
+def _box_words(alg: FreeCDGA, max_len, wmin=None, wmax=None, dmin=None, dmax=None):
+    """{word: (w, d)}: the words of enumerate_monomials(alg, max_len) whose
+    bidegree lies in the box, in that order; None is an open bound.
 
-    Each basis monomial's two images are computed once, as the closure
-    reaches it; see Window.
+    The bidegree is carried down the recursion, and a subtree is left out
+    once its remaining letters cannot bring it back into the box: from
+    letter s on, a word of budget b can still gain between b * (the least
+    weight among letters s.., or 0) and b * (the greatest, or 0), and the
+    same for degree, so negative weights and degrees are bounded too.
     """
-    inside = {}
-    for m in enumerate_monomials(alg, window.max_len):
-        w, d = _mono_bidegree(alg, m)
-        if window.wmin <= w <= window.wmax and window.dmin <= d <= window.dmax:
-            inside[m] = (w, d)
+    n = len(alg.generators)
+    weights, degrees, parities = alg.weights, alg.degrees, alg.parities
+    reach = [(0, 0, 0, 0)] * (n + 1)  # reach[s]: least/greatest weight, degree of letters s..
+    for s in range(n - 1, -1, -1):
+        lw, hw, ld, hd = reach[s + 1]
+        w, d = weights[s], degrees[s]
+        reach[s] = (min(lw, w), max(hw, w), min(ld, d), max(hd, d))
+    span = max(max_len, 0) * max(map(abs, weights + degrees), default=0)
+    wmin = -span if wmin is None else wmin
+    wmax = span if wmax is None else wmax
+    dmin = -span if dmin is None else dmin
+    dmax = span if dmax is None else dmax
+    out = {}
+
+    def rec(start, budget, word, w, d):
+        if wmin <= w <= wmax and dmin <= d <= dmax:
+            out[word] = (w, d)
+        for i in range(start, n):
+            lw, hw, ld, hd = reach[i + 1]
+            wi, di = weights[i], degrees[i]
+            ww, dd, grown = w, d, word
+            for e in range(1, min(1 if parities[i] else budget, budget) + 1):
+                b = budget - e
+                ww += wi
+                dd += di
+                grown += (i,)
+                if ww + b * lw <= wmax and ww + b * hw >= wmin and dd + b * ld <= dmax and dd + b * hd >= dmin:
+                    rec(i + 1, b, grown, ww, dd)
+
+    rec(0, max_len, (), 0, 0)
+    del rec  # rec's own cell holds rec: end that cycle, so `out` is freed by refcount
+    return out
+
+
+def _term_table(alg, values):
+    """A parity-1 derivation's generator values unpacked for `_image`:
+    (parities, {letter: [(t, c, b, odd letters of t, keep, dw, dd)]}).
+    b is t's one letter or None, keep is 1 when t has an even number of
+    odd letters and 0 otherwise, and (dw, dd) = bideg(t) - bideg(letter)
+    is the shift from a word's bidegree to that of the term."""
+    weights, degrees, parities = alg.weights, alg.degrees, alg.parities
+    table = {}
+    for letter, val in values.items():
+        rows = []
+        for t, c in val.terms.items():
+            odd_t = tuple(b for b in t if parities[b])
+            rows.append((
+                t, c, t[0] if len(t) == 1 else None, odd_t, 1 - len(odd_t) % 2,
+                sum(weights[b] for b in t) - weights[letter],
+                sum(degrees[b] for b in t) - degrees[letter],
+            ))
+        table[letter] = rows
+    return parities, table
+
+
+def _image(table, mono, inside=None, fresh=None, w=0, d=0):
+    """The derivation of `table` (see _term_table) on one word: a
+    {word: coeff} dict with the terms, in the order, of
+    apply_derivation(alg, Elem(alg, {mono: 1}), values, 1).
+
+    The j-th letter's terms carry (-1)^(odd letters before j); a term with
+    odd letters also crosses the odd letters of the rest below them, found
+    by bisecting the word's odd letters.  Given `inside` and the word's
+    bidegree (w, d), each term not in `inside` gets its bidegree, the
+    word's plus the term's shift, in `fresh`.
+    """
+    parities, by_letter = table
+    acc = {}
+    if not by_letter:
+        return acc
+    pre = 0  # odd letters of mono before position j
+    odds = None
+    for j, letter in enumerate(mono):
+        terms = by_letter.get(letter)
+        if terms is not None:
+            rest = mono[:j] + mono[j + 1:]
+            odd_letter = parities[letter]
+            for t, c, b, odd_t, keep, dw, dd in terms:
+                cross = 0
+                if odd_t:
+                    if odds is None:
+                        # the word's odd letters, then a bound above every letter
+                        odds = [a for a in mono if parities[a]]
+                        odds.append(len(parities))
+                    squared = False
+                    for o in odd_t:
+                        # odds[pre] is the letter itself when it is odd
+                        k = bisect_left(odds, o)
+                        if odds[k] == o and not (odd_letter and k == pre):
+                            squared = True
+                            break
+                        cross += k - (odd_letter and k > pre)
+                    if squared:
+                        continue  # an odd letter squared
+                if b is None:
+                    m = tuple(sorted(t + rest))
+                else:
+                    p = bisect_left(rest, b)
+                    m = rest[:p] + t + rest[p:]
+                v = -c if (pre & keep) ^ (cross & 1) else c
+                prev = acc.get(m)
+                if prev is None:
+                    acc[m] = v
+                    if fresh is not None and m not in inside:
+                        fresh[m] = (w + dw, d + dd)
+                else:
+                    v += prev
+                    if v:
+                        acc[m] = v
+                    else:
+                        del acc[m]
+        pre += parities[letter]
+    return acc
+
+
+def _closure(alg: FreeCDGA, window: Window):
+    """The window basis {mono: (w, d)} and {mono: (d mono, eps mono)}, the
+    images as {mono: coeff} dicts.
+
+    The basis starts from the words of length <= max_len in the box, in
+    enumerate_monomials order, and grows in closure order.  Each basis
+    monomial's two images are computed once, as the closure reaches it;
+    see Window.
+    """
+    wmin, wmax, dmin, dmax = window.wmin, window.wmax, window.dmin, window.dmax
+    inside = _box_words(alg, window.max_len, wmin, wmax, dmin, dmax)
+    tables = (_term_table(alg, alg.differential), _term_table(alg, alg.mixed))
     images = {}
     frontier = list(inside)
     for _ in range(window.closure_rounds):
         new = []
         for m in frontier:
-            x = Elem(alg, {m: 1})
-            images[m] = (alg.d(x), alg.eps(x))
-            for image in images[m]:
-                for m2 in image.terms:
-                    if m2 in inside:
+            w, d = inside[m]
+            pair = []
+            for table in tables:
+                fresh = {}
+                image = _image(table, m, inside, fresh, w, d)
+                pair.append(image)
+                if not fresh:
+                    continue
+                for m2 in image:
+                    bideg = fresh.get(m2)
+                    if bideg is None:
                         continue
-                    w, d = _mono_bidegree(alg, m2)
-                    if w > window.wmax or d > window.dmax:
+                    if bideg[0] > wmax or bideg[1] > dmax:
                         continue  # quotient truncation
-                    if w < window.wmin or d < window.dmin:
+                    if bideg[0] < wmin or bideg[1] < dmin:
                         raise WindowTooSmall(
                             "differential image below the window", witness=alg.mono_str(m2)
                         )
-                    inside[m2] = (w, d)
+                    inside[m2] = bideg
                     new.append(m2)
+            images[m] = tuple(pair)
         if not new:
             break
         frontier = new
@@ -513,7 +642,7 @@ def _window_monomials(inside):
 
 
 def _derivation_blocks(alg, monos, image, k):
-    """Blocks of a map of bidegree (k, 1) given by image(mono) -> Elem.
+    """Blocks of a map of bidegree (k, 1) given by image(mono) -> {mono: coeff}.
 
     Rows are keyed by monomial.  Image terms outside the window are
     projected away; a term inside it at another bidegree raises
@@ -525,7 +654,7 @@ def _derivation_blocks(alg, monos, image, k):
         tgt = (w + k, d + 1)
         ent = {}
         for j, m in enumerate(ms):
-            for m2, c in image(m).terms.items():
+            for m2, c in image(m).items():
                 pos = at.get(m2)
                 if pos is None:
                     continue
@@ -655,10 +784,8 @@ class DeRhamAlgebra:
     def weight_dim_window(self, j, max_len):
         """Dimension of the weight-j part per degree within the word window."""
         dims = {}
-        for m in enumerate_monomials(self.algebra, max_len):
-            w, d = _mono_bidegree(self.algebra, m)
-            if w == j:
-                dims[d] = dims.get(d, 0) + 1
+        for _, d in _box_words(self.algebra, max_len, j, j).values():
+            dims[d] = dims.get(d, 0) + 1
         return dims
 
 
@@ -779,7 +906,7 @@ def _column(inside, images, w, max_len):
     while frontier:
         new = []
         for m in frontier:
-            for m2 in images[m][0].terms:
+            for m2 in images[m][0]:
                 if m2 in inside and m2 not in column:
                     column[m2] = inside[m2]
                     new.append(m2)

@@ -14,12 +14,12 @@ from itertools import combinations
 from .errors import NotFreeOnV, NotInvariant
 from .exactlin import SparseMatrix, _as_rat, kernel_basis, solve_linear
 from .freecdga import (
-    Elem,
     FreeCDGA,
     Generator,
     Window,
     _derivation_blocks,
-    apply_derivation,
+    _image,
+    _term_table,
     graded_mixed_window,
 )
 from .gradedmixed import GradedMixedComplex
@@ -261,12 +261,10 @@ def weak_mixed_from_derivations(alg: FreeCDGA, eps_values, window: Window) -> We
     cx, _ = graded_mixed_window(alg, window)
     eps_list = []
     for i, values in enumerate(eps_values):
-        vals = {alg.index[name]: v for name, v in values.items()}
-
-        def image(m, vals=vals):
-            return apply_derivation(alg, Elem(alg, {m: 1}), vals, parity=1)
-
-        eps_list.append(_derivation_blocks(alg, cx.module.basis, image, i + 1))
+        table = _term_table(alg, {alg.index[name]: v for name, v in values.items()})
+        eps_list.append(
+            _derivation_blocks(alg, cx.module.basis, lambda m, table=table: _image(table, m), i + 1)
+        )
     return WeakMixedStructure(cx.module, cx.d, eps_list)
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction as Rat
 
 from .errors import BidegreeError, Degenerate, ShiftMismatch
 from .exactlin import SparseMatrix
-from .freecdga import Elem, FreeCDGA, Generator, enumerate_monomials
+from .freecdga import Elem, FreeCDGA, Generator, _box_words
 
 
 class PolyvectorAlgebra:
@@ -138,21 +138,12 @@ class PolyvectorAlgebra:
 
     def basis(self, weight: int, degree: int, max_len: int):
         """Monomials of the given polyvector weight and degree (word window)."""
-        out = []
-        for m in enumerate_monomials(self.algebra, max_len):
-            w = sum(self.algebra.gen_weight(i) for i in m)
-            d = sum(self.algebra.gen_degree(i) for i in m)
-            if w == weight and d == degree:
-                out.append(m)
-        return sorted(out)
+        return sorted(_box_words(self.algebra, max_len, weight, weight, degree, degree))
 
     def basis_dims(self, max_weight: int, max_len: int):
         dims = {}
-        for m in enumerate_monomials(self.algebra, max_len):
-            w = sum(self.algebra.gen_weight(i) for i in m)
-            d = sum(self.algebra.gen_degree(i) for i in m)
-            if w <= max_weight:
-                dims[w, d] = dims.get((w, d), 0) + 1
+        for bideg in _box_words(self.algebra, max_len, wmax=max_weight).values():
+            dims[bideg] = dims.get(bideg, 0) + 1
         return dims
 
     # -- constant parts ------------------------------------------------------

@@ -22,6 +22,7 @@ import signal
 from fractions import Fraction as F
 from math import gcd
 
+from spw.errors import WindowTooSmall
 from spw.exactlin import QPoly, SparseMatrix
 from spw.freecdga import (
     Elem,
@@ -29,7 +30,9 @@ from spw.freecdga import (
     Generator,
     Window,
     _mono_bidegree,
+    apply_derivation,
     de_rham,
+    enumerate_monomials,
     graded_mixed_window,
     total_complex_window,
     window_basis,
@@ -445,6 +448,47 @@ def oracle_graded_mixed_window(alg, window):
         return out
 
     return GradedMixedComplex(mod, _blocks(alg.d, 0), _blocks(alg.eps, 1)), mono_of
+
+
+def oracle_closure(alg, window):
+    """The window closure by enumerating every word of length <= max_len,
+    filtering it into the bidegree box and imaging each basis word as an
+    Elem through apply_derivation, with one _mono_bidegree per image term.
+    Returns (inside, images) as freecdga._closure does: {mono: (w, d)} and
+    {mono: (d terms, eps terms)}."""
+    inside = {}
+    for m in enumerate_monomials(alg, window.max_len):
+        w, d = _mono_bidegree(alg, m)
+        if window.wmin <= w <= window.wmax and window.dmin <= d <= window.dmax:
+            inside[m] = (w, d)
+    images = {}
+    frontier = list(inside)
+    for _ in range(window.closure_rounds):
+        new = []
+        for m in frontier:
+            x = Elem(alg, {m: 1})
+            images[m] = tuple(
+                apply_derivation(alg, x, values, 1).terms for values in (alg.differential, alg.mixed)
+            )
+            for image in images[m]:
+                for m2 in image:
+                    if m2 in inside:
+                        continue
+                    w, d = _mono_bidegree(alg, m2)
+                    if w > window.wmax or d > window.dmax:
+                        continue
+                    if w < window.wmin or d < window.dmin:
+                        raise WindowTooSmall(
+                            "differential image below the window", witness=alg.mono_str(m2)
+                        )
+                    inside[m2] = (w, d)
+                    new.append(m2)
+        if not new:
+            break
+        frontier = new
+    else:
+        raise WindowTooSmall("window closure did not terminate", witness=alg.mono_str(frontier[0]))
+    return inside, images
 
 
 # ---------------------------------------------------------------------------

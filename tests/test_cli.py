@@ -410,6 +410,34 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, monkeypatch, command, so
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        pytest.param(("de-rham", "plane_poisson.spw", "--max-len", "-1"), {}, id="de-rham-max-len"),
+        pytest.param(("realize", "cell.spw", "--max-weight", "-1"), {}, id="realize-max-weight"),
+        pytest.param(("closed-forms", "plane_poisson.spw", "--max-len", "-2"), {}, id="closed-forms-max-len"),
+        pytest.param(("d-functor", "koszul_line.spw", "--max-weight", "-4"), {}, id="d-functor-max-weight"),
+        pytest.param(("check-mixed", "plane_poisson.spw", "--max-degree", "-1"), {}, id="check-mixed-max-degree"),
+        pytest.param(("de-rham", "plane_poisson.spw"), {"SPW_MAX_WEIGHT": "-1"}, id="env-max-weight"),
+        pytest.param(("koszul", "koszul_line.spw"), {"SPW_MAX_LEN": "-3"}, id="env-max-len"),
+        pytest.param(("de-rham", "plane_poisson.spw"), {"SPW_MAX_DEGREE": "-2"}, id="env-max-degree"),
+    ],
+)
+def test_negative_window_sizes_exit_two(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, err = run_exit(capsys, argv[0], path(argv[1]), *argv[2:])
+    assert code == 2
+    assert "must be >= 0" in err and "Traceback" not in err
+
+
+def test_zero_window_sizes_are_accepted(capsys):
+    code, out, _ = run(
+        capsys, "de-rham", path("plane_poisson.spw"), "--max-len", "0", "--max-weight", "0", "--max-degree", "0"
+    )
+    assert code == 0 and "[ok]" in out
+
+
 def test_two_calls_build_the_parser_once(capsys, monkeypatch):
     builds = []
     build = cli.build_parser

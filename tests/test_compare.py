@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spw import compare
+from spw import compare, freecdga
 from spw.compare import (
     SymplecticForm,
     darboux_leading_term,
@@ -330,8 +330,19 @@ def test_strictify_raises_when_a_solution_breaks_its_identities(monkeypatch):
 
 
 def _record_monomial_images(monkeypatch, alg):
-    """Record (map, monomial) for every d/eps call on one monomial of alg."""
+    """Record (map, monomial) for every image of one monomial of alg: each
+    closure `_image` call on alg's d or eps term table, and each d/eps call
+    on one monomial."""
     seen = []
+    tables = {name: freecdga._term_table(alg, values) for name, values in (("d", alg.differential), ("eps", alg.mixed))}
+    assert tables["d"] != tables["eps"]
+    image = freecdga._image
+
+    def counted_image(table, mono, *args):
+        seen.extend((name, mono) for name, t in tables.items() if t == table)
+        return image(table, mono, *args)
+
+    monkeypatch.setattr(freecdga, "_image", counted_image)
     for name in ("d", "eps"):
 
         def counted(x, op=getattr(alg, name), name=name):
@@ -354,6 +365,7 @@ def test_phi_pi_and_strictify_image_each_monomial_once(monkeypatch):
     monkeypatch.setattr(compare, "de_rham", recording_de_rham)
     b, _, pi = cotangent_pair(1)
     phi_pi(b, pi, 1, Window(0, 2, -8, 8, 3))
+    monkeypatch.undo()  # record the next run alone
     b = minimal_sym_l(1)
     dr = de_rham(b)
     recorded.append(_record_monomial_images(monkeypatch, dr.algebra))

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     oracle_apply_derivation,
     oracle_closed_form_classes,
+    oracle_closure,
     oracle_de_rham,
     oracle_derivation,
     oracle_graded_mixed_window,
@@ -19,7 +20,7 @@ from helpers import (
     random_valid_cdga,
 )
 from spw import freecdga
-from spw.errors import BidegreeMismatch, NotRegular, SpwError
+from spw.errors import BidegreeMismatch, NotRegular, SpwError, WindowTooSmall
 from spw.exactlin import SparseMatrix
 from spw.freecdga import (
     Elem,
@@ -417,22 +418,124 @@ def test_graded_mixed_window_matches_per_label_oracle():
 
 
 def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
+    image = freecdga._image
     for alg, window in _de_rham_windows():
-        calls = {"d": [], "eps": []}
-        for name, seen in calls.items():
+        calls = {}  # id of a term table -> (table, words imaged with it)
 
-            def counted(x, op=getattr(alg, name), seen=seen):
-                seen.append(x)
-                return op(x)
+        def counted(table, mono, *args):
+            calls.setdefault(id(table), (table, []))[1].append(mono)
+            return image(table, mono, *args)
 
-            monkeypatch.setattr(alg, name, counted)
+        monkeypatch.setattr(freecdga, "_image", counted)
         cx, inside = graded_mixed_window(alg, window)
-        monos = sorted(inside)
-        for seen in calls.values():
-            assert sorted(m for x in seen for m in x.terms) == monos
-            assert all(len(x.terms) == 1 for x in seen)
         monkeypatch.undo()
+        monos = sorted(inside)
+        # one table per map, d first, and every basis word imaged once by each
+        tables = [freecdga._term_table(alg, values) for values in (alg.differential, alg.mixed)]
+        assert [table for table, _ in calls.values()] == (tables if monos else [])
+        for _, seen in calls.values():
+            assert sorted(seen) == monos
         assert set(monos) == set(window_basis(alg, window))
+
+
+def _typed(image):
+    return [(m, type(c), c) for m, c in image.items()]
+
+
+def _closure_or_raise(closure, alg, window):
+    """(inside items, image items) in order, coefficient types included, or
+    the WindowTooSmall message and witness."""
+    try:
+        inside, images = closure(alg, window)
+    except WindowTooSmall as exc:
+        return str(exc), exc.witness
+    return list(inside.items()), [(m, _typed(d), _typed(e)) for m, (d, e) in images.items()]
+
+
+def _random_window(rng):
+    wmin, dmin = rng.randint(-1, 2), rng.randint(-6, 2)
+    return Window(
+        wmin, wmin + rng.randint(-1, 4), dmin, dmin + rng.randint(-1, 8),
+        rng.randint(-2, 5), rng.choice((1, 1, 2, 64)),
+    )
+
+
+def _closure_cases():
+    rng = random.Random(97)
+    for _ in range(60):
+        b = random_valid_cdga(rng, max_gens=4)
+        for alg in (b, de_rham(b).algebra):
+            for _ in range(3):
+                yield alg, _random_window(rng)
+            for max_len in (0, -1, -3):
+                yield alg, Window(0, 3, -6, 6, max_len)
+    for _ in range(30):
+        # multi-letter d-values and odd generators of degree -1
+        b = FreeCDGA([(f"x{i}", 0) for i in range(rng.randint(1, 3))])
+        fs = _random_ideal(rng, b) or [b.gen("x0") * b.gen("x0")]
+        k = koszul(b, fs).algebra
+        rel = FreeCDGA(k.generators, base_names=[g.name for g in b.generators])
+        rel.set_differential({k.generators[i].name: Elem(rel, v.terms) for i, v in k.differential.items()})
+        for max_len in (rng.randint(2, 5), 0, -1):
+            yield k, Window(0, 0, -4, 1, max_len)
+            yield de_rham(rel).algebra, Window(0, rng.randint(0, 3), -3, 2, max_len)
+    for _ in range(60):
+        # arbitrary, inhomogeneous values: images below the box, constant
+        # terms, multi-letter odd terms and cancellations
+        alg = FreeCDGA([(f"g{i}", rng.randint(-2, 2), rng.randint(0, 1)) for i in range(rng.randint(1, 4))])
+        monos = list(enumerate_monomials(alg, 3))
+        for values in (alg.differential, alg.mixed):
+            for i in rng.sample(range(len(alg.generators)), rng.randint(0, len(alg.generators))):
+                picked = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+                values[i] = Elem(alg, {m: rng.choice((-1, 1, F(1, 2), 2)) for m in picked})
+        yield alg, _random_window(rng)
+    for _ in range(20):
+        # closed-forms boxes: weights p.., degrees n + p +- 2
+        b = random_valid_cdga(rng, max_gens=3)
+        p, n = rng.randint(1, 2), rng.randint(-2, 2)
+        yield de_rham(b).algebra, Window(p, p + rng.randint(0, 3), n + p - 2, n + p + 2, rng.randint(2, 5))
+
+
+def test_closure_matches_the_enumerate_filter_oracle():
+    outcomes = {}
+    for alg, window in _closure_cases():
+        got = _closure_or_raise(freecdga._closure, alg, window)
+        assert got == _closure_or_raise(oracle_closure, alg, window)
+        kind = "window" if isinstance(got[0], list) else got[0]
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes["window"] >= 900
+    assert outcomes["window closure did not terminate"] >= 5
+    assert outcomes["differential image below the window"] >= 5
+
+
+def _between(lo, x, hi):
+    return (lo is None or lo <= x) and (hi is None or x <= hi)
+
+
+def _box_cases():
+    # a heavy letter first and a light one after it: the prefix a leaves
+    # the box, and a*b*b comes back into it
+    for box in ((None, 0, None, None), (0, None, None, None), (None, None, None, 0), (None, None, 0, None)):
+        yield FreeCDGA([("a", 2, 2), ("b", -2, -1)]), 3, box
+        yield FreeCDGA([("a", -2, -2), ("b", 2, 1)]), 3, box
+    rng = random.Random(101)
+    for _ in range(300):
+        gens = [
+            (f"g{i}", rng.randint(-3, 3), rng.randint(-1, 2)) for i in range(rng.randint(0, 4))
+        ]
+        box = tuple(rng.choice((None, rng.randint(-3, 3))) for _ in range(4))
+        yield FreeCDGA(gens), rng.randint(-1, 5), box
+
+
+def test_box_words_are_the_filtered_enumeration_in_order():
+    for alg, max_len, (wmin, wmax, dmin, dmax) in _box_cases():
+        want = {}
+        for m in enumerate_monomials(alg, max_len):
+            w, d = freecdga._mono_bidegree(alg, m)
+            if _between(wmin, w, wmax) and _between(dmin, d, dmax):
+                want[m] = (w, d)
+        got = freecdga._box_words(alg, max_len, wmin, wmax, dmin, dmax)
+        assert list(got.items()) == list(want.items())
 
 
 def _random_elem(rng, alg, max_len=4, terms=12):

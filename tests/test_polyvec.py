@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_valid_cdga
 from spw.errors import BidegreeError, Degenerate
-from spw.exactlin import SparseMatrix
+from spw.exactlin import SparseMatrix, solve_linear
 from spw.freecdga import Elem, FreeCDGA
 from spw.polyvec import (
     MaurerCartanTower,
@@ -348,36 +348,32 @@ def test_strict_tower_mc_collapses_to_strict_conditions():
 
 
 def test_mc_tower_with_solved_correction():
-    # B with nonzero d: generators x (deg 0), xi (deg 1), d(x) = 0, d(xi) = x^2.
-    # Take p_0 = @x @xi (weight 2, degree n+2 with n = 1): d p_0 != 0 in
-    # general; here d p_0 = [p_0,p_0] = 0, so add a weight-3 correction and
-    # check the failure/repair logic of the i = 0 equation instead.
-    b = FreeCDGA([("x", 0), ("xi", 1)])
-    b.set_differential({"xi": b.gen("x") * b.gen("x")})
-    n = 1
+    # B = k[x, y, z] with u in degree -1 and d(u) = x, n = 0.  p_0 is
+    # d-closed but [p_0, p_0] != 0, so the i = 0 equation fails without
+    # p_1; [p_0, p_0] is d-exact, so solving d p_1 = -1/2 [p_0, p_0] in the
+    # weight-3 slot repairs the tower.
+    b = FreeCDGA([("x", 0), ("y", 0), ("z", 0), ("u", -1)])
+    b.set_differential({"u": b.gen("x")})
+    n = 0
     pol = PolyvectorAlgebra(b, n + 1)
-    p0 = pol.theta("x") * pol.theta("xi")
-    assert p0.degree() == n + 2
-    tower = MaurerCartanTower(pol, n, [p0])
-    rep = mc_check(tower)
-    if not rep.valid:
-        # solve d p_1 = -1/2 [p_0, p_0] for p_1 in the weight-3 slot
-        rhs = pol.bracket(p0, p0).scale(F(-1, 2))
-        basis = pol.basis(3, n + 2, max_len=4)
-        targets = {}
-        ent = []
-        for j, m in enumerate(basis):
-            img = pol.d(Elem(pol.algebra, {m: F(1)}))
-            ent += [(targets.setdefault(mm, len(targets)), j, c) for mm, c in img.terms.items()]
-        vec = SparseMatrix(len(targets), 1, [(targets[mm], 0, c) for mm, c in rhs.terms.items()])
-        from spw.exactlin import solve_linear
-
-        x = solve_linear(SparseMatrix(len(targets), len(basis), ent), vec)
-        p1 = Elem(pol.algebra, {basis[j]: c for (j, _), c in x.items()})
-        fixed = MaurerCartanTower(pol, n, [p0, p1])
-        assert mc_check(fixed).valid
-    else:
-        assert rep.valid
+    x, y, u = (pol.include(b.gen(name)) for name in ("x", "y", "u"))
+    t = pol.theta
+    p0 = x * y * t("y") * t("z") + x * t("x") * t("y") + u * t("y") * t("u")
+    assert p0.degree() == n + 2 and pol.d(p0).is_zero()
+    rep = mc_check(MaurerCartanTower(pol, n, [p0]))
+    assert not rep.valid and rep.first_failure == 0
+    rhs = pol.bracket(p0, p0).scale(F(-1, 2))
+    basis = pol.basis(3, n + 2, max_len=5)
+    targets = {}
+    ent = []
+    for j, m in enumerate(basis):
+        img = pol.d(Elem(pol.algebra, {m: F(1)}))
+        ent += [(targets.setdefault(mm, len(targets)), j, c) for mm, c in img.terms.items()]
+    vec = SparseMatrix(len(targets), 1, [(targets[mm], 0, c) for mm, c in rhs.terms.items()])
+    sol = solve_linear(SparseMatrix(len(targets), len(basis), ent), vec)
+    p1 = Elem(pol.algebra, {basis[j]: c for (j, _), c in sol.items()})
+    assert not p1.is_zero()
+    assert mc_check(MaurerCartanTower(pol, n, [p0, p1])).valid
 
 
 def test_mc_perturbation_fails_at_one():
