@@ -341,8 +341,13 @@ def cmd_tate(manifest, args, report):
 def cmd_operad(manifest, args, report):
     from . import operads
 
-    labels = tuple(range(1, args.arity + 1))
     which = args.operad
+    least = 2 if which in ("weyl", "arnold") else 1
+    if args.arity < least:
+        _parser.commands["operad"].error(
+            f"argument --arity: must be >= {least} for {which}, got {args.arity}"
+        )
+    labels = tuple(range(1, args.arity + 1))
     if which in ("pn", "as", "lie"):
         name = {"pn": "Pn", "as": "As", "lie": "Lie"}[which]
         space = operads.multilinear_basis(name, labels, n=args.n)

@@ -173,7 +173,7 @@ def phi_pi(base: FreeCDGA, pi: Elem, n: int, window: Window = None) -> PhiPiResu
     result = PhiPiResult(pol, dr, images, True, {}, True)
     inside, dr_images = _closure(dr.algebra, window)
     chain_ok = True
-    for (p, m), monos in _window_monomials(inside).items():
+    for (p, m), monos in _window_monomials(inside)[0].items():
         ent = []
         targets = {}
         for j, mono in enumerate(monos):

@@ -47,19 +47,23 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         data = {}
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for key_or_triple in items:
-                if isinstance(entries, dict):
-                    (i, j), v = key_or_triple
-                else:
-                    i, j, v = key_or_triple
-                v = _as_rat(v)
+        if isinstance(entries, dict):  # a dict cannot repeat a position
+            for (i, j), v in entries.items():
+                if type(v) is not int:
+                    v = _as_rat(v)
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
+                if v:
+                    data[i, j] = v
+        elif entries:
+            for i, j, v in entries:
+                if type(v) is not int:
+                    v = _as_rat(v)
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
                 if (i, j) in data:
                     raise ValueError(f"duplicate entry at ({i},{j})")
-                if v != 0:
+                if v:
                     data[i, j] = v
         self._entries = data
         self._fwd = None
@@ -161,7 +165,7 @@ class SparseMatrix:
         return self._fwd
 
     def _reduced(self):
-        """Cached sparse reduced echelon: [(pivot_col, {col: Fraction})]."""
+        """Cached sparse reduced echelon: [(pivot_col, {col: int or Fraction})]."""
         if self._rref is None:
             self._rref = _reduce(self._forward())
         return self._rref
@@ -179,15 +183,19 @@ def _int_rows(items):
     Each row is primitive: denominators cleared, content divided out.
     """
     rows = {}
+    fractional = set()  # rows with a Fraction entry
     for (i, j), v in items:
         rows.setdefault(i, {})[j] = v
+        if type(v) is not int:
+            fractional.add(i)
     for i, row in rows.items():
-        lcm = 1
-        for v in row.values():
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        ints = {j: v.numerator * (lcm // v.denominator) for j, v in row.items()}
-        g = gcd(*ints.values())
-        rows[i] = {j: v // g for j, v in ints.items()} if g > 1 else ints
+        if i in fractional:
+            lcm = 1
+            for v in row.values():
+                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+            row = {j: v.numerator * (lcm // v.denominator) for j, v in row.items()}
+        g = gcd(*row.values())
+        rows[i] = {j: v // g for j, v in row.items()} if g > 1 else row
     return rows
 
 
@@ -210,7 +218,10 @@ def _eliminate(rows, n_cols):
         cand = where.pop(c, None)
         if not cand:
             continue
-        pr = min(cand, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
+        if len(cand) == 1:
+            (pr,) = cand
+        else:
+            pr = min(cand, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
         prow = rows.pop(pr)
         rest = [(j, v) for j, v in prow.items() if j != c]
         for j, _ in rest:
@@ -248,7 +259,8 @@ def _eliminate(rows, n_cols):
 
 
 def _reduce(echelon):
-    """Reduced row echelon form over Q from a forward echelon, pivots 1.
+    """Reduced row echelon form over Q from a forward echelon, pivots 1,
+    entries as `_as_rat` gives them.
 
     Back-substitutes bottom up in integers; a reduced row is zero in every
     other pivot column, so clearing one pivot column never refills another.
@@ -276,7 +288,7 @@ def _reduce(echelon):
         if g > 1:
             row = {t: v // g for t, v in row.items()}
         done[k] = row
-    return [(c, {t: Rat(v, row[c]) for t, v in row.items()})
+    return [(c, {t: _as_rat(Rat(v, row[c])) for t, v in row.items()})
             for (c, _), row in zip(echelon, done)]
 
 
@@ -297,7 +309,7 @@ def kernel_basis(m: SparseMatrix):
             if j != c:
                 basis[j][c] = -v
     for f, v in basis.items():
-        v[f] = Rat(1)
+        v[f] = 1
     return list(basis.values())
 
 

@@ -36,6 +36,7 @@ from .gradedmixed import (
     BiGradedModule,
     ChainComplex,
     GradedMixedComplex,
+    stage_homology_dims,
     weight_window_total_complex,
 )
 from .exactlin import SparseMatrix, _as_rat, kernel_basis
@@ -600,6 +601,9 @@ def _closure(alg: FreeCDGA, window: Window):
             w, d = inside[m]
             pair = []
             for table in tables:
+                if not table[1]:  # the zero derivation, e.g. d on a free algebra's de Rham algebra
+                    pair.append({})
+                    continue
                 fresh = {}
                 image = _image(table, m, inside, fresh, w, d)
                 pair.append(image)
@@ -634,21 +638,28 @@ def window_basis(alg: FreeCDGA, window: Window):
 
 
 def _window_monomials(inside):
-    """The window monomials grouped by bidegree, in sorted order."""
-    monos = {}
-    for m, bideg in sorted(inside.items(), key=lambda kv: (kv[1], kv[0])):
-        monos.setdefault(bideg, []).append(m)
-    return monos
+    """(monos, at): the window monomials grouped by bidegree, bidegrees
+    ascending and each group sorted, and the map mono -> (bidegree, index
+    in its group) that every block of the window shares."""
+    groups = {}
+    for m, bideg in inside.items():
+        groups.setdefault(bideg, []).append(m)
+    monos, at = {}, {}
+    for bideg in sorted(groups):
+        ms = monos[bideg] = sorted(groups[bideg])
+        for i, m in enumerate(ms):
+            at[m] = (bideg, i)
+    return monos, at
 
 
-def _derivation_blocks(alg, monos, image, k):
-    """Blocks of a map of bidegree (k, 1) given by image(mono) -> {mono: coeff}.
+def _derivation_blocks(alg, monos, at, image, k):
+    """Blocks of a map of bidegree (k, 1) given by image(mono) -> {mono: coeff},
+    on the window `_window_monomials` gives as (monos, at).
 
     Rows are keyed by monomial.  Image terms outside the window are
     projected away; a term inside it at another bidegree raises
     BidegreeMismatch.
     """
-    at = {m: (bideg, i) for bideg, ms in monos.items() for i, m in enumerate(ms)}
     out = {}
     for (w, d), ms in monos.items():
         tgt = (w + k, d + 1)
@@ -677,16 +688,18 @@ def graded_mixed_window(alg: FreeCDGA, window: Window):
     basis {mono: (w, d)}.  Images above the window are projected away.
     """
     inside, images = _closure(alg, window)
-    return _mixed_complex(alg, inside, images), inside
+    return _mixed_complex(alg, inside, images)[0], inside
 
 
 def _mixed_complex(alg, inside, images):
     """The complex on the monomials of `inside` from the stored (d, eps)
-    images; image terms outside `inside` are projected away."""
-    monos = _window_monomials(inside)
-    d = _derivation_blocks(alg, monos, lambda m: images[m][0], 0)
-    eps = _derivation_blocks(alg, monos, lambda m: images[m][1], 1)
-    return GradedMixedComplex(BiGradedModule(monos), d, eps)
+    images, and its monomial -> (bidegree, index) map; image terms
+    outside `inside` are projected away."""
+    monos, at = _window_monomials(inside)
+    # a zero derivation images every word to {} (see _closure): no blocks
+    d = _derivation_blocks(alg, monos, at, lambda m: images[m][0], 0) if alg.differential else {}
+    eps = _derivation_blocks(alg, monos, at, lambda m: images[m][1], 1) if alg.mixed else {}
+    return GradedMixedComplex(BiGradedModule(monos), d, eps), at
 
 
 def total_complex_window(alg: FreeCDGA, window: Window) -> ChainComplex:
@@ -827,13 +840,21 @@ class ClosedFormTower:
         )
 
     def check_cocycle(self, wmax) -> bool:
+        """(d + eps) of the tower has no term of weight <= wmax.
+
+        d + eps is the derivation with the values d(g) + eps(g), so one
+        apply_derivation call images the sum of the components."""
         alg = self.de_rham.algebra
-        total = self.total()
-        image = alg.d(total) + alg.eps(total)
-        for m in image.terms:
-            if _mono_bidegree(alg, m)[0] <= wmax:
-                return False
-        return True
+        total = {}
+        for e in self.components.values():
+            for m, c in e.terms.items():
+                total[m] = total.get(m, 0) + c
+        values = dict(alg.mixed)
+        for i, v in alg.differential.items():
+            values[i] = v + values[i] if i in values else v
+        image = apply_derivation(alg, Elem(alg, total), values, parity=1)
+        weights = alg.weights
+        return all(sum(weights[i] for i in m) > wmax for m in image.terms)
 
 
 @dataclass
@@ -863,37 +884,31 @@ def closed_form_classes(
     deg = n + p
     # one closure serves every stage and fibre: d and eps never lower
     # weight, so the weights <= top of this window are the window of
-    # weights p..top
+    # weights p..top, and every stage is read off the top one
     window = Window(wmin=p, wmax=wmax, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
     inside, images = _closure(dr.algebra, window)
-    cx = _mixed_complex(dr.algebra, inside, images)
-    stage_dims = {}
+    cx, _ = _mixed_complex(dr.algebra, inside, images)
+    total, stage_dims = stage_homology_dims(cx, p, wmax, deg)
+    # the towers are read off the top stage only
+    h = total.homology(deg)
+    labels = total.basis.get(deg, [])
     reps = []
-    dim = 0
-    for top in range(p, wmax + 1):
-        total = weight_window_total_complex(cx, p, top)
-        if top < wmax:  # the towers are read off the top stage only
-            stage_dims[top] = total.homology_dim(deg)
-            continue
-        h = total.homology(deg)
-        stage_dims[top] = dim = h.dimension
-        labels = total.basis.get(deg, [])
-        for v in h.representatives:
-            comps = {}
-            for i, coeff in v.items():
-                w, mono = labels[i]
-                comps.setdefault(w, {})[mono] = coeff
-            comps = {w: Elem(dr.algebra, terms) for w, terms in comps.items()}
-            reps.append(ClosedFormTower(dr, p, n, comps))
+    for v in h.representatives:
+        comps = {}
+        for i, coeff in v.items():
+            w, mono = labels[i]
+            comps.setdefault(w, {})[mono] = coeff
+        comps = {w: Elem(dr.algebra, terms) for w, terms in comps.items()}
+        reps.append(ClosedFormTower(dr, p, n, comps))
     fiber_dims = {}
     for m in range(p, wmax):
         # fiber of stage m+1 -> stage m: H^{n+p} of the weight-(m+1) column
-        fiber = _mixed_complex(dr.algebra, _column(inside, images, m + 1, max_len), images)
+        fiber, _ = _mixed_complex(dr.algebra, _column(inside, images, m + 1, max_len), images)
         fiber_dims[m] = weight_window_total_complex(fiber, m + 1, m + 1).homology_dim(deg)
     mod_dim = None
     if modulo_exact:
         mod_dim = _modulo_exact_dimension(dr, p, deg, wmax, max_len)
-    return ClosedFormReport(dim, reps, stage_dims, fiber_dims, mod_dim)
+    return ClosedFormReport(h.dimension, reps, stage_dims, fiber_dims, mod_dim)
 
 
 def _column(inside, images, w, max_len):
@@ -1081,6 +1096,7 @@ def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:
 def _h0_by_weight(dr, wmax, max_len):
     """{w: dim H^0 of the total complex in weights 0..w} for w = 0..wmax,
     from one window: d and eps never lower weight, so the words of weight
-    <= w of the weight-wmax window are the weight-w window."""
+    <= w of the weight-wmax window are the weight-w window, and every
+    stage is read off the top one (see stage_homology_dims)."""
     cx, _ = graded_mixed_window(dr.algebra, Window(0, wmax, -2, 2, max_len))
-    return {w: weight_window_total_complex(cx, 0, w).homology_dim(0) for w in range(wmax + 1)}
+    return stage_homology_dims(cx, 0, wmax, 0)[1]

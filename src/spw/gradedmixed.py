@@ -16,9 +16,10 @@ here once and used everywhere:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 
 from . import exactlin
-from .errors import BidegreeMismatch, CompositionNonzero
+from .errors import BidegreeMismatch, CompositionNonzero, IdentityViolated
 from .exactlin import SparseMatrix, homology, kernel_basis, solve_linear
 
 
@@ -366,6 +367,43 @@ def weight_window_total_complex(e: GradedMixedComplex, wmin: int, wmax: int) -> 
     return ChainComplex(
         basis, {m: SparseMatrix(len(basis[m + 1]), len(basis[m]), vals) for m, vals in ent.items()}
     )
+
+
+def stage_homology_dims(e: GradedMixedComplex, wmin: int, wmax: int, deg: int):
+    """The total complex of weights wmin..wmax, and {t: dim H^deg of
+    weight_window_total_complex(e, wmin, t)} for every stage t = wmin..wmax.
+
+    Degree m of stage t is the leading labels of degree m of the top
+    stage, those of weight <= t.  Since d + eps never lowers weight, the
+    rows of weight <= t of a top differential D are zero outside those
+    columns, so stage t's differential has the rank of the leading rows
+    of D: the number of pivot columns of D's transpose left of the row
+    count.  One elimination of each transposed differential serves every
+    stage; the top stage is checked against rank-nullity on the
+    untransposed differentials, and a mismatch raises IdentityViolated.
+    """
+    total = weight_window_total_complex(e, wmin, wmax)
+    stages = range(wmin, wmax + 1)
+
+    def leading(m):
+        # leading(m)[k]: the number of labels of degree m of weight <= stages[k]
+        weights = [p for p, _ in total.basis.get(m, ())]
+        return [bisect_right(weights, t) for t in stages]
+
+    here, above = leading(deg), leading(deg + 1)
+    out_pivots = total.d_block(deg).transpose().pivot_columns()
+    in_pivots = total.d_block(deg - 1).transpose().pivot_columns()
+    dims = {
+        t: n - bisect_left(out_pivots, n_above) - bisect_left(in_pivots, n)
+        for t, n, n_above in zip(stages, here, above)
+    }
+    if dims:
+        top = total.homology_dim(deg)
+        if dims[wmax] != top:
+            raise IdentityViolated(
+                f"stage_homology_dims: top stage reads {dims[wmax]}, rank-nullity {top} at degree {deg}"
+            )
+    return total, dims
 
 
 # ---------------------------------------------------------------------------

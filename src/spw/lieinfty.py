@@ -17,8 +17,10 @@ from .freecdga import (
     FreeCDGA,
     Generator,
     Window,
+    _closure,
     _derivation_blocks,
     _image,
+    _mixed_complex,
     _term_table,
     graded_mixed_window,
 )
@@ -258,12 +260,12 @@ def weak_mixed_validate(w: WeakMixedStructure, bound=None) -> WeakMixedReport:
 def weak_mixed_from_derivations(alg: FreeCDGA, eps_values, window: Window) -> WeakMixedStructure:
     """Assemble blocks of a weak mixed structure whose eps_i are the odd
     derivation extensions of the given generator values."""
-    cx, _ = graded_mixed_window(alg, window)
+    cx, at = _mixed_complex(alg, *_closure(alg, window))
     eps_list = []
     for i, values in enumerate(eps_values):
         table = _term_table(alg, {alg.index[name]: v for name, v in values.items()})
         eps_list.append(
-            _derivation_blocks(alg, cx.module.basis, lambda m, table=table: _image(table, m), i + 1)
+            _derivation_blocks(alg, cx.module.basis, at, lambda m, table=table: _image(table, m), i + 1)
         )
     return WeakMixedStructure(cx.module, cx.d, eps_list)
 

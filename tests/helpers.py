@@ -8,7 +8,8 @@ separate de Rham/Kaehler builders kept only as oracles for
 `freecdga.de_rham`/`kaehler`, the separate P_n and BD_1 operations,
 `pn_compose` and Arnold certificate rows kept only as oracles for the one
 linear-combination layer of `operads`, the window-per-stage closed-form
-computation kept only as an oracle for `freecdga.closed_form_classes`,
+computation and the Elem-sum cocycle check kept only as oracles for
+`freecdga.closed_form_classes` and `ClosedFormTower.check_cocycle`,
 the window-per-weight H^0 sequence kept only as an oracle for
 `freecdga.d_functor`, Fraction-only products, derivations and matrix
 operations kept as oracles for the int-first coefficients of `Elem` and
@@ -899,6 +900,17 @@ def oracle_closed_form_classes(b, p, n, wmax, max_len):
         cx, _ = graded_mixed_window(dr.algebra, window)
         fiber_dims[m] = weight_window_total_complex(cx, m + 1, m + 1).homology_dim(deg)
     return dim, stage_dims, fiber_dims, reps
+
+
+def oracle_check_cocycle(tower, wmax):
+    """ClosedFormTower.check_cocycle as the sum of the components in Elem
+    arithmetic, imaged by d and eps separately."""
+    alg = tower.de_rham.algebra
+    total = alg.zero()
+    for e in tower.components.values():
+        total = total + e
+    image = alg.d(total) + alg.eps(total)
+    return all(_mono_bidegree(alg, m)[0] > wmax for m in image.terms)
 
 
 def oracle_h0_by_weight(dr, wmax, max_len):

@@ -211,6 +211,26 @@ def test_operad_commands(capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "operad, arity, least",
+    [
+        ("pn", 0, 1), ("pn", -1, 1), ("as", 0, 1), ("lie", -3, 1), ("bd1", 0, 1), ("bd0", 0, 1),
+        ("weyl", 1, 2), ("weyl", 0, 2), ("arnold", 1, 2), ("arnold", -1, 2),
+    ],
+)
+def test_operad_arity_below_its_least_exits_two(capsys, operad, arity, least):
+    code, err = run_exit(capsys, "operad", operad, "--arity", str(arity), "--json")
+    assert code == 2
+    assert f"argument --arity: must be >= {least} for {operad}, got {arity}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("operad", ["pn", "as", "lie", "bd1"])
+def test_operad_arity_one_is_accepted(capsys, operad):
+    code, out, _ = run(capsys, "operad", operad, "--arity", "1", "--json")
+    assert code == 0 and json.loads(out)["verdicts"]
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -317,3 +317,42 @@ def test_sparse_sum_and_product_match_fraction_oracle():
         ints = [SparseMatrix(x.rows, x.cols, {key: v * 6 for key, v in x.items()}) for x in (a, a2, b)]
         for got in (ints[0] + ints[1], ints[0] @ ints[2], ints[0] - ints[1]):
             assert all(type(v) is int for _, v in got.items())
+
+
+def test_kernel_and_reduced_coefficients_are_int_while_integral():
+    rng = random.Random(4242)
+    fractional = 0
+    for m in _cross_check_matrices(rng):
+        for vec in kernel_basis(m):
+            for v in vec.values():
+                assert type(v) is (int if v.denominator == 1 else F)
+                fractional += type(v) is F
+        for _, row in m._reduced():
+            assert all(type(v) is (int if v.denominator == 1 else F) for v in row.values())
+    assert fractional
+    assert [type(v) for v in kernel_basis(SparseMatrix(1, 2, [(0, 0, 2), (0, 1, 4)]))[0].values()] == [int, int]
+    h = homology(SparseMatrix.zero(2, 0), SparseMatrix(1, 2, [(0, 0, 1), (0, 1, -1)]))
+    assert h.representatives == [{0: 1, 1: 1}]
+    assert all(type(v) is int for v in h.representatives[0].values())
+
+
+def test_sparse_matrix_constructor_checks():
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        SparseMatrix(-1, 2)
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        SparseMatrix(2, -1, {})
+    for entries in ({(2, 0): 1}, [(2, 0, 1)], {(0, -1): 1}, [(0, 3, F(1, 2))]):
+        with pytest.raises(ValueError, match="outside 2x3"):
+            SparseMatrix(2, 3, entries)
+    with pytest.raises(ValueError, match=r"duplicate entry at \(1,2\)"):
+        SparseMatrix(2, 3, [(1, 2, 1), (0, 0, 1), (1, 2, 5)])
+    for entries in ({(0, 0): 1.0}, [(0, 0, 0.5)], [(0, 0, 1), (1, 1, 2.0)]):
+        with pytest.raises(TypeError, match="float"):
+            SparseMatrix(2, 3, entries)
+    for entries in ({(0, 1): True, (1, 0): False}, [(0, 1, True), (1, 0, False)]):
+        m = SparseMatrix(2, 3, entries)
+        assert dict(m.items()) == {(0, 1): 1} and type(m.entry(0, 1)) is int
+    m = SparseMatrix(2, 3, [(0, 0, 0), (0, 1, F(0)), (1, 2, F(6, 3)), (1, 1, F(1, 2))])
+    assert dict(m.items()) == {(1, 2): 2, (1, 1): F(1, 2)} and type(m.entry(1, 2)) is int
+    assert SparseMatrix(2, 3, {(0, 0): 0, (1, 1): F(0, 5)}).is_zero()
+    assert len(SparseMatrix(2, 3, iter([(0, 0, 1), (1, 2, -1)])).items()) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     oracle_apply_derivation,
+    oracle_check_cocycle,
     oracle_closed_form_classes,
     oracle_closure,
     oracle_de_rham,
@@ -23,6 +24,7 @@ from spw import freecdga
 from spw.errors import BidegreeMismatch, NotRegular, SpwError, WindowTooSmall
 from spw.exactlin import SparseMatrix
 from spw.freecdga import (
+    ClosedFormTower,
     Elem,
     FreeCDGA,
     Window,
@@ -177,6 +179,40 @@ def test_closed_forms_match_a_window_per_stage_and_fiber():
                 closed_form_classes(b, p, n, wmax, max_len=max_len)
             continue
         assert _closed_form_answer(b, p, n, wmax, max_len) == want
+
+
+def test_check_cocycle_matches_the_elem_sum_oracle():
+    rng = random.Random(1213)
+    towers = failing = 0
+    for _ in range(120):
+        b = random_valid_cdga(rng, max_gens=3)
+        p, n = rng.randint(0, 2), rng.randint(-2, 1)
+        wmax, max_len = p + rng.randint(0, 2), rng.randint(2, 3)
+        try:
+            rep = closed_form_classes(b, p, n, wmax, max_len=max_len)
+        except SpwError:
+            continue
+        dr = de_rham(b)
+        words = [m for m, (w, _) in window_basis(dr.algebra, Window(p, wmax, -4, 4, max_len)).items() if w >= p]
+        for tower in rep.representatives:
+            towers += 1
+            assert tower.check_cocycle(wmax) and oracle_check_cocycle(tower, wmax)
+            if not words:
+                continue
+            # perturb one component by a word that is not a cocycle alone
+            for _ in range(3):
+                m = rng.choice(words)
+                w = sum(dr.algebra.weights[i] for i in m)
+                c = rng.choice((1, -2, F(1, 3)))
+                alone = ClosedFormTower(dr, p, n, {w: Elem(dr.algebra, {m: c})})
+                comps = dict(tower.components)
+                comps[w] = comps.get(w, dr.algebra.zero()) + Elem(dr.algebra, {m: c})
+                bent = ClosedFormTower(dr, p, n, comps)
+                assert bent.check_cocycle(wmax) == oracle_check_cocycle(bent, wmax)
+                if not oracle_check_cocycle(alone, wmax):
+                    failing += 1
+                    assert not bent.check_cocycle(wmax)
+    assert towers > 40 and failing > 40
 
 
 def test_closed_form_fiber_is_not_the_weight_slice():
@@ -419,6 +455,7 @@ def test_graded_mixed_window_matches_per_label_oracle():
 
 def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
     image = freecdga._image
+    zero_maps = 0
     for alg, window in _de_rham_windows():
         calls = {}  # id of a term table -> (table, words imaged with it)
 
@@ -430,12 +467,31 @@ def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
         cx, inside = graded_mixed_window(alg, window)
         monkeypatch.undo()
         monos = sorted(inside)
-        # one table per map, d first, and every basis word imaged once by each
+        # one table per nonzero map, d first, and every basis word imaged
+        # once by each; a zero map (d on these algebras) images nothing
         tables = [freecdga._term_table(alg, values) for values in (alg.differential, alg.mixed)]
-        assert [table for table, _ in calls.values()] == (tables if monos else [])
+        nonzero = [table for table in tables if table[1]]
+        assert [table for table, _ in calls.values()] == (nonzero if monos else [])
         for _, seen in calls.values():
             assert sorted(seen) == monos
         assert set(monos) == set(window_basis(alg, window))
+        images = freecdga._closure(alg, window)[1]
+        for k, table in enumerate(tables):
+            if not table[1]:
+                zero_maps += 1
+                assert all(pair[k] == {} for pair in images.values())
+    assert zero_maps >= 9  # d on the de Rham algebras of the three free algebras
+
+
+def test_window_monomials_keep_the_sorted_order_and_share_one_index():
+    for alg, window in _de_rham_windows():
+        inside = window_basis(alg, window)
+        monos, at = freecdga._window_monomials(inside)
+        want = {}
+        for m, bideg in sorted(inside.items(), key=lambda kv: (kv[1], kv[0])):
+            want.setdefault(bideg, []).append(m)
+        assert list(monos.items()) == list(want.items())
+        assert at == {m: (bideg, i) for bideg, ms in want.items() for i, m in enumerate(ms)}
 
 
 def _typed(image):

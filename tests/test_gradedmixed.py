@@ -8,7 +8,7 @@ from helpers import (
     random_tensor_pair,
     random_valid_complex,
 )
-from spw.errors import BidegreeMismatch
+from spw.errors import BidegreeMismatch, IdentityViolated
 from spw.exactlin import SparseMatrix
 from spw.freecdga import FreeCDGA, Window, de_rham, graded_mixed_window
 from spw.gradedmixed import (
@@ -20,6 +20,7 @@ from spw.gradedmixed import (
     realization,
     realization_oracle_dims,
     shift,
+    stage_homology_dims,
     tate_realization,
     tensor,
     unit_complex,
@@ -308,3 +309,33 @@ def test_total_complex_matches_dense_scan_oracle():
                 want = oracle_weight_window_total_complex(cx, wmin, wmax)
                 assert got.basis == want.basis
                 assert got.diff == want.diff
+
+
+def test_stage_homology_dims_match_a_total_complex_per_stage():
+    rng = random.Random(1212)
+    empty_degrees = low_windows = 0
+    for _ in range(150):
+        e = random_valid_complex(rng, rng.randint(-1, 0), 4, pieces=rng.randint(1, 5))
+        wmin = rng.randint(-1, 3)
+        wmax = wmin + rng.randint(0, 3)
+        low_windows += wmin > 0
+        degrees = e.module.degrees() or [0]
+        for deg in range(min(degrees) - 1, max(degrees) + 2):
+            total, dims = stage_homology_dims(e, wmin, wmax, deg)
+            top = weight_window_total_complex(e, wmin, wmax)
+            assert total.basis == top.basis and total.diff == top.diff
+            assert dims == {
+                t: weight_window_total_complex(e, wmin, t).homology_dim(deg) for t in range(wmin, wmax + 1)
+            }
+            empty_degrees += not total.dim(deg)
+    assert empty_degrees > 100 and low_windows > 50
+    # a window below its lowest weight has no stages
+    assert stage_homology_dims(cell_model(2), 3, 2, 0)[1] == {}
+
+
+def test_stage_homology_dims_check_the_top_stage(monkeypatch):
+    e = cell_model(3)
+    assert stage_homology_dims(e, 0, 3, 0)[1] == {0: 1, 1: 1, 2: 1, 3: 1}
+    monkeypatch.setattr("spw.gradedmixed.ChainComplex.homology_dim", lambda self, m: 7)
+    with pytest.raises(IdentityViolated):
+        stage_homology_dims(e, 0, 3, 0)
