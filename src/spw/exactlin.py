@@ -223,10 +223,30 @@ def _eliminate(rows, n_cols):
         else:
             pr = min(cand, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
         prow = rows.pop(pr)
+        p = prow[c]
+        if len(prow) == 1:
+            # the pivot alone: fp * row - fa * prow is fp * row without
+            # column c, and made primitive it is that row over its
+            # content, negated when p < 0
+            for r in cand:
+                if r == pr:
+                    continue
+                row = rows[r]
+                del row[c]
+                if not row:
+                    del rows[r]
+                    continue
+                g = gcd(*row.values())
+                if p < 0:
+                    g = -g
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
+            echelon.append((c, prow))
+            continue
         rest = [(j, v) for j, v in prow.items() if j != c]
         for j, _ in rest:
             where[j].discard(pr)
-        p = prow[c]
         for r in cand:
             if r == pr:
                 continue

@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Rat
+from operator import itemgetter
 
 from .errors import (
     BidegreeError,
@@ -433,32 +434,17 @@ class Window:
     closure_rounds: int = 64
 
 
-def enumerate_monomials(alg: FreeCDGA, max_len: int):
-    """All canonical words of length <= max_len (odd letters at most once)."""
-    n = len(alg.generators)
-
-    def rec(start, budget):
-        yield ()
-        for i in range(start, n):
-            cap = 1 if alg.parities[i] else budget
-            if budget == 0:
-                return
-            word = ()
-            for e in range(1, min(cap, budget) + 1):
-                word = word + (i,)
-                for rest in rec(i + 1, budget - e):
-                    yield word + rest
-
-    return rec(0, max_len)
-
-
 def _mono_bidegree(alg, mono):
     return sum(map(alg.weights.__getitem__, mono)), sum(map(alg.degrees.__getitem__, mono))
 
 
 def _box_words(alg: FreeCDGA, max_len, wmin=None, wmax=None, dmin=None, dmax=None):
-    """{word: (w, d)}: the words of enumerate_monomials(alg, max_len) whose
-    bidegree lies in the box, in that order; None is an open bound.
+    """{word: (w, d)}: the canonical words of length <= max_len (odd
+    letters at most once) whose bidegree lies in the box; None is an open
+    bound.  The order is depth first: a word, then for each later letter
+    in turn its extensions by one, two, .. copies of that letter, each
+    followed by its own extensions.  The oracle `enumerate_monomials` in
+    tests/helpers.py lists all words in this order.
 
     The bidegree is carried down the recursion, and a subtree is left out
     once its remaining letters cannot bring it back into the box: from
@@ -466,36 +452,43 @@ def _box_words(alg: FreeCDGA, max_len, wmin=None, wmax=None, dmin=None, dmax=Non
     weight among letters s.., or 0) and b * (the greatest, or 0), and the
     same for degree, so negative weights and degrees are bounded too.
     """
-    n = len(alg.generators)
     weights, degrees, parities = alg.weights, alg.degrees, alg.parities
-    reach = [(0, 0, 0, 0)] * (n + 1)  # reach[s]: least/greatest weight, degree of letters s..
-    for s in range(n - 1, -1, -1):
-        lw, hw, ld, hd = reach[s + 1]
-        w, d = weights[s], degrees[s]
-        reach[s] = (min(lw, w), max(hw, w), min(ld, d), max(hd, d))
     span = max(max_len, 0) * max(map(abs, weights + degrees), default=0)
     wmin = -span if wmin is None else wmin
     wmax = span if wmax is None else wmax
     dmin = -span if dmin is None else dmin
     dmax = span if dmax is None else dmax
+    # runs[budget]: the budgets left after 1, 2, .. copies of a letter, up
+    # to its cap (1 if odd, else max_len)
+    top = max(max_len, 0) + 1
+    even_runs = [range(b - 1, -1, -1) for b in range(top)]
+    odd_runs = [range(b - 1, b - 2, -1) for b in range(top)]
+    # one record per letter, with the least/greatest weight and degree of
+    # the letters after it (or 0) and the records of those letters
+    after = ()
+    lw = hw = ld = hd = 0
+    for i in range(len(weights) - 1, -1, -1):
+        wi, di = weights[i], degrees[i]
+        runs = odd_runs if parities[i] else even_runs
+        after = ((i,), wi, di, lw, hw, ld, hd, runs, after), *after
+        lw, hw, ld, hd = min(lw, wi), max(hw, wi), min(ld, di), max(hd, di)
     out = {}
 
-    def rec(start, budget, word, w, d):
+    def rec(letters, budget, word, w, d):
         if wmin <= w <= wmax and dmin <= d <= dmax:
             out[word] = (w, d)
-        for i in range(start, n):
-            lw, hw, ld, hd = reach[i + 1]
-            wi, di = weights[i], degrees[i]
+        if budget <= 0:
+            return
+        for letter, wi, di, lw, hw, ld, hd, runs, later in letters:
             ww, dd, grown = w, d, word
-            for e in range(1, min(1 if parities[i] else budget, budget) + 1):
-                b = budget - e
+            for b in runs[budget]:
                 ww += wi
                 dd += di
-                grown += (i,)
+                grown += letter
                 if ww + b * lw <= wmax and ww + b * hw >= wmin and dd + b * ld <= dmax and dd + b * hd >= dmin:
-                    rec(i + 1, b, grown, ww, dd)
+                    rec(later, b, grown, ww, dd)
 
-    rec(0, max_len, (), 0, 0)
+    rec(after, max_len, (), 0, 0)
     del rec  # rec's own cell holds rec: end that cycle, so `out` is freed by refcount
     return out
 
@@ -531,6 +524,13 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0):
     by bisecting the word's odd letters.  Given `inside` and the word's
     bidegree (w, d), each term not in `inside` gets its bidegree, the
     word's plus the term's shift, in `fresh`.
+
+    A run of e equal letters is imaged once: its copies share the rest of
+    the word and (being even when e > 1) the sign, so each term is added
+    once with e times its coefficient.  Copy by copy, a word already in
+    the image at prev = -r * v (1 <= r < e) would be cancelled by the r-th
+    copy and put back last by the next; such words are put back after
+    the run, by r and then in term order.
     """
     parities, by_letter = table
     acc = {}
@@ -538,11 +538,17 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0):
         return acc
     pre = 0  # odd letters of mono before position j
     odds = None
+    last = None
     for j, letter in enumerate(mono):
+        if letter == last:
+            continue  # imaged with the first letter of its run
+        last = letter
         terms = by_letter.get(letter)
         if terms is not None:
             rest = mono[:j] + mono[j + 1:]
             odd_letter = parities[letter]
+            e = 1 if odd_letter else mono.count(letter)
+            moved = None
             for t, c, b, odd_t, keep, dw, dd in terms:
                 cross = 0
                 if odd_t:
@@ -566,17 +572,27 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0):
                     p = bisect_left(rest, b)
                     m = rest[:p] + t + rest[p:]
                 v = -c if (pre & keep) ^ (cross & 1) else c
+                run = v * e if e > 1 else v
                 prev = acc.get(m)
                 if prev is None:
-                    acc[m] = v
+                    acc[m] = run
                     if fresh is not None and m not in inside:
                         fresh[m] = (w + dw, d + dd)
+                    continue
+                s = prev + run
+                if not s:
+                    del acc[m]
+                elif e > 1 and (prev < 0) != (s < 0) and not prev % v:
+                    del acc[m]
+                    if moved is None:
+                        moved = []
+                    moved.append((-prev // v, m, s))
                 else:
-                    v += prev
-                    if v:
-                        acc[m] = v
-                    else:
-                        del acc[m]
+                    acc[m] = s
+            if moved is not None:
+                moved.sort(key=itemgetter(0))  # stable: term order within one r
+                for _, m, s in moved:
+                    acc[m] = s
         pre += parities[letter]
     return acc
 
@@ -586,7 +602,7 @@ def _closure(alg: FreeCDGA, window: Window):
     images as {mono: coeff} dicts.
 
     The basis starts from the words of length <= max_len in the box, in
-    enumerate_monomials order, and grows in closure order.  Each basis
+    `_box_words` order, and grows in closure order.  Each basis
     monomial's two images are computed once, as the closure reaches it;
     see Window.
     """

@@ -158,24 +158,28 @@ def validate_mixed(e: GradedMixedComplex) -> MixedReport:
     """Check d^2 = 0, eps^2 = 0 and d eps + eps d = 0 blockwise.
 
     Each violation records (identity, (weight, degree), witness label).
+    A missing block is zero, so no product with one is formed.
     """
     violations = []
+    d, eps = e.d, e.eps
+
+    def _product(a, b):
+        return None if a is None or b is None else a @ b
 
     def _report(name, p, m, mat):
+        if mat is None or mat.is_zero():
+            return
         labels = e.module.labels(p, m)
         for j in sorted({j for (_, j), _ in mat.items()}):
             violations.append((name, (p, m), labels[j]))
 
     for (p, m) in e.module.support():
-        dd = e.d_block(p, m + 1) @ e.d_block(p, m)
-        if not dd.is_zero():
-            _report("d^2", p, m, dd)
-        ee = e.eps_block(p + 1, m + 1) @ e.eps_block(p, m)
-        if not ee.is_zero():
-            _report("eps^2", p, m, ee)
-        mix = e.d_block(p + 1, m + 1) @ e.eps_block(p, m) + e.eps_block(p, m + 1) @ e.d_block(p, m)
-        if not mix.is_zero():
-            _report("d eps + eps d", p, m, mix)
+        d_pm, eps_pm = d.get((p, m)), eps.get((p, m))
+        _report("d^2", p, m, _product(d.get((p, m + 1)), d_pm))
+        _report("eps^2", p, m, _product(eps.get((p + 1, m + 1)), eps_pm))
+        de = _product(d.get((p + 1, m + 1)), eps_pm)
+        ed = _product(eps.get((p, m + 1)), d_pm)
+        _report("d eps + eps d", p, m, ed if de is None else de if ed is None else de + ed)
     return MixedReport(violations)
 
 

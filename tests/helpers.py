@@ -14,8 +14,12 @@ the window-per-weight H^0 sequence kept only as an oracle for
 `freecdga.d_functor`, Fraction-only products, derivations and matrix
 operations kept as oracles for the int-first coefficients of `Elem` and
 `SparseMatrix`, the dense adjoint action kept only as an oracle for
-`lieinfty._ad_on_sym2`, the Poincare-lemma count of de Rham window
-cohomology, and the per-case time limit of the CLI tests."""
+`lieinfty._ad_on_sym2`, the word enumeration kept only as the order
+oracle for `freecdga._box_words`, the scale-and-subtract elimination of
+every pivot row kept only as an oracle for `exactlin._eliminate`, the
+four-product loop kept only as an oracle for `gradedmixed.validate_mixed`,
+the Poincare-lemma count of de Rham window cohomology, and the per-case
+time limit of the CLI tests."""
 
 import contextlib
 import random
@@ -33,7 +37,6 @@ from spw.freecdga import (
     _mono_bidegree,
     apply_derivation,
     de_rham,
-    enumerate_monomials,
     graded_mixed_window,
     total_complex_window,
     window_basis,
@@ -182,13 +185,58 @@ def random_tensor_pair(rng):
     return e, f, tensor(e, f)
 
 
+def oracle_validate_mixed(e):
+    """`gradedmixed.validate_mixed` forming all four products at every
+    support cell, through zero matrices where a block is missing."""
+    violations = []
+
+    def _report(name, p, m, mat):
+        labels = e.module.labels(p, m)
+        for j in sorted({j for (_, j), _ in mat.items()}):
+            violations.append((name, (p, m), labels[j]))
+
+    for (p, m) in e.module.support():
+        dd = e.d_block(p, m + 1) @ e.d_block(p, m)
+        if not dd.is_zero():
+            _report("d^2", p, m, dd)
+        ee = e.eps_block(p + 1, m + 1) @ e.eps_block(p, m)
+        if not ee.is_zero():
+            _report("eps^2", p, m, ee)
+        mix = e.d_block(p + 1, m + 1) @ e.eps_block(p, m) + e.eps_block(p, m + 1) @ e.d_block(p, m)
+        if not mix.is_zero():
+            _report("d eps + eps d", p, m, mix)
+    return violations
+
+
+def random_mixed_blocks(rng, max_weight=2, degrees=(-1, 2)):
+    """A GradedMixedComplex with random d and eps blocks, each present or
+    missing at random, so most identities fail somewhere."""
+    basis = {}
+    for p in range(max_weight + 1):
+        for m in range(degrees[0], degrees[1] + 1):
+            k = rng.randint(0, 2)
+            if k:
+                basis[p, m] = [f"e{p}_{m}_{i}" for i in range(k)]
+    mod = BiGradedModule(basis)
+    d, eps = {}, {}
+    for (p, m) in basis:
+        for blocks, tgt in ((d, (p, m + 1)), (eps, (p + 1, m + 1))):
+            rows, cols = mod.dim(*tgt), mod.dim(p, m)
+            if rows and rng.random() < 0.6:
+                blocks[p, m] = SparseMatrix(rows, cols, [
+                    (i, j, rng.choice((-2, -1, 1, 1, F(1, 2))))
+                    for i in range(rows) for j in range(cols) if rng.random() < 0.6
+                ])
+    return GradedMixedComplex(mod, d, eps)
+
+
 def random_valid_cdga(rng, max_gens=4, degree_span=(-3, 3)):
     """Random free cdga with d^2 = 0 by construction.
 
     Differentials are combinations of monomials in d-closed generators,
     so squaring to zero is automatic while staying nontrivial.
     """
-    from spw.freecdga import FreeCDGA, enumerate_monomials
+    from spw.freecdga import FreeCDGA
 
     n = rng.randint(1, max_gens)
     gens = [(f"g{i+1}", rng.randint(*degree_span)) for i in range(n)]
@@ -371,6 +419,57 @@ def oracle_homology_reps(d_in, d_out):
     return reps
 
 
+def oracle_eliminate(rows, n_cols):
+    """`exactlin._eliminate` with one scale-and-subtract loop for every
+    pivot row, a one-entry pivot row included."""
+    where = {}
+    for r, row in rows.items():
+        for j in row:
+            where.setdefault(j, set()).add(r)
+    echelon = []
+    for c in range(n_cols):
+        cand = where.pop(c, None)
+        if not cand:
+            continue
+        if len(cand) == 1:
+            (pr,) = cand
+        else:
+            pr = min(cand, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
+        prow = rows.pop(pr)
+        rest = [(j, v) for j, v in prow.items() if j != c]
+        for j, _ in rest:
+            where[j].discard(pr)
+        p = prow[c]
+        for r in cand:
+            if r == pr:
+                continue
+            row = rows[r]
+            a = row.pop(c)
+            g = gcd(p, a)
+            fp, fa = p // g, a // g
+            if fp != 1:
+                for j in row:
+                    row[j] *= fp
+            for j, v in rest:
+                w = row.get(j, 0) - fa * v
+                if w:
+                    if j not in row:
+                        where.setdefault(j, set()).add(r)
+                    row[j] = w
+                elif j in row:
+                    del row[j]
+                    where[j].discard(r)
+            if not row:
+                del rows[r]
+                continue
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+        echelon.append((c, prow))
+    return echelon
+
+
 def random_rational_matrix(rng, rows, cols, density=0.5):
     ent = {
         (i, j): F(rng.randrange(-4, 5), rng.randrange(1, 4))
@@ -449,6 +548,26 @@ def oracle_graded_mixed_window(alg, window):
         return out
 
     return GradedMixedComplex(mod, _blocks(alg.d, 0), _blocks(alg.eps, 1)), mono_of
+
+
+def enumerate_monomials(alg, max_len):
+    """All canonical words of length <= max_len (odd letters at most once),
+    in the order of `freecdga._box_words`."""
+    n = len(alg.generators)
+
+    def rec(start, budget):
+        yield ()
+        for i in range(start, n):
+            cap = 1 if alg.parities[i] else budget
+            if budget == 0:
+                return
+            word = ()
+            for e in range(1, min(cap, budget) + 1):
+                word = word + (i,)
+                for rest in rec(i + 1, budget - e):
+                    yield word + rest
+
+    return rec(0, max_len)
 
 
 def oracle_closure(alg, window):

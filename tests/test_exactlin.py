@@ -14,7 +14,8 @@ from spw.exactlin import (
     maybe_solve,
     solve_linear,
 )
-from spw.gradedmixed import ChainComplex, realization
+from spw.freecdga import FreeCDGA, Window, de_rham, graded_mixed_window
+from spw.gradedmixed import ChainComplex, realization, weight_window_total_complex
 
 
 def test_kernel_of_zero_map():
@@ -197,6 +198,45 @@ def test_elimination_matches_dense_oracle():
                     solve_linear(m, b)
             else:
                 assert _values(solve_linear(m, b)) == want
+
+
+def _short_and_long_rows(rng):
+    """Matrices whose rows are mostly one entry, often negative, mixed
+    with long rows whose content changes once a column is cleared."""
+    for _ in range(300):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        entries = []
+        for i in range(rows):
+            if rng.random() < 0.6:
+                entries.append((i, rng.randrange(cols), rng.choice((-3, -2, -1, -1, 1, 2))))
+            else:
+                for j in rng.sample(range(cols), rng.randint(1, cols)):
+                    entries.append((i, j, rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6, F(1, 2)))))
+        yield SparseMatrix(rows, cols, entries)
+
+
+def _echelon_in_order(echelon):
+    return [(c, list(row.items())) for c, row in echelon]
+
+
+def test_one_entry_pivot_rows_match_the_scaling_loop():
+    rng = random.Random(131)
+    negative = 0
+    for m in _short_and_long_rows(rng):
+        want = helpers.oracle_eliminate(exactlin._int_rows(m.items()), m.cols)
+        assert _echelon_in_order(m._forward()) == _echelon_in_order(want)
+        assert (m.rank(), m.pivot_columns()) == helpers.oracle_rank_and_pivots(m)
+        assert [helpers.dense_vector(v, m.cols) for v in kernel_basis(m)] == helpers.oracle_kernel_basis(m)
+        negative += sum(1 for c, row in want if len(row) == 1 and row[c] < 0)
+    assert negative >= 100
+    # de Rham total complexes, where most pivot rows are one entry
+    for gens in ([("x", 0), ("y", 0)], [("x", 0), ("a", 1)], [("x", 0), ("y", 0), ("z", 0)]):
+        cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 4, -4, 4, 4))
+        total = weight_window_total_complex(cx, 0, 4)
+        for deg in total.degrees():
+            m = total.d_block(deg)
+            want = helpers.oracle_eliminate(exactlin._int_rows(m.items()), m.cols)
+            assert _echelon_in_order(m._forward()) == _echelon_in_order(want)
 
 
 def _dense_columns(m):

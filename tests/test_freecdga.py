@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    enumerate_monomials,
     oracle_apply_derivation,
     oracle_check_cocycle,
     oracle_closed_form_classes,
@@ -32,7 +33,6 @@ from spw.freecdga import (
     closed_form_classes,
     d_functor,
     de_rham,
-    enumerate_monomials,
     graded_mixed_window,
     kaehler,
     koszul,
@@ -400,8 +400,6 @@ def test_weight_j_part_is_wedge_of_kaehler_module():
     # independent count with exterior/symmetric bookkeeping per parity
     from itertools import combinations, combinations_with_replacement
 
-    from spw.freecdga import enumerate_monomials
-
     rng = random.Random(53)
     for _ in range(8):
         b = random_valid_cdga(rng, max_gens=3)
@@ -592,6 +590,100 @@ def test_box_words_are_the_filtered_enumeration_in_order():
                 want[m] = (w, d)
         got = freecdga._box_words(alg, max_len, wmin, wmax, dmin, dmax)
         assert list(got.items()) == list(want.items())
+
+
+def _euler_values(rng, alg):
+    """Random derivation values: most letters x get an Euler-type term
+    +-x*c for one shared letter c, plus a few random words."""
+    n = len(alg.generators)
+    c = rng.randrange(n)
+    monos = list(enumerate_monomials(alg, 2))
+    values = {}
+    for x in range(n):
+        terms = {}
+        if rng.random() < 0.7 and not (x == c and alg.parities[c]):
+            terms[tuple(sorted((x, c)))] = rng.choice((-1, 1))
+        for m in rng.sample(monos, min(len(monos), rng.randint(0, 2))):
+            terms[m] = rng.choice((-2, -1, 1, 2, F(1, 2), F(-1, 2)))
+        if terms:
+            values[x] = Elem(alg, terms)
+    return values
+
+
+def _random_word(rng, alg):
+    """A canonical word with runs of up to four copies of an even letter."""
+    word = []
+    for x in range(len(alg.generators)):
+        word += [x] * rng.randint(0, 1 if alg.parities[x] else 4)
+    return tuple(word)
+
+
+def _image_oracle(alg, values, w):
+    return apply_derivation(alg, Elem(alg, {w: 1}), values, 1).terms
+
+
+def _run_cancels_a_word(alg, values, w):
+    """Whether some run of e >= 2 copies of a letter x in w, added copy by
+    copy after the letters before it, cancels a word of the image after
+    r < e copies (so the next copy puts it back last)."""
+    for x in set(w):
+        e = w.count(x)
+        if e < 2 or x not in values:
+            continue
+        before = _image_oracle(alg, {k: v for k, v in values.items() if k < x}, w)
+        for m, total in _image_oracle(alg, {x: values[x]}, w).items():
+            prev = before.get(m)  # each copy adds total / e
+            if prev is not None and any(prev * e + r * total == 0 for r in range(1, e)):
+                return True
+    return False
+
+
+def test_image_matches_apply_derivation_on_each_word():
+    rng = random.Random(113)
+    put_back = 0
+    for _ in range(300):
+        alg = FreeCDGA([(f"g{i}", rng.randint(-2, 2)) for i in range(rng.randint(1, 4))])
+        values = _euler_values(rng, alg)
+        table = freecdga._term_table(alg, values)
+        for _ in range(10):
+            w = _random_word(rng, alg)
+            got = freecdga._image(table, w)
+            want = _image_oracle(alg, values, w)
+            assert [(m, c, type(c)) for m, c in got.items()] == [(m, c, type(c)) for m, c in want.items()]
+            put_back += _run_cancels_a_word(alg, values, w)
+    assert put_back >= 100
+
+
+def test_image_puts_back_a_word_that_a_run_cancels():
+    # D(y) = -y*c and D(x) = x*c, c odd: on y*x^e the first copy of x
+    # cancels y*x^e*c and the next one puts it back
+    alg = FreeCDGA([("y", 0), ("x", 0), ("z", 0), ("c", 1)])
+    y, x, z, c = range(4)
+    values = {y: Elem(alg, {(y, c): -1}), x: Elem(alg, {(x, c): 1})}
+    table = freecdga._term_table(alg, values)
+    for w, want in (
+        ((y, x, x), [((y, x, x, c), 1)]),
+        ((y, y, x, x), []),
+        ((y, x, x, x), [((y, x, x, x, c), 2)]),
+    ):
+        assert list(_image_oracle(alg, values, w).items()) == want
+        assert list(freecdga._image(table, w).items()) == want
+        assert _run_cancels_a_word(alg, values, w) == (w != (y, y, x, x))
+    # with D(x) = x*c + z, y*x*x*c is put back after y*x*z
+    values[x] = Elem(alg, {(x, c): 1, (z,): 1})
+    want = [((y, x, z), 2), ((y, x, x, c), 1)]
+    assert list(_image_oracle(alg, values, (y, x, x)).items()) == want
+    assert list(freecdga._image(freecdga._term_table(alg, values), (y, x, x)).items()) == want
+    # two words put back by one run: after one copy and after two copies
+    # they come back in that order, and after the same copies in term order
+    values = {x: Elem(alg, {(x, z): 1, (x, c): 1})}
+    for d_y, w, want in (
+        ({(y, z): -2, (y, c): -1}, (y, x, x, x), [((y, x, x, x, c), 2), ((y, x, x, x, z), 1)]),
+        ({(y, z): -1, (y, c): -1}, (y, x, x), [((y, x, x, z), 1), ((y, x, x, c), 1)]),
+    ):
+        values[y] = Elem(alg, d_y)
+        assert list(_image_oracle(alg, values, w).items()) == want
+        assert list(freecdga._image(freecdga._term_table(alg, values), w).items()) == want
 
 
 def _random_elem(rng, alg, max_len=4, terms=12):

@@ -4,8 +4,11 @@ import pytest
 
 from helpers import (
     direct_sum,
+    oracle_validate_mixed,
     oracle_weight_window_total_complex,
+    random_mixed_blocks,
     random_tensor_pair,
+    random_valid_cdga,
     random_valid_complex,
 )
 from spw.errors import BidegreeMismatch, IdentityViolated
@@ -277,6 +280,35 @@ def test_direct_sum_helper_is_valid():
     e = random_valid_complex(rng)
     f = random_valid_complex(rng)
     assert validate_mixed(direct_sum(e, f)).valid
+
+
+def _validate_mixed_cases(rng):
+    for _ in range(200):
+        yield random_mixed_blocks(rng, rng.randint(0, 3))
+    for _ in range(30):
+        yield random_valid_complex(rng, 0, 3)
+    for gens in ([("x", 0)], [("x", 0), ("a", 1)], [("x", 0), ("y", 1), ("z", 2)]):
+        # free algebras: the de Rham window has eps blocks and no d block
+        cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 3, -3, 4, 3))
+        yield cx
+    for _ in range(10):
+        b = random_valid_cdga(rng, max_gens=3)
+        cx, _ = graded_mixed_window(de_rham(b).algebra, Window(0, 2, -4, 4, 3))
+        yield cx
+
+
+def test_validate_mixed_matches_the_four_product_loop():
+    rng = random.Random(61)
+    failing = missing = 0
+    for e in _validate_mixed_cases(rng):
+        got = validate_mixed(e).violations
+        assert got == oracle_validate_mixed(e)
+        failing += bool(got)
+        missing += any(
+            (p, m) not in e.d or (p, m) not in e.eps for (p, m) in e.module.support()
+        )
+    assert failing >= 80
+    assert missing >= 200
 
 
 def _weight_ordered(total, e, wmin, wmax):

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     dense,
     dense_vector,
+    enumerate_monomials,
     from_dense,
     oracle_ad_on_sym2,
     oracle_weak_mixed_blocks,
@@ -15,7 +16,7 @@ from helpers import (
 )
 from spw import lieinfty
 from spw.errors import BidegreeMismatch, NotFreeOnV, NotInvariant
-from spw.freecdga import Elem, Window, enumerate_monomials
+from spw.freecdga import Elem, Window
 from spw.gradedmixed import realization, validate_mixed
 from spw.lieinfty import (
     InvariantTensor,
@@ -190,7 +191,7 @@ def test_weak_mixed_correction_via_ternary_bracket():
     assert not weak_mixed_validate(linfty_to_weak_mixed(s2, window)).valid
 
     from spw.exactlin import kernel_basis, solve_linear
-    from spw.freecdga import Elem, enumerate_monomials
+    from spw.freecdga import Elem
 
     alg = s2.sym
     # candidates: b3(v) in Sym^3, degree deg(v)+1 = 2

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from helpers import random_valid_cdga
+from helpers import enumerate_monomials, random_valid_cdga
 from spw.errors import BidegreeError, Degenerate
 from spw.exactlin import SparseMatrix, solve_linear
 from spw.freecdga import Elem, FreeCDGA
@@ -29,12 +29,7 @@ def plane():
 
 
 def random_polyvector(rng, pol, max_len=3, terms=3):
-    monos = [
-        m
-        for m in __import__("spw.freecdga", fromlist=["enumerate_monomials"]).enumerate_monomials(
-            pol.algebra, max_len
-        )
-    ]
+    monos = list(enumerate_monomials(pol.algebra, max_len))
     picked = rng.sample(monos, k=min(len(monos), terms))
     return Elem(
         pol.algebra,
@@ -160,9 +155,7 @@ def test_bracket_against_partial_derivative_oracle():
     for _ in range(20):
         b = random_valid_cdga(rng, max_gens=3)
         pol = PolyvectorAlgebra(b, rng.randint(0, 2))
-        monos = list(
-            __import__("spw.freecdga", fromlist=["enumerate_monomials"]).enumerate_monomials(b, 3)
-        )
+        monos = list(enumerate_monomials(b, 3))
         f = pol.include(
             Elem(b, {m: F(rng.choice([-2, 1, 3])) for m in rng.sample(monos, k=min(3, len(monos)))})
         )
@@ -179,9 +172,6 @@ def count_biderivations(base, symmetric, coeff_deg_cap):
     """Brute-force dimension of (anti)symmetric constant-free biderivation
     slots: pairs of generators weighted by coefficient monomials."""
     gens = list(range(len(base.generators)))
-    coeff_count = 0
-    from spw.freecdga import enumerate_monomials
-
     coeff_count = sum(1 for m in enumerate_monomials(base, coeff_deg_cap))
     if symmetric:
         pair_count = len(list(combinations_with_replacement(gens, 2)))
