@@ -348,6 +348,7 @@ def cmd_operad(manifest, args, report):
             f"argument --arity: must be >= {least} for {which}, got {args.arity}"
         )
     labels = tuple(range(1, args.arity + 1))
+    operads._check_arity(labels)
     if which in ("pn", "as", "lie"):
         name = {"pn": "Pn", "as": "As", "lie": "Lie"}[which]
         space = operads.multilinear_basis(name, labels, n=args.n)
@@ -364,8 +365,6 @@ def cmd_operad(manifest, args, report):
         as_dim = operads.multilinear_basis("As", labels).dimension
         report.check("hbar=0 rank equals P1", op.dimension() == p1_dim)
         report.check("hbar=1 rank equals As", op.dimension() == as_dim)
-        if args.specialize is not None:
-            report.table("specialized at", {"hbar": str(args.specialize)})
     elif which == "bd0":
         rep = operads.bd0_check()
         report.check("d{,} = 0", rep.d_bracket_zero)
@@ -439,7 +438,6 @@ COMMANDS = {
             _option("operad", choices=("pn", "as", "lie", "bd1", "bd0", "arnold", "weyl")),
             _option("--arity", type=int, default=2),
             _option("--n", type=int, default=1),
-            _option("--specialize", type=int, default=None),
         ),
     ),
 }

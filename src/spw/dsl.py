@@ -658,32 +658,3 @@ def build_ideal(block: Block):
     alg = build_algebra(block.values["on"])
     return alg, [eval_poly(e, alg) for e in block.values["gens"]]
 
-
-def complex_to_dsl(cx, name: str) -> str:
-    """Serialize a GradedMixedComplex to a complex block (round-trip exact)."""
-
-    def coeff_str(c: Rat, label: str) -> str:
-        if c == 1:
-            return label
-        if c == -1:
-            return f"-1*{label}"
-        return f"{c}*{label}"
-
-    lines = [f"complex {name} {{"]
-    basis_items = []
-    for (p, m) in cx.module.support():
-        for lab in cx.module.labels(p, m):
-            basis_items.append(f"{lab}({p}, {m})")
-    lines.append("  basis = " + ", ".join(basis_items) + ";")
-    for which, blocks, dw in (("d", cx.d, 0), ("eps", cx.eps, 1)):
-        for (p, m) in sorted(blocks):
-            mat = blocks[p, m]
-            tgt = cx.module.labels(p + dw, m + 1)
-            terms = {}
-            for (i, j), c in sorted(mat.items()):
-                terms.setdefault(j, []).append(coeff_str(c, tgt[i]))
-            for j, lab in enumerate(cx.module.labels(p, m)):
-                if j in terms:
-                    lines.append(f"  {which}({lab}) = " + " + ".join(terms[j]) + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

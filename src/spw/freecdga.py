@@ -40,7 +40,7 @@ from .gradedmixed import (
     stage_homology_dims,
     weight_window_total_complex,
 )
-from .exactlin import SparseMatrix, _as_rat, kernel_basis
+from .exactlin import SparseMatrix, _as_rat
 
 
 @dataclass(frozen=True)
@@ -704,18 +704,17 @@ def graded_mixed_window(alg: FreeCDGA, window: Window):
     basis {mono: (w, d)}.  Images above the window are projected away.
     """
     inside, images = _closure(alg, window)
-    return _mixed_complex(alg, inside, images)[0], inside
+    return _mixed_complex(alg, inside, images), inside
 
 
 def _mixed_complex(alg, inside, images):
     """The complex on the monomials of `inside` from the stored (d, eps)
-    images, and its monomial -> (bidegree, index) map; image terms
-    outside `inside` are projected away."""
+    images; image terms outside `inside` are projected away."""
     monos, at = _window_monomials(inside)
     # a zero derivation images every word to {} (see _closure): no blocks
     d = _derivation_blocks(alg, monos, at, lambda m: images[m][0], 0) if alg.differential else {}
     eps = _derivation_blocks(alg, monos, at, lambda m: images[m][1], 1) if alg.mixed else {}
-    return GradedMixedComplex(BiGradedModule(monos), d, eps), at
+    return GradedMixedComplex(BiGradedModule(monos), d, eps)
 
 
 def total_complex_window(alg: FreeCDGA, window: Window) -> ChainComplex:
@@ -725,36 +724,16 @@ def total_complex_window(alg: FreeCDGA, window: Window) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# Kaehler differentials and de Rham algebras
+# de Rham algebras
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KaehlerModule:
-    """Omega^1_{B/A}: free B-module on unshifted symbols d<g>.
+def _with_symbols(b: FreeCDGA):
+    """B[d<g>] on a symbol d<g> of degree deg(g) + 1 and weight wt(g) + 1
+    for each non-base generator g, and the odd universal derivation
+    u: g -> d<g> as {gen index: Elem}.
 
-    Realized inside the auxiliary algebra `ambient` = B[d<g>] where the
-    symbol has the same degree as g and weight wt(g)+1; `symbols` lists
-    the module generators (base generators contribute none).
-    """
-
-    base: FreeCDGA
-    ambient: FreeCDGA
-    symbols: tuple
-
-    def rank(self):
-        return len(self.symbols)
-
-    def d_symbol(self, sym) -> Elem:
-        return self.ambient.d(self.ambient.gen(sym))
-
-
-def _with_symbols(b: FreeCDGA, shift):
-    """B[d<g>] on a symbol d<g> of degree deg(g) + shift and weight
-    wt(g) + 1 for each non-base generator g, and the universal derivation
-    u: g -> d<g> of parity `shift` as {gen index: Elem}.
-
-    The differential of B is carried over, with d(d<g>) = (-1)^shift u(d g).
+    The differential of B is carried over, with d(d<g>) = -u(d g).
     Raises BidegreeMismatch when some d g is not of bidegree
     (wt(g), deg(g) + 1).
     """
@@ -764,7 +743,7 @@ def _with_symbols(b: FreeCDGA, shift):
             continue
         if "d" + g.name in b.index:
             raise DuplicateName(f"symbol name {'d' + g.name!r} collides with a generator")
-        gens.append(Generator("d" + g.name, g.degree + shift, g.weight + 1, g.internal_weight))
+        gens.append(Generator("d" + g.name, g.degree + 1, g.weight + 1, g.internal_weight))
     alg = FreeCDGA(gens, base_names=b.base_names)
     u = {
         alg.index[g.name]: alg.gen("d" + g.name)
@@ -785,17 +764,9 @@ def _with_symbols(b: FreeCDGA, shift):
         d_vals[g.name] = Elem(alg, dg.terms)
     for i, g in enumerate(b.generators):
         if g.name not in b.base_names and i in b.differential:
-            val = apply_derivation(alg, d_vals[g.name], u, parity=shift)
-            d_vals["d" + g.name] = val.scale(-1) if shift % 2 else val
+            d_vals["d" + g.name] = apply_derivation(alg, d_vals[g.name], u, parity=1).scale(-1)
     alg.set_differential(d_vals)
     return alg, u
-
-
-def kaehler(b: FreeCDGA) -> KaehlerModule:
-    """Kaehler module on d<g> for non-base generators; d(dg) = dR(d g)."""
-    amb, _ = _with_symbols(b, 0)
-    symbols = tuple(g.name for g in amb.generators[len(b.generators):])
-    return KaehlerModule(base=b, ambient=amb, symbols=symbols)
 
 
 @dataclass
@@ -820,7 +791,7 @@ class DeRhamAlgebra:
 
 def de_rham(b: FreeCDGA) -> DeRhamAlgebra:
     """Strict de Rham graded mixed cdga of B (relative to its base)."""
-    alg, u = _with_symbols(b, 1)
+    alg, u = _with_symbols(b)
     alg.mixed = u
     symbols = tuple(g.name for g in alg.generators[len(b.generators):])
     return DeRhamAlgebra(base=b, algebra=alg, symbols=symbols)
@@ -879,22 +850,15 @@ class ClosedFormReport:
     representatives: list  # of ClosedFormTower
     stage_dims: dict  # m -> dim at Hodge stage weights p..m
     fiber_dims: dict  # m -> dim of the weight-(m+1) fiber term
-    modulo_exact_dimension: int = None
 
 
-def closed_form_classes(
-    b: FreeCDGA, p: int, n: int, wmax: int, max_len=6, modulo_exact=False
-) -> ClosedFormReport:
+def closed_form_classes(b: FreeCDGA, p: int, n: int, wmax: int, max_len=6) -> ClosedFormReport:
     """pi_0 of the space of closed p-forms of degree n, truncated at wmax.
 
     Computes H^{n+p} of the total complex of DR(B) in weights p..wmax
     (a genuine subquotient: weights >= p form a subcomplex since d and
     eps never lower weight).  Also reports the Hodge-stage dimensions
     and the fibration-sequence fiber dimensions.
-
-    With modulo_exact the report additionally quotients by the de Rham
-    images of d-closed weight-(p-1) elements: the class of the
-    underlying form in de Rham cohomology rather than the Hodge piece.
     """
     dr = de_rham(b)
     deg = n + p
@@ -903,7 +867,7 @@ def closed_form_classes(
     # weights p..top, and every stage is read off the top one
     window = Window(wmin=p, wmax=wmax, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
     inside, images = _closure(dr.algebra, window)
-    cx, _ = _mixed_complex(dr.algebra, inside, images)
+    cx = _mixed_complex(dr.algebra, inside, images)
     total, stage_dims = stage_homology_dims(cx, p, wmax, deg)
     # the towers are read off the top stage only
     h = total.homology(deg)
@@ -919,12 +883,9 @@ def closed_form_classes(
     fiber_dims = {}
     for m in range(p, wmax):
         # fiber of stage m+1 -> stage m: H^{n+p} of the weight-(m+1) column
-        fiber, _ = _mixed_complex(dr.algebra, _column(inside, images, m + 1, max_len), images)
+        fiber = _mixed_complex(dr.algebra, _column(inside, images, m + 1, max_len), images)
         fiber_dims[m] = weight_window_total_complex(fiber, m + 1, m + 1).homology_dim(deg)
-    mod_dim = None
-    if modulo_exact:
-        mod_dim = _modulo_exact_dimension(dr, p, deg, wmax, max_len)
-    return ClosedFormReport(h.dimension, reps, stage_dims, fiber_dims, mod_dim)
+    return ClosedFormReport(h.dimension, reps, stage_dims, fiber_dims)
 
 
 def _column(inside, images, w, max_len):
@@ -943,44 +904,6 @@ def _column(inside, images, w, max_len):
                     new.append(m2)
         frontier = new
     return column
-
-
-def _modulo_exact_dimension(dr, p, deg, wmax, max_len):
-    """Cocycles in weights p..wmax at degree `deg`, modulo total boundaries
-    and de Rham images of d-closed weight-(p-1) elements."""
-    # not the stages' window: closing from weight p-1 adds eps-images at
-    # weight p that the Hodge stages do not hold
-    window = Window(wmin=max(p - 1, 0), wmax=wmax, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
-    cx, _ = graded_mixed_window(dr.algebra, window)
-    total = weight_window_total_complex(cx, p, wmax)
-    labels = total.basis.get(deg, [])
-    if not labels:
-        return 0
-    index = {mono: i for i, (_, mono) in enumerate(labels)}
-    boundary = [(i, j, v) for (i, j), v in total.d_block(deg - 1).items()]
-    n_bdry = total.dim(deg - 1)
-    # de Rham images of d-closed weight-(p-1) elements of degree deg-1
-    low = cx.module.labels(p - 1, deg - 1) if p >= 1 else []
-    if low:
-        d_targets = {}
-        d_ent = [
-            (d_targets.setdefault(m2, len(d_targets)), j, c)
-            for j, m in enumerate(low)
-            for m2, c in dr.algebra.d(Elem(dr.algebra, {m: 1})).terms.items()
-        ]
-        for v in kernel_basis(SparseMatrix(len(d_targets), len(low), d_ent)):
-            eta = Elem(dr.algebra, {low[i]: c for i, c in v.items()})
-            img = dr.algebra.eps(eta)
-            if all(m2 in index for m2 in img.terms):
-                boundary += [(index[m2], n_bdry, c) for m2, c in img.terms.items()]
-                n_bdry += 1
-    cocycles = kernel_basis(total.d_block(deg))
-    full = SparseMatrix(
-        len(labels),
-        n_bdry + len(cocycles),
-        boundary + [(i, n_bdry + t, x) for t, z in enumerate(cocycles) for i, x in z.items()],
-    )
-    return full.rank() - SparseMatrix(len(labels), n_bdry, boundary).rank()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ so the total differential d + eps squares to zero.  Conventions fixed
 here once and used everywhere:
 
 * the degree shift E[n] multiplies d by (-1)^n and leaves eps alone;
-* the weight shift E((q)) moves weight p to p - q and touches no signs;
-* tensor products take Koszul signs from the cohomological degree only.
+* the weight shift E((q)) moves weight p to p - q and touches no signs.
 """
 
 from __future__ import annotations
@@ -204,48 +203,6 @@ def cell_model(m: int) -> GradedMixedComplex:
     d_map = {f"x{n}": [(1, f"y{n-1}")] for n in range(1, m + 1)}
     eps_map = {f"x{n}": [(1, f"y{n}")] for n in range(m + 1)}
     return GradedMixedComplex.from_maps(mod, d_map, eps_map)
-
-
-def tensor(e: GradedMixedComplex, f: GradedMixedComplex) -> GradedMixedComplex:
-    """Tensor product: weights add, Koszul signs from degree only."""
-    basis = {}
-    at = {}  # (s, t) -> offset of the labels a (x) b, a in E(s), b in F(t)
-    for s in e.module.support():
-        for t in f.module.support():
-            cell = basis.setdefault((s[0] + t[0], s[1] + t[1]), [])
-            at[s, t] = len(cell)
-            cell.extend(
-                ((*s, a), (*t, b)) for a in e.module.labels(*s) for b in f.module.labels(*t)
-            )
-    mod = BiGradedModule(basis)
-
-    def _assemble(e_blocks, f_blocks, dw):
-        ent = {}
-        for (s, t), col0 in at.items():
-            out = ent.setdefault((s[0] + t[0], s[1] + t[1]), {})
-            nt = f.module.dim(*t)
-            # first factor: (D a) (x) b
-            s2 = (s[0] + dw, s[1] + 1)
-            if s in e_blocks:
-                row0 = at[s2, t]
-                for (i, ia), v in e_blocks[s].items():
-                    for ib in range(nt):
-                        out[row0 + i * nt + ib, col0 + ia * nt + ib] = v
-            # second factor: (-1)^{m1} a (x) (D b)
-            t2 = (t[0] + dw, t[1] + 1)
-            if t in f_blocks:
-                row0, nt2 = at[s, t2], f.module.dim(*t2)
-                sign = -1 if s[1] % 2 else 1
-                for (i, ib), v in f_blocks[t].items():
-                    for ia in range(e.module.dim(*s)):
-                        out[row0 + ia * nt2 + i, col0 + ia * nt + ib] = sign * v
-        return {
-            (p, m): SparseMatrix(mod.dim(p + dw, m + 1), mod.dim(p, m), vals)
-            for (p, m), vals in ent.items()
-            if vals
-        }
-
-    return GradedMixedComplex(mod, _assemble(e.d, f.d, 0), _assemble(e.eps, f.eps, 1))
 
 
 def shift(e: GradedMixedComplex, n: int, q: int) -> GradedMixedComplex:

@@ -1,5 +1,5 @@
-"""Finite-dimensional Lie algebras, Chevalley–Eilenberg mixed cdgas,
-weak mixed structures, L-infinity data and invariant tensors.
+"""Finite-dimensional Lie algebras, Chevalley–Eilenberg mixed cdgas and
+invariant tensors.
 
 The CE convention:  eps(xi^k) = - sum_{i<j} c_ij^k xi^i xi^j  on generators
 xi^i of degree 1 and weight 1; eps^2 = 0 is exactly the Jacobi identity.
@@ -13,17 +13,7 @@ from itertools import combinations
 
 from .errors import NotFreeOnV, NotInvariant
 from .exactlin import SparseMatrix, _as_rat, kernel_basis, solve_linear
-from .freecdga import (
-    FreeCDGA,
-    Generator,
-    Window,
-    _closure,
-    _derivation_blocks,
-    _image,
-    _mixed_complex,
-    _term_table,
-    graded_mixed_window,
-)
+from .freecdga import FreeCDGA, Generator, Window, graded_mixed_window
 from .gradedmixed import GradedMixedComplex
 from .polyvec import MaurerCartanTower, PolyvectorAlgebra, mc_check
 
@@ -173,156 +163,6 @@ def lie_from_mixed(b: FreeCDGA) -> LieAlgebra:
     if not rep.valid:
         raise NotFreeOnV(f"extracted bracket fails Jacobi: {rep.violations[:3]}")
     return g
-
-
-# ---------------------------------------------------------------------------
-# weak mixed structures
-# ---------------------------------------------------------------------------
-
-
-class WeakMixedStructure:
-    """Graded complex E with maps eps_i : E(p) -> E(p+i+1)[1], i >= 0.
-
-    Stored blockwise like GradedMixedComplex; eps[i][(p, m)] maps the
-    (p, m) slot to (p+i+1, m+1).
-    """
-
-    def __init__(self, module, d, eps_list):
-        self.module = module
-        self.d = d
-        self.eps_list = list(eps_list)
-
-    def d_block(self, p, m):
-        blk = self.d.get((p, m))
-        if blk is None:
-            blk = SparseMatrix.zero(self.module.dim(p, m + 1), self.module.dim(p, m))
-        return blk
-
-    def eps_block(self, i, p, m):
-        if i >= len(self.eps_list):
-            return SparseMatrix.zero(
-                self.module.dim(p + i + 1, m + 1), self.module.dim(p, m)
-            )
-        blk = self.eps_list[i].get((p, m))
-        if blk is None:
-            blk = SparseMatrix.zero(
-                self.module.dim(p + i + 1, m + 1), self.module.dim(p, m)
-            )
-        return blk
-
-    def max_index(self):
-        return len(self.eps_list) - 1
-
-
-@dataclass
-class WeakMixedReport:
-    valid_within_bound: bool
-    first_failure: tuple = None  # (i, (p, m))
-    inconclusive_beyond_bound: bool = False
-
-    @property
-    def valid(self):
-        return self.valid_within_bound
-
-
-def weak_mixed_validate(w: WeakMixedStructure, bound=None) -> WeakMixedReport:
-    """Check (d eps_{i+1} + eps_{i+1} d) + 1/2 sum_{a+b=i} [eps_a, eps_b] = 0
-    blockwise for -1 <= i <= bound; all eps are odd, so the commutators are
-    anticommutators and the halves cancel pairwise into whole terms."""
-    imax = w.max_index()
-    need = 2 * imax
-    if bound is None:
-        bound = need
-    for i in range(-1, bound + 1):
-        for (p, m) in w.module.support():
-            tgt = (p + i + 2, m + 2)
-            rows = w.module.dim(*tgt)
-            cols = w.module.dim(p, m)
-            if rows == 0 or cols == 0:
-                continue
-            acc = SparseMatrix.zero(rows, cols)
-            # [d, eps_{i+1}] = d eps_{i+1} + eps_{i+1} d
-            acc = acc + w.d_block(p + i + 2, m + 1) @ w.eps_block(i + 1, p, m)
-            acc = acc + w.eps_block(i + 1, p, m + 1) @ w.d_block(p, m)
-            for a in range(0, i + 1):
-                b = i - a
-                acc = acc + (
-                    w.eps_block(a, p + b + 1, m + 1) @ w.eps_block(b, p, m)
-                ).scale(Rat(1, 2))
-                acc = acc + (
-                    w.eps_block(b, p + a + 1, m + 1) @ w.eps_block(a, p, m)
-                ).scale(Rat(1, 2))
-            if not acc.is_zero():
-                return WeakMixedReport(False, (i, (p, m)), bound < need)
-    return WeakMixedReport(True, None, bound < need)
-
-
-def weak_mixed_from_derivations(alg: FreeCDGA, eps_values, window: Window) -> WeakMixedStructure:
-    """Assemble blocks of a weak mixed structure whose eps_i are the odd
-    derivation extensions of the given generator values."""
-    cx, at = _mixed_complex(alg, *_closure(alg, window))
-    eps_list = []
-    for i, values in enumerate(eps_values):
-        table = _term_table(alg, {alg.index[name]: v for name, v in values.items()})
-        eps_list.append(
-            _derivation_blocks(alg, cx.module.basis, at, lambda m, table=table: _image(table, m), i + 1)
-        )
-    return WeakMixedStructure(cx.module, cx.d, eps_list)
-
-
-# ---------------------------------------------------------------------------
-# L-infinity structures
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LInftyStructure:
-    """Brackets b_k : L -> Sym^k(L) of cohomological degree +1, k >= 2,
-    on a finite complex L; `sym` is Sym(L) with the linear differential."""
-
-    sym: FreeCDGA  # generators of weight 1: the basis of L
-    brackets: dict  # k -> {generator name: Elem in Sym^k}
-
-    def bracket_bound(self):
-        return max(self.brackets, default=1)
-
-
-def linfty_structure(generators, differential=None, brackets=None) -> LInftyStructure:
-    """generators: [(name, degree)]; differential: {name: {name: coeff}}
-    (linear); brackets: {k: {name: Elem-terms as {mono names tuple: coeff}}}."""
-    alg = FreeCDGA([Generator(n, d, 1) for n, d in generators])
-    d_vals = {}
-    for name, row in (differential or {}).items():
-        e = alg.zero()
-        for tgt, coeff in row.items():
-            e = e + alg.gen(tgt).scale(coeff)
-        d_vals[name] = e
-    alg.set_differential(d_vals)
-    br = {}
-    for k, mapping in (brackets or {}).items():
-        br[k] = {}
-        for name, terms in mapping.items():
-            e = alg.zero()
-            for names, coeff in terms.items():
-                e = e + alg.monomial(names, coeff)
-            br[k][name] = e
-    return LInftyStructure(alg, br)
-
-
-def linfty_to_weak_mixed(s: LInftyStructure, window: Window = None) -> WeakMixedStructure:
-    """eps_i is the derivation extension of the (i+2)-ary bracket: a map
-    into Sym^{i+2} raises the symmetric weight by i+1."""
-    if window is None:
-        window = Window(wmin=0, wmax=4, dmin=-6, dmax=8, max_len=4)
-    bound = s.bracket_bound()
-    eps_values = []
-    for i in range(0, max(bound - 1, 1)):
-        eps_values.append(s.brackets.get(i + 2, {}))
-    return weak_mixed_from_derivations(s.sym, eps_values, window)
-
-
-def linfty_validate(s: LInftyStructure, window: Window = None) -> WeakMixedReport:
-    return weak_mixed_validate(linfty_to_weak_mixed(s, window))
 
 
 # ---------------------------------------------------------------------------

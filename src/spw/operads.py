@@ -1,6 +1,6 @@
 """Arity-indexed operad computations: As, Lie, P_n multilinear bases,
-the hbar-Rees model of BD_1, BD_0, the Hopf coproduct of P_n, Arnold
-algebras of configuration-space cohomology, and Weyl structure maps.
+the hbar-Rees model of BD_1, BD_0, Arnold algebras of configuration-space
+cohomology, and Weyl structure maps.
 
 Multilinear Lie elements are normalised to the left-normed basis with the
 minimal label first (dimension (|I|-1)!); P_n monomials are products of
@@ -505,131 +505,6 @@ def bd0_check() -> BD0Report:
     assoc = [(0, 1, _Tree.m(_Tree.m(l1, l2), l3)), (0, -1, _Tree.m(l1, _Tree.m(l2, l3)))]
     relations_ok = not _eval_sum(space, d_of_summands(assoc))
     return BD0Report(ok_db, ok_dm, dd_ok, relations_ok)
-
-
-# ---------------------------------------------------------------------------
-# Hopf coproduct of P_n
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class HopfReport:
-    coassociative_on_generators: bool
-    cocommutative_on_generators: bool
-    relations_killed: bool
-
-    @property
-    def valid(self):
-        return (
-            self.coassociative_on_generators
-            and self.cocommutative_on_generators
-            and self.relations_killed
-        )
-
-
-def hopf_coproduct_check(n: int) -> HopfReport:
-    """nabla(m) = m (x) m, nabla(b) = b (x) m + m (x) b: coassociativity and
-    cocommutativity on generators, and nabla of the Leibniz and Jacobi
-    words vanishes in P_n(3) (x) P_n(3)."""
-    if n < 1:
-        raise ValueError("Hopf check needs n >= 1")
-    b_deg = (1 - n) % 2
-
-    # formal coassociativity/cocommutativity on generators
-    def cop(gen):
-        if gen == "m":
-            return [(1, ("m", "m"))]
-        return [(1, ("b", "m")), (1, ("m", "b"))]
-
-    def cop_left(t):  # (nabla (x) 1)
-        out = []
-        for c, (x, y) in t:
-            for c2, (a, bb) in cop(x):
-                out.append((c * c2, (a, bb, y)))
-        return out
-
-    def cop_right(t):
-        out = []
-        for c, (x, y) in t:
-            for c2, (a, bb) in cop(y):
-                out.append((c * c2, (x, a, bb)))
-        return out
-
-    def collect(triples):
-        acc = {}
-        for c, key in triples:
-            _add(acc, key, c)
-        return acc
-
-    coassoc = all(
-        collect(cop_left(cop(g))) == collect(cop_right(cop(g))) for g in ("m", "b")
-    )
-    # graded swap: both factors of each summand, here signs are trivial
-    # because one side is always the even generator m
-    cocomm = all(
-        collect([(c, (y, x)) for c, (x, y) in cop(g)]) == collect(cop(g))
-        for g in ("m", "b")
-    )
-
-    labels = (1, 2, 3)
-    space = PnSpace(n, labels)
-    l1, l2, l3 = (_Tree.leaf_(i) for i in labels)
-
-    def coproduct_tree(tree):
-        """[(sign, first-factor tree, second-factor tree)].
-
-        For T = kappa(L, R) with summands la (x) ra of nabla L and
-        lb (x) rb of nabla R, and node choice kl (x) kr, the interchange
-        sign is (-1)^{|kl||ra| + |kr||lb|}: each node factor crosses the
-        opposite child's opposite-side part.  This is the unique bilinear
-        convention compatible with this module's evaluation order: it is
-        pinned by the forced identities (counit terms positive, Leibniz
-        and Jacobi words killed, graded cocommutativity), all of which
-        are rechecked below.
-        """
-        if tree.kind == "leaf":
-            return [(1, tree, tree)]
-        lcop = coproduct_tree(tree.left)
-        rcop = coproduct_tree(tree.right)
-        choices = [("m", "m")] if tree.kind == "m" else [("b", "m"), ("m", "b")]
-        out = []
-        for s1, la, ra in lcop:
-            for s2, lb, rb in rcop:
-                for kl, kr in choices:
-                    kl_deg = b_deg if kl == "b" else 0
-                    kr_deg = b_deg if kr == "b" else 0
-                    exp = kl_deg * ra.degree(b_deg) + kr_deg * lb.degree(b_deg)
-                    s = s1 * s2 * (-1 if exp % 2 else 1)
-                    out.append((s, _Tree(kl, la, lb), _Tree(kr, ra, rb)))
-        return out
-
-    def tensor_reduce(word):
-        """nabla of sum c * tree over [(c, tree)] in P_n(3) (x) P_n(3)."""
-        acc = {}
-        for c, t in word:
-            for s, lt, rt in coproduct_tree(t):
-                lv, rv = _eval_tree(space, lt), _eval_tree(space, rt)
-                for key, v in _bilinear(lv, rv, lambda m1, m2: {(m1, m2): 1}).items():
-                    _add(acc, key, c * s * v)
-        return acc
-
-    leibniz = [
-        (1, _Tree.b(l1, _Tree.m(l2, l3))),
-        (-1, _Tree.m(_Tree.b(l1, l2), l3)),
-        (-1, _Tree.m(l2, _Tree.b(l1, l3))),
-    ]
-    jacobi_sign = -1 if (1 - n) % 2 else 1
-    jacobi = [
-        (1, _Tree.b(l1, _Tree.b(l2, l3))),
-        (-1, _Tree.b(_Tree.b(l1, l2), l3)),
-        (-jacobi_sign, _Tree.b(l2, _Tree.b(l1, l3))),
-    ]
-    # each word must itself reduce to zero (sanity of the normaliser)
-    killed = all(
-        not _eval_sum(space, [(None, c, t) for c, t in word]) and not tensor_reduce(word)
-        for word in (leibniz, jacobi)
-    )
-    return HopfReport(coassoc, cocomm, killed)
 
 
 # ---------------------------------------------------------------------------

@@ -156,16 +156,6 @@ class PolyvectorAlgebra:
         )
 
 
-def polyvectors(base: FreeCDGA, shift: int, max_weight: int, max_len: int = 6):
-    """Polyvector algebra handle plus basis dimensions per (weight, degree)."""
-    handle = PolyvectorAlgebra(base, shift)
-    return handle, handle.basis_dims(max_weight, max_len)
-
-
-def schouten(pol: PolyvectorAlgebra, p: Elem, q: Elem) -> Elem:
-    return pol.bracket(p, q)
-
-
 # ---------------------------------------------------------------------------
 # strict Poisson structures
 # ---------------------------------------------------------------------------

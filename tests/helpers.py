@@ -1,25 +1,26 @@
-"""Shared random generators for tests: valid complexes, algebras, matrices,
-the dense Bareiss elimination kept only as an oracle for `exactlin`, the
-dense-scan window and total-complex assembly kept only as oracles for
-`freecdga.graded_mixed_window` and `gradedmixed.weight_window_total_complex`,
-and the Elem-product derivation, the per-label weak mixed assembly and the
-separate de Rham/Kaehler builders kept only as oracles for
-`freecdga.apply_derivation`, `lieinfty.weak_mixed_from_derivations` and
-`freecdga.de_rham`/`kaehler`, the separate P_n and BD_1 operations,
-`pn_compose` and Arnold certificate rows kept only as oracles for the one
-linear-combination layer of `operads`, the window-per-stage closed-form
-computation and the Elem-sum cocycle check kept only as oracles for
-`freecdga.closed_form_classes` and `ClosedFormTower.check_cocycle`,
-the window-per-weight H^0 sequence kept only as an oracle for
-`freecdga.d_functor`, Fraction-only products, derivations and matrix
-operations kept as oracles for the int-first coefficients of `Elem` and
-`SparseMatrix`, the dense adjoint action kept only as an oracle for
-`lieinfty._ad_on_sym2`, the word enumeration kept only as the order
-oracle for `freecdga._box_words`, the scale-and-subtract elimination of
-every pivot row kept only as an oracle for `exactlin._eliminate`, the
-four-product loop kept only as an oracle for `gradedmixed.validate_mixed`,
-the Poincare-lemma count of de Rham window cohomology, and the per-case
-time limit of the CLI tests."""
+"""Shared random generators and oracles for tests.
+
+Generators: valid complexes, blocks, algebras, matrices and coefficients.
+Each oracle is an older or plainer computation kept only to check one
+unit against:
+- dense Bareiss elimination and the scale-and-subtract loop of every pivot
+  row: `exactlin` and `exactlin._eliminate`;
+- dense-scan window and total-complex assembly, the word enumeration and
+  the four-product loop: `freecdga.graded_mixed_window`, the order of
+  `freecdga._box_words`, `gradedmixed.weight_window_total_complex` and
+  `gradedmixed.validate_mixed`;
+- the Elem-product derivation and the separate de Rham builder:
+  `freecdga.apply_derivation` and `freecdga.de_rham`;
+- the separate P_n and BD_1 operations, `pn_compose` and the Arnold
+  certificate rows: the one linear-combination layer of `operads`;
+- the window-per-stage closed forms, the Elem-sum cocycle check and the
+  window-per-weight H^0 sequence: `freecdga.closed_form_classes`,
+  `ClosedFormTower.check_cocycle` and `freecdga.d_functor`;
+- Fraction-only products, derivations and matrix operations: the
+  int-first coefficients of `Elem` and `SparseMatrix`;
+- the dense adjoint action: `lieinfty._ad_on_sym2`;
+- the Poincare-lemma count of de Rham window cohomology.
+Also the per-case time limit of the CLI tests."""
 
 import contextlib
 import random
@@ -47,7 +48,6 @@ from spw.gradedmixed import (
     GradedMixedComplex,
     cell_model,
     shift,
-    tensor,
     weight_window_total_complex,
 )
 from spw.operads import LieWords
@@ -177,12 +177,6 @@ def _restrict_weights(e, wmin, wmax):
         if mat.rows == want_rows:
             fixed_eps[p, m] = mat
     return GradedMixedComplex(mod, d, fixed_eps)
-
-
-def random_tensor_pair(rng):
-    e = random_valid_complex(rng, 0, 2, pieces=2)
-    f = random_valid_complex(rng, 0, 2, pieces=2)
-    return e, f, tensor(e, f)
 
 
 def oracle_validate_mixed(e):
@@ -612,7 +606,7 @@ def oracle_closure(alg, window):
 
 
 # ---------------------------------------------------------------------------
-# Oracles for derivations, weak mixed blocks and the symbol algebras
+# Oracles for derivations and the de Rham symbol algebra
 # ---------------------------------------------------------------------------
 
 
@@ -630,31 +624,6 @@ def oracle_apply_derivation(alg, elem, values, parity):
                 out = out + (prefix * val * suffix).scale(sign * coeff)
             pre_parity += alg.gen_degree(letter)
     return out
-
-
-def oracle_weak_mixed_blocks(alg, eps_values, window):
-    """eps_i blocks imaging every basis label, target rows by label string."""
-    cx, mono_of = oracle_graded_mixed_window(alg, window)
-    eps_list = []
-    for i, values in enumerate(eps_values):
-        vals = {alg.index[name]: v for name, v in values.items()}
-        blocks = {}
-        for (p, m), labels in cx.module.basis.items():
-            tgt = (p + i + 1, m + 1)
-            if cx.module.dim(*tgt) == 0:
-                continue
-            tgt_index = {lab: t for t, lab in enumerate(cx.module.labels(*tgt))}
-            ent = {}
-            for j, lab in enumerate(labels):
-                img = oracle_apply_derivation(alg, Elem(alg, {mono_of[lab]: F(1)}), vals, 1)
-                for m2, c in img.terms.items():
-                    lab2 = alg.mono_str(m2)
-                    if lab2 in tgt_index:
-                        ent[tgt_index[lab2], j] = c
-            if ent:
-                blocks[p, m] = SparseMatrix(cx.module.dim(*tgt), len(labels), ent)
-        eps_list.append(blocks)
-    return cx, eps_list
 
 
 def _oracle_symbols(b, shift):
@@ -687,16 +656,6 @@ def oracle_de_rham(b):
     alg = _oracle_symbols(b, 1)
     alg.set_mixed({g.name: alg.gen("d" + g.name) for g in b.generators if g.name not in b.base_names})
     _oracle_symbol_differential(b, alg, lambda e: oracle_apply_derivation(alg, e, alg.mixed, 1).scale(-1))
-    return alg
-
-
-def oracle_kaehler(b):
-    """The Kaehler ambient algebra as built before the shared symbol builder."""
-    alg = _oracle_symbols(b, 0)
-    dr_values = {
-        alg.index[g.name]: alg.gen("d" + g.name) for g in b.generators if g.name not in b.base_names
-    }
-    _oracle_symbol_differential(b, alg, lambda e: oracle_apply_derivation(alg, e, dr_values, 0))
     return alg
 
 

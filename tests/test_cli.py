@@ -225,6 +225,19 @@ def test_operad_arity_below_its_least_exits_two(capsys, operad, arity, least):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("operad", ["pn", "as", "lie", "bd1", "bd0", "arnold", "weyl"])
+def test_operad_arity_above_the_cap_exits_two(capsys, operad):
+    code, out, err = run(capsys, "operad", operad, "--arity", "5", "--json")
+    assert code == 2 and not out
+    assert err == "error: operad computations are capped at arity 4\n"
+
+
+def test_operad_specialize_is_a_usage_error(capsys):
+    code, err = run_exit(capsys, "operad", "bd1", "--arity", "3", "--specialize", "0")
+    assert code == 2
+    assert "unrecognized arguments: --specialize 0" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("operad", ["pn", "as", "lie", "bd1"])
 def test_operad_arity_one_is_accepted(capsys, operad):
     code, out, _ = run(capsys, "operad", operad, "--arity", "1", "--json")

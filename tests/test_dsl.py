@@ -127,36 +127,6 @@ def test_numeric_literals_are_exact():
     assert m.block("P").get(("p0",)) == Num(Fraction(1, 3))
 
 
-def test_complex_serialization_round_trip_exact():
-    import random
-
-    from helpers import random_valid_complex
-    from spw.dsl import complex_to_dsl
-    from spw.gradedmixed import cell_model
-
-    rng = random.Random(97)
-    samples = [cell_model(2)] + [random_valid_complex(rng, 0, 3) for _ in range(5)]
-    for i, cx in enumerate(samples):
-        # labels must be DSL identifiers: relabel first
-        from spw.gradedmixed import BiGradedModule, GradedMixedComplex
-
-        names = {}
-        basis = {}
-        for (p, m) in cx.module.support():
-            for lab in cx.module.labels(p, m):
-                names[p, m, lab] = f"v{len(names)}"
-                basis.setdefault((p, m), []).append(names[p, m, lab])
-        mod = BiGradedModule(basis)
-        relabeled = GradedMixedComplex(mod, cx.d, cx.eps)
-        text = complex_to_dsl(relabeled, f"E{i}")
-        back = build_complex(parse(text).block(f"E{i}"))
-        assert back.module.basis == relabeled.module.basis
-        assert back.d == relabeled.d
-        assert back.eps == relabeled.eps
-        # and the serialization itself is stable
-        assert complex_to_dsl(back, f"E{i}") == text
-
-
 def test_rational_literals_are_exact_fractions():
     # a quotient of integer literals is a Fraction division, never a float
     for value, want, kind in (("4/2*z", 2, int), ("4/2*z + 1/3*z", Fraction(7, 3), Fraction)):

@@ -13,7 +13,6 @@ from helpers import (
     oracle_derivation,
     oracle_graded_mixed_window,
     oracle_h0_by_weight,
-    oracle_kaehler,
     oracle_product,
     oracle_sum,
     oracle_weight_window_total_complex,
@@ -28,13 +27,13 @@ from spw.freecdga import (
     ClosedFormTower,
     Elem,
     FreeCDGA,
+    Generator,
     Window,
     apply_derivation,
     closed_form_classes,
     d_functor,
     de_rham,
     graded_mixed_window,
-    kaehler,
     koszul,
     koszul_tower_cotangent,
     validate_cdga,
@@ -78,28 +77,6 @@ def test_validate_rejects_inconsistent_differential():
     rep = validate_cdga(alg)
     assert not rep.valid
     assert any(v[0] in ("d^2", "d degree") for v in rep.violations)
-
-
-def test_kaehler_of_line():
-    km = kaehler(poly_line())
-    assert km.rank() == 1
-    assert km.d_symbol("dx").is_zero()
-
-
-def test_kaehler_of_koszul_leibniz():
-    # K(Q[x], x^2): d(dX) = dR(x^2) = 2x dx
-    alg = FreeCDGA([("x", 0), ("X", -1)])
-    alg.set_differential({"X": alg.gen("x") ** 2})
-    km = kaehler(alg)
-    assert set(km.symbols) == {"dx", "dX"}
-    expected = (km.ambient.gen("x") * km.ambient.gen("dx")).scale(2)
-    assert km.d_symbol("dX") == expected
-
-
-def test_kaehler_relative_kills_base_forms():
-    b = FreeCDGA([("x", 0), ("y", 0)], base_names=["x"])
-    km = kaehler(b)
-    assert km.symbols == ("dy",)
 
 
 def test_de_rham_line_weights():
@@ -226,45 +203,12 @@ def test_closed_form_fiber_is_not_the_weight_slice():
     assert answer[2] == {2: 0}
 
 
-def brute_plane_two_form_classes(max_poly_deg):
-    """Independent count: closed 2-forms f dx dy of degree 0 on Q[x,y]
-    modulo eps-exact ones, on monomial coefficients of degree <= max_poly_deg.
-
-    eps(g dx) = dg/dy * dy dx ... computed directly: the image of
-    {g dx + h dy : deg g, h <= max_poly_deg + 1} under the de Rham map is
-    spanned by (dg/dx' terms); cocycles are everything (top forms).
-    """
-    from spw.exactlin import SparseMatrix
-
-    # coefficient monomials x^a y^b
-    def monos(cap):
-        return [(a, bb) for a in range(cap + 1) for bb in range(cap + 1 - a)]
-
-    two_basis = {m: i for i, m in enumerate(monos(max_poly_deg))}
-    one_basis = []  # (which, a, b): which in {dx, dy}
-    for which in ("dx", "dy"):
-        for (a, bb) in monos(max_poly_deg + 1):
-            one_basis.append((which, a, bb))
-    ent = {}
-    for j, (which, a, bb) in enumerate(one_basis):
-        # eps(x^a y^b dx) = b x^a y^{b-1} dy dx = -b x^a y^{b-1} dx dy
-        if which == "dx" and bb > 0 and (a, bb - 1) in two_basis:
-            ent[two_basis[a, bb - 1], j] = -bb
-        if which == "dy" and a > 0 and (a - 1, bb) in two_basis:
-            ent[two_basis[a - 1, bb], j] = a
-    m = SparseMatrix(len(two_basis), len(one_basis), ent)
-    return len(two_basis) - m.rank()
-
-
 def test_closed_forms_plane_match_brute_force():
-    rep = closed_form_classes(poly_plane(), p=2, n=0, wmax=4, max_len=5, modulo_exact=True)
+    rep = closed_form_classes(poly_plane(), p=2, n=0, wmax=4, max_len=5)
     # Hodge-truncated classes: every f dx dy is its own class (no degree-1
     # elements of weight >= 2 on the plane); count = coefficient monomials
     # of degree <= 3 inside the word window 5
     assert rep.dimension == 10
-    # modulo de Rham exactness everything dies (Poincare lemma), matching
-    # the independent brute-force cocycle/coboundary count
-    assert rep.modulo_exact_dimension == brute_plane_two_form_classes(3) == 0
     for tower in rep.representatives:
         assert tower.check_cocycle(4)
         uf = tower.underlying_form()
@@ -698,7 +642,9 @@ def test_apply_derivation_matches_elem_product_oracle_in_order():
     for _ in range(25):
         b = random_valid_cdga(rng, max_gens=4)
         dr = de_rham(b).algebra
-        amb = kaehler(b).ambient
+        # B[d<g>] with even symbols, for the even universal derivation
+        symbols = [Generator("d" + g.name, g.degree, g.weight + 1, g.internal_weight) for g in b.generators]
+        amb = FreeCDGA([*b.generators, *symbols])
         universal = {amb.index[g.name]: amb.gen("d" + g.name) for g in b.generators}
         cases = [(b, b.differential, 1), (dr, dr.differential, 1), (dr, dr.mixed, 1), (amb, universal, 0)]
         for alg, values, parity in cases:
@@ -724,19 +670,18 @@ def _in_order(structure):
     return [(i, list(e.terms.items())) for i, e in structure.items()]
 
 
-def test_de_rham_and_kaehler_match_the_separate_builders():
+def test_de_rham_matches_the_separate_builder():
     rng = random.Random(97)
     for _ in range(20):
         b = random_valid_cdga(rng, max_gens=4)
         for base in (b, _relative(b, rng)):
-            dr, km = de_rham(base), kaehler(base)
+            dr, want = de_rham(base), oracle_de_rham(base)
             symbols = tuple("d" + g.name for g in base.generators if g.name not in base.base_names)
-            assert dr.symbols == km.symbols == symbols
-            for got, want in ((dr.algebra, oracle_de_rham(base)), (km.ambient, oracle_kaehler(base))):
-                assert got.generators == want.generators
-                assert got.base_names == want.base_names
-                assert _in_order(got.differential) == _in_order(want.differential)
-                assert _in_order(got.mixed) == _in_order(want.mixed)
+            assert dr.symbols == symbols
+            assert dr.algebra.generators == want.generators
+            assert dr.algebra.base_names == want.base_names
+            assert _in_order(dr.algebra.differential) == _in_order(want.differential)
+            assert _in_order(dr.algebra.mixed) == _in_order(want.mixed)
 
 
 def test_image_inside_the_window_at_another_bidegree_is_refused():

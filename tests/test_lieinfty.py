@@ -5,18 +5,9 @@ from math import comb
 
 import pytest
 
-from helpers import (
-    dense,
-    dense_vector,
-    enumerate_monomials,
-    from_dense,
-    oracle_ad_on_sym2,
-    oracle_weak_mixed_blocks,
-    random_coefficient,
-)
+from helpers import oracle_ad_on_sym2, random_coefficient
 from spw import lieinfty
-from spw.errors import BidegreeMismatch, NotFreeOnV, NotInvariant
-from spw.freecdga import Elem, Window
+from spw.errors import NotFreeOnV, NotInvariant
 from spw.gradedmixed import realization, validate_mixed
 from spw.lieinfty import (
     InvariantTensor,
@@ -27,13 +18,8 @@ from spw.lieinfty import (
     is_invariant,
     killing_form,
     lie_from_mixed,
-    linfty_structure,
-    linfty_to_weak_mixed,
-    linfty_validate,
     semi_strict_check,
     validate_lie,
-    weak_mixed_from_derivations,
-    weak_mixed_validate,
     z_from_t,
 )
 
@@ -139,133 +125,6 @@ def test_lie_from_mixed_rejects_wrong_shape():
         lie_from_mixed(FreeCDGA([("x", 0)]))
 
 
-def test_weak_mixed_strict_case():
-    g = LieAlgebra.sl2()
-    s = linfty_structure(
-        [(f"xi{i}", 1) for i in (1, 2, 3)],
-        brackets={2: _ce_bracket_terms(g)},
-    )
-    w = linfty_to_weak_mixed(s, Window(0, 3, 0, 4, 3))
-    rep = weak_mixed_validate(w)
-    assert rep.valid
-
-
-def _ce_bracket_terms(g):
-    out = {}
-    for k in range(g.dim):
-        terms = {}
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                if g.c[i][j][k]:
-                    terms[(f"xi{i+1}", f"xi{j+1}")] = -g.c[i][j][k]
-        if terms:
-            out[f"xi{k+1}"] = terms
-    return out
-
-
-def test_weak_mixed_detects_jacobi_failure():
-    g = LieAlgebra.sl2()
-    c = [[[v for v in row] for row in plane] for plane in g.c]
-    c[0][1][0] += 1
-    c[1][0][0] -= 1
-    bad = LieAlgebra(c)
-    s = linfty_structure(
-        [(f"xi{i}", 1) for i in (1, 2, 3)], brackets={2: _ce_bracket_terms(bad)}
-    )
-    assert not linfty_validate(s, Window(0, 3, 0, 4, 3)).valid
-
-
-def test_weak_mixed_correction_via_ternary_bracket():
-    # u (deg 0) -> v (deg 1) contractible plus z (deg 1); the binary bracket
-    # u -> uz, v -> -vz, z -> vz is a chain map but eps_0^2(u) = uvz != 0;
-    # the ternary correction is solved for exactly from the i = 0 equation.
-    gens = [("u", 0), ("v", 1), ("z", 1)]
-    diff = {"u": {"v": 1}}
-    b2 = {
-        "u": {("u", "z"): F(1)},
-        "v": {("v", "z"): F(-1)},
-        "z": {("v", "z"): F(1)},
-    }
-    window = Window(0, 4, 0, 8, 4)
-    s2 = linfty_structure(gens, diff, {2: b2})
-    assert not weak_mixed_validate(linfty_to_weak_mixed(s2, window)).valid
-
-    from spw.exactlin import kernel_basis, solve_linear
-    from spw.freecdga import Elem
-
-    alg = s2.sym
-    # candidates: b3(v) in Sym^3, degree deg(v)+1 = 2
-    candidates = [
-        m
-        for m in enumerate_monomials(alg, 3)
-        if len(m) == 3 and sum(alg.gen_degree(i) for i in m) == 2
-    ]
-    assert candidates
-
-    def i0_defect(b3_v):
-        s = linfty_structure(gens, diff, {2: b2})
-        if b3_v is not None:
-            s.brackets[3] = {"v": b3_v}
-        w = linfty_to_weak_mixed(s, window)
-        out = []
-        for (p, mm) in sorted(w.module.support()):
-            tgt = (p + 2, mm + 2)
-            rows, cols = w.module.dim(*tgt), w.module.dim(p, mm)
-            if rows == 0 or cols == 0:
-                continue
-            acc = w.d_block(p + 2, mm + 1) @ w.eps_block(1, p, mm)
-            acc = acc + w.eps_block(1, p, mm + 1) @ w.d_block(p, mm)
-            acc = acc + w.eps_block(0, p + 1, mm + 1) @ w.eps_block(0, p, mm)
-            for r in range(rows):
-                for cc in range(cols):
-                    out.append(acc.entry(r, cc))
-        return out
-
-    zero_vec = i0_defect(None)
-    cols = [
-        [a - b for a, b in zip(i0_defect(Elem(alg, {m: F(1)})), zero_vec)]
-        for m in candidates
-    ]
-    mat = from_dense(cols, len(zero_vec)).transpose()
-    x = [row[0] for row in dense(solve_linear(mat, from_dense([[-v] for v in zero_vec], 1)))]
-    kernel = [dense_vector(k, mat.cols) for k in kernel_basis(mat)]
-    # scan the affine solution space for a correction passing everything
-    trials = [x] + [
-        tuple(a + s * b for a, b in zip(x, k)) for k in kernel for s in (1, -1)
-    ]
-    found = None
-    for sol in trials:
-        b3_v = Elem(alg, {m: c for m, c in zip(candidates, sol) if c})
-        s3 = linfty_structure(gens, diff, {2: b2})
-        s3.brackets[3] = {"v": b3_v}
-        if weak_mixed_validate(linfty_to_weak_mixed(s3, window)).valid:
-            found = b3_v
-            break
-    assert found is not None and not found.is_zero()
-
-
-def test_all_zero_brackets_valid():
-    s = linfty_structure([("a", 1), ("b", 2)], brackets={})
-    assert linfty_validate(s).valid
-
-
-def test_weak_mixed_bounded_check_is_inconclusive_beyond_bound():
-    # with eps_0 and eps_1 both present the equations can be nonzero up to
-    # i = 2; checking only up to bound 0 must flag the remainder
-    g = LieAlgebra.sl2()
-    s = linfty_structure(
-        [(f"xi{i}", 1) for i in (1, 2, 3)],
-        brackets={2: _ce_bracket_terms(g), 3: {}},
-    )
-    w = linfty_to_weak_mixed(s, Window(0, 3, 0, 4, 3))
-    w.eps_list.append({})  # declare an eps_1 slot (zero maps) with index 1
-    rep = weak_mixed_validate(w, bound=0)
-    assert rep.valid_within_bound
-    assert rep.inconclusive_beyond_bound
-    full = weak_mixed_validate(w)
-    assert full.valid and not full.inconclusive_beyond_bound
-
-
 def test_invariants_abelian_dimensions():
     for n in range(1, 6):
         g = LieAlgebra.abelian(n)
@@ -333,52 +192,6 @@ def test_semi_strict_rejects_noninvariant_z():
         bad4 = InvariantTensor("wedge3", {(0, 2, 3): F(1)})
     rep = semi_strict_check(g4, bad4)
     assert not rep.valid
-
-
-def random_linfty(rng):
-    """Linear d and brackets b_2, b_3 of degree +1 on 2-3 generators."""
-    gens = [(f"v{i+1}", rng.randint(-1, 2)) for i in range(rng.randint(2, 3))]
-    diff = {}
-    for name, deg in gens:
-        targets = [t for t, dt in gens if dt == deg + 1]
-        if targets and rng.random() < 0.5:
-            diff[name] = {rng.choice(targets): F(rng.choice([-1, 1, 2]))}
-    s = linfty_structure(gens, diff)
-    alg = s.sym
-    for k in (2, 3):
-        s.brackets[k] = {}
-        for g in alg.generators:
-            monos = [
-                m
-                for m in enumerate_monomials(alg, k)
-                if len(m) == k and sum(alg.gen_degree(i) for i in m) == g.degree + 1
-            ]
-            if monos and rng.random() < 0.8:
-                picked = rng.sample(monos, min(2, len(monos)))
-                s.brackets[k][g.name] = Elem(alg, {m: F(rng.choice([-2, -1, 1, 2])) for m in picked})
-    return s
-
-
-def test_weak_mixed_blocks_match_per_label_oracle():
-    rng = random.Random(59)
-    for _ in range(15):
-        s = random_linfty(rng)
-        eps_values = [s.brackets[2], s.brackets[3]]
-        for window in (Window(0, 3, -4, 6, 3), Window(1, 4, -2, 4, 4)):
-            w = weak_mixed_from_derivations(s.sym, eps_values, window)
-            cx, eps_list = oracle_weak_mixed_blocks(s.sym, eps_values, window)
-            named = {k: [s.sym.mono_str(m) for m in ms] for k, ms in w.module.basis.items()}
-            assert named == cx.module.basis
-            assert w.d == cx.d
-            assert w.eps_list == eps_list
-
-
-def test_weak_mixed_refuses_a_bracket_of_the_wrong_bidegree():
-    # b_2(a) = a stays in weight 1, while eps_0 must raise the weight by one
-    s = linfty_structure([("a", 1), ("b", 2)])
-    s.brackets[2] = {"a": s.sym.gen("a")}
-    with pytest.raises(BidegreeMismatch, match="image of a has the term a"):
-        linfty_to_weak_mixed(s, Window(0, 3, 0, 4, 3))
 
 
 def test_ad_on_sym2_matches_the_dense_oracle():

@@ -24,7 +24,6 @@ from spw.operads import (
     as_compose,
     bd0_check,
     expand_to_words,
-    hopf_coproduct_check,
     multilinear_basis,
     pn_compose,
     rees_bd1,
@@ -331,7 +330,7 @@ def test_rees_composition_associativity():
                 assert left == right
 
 
-# -- BD_0 and Hopf ----------------------------------------------------------------
+# -- BD_0 ------------------------------------------------------------------------
 
 
 def test_bd0_report():
@@ -341,14 +340,6 @@ def test_bd0_report():
     assert rep.d_squared_zero_on_words
     assert rep.derivation_respects_relations
     assert rep.valid
-
-
-def test_hopf_coproduct():
-    for n in (1, 2, 3):
-        rep = hopf_coproduct_check(n)
-        assert rep.coassociative_on_generators
-        assert rep.cocommutative_on_generators
-        assert rep.relations_killed
 
 
 # -- Arnold -----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from spw.polyvec import (
     check_strict_poisson,
     mc_check,
     nondegeneracy,
-    polyvectors,
     require_nondegenerate,
     strict_tower,
 )
@@ -38,12 +37,10 @@ def random_polyvector(rng, pol, max_len=3, terms=3):
 
 
 def test_pairing_derivation_on_line():
-    from spw.polyvec import schouten
-
     pol = PolyvectorAlgebra(line(), 1)
     x = pol.include(line().gen("x"))
     th = pol.theta("x")
-    assert schouten(pol, th, x) == pol.algebra.one()
+    assert pol.bracket(th, x) == pol.algebra.one()
     # [theta, x^3] = 3 x^2
     assert pol.bracket(th, x * x * x) == (x * x).scale(3)
 
@@ -183,24 +180,24 @@ def count_biderivations(base, symmetric, coeff_deg_cap):
 def test_weight_two_slot_matches_multiderivation_enumeration():
     b = plane()
     # n = 1: duals are odd (degree 1): exterior slots, one per pair i<j
-    pol1, dims1 = polyvectors(b, 1, max_weight=2, max_len=4)
+    dims1 = PolyvectorAlgebra(b, 1).basis_dims(max_weight=2, max_len=4)
     got = sum(v for (w, d), v in dims1.items() if w == 2)
     assert got == count_biderivations(b, symmetric=False, coeff_deg_cap=2)
     # n = 0: duals are even: symmetric slots, one per pair i<=j
-    pol0, dims0 = polyvectors(b, 0, max_weight=2, max_len=4)
+    dims0 = PolyvectorAlgebra(b, 0).basis_dims(max_weight=2, max_len=4)
     got0 = sum(v for (w, d), v in dims0.items() if w == 2)
     assert got0 == count_biderivations(b, symmetric=True, coeff_deg_cap=2)
 
 
 def test_polyvectors_of_point():
     pt = FreeCDGA([])
-    _, dims = polyvectors(pt, 2, max_weight=3, max_len=3)
+    dims = PolyvectorAlgebra(pt, 2).basis_dims(max_weight=3, max_len=3)
     assert dims == {(0, 0): 1}
 
 
 def test_polyvectors_line_weight_bases():
     b = line()
-    pol, dims = polyvectors(b, 0, max_weight=2, max_len=3)
+    dims = PolyvectorAlgebra(b, 0).basis_dims(max_weight=2, max_len=3)
     # weight 0: 1, x, x^2, x^3; weight 1: f * @x with @x degree 0
     assert dims[0, 0] == 4
     assert dims[1, 0] == 3
