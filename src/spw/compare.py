@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 
-from .errors import Degenerate, GaugeNotFound, IdentityViolated, NotMinimal
-from .exactlin import SparseMatrix, maybe_solve
+from .errors import Degenerate, GaugeNotFound, IdentityViolated, NoSolution, NotMinimal
+from .exactlin import SparseMatrix, solve_linear
 from .freecdga import (
     ClosedFormTower,
     DeRhamAlgebra,
@@ -55,25 +55,18 @@ def _second_partials(alg: FreeCDGA, symbols, elem: Elem) -> SparseMatrix:
 def _reconstruct_two_tensor(alg: FreeCDGA, symbols, mat: SparseMatrix) -> Elem:
     """The two-tensor in the given symbols whose second partials equal mat.
 
-    Calibrated monomial by monomial, so no global sign convention enters;
-    raises Degenerate if mat is not graded-symmetric for these symbols.
+    Calibrated slot by slot over mat's nonzero entries folded to i <= j:
+    s_i s_j gets mat[i][j] over its own (i, j) second partial, so no global
+    sign convention enters; raises Degenerate if mat is not
+    graded-symmetric for these symbols.
     """
     out = alg.zero()
-    m = len(symbols)
-    for i in range(m):
-        for j in range(i, m):
-            mono_elem = alg.gen(symbols[i]) * alg.gen(symbols[j])
-            if mono_elem.is_zero():
-                if mat.entry(i, j) or mat.entry(j, i):
-                    raise Degenerate(
-                        f"matrix hits the vanishing slot {symbols[i]}*{symbols[j]}"
-                    )
-                continue
-            probe = _second_partials(alg, symbols, mono_elem)
-            t = probe.entry(i, j)
-            if t == 0:
-                continue
-            out = out + mono_elem.scale(Rat(mat.entry(i, j)) / t)
+    for i, j in sorted({(min(ij), max(ij)) for ij, _ in mat.items()}):
+        mono_elem = alg.gen(symbols[i]) * alg.gen(symbols[j])
+        if mono_elem.is_zero():
+            raise Degenerate(f"matrix hits the vanishing slot {symbols[i]}*{symbols[j]}")
+        t = alg.partial(symbols[j], alg.partial(symbols[i], mono_elem)).constant_term()
+        out = out + mono_elem.scale(Rat(mat.entry(i, j)) / t)
     check = _second_partials(alg, symbols, out)
     if check != mat:
         raise Degenerate("matrix is not graded-symmetric for these symbols")
@@ -81,10 +74,10 @@ def _reconstruct_two_tensor(alg: FreeCDGA, symbols, mat: SparseMatrix) -> Elem:
 
 
 def _invert(mat: SparseMatrix) -> SparseMatrix:
-    inv = maybe_solve(mat, SparseMatrix.identity(mat.rows))
-    if inv is None:
-        raise Degenerate("pairing matrix is singular")
-    return inv
+    try:
+        return solve_linear(mat, SparseMatrix.identity(mat.rows))
+    except NoSolution:
+        raise Degenerate("pairing matrix is singular") from None
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +300,10 @@ def strictify_closed_two_form(
     mat = SparseMatrix(
         n_rows, len(unknowns), main_ent + [(n_main + i, j, c) for i, j, c in side_ent]
     )
-    sol = maybe_solve(mat, rhs)
-    if sol is None:
-        raise GaugeNotFound("no gauge in the window")
+    try:
+        sol = solve_linear(mat, rhs)
+    except NoSolution:
+        raise GaugeNotFound("no gauge in the window") from None
     parts = {"eta": {}, "h": {}}
     for (j, _), c in sol.items():
         kind, m = unknowns[j]

@@ -396,14 +396,6 @@ def solve_linear(m: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return x
 
 
-def maybe_solve(m: SparseMatrix, b):
-    """solve_linear that returns None instead of raising NoSolution."""
-    try:
-        return solve_linear(m, b)
-    except NoSolution:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Q[hbar]
 # ---------------------------------------------------------------------------

@@ -307,46 +307,14 @@ def mono_mul(alg, m1, m2):
 
 
 def apply_derivation(alg, elem, values, parity):
-    """Extend generator values to a graded derivation of the given parity.
-
-    values: {gen index: Elem}.  On a word l_1..l_k the j-th term carries
-    the sign (-1)^(parity * (deg l_1 + .. + deg l_{j-1})).  Its word
-    l_1..l_{j-1} t l_{j+1}..l_k for a value term t is
-    (-1)^(|l_1..l_{j-1}| |t|) t * rest, rest the word without l_j: one
-    merge, signed by the odd letters of t that cross odd letters of rest.
-    """
-    if not values:
-        return Elem(alg, {})
-    parities = alg.parities
-    parity = parity % 2
+    """Extend generator values {gen index: Elem} to a graded derivation of
+    the given parity and apply it to elem: `_image` images each word of
+    elem, in the order of its terms, into one shared dict.  The term table
+    holds only the letters of elem."""
+    table = _term_table(alg, {i: values[i] for mono in elem.terms for i in mono if i in values}, parity)
     acc = {}
     for mono, coeff in elem.terms.items():
-        pre = 0
-        for j, letter in enumerate(mono):
-            val = values.get(letter)
-            if val is not None:
-                rest = mono[:j] + mono[j + 1:]
-                odd_rest = None
-                for t, c in val.terms.items():
-                    flip = parity & pre
-                    odd_t = [b for b in t if parities[b]]
-                    if odd_t:
-                        if odd_rest is None:
-                            odd_rest = [a for a in rest if parities[a]]
-                        if any(b in odd_rest for b in odd_t):
-                            continue  # an odd letter squared
-                        flip ^= (pre & len(odd_t)) ^ (
-                            sum(1 for b in odd_t for a in odd_rest if a < b) & 1
-                        )
-                    m = tuple(sorted(t + rest))
-                    v = -(coeff * c) if flip else coeff * c
-                    if m in acc:
-                        v += acc[m]
-                        if not v:
-                            del acc[m]
-                            continue
-                    acc[m] = v
-            pre ^= parities[letter]
+        _image(table, mono, acc=acc, coeff=coeff)
     return Elem(alg, acc)
 
 
@@ -493,47 +461,54 @@ def _box_words(alg: FreeCDGA, max_len, wmin=None, wmax=None, dmin=None, dmax=Non
     return out
 
 
-def _term_table(alg, values):
-    """A parity-1 derivation's generator values unpacked for `_image`:
+def _term_table(alg, values, parity):
+    """The generator values {gen index: Elem} of a derivation of the given
+    parity, unpacked for `_image`:
     (parities, {letter: [(t, c, b, odd letters of t, keep, dw, dd)]}).
-    b is t's one letter or None, keep is 1 when t has an even number of
-    odd letters and 0 otherwise, and (dw, dd) = bideg(t) - bideg(letter)
-    is the shift from a word's bidegree to that of the term."""
+    b is t's one letter or None; keep = (parity + odd letters of t) % 2
+    is 1 when the term's sign flips with each odd letter before its
+    letter; and (dw, dd) = bideg(t) - bideg(letter) is the shift from a
+    word's bidegree to that of the term."""
     weights, degrees, parities = alg.weights, alg.degrees, alg.parities
     table = {}
     for letter, val in values.items():
-        rows = []
+        rows = table[letter] = []
         for t, c in val.terms.items():
-            odd_t = tuple(b for b in t if parities[b])
+            odd_t = tuple(filter(parities.__getitem__, t))
             rows.append((
-                t, c, t[0] if len(t) == 1 else None, odd_t, 1 - len(odd_t) % 2,
-                sum(weights[b] for b in t) - weights[letter],
-                sum(degrees[b] for b in t) - degrees[letter],
+                t, c, t[0] if len(t) == 1 else None, odd_t, (parity + len(odd_t)) % 2,
+                sum(map(weights.__getitem__, t)) - weights[letter],
+                sum(map(degrees.__getitem__, t)) - degrees[letter],
             ))
-        table[letter] = rows
     return parities, table
 
 
-def _image(table, mono, inside=None, fresh=None, w=0, d=0):
-    """The derivation of `table` (see _term_table) on one word: a
-    {word: coeff} dict with the terms, in the order, of
-    apply_derivation(alg, Elem(alg, {mono: 1}), values, 1).
+def _image(table, mono, inside=None, fresh=None, w=0, d=0, acc=None, coeff=1):
+    """The derivation of `table` (see _term_table) on coeff * mono, added
+    into `acc` (a new dict by default) and returned.  Words and their order
+    are those of adding the terms one by one, letter by letter and copy by
+    copy, into the dict: a word whose coefficient reaches 0 is deleted,
+    and a word added anew goes last.
 
-    The j-th letter's terms carry (-1)^(odd letters before j); a term with
-    odd letters also crosses the odd letters of the rest below them, found
-    by bisecting the word's odd letters.  Given `inside` and the word's
-    bidegree (w, d), each term not in `inside` gets its bidegree, the
-    word's plus the term's shift, in `fresh`.
+    On the j-th letter, a value term c * t gives (-1)^s coeff c t * rest,
+    rest the word without that letter, where s is keep times the number of
+    odd letters before j, plus the number of pairs of an odd letter of t
+    and a smaller odd letter of rest, found by bisecting the word's odd
+    letters; a term with an odd letter of rest gives nothing.  Given
+    `inside` and the word's bidegree (w, d), each term not in `inside`
+    gets its bidegree, the word's plus the term's shift, in `fresh`.
 
     A run of e equal letters is imaged once: its copies share the rest of
     the word and (being even when e > 1) the sign, so each term is added
-    once with e times its coefficient.  Copy by copy, a word already in
-    the image at prev = -r * v (1 <= r < e) would be cancelled by the r-th
-    copy and put back last by the next; such words are put back after
-    the run, by r and then in term order.
+    once with e times its coefficient v.  Copy by copy, a word already in
+    `acc` at prev = -r * v (1 <= r < e), whatever wrote it, would be
+    cancelled by the r-th copy and put back last, at (e - r) * v, by the
+    following ones; such words are put back after the run, by r and then
+    in term order.
     """
     parities, by_letter = table
-    acc = {}
+    if acc is None:
+        acc = {}
     if not by_letter:
         return acc
     pre = 0  # odd letters of mono before position j
@@ -571,7 +546,7 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0):
                 else:
                     p = bisect_left(rest, b)
                     m = rest[:p] + t + rest[p:]
-                v = -c if (pre & keep) ^ (cross & 1) else c
+                v = (-c if (pre & keep) ^ (cross & 1) else c) * coeff
                 run = v * e if e > 1 else v
                 prev = acc.get(m)
                 if prev is None:
@@ -586,7 +561,8 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0):
                     del acc[m]
                     if moved is None:
                         moved = []
-                    moved.append((-prev // v, m, s))
+                    r = -prev // v
+                    moved.append((r, m, v * (e - r)))
                 else:
                     acc[m] = s
             if moved is not None:
@@ -608,7 +584,7 @@ def _closure(alg: FreeCDGA, window: Window):
     """
     wmin, wmax, dmin, dmax = window.wmin, window.wmax, window.dmin, window.dmax
     inside = _box_words(alg, window.max_len, wmin, wmax, dmin, dmax)
-    tables = (_term_table(alg, alg.differential), _term_table(alg, alg.mixed))
+    tables = (_term_table(alg, alg.differential, 1), _term_table(alg, alg.mixed, 1))
     images = {}
     frontier = list(inside)
     for _ in range(window.closure_rounds):
@@ -668,9 +644,10 @@ def _window_monomials(inside):
     return monos, at
 
 
-def _derivation_blocks(alg, monos, at, image, k):
-    """Blocks of a map of bidegree (k, 1) given by image(mono) -> {mono: coeff},
-    on the window `_window_monomials` gives as (monos, at).
+def _derivation_blocks(alg, monos, at, images, k):
+    """Blocks of the map of bidegree (k, 1) whose image of each window word
+    m is images[m][k], a {mono: coeff} dict (k = 0 for d, 1 for eps), on
+    the window `_window_monomials` gives as (monos, at).
 
     Rows are keyed by monomial.  Image terms outside the window are
     projected away; a term inside it at another bidegree raises
@@ -681,7 +658,7 @@ def _derivation_blocks(alg, monos, at, image, k):
         tgt = (w + k, d + 1)
         ent = {}
         for j, m in enumerate(ms):
-            for m2, c in image(m).items():
+            for m2, c in images[m][k].items():
                 pos = at.get(m2)
                 if pos is None:
                     continue
@@ -712,8 +689,8 @@ def _mixed_complex(alg, inside, images):
     images; image terms outside `inside` are projected away."""
     monos, at = _window_monomials(inside)
     # a zero derivation images every word to {} (see _closure): no blocks
-    d = _derivation_blocks(alg, monos, at, lambda m: images[m][0], 0) if alg.differential else {}
-    eps = _derivation_blocks(alg, monos, at, lambda m: images[m][1], 1) if alg.mixed else {}
+    d = _derivation_blocks(alg, monos, at, images, 0) if alg.differential else {}
+    eps = _derivation_blocks(alg, monos, at, images, 1) if alg.mixed else {}
     return GradedMixedComplex(BiGradedModule(monos), d, eps)
 
 

@@ -9,8 +9,9 @@ unit against:
   the four-product loop: `freecdga.graded_mixed_window`, the order of
   `freecdga._box_words`, `gradedmixed.weight_window_total_complex` and
   `gradedmixed.validate_mixed`;
-- the Elem-product derivation and the separate de Rham builder:
-  `freecdga.apply_derivation` and `freecdga.de_rham`;
+- the Elem-product derivation, the word-level derivation loop that
+  `_image` replaced, and the separate de Rham builder:
+  `freecdga.apply_derivation`, `freecdga._image` and `freecdga.de_rham`;
 - the separate P_n and BD_1 operations, `pn_compose` and the Arnold
   certificate rows: the one linear-combination layer of `operads`;
 - the window-per-stage closed forms, the Elem-sum cocycle check and the
@@ -36,7 +37,6 @@ from spw.freecdga import (
     Generator,
     Window,
     _mono_bidegree,
-    apply_derivation,
     de_rham,
     graded_mixed_window,
     total_complex_window,
@@ -567,7 +567,7 @@ def enumerate_monomials(alg, max_len):
 def oracle_closure(alg, window):
     """The window closure by enumerating every word of length <= max_len,
     filtering it into the bidegree box and imaging each basis word as an
-    Elem through apply_derivation, with one _mono_bidegree per image term.
+    Elem through oracle_word_derivation, with one _mono_bidegree per image term.
     Returns (inside, images) as freecdga._closure does: {mono: (w, d)} and
     {mono: (d terms, eps terms)}."""
     inside = {}
@@ -582,7 +582,7 @@ def oracle_closure(alg, window):
         for m in frontier:
             x = Elem(alg, {m: 1})
             images[m] = tuple(
-                apply_derivation(alg, x, values, 1).terms for values in (alg.differential, alg.mixed)
+                oracle_word_derivation(alg, x, values, 1).terms for values in (alg.differential, alg.mixed)
             )
             for image in images[m]:
                 for m2 in image:
@@ -608,6 +608,52 @@ def oracle_closure(alg, window):
 # ---------------------------------------------------------------------------
 # Oracles for derivations and the de Rham symbol algebra
 # ---------------------------------------------------------------------------
+
+
+def oracle_word_derivation(alg, elem, values, parity):
+    """Extend generator values to a graded derivation of the given parity,
+    letter by letter and term by term into one dict: the word-level
+    routine that `freecdga._image` replaced.
+
+    values: {gen index: Elem}.  On a word l_1..l_k the j-th term carries
+    the sign (-1)^(parity * (deg l_1 + .. + deg l_{j-1})).  Its word
+    l_1..l_{j-1} t l_{j+1}..l_k for a value term t is
+    (-1)^(|l_1..l_{j-1}| |t|) t * rest, rest the word without l_j: one
+    merge, signed by the odd letters of t that cross odd letters of rest.
+    """
+    if not values:
+        return Elem(alg, {})
+    parities = alg.parities
+    parity = parity % 2
+    acc = {}
+    for mono, coeff in elem.terms.items():
+        pre = 0
+        for j, letter in enumerate(mono):
+            val = values.get(letter)
+            if val is not None:
+                rest = mono[:j] + mono[j + 1:]
+                odd_rest = None
+                for t, c in val.terms.items():
+                    flip = parity & pre
+                    odd_t = [b for b in t if parities[b]]
+                    if odd_t:
+                        if odd_rest is None:
+                            odd_rest = [a for a in rest if parities[a]]
+                        if any(b in odd_rest for b in odd_t):
+                            continue  # an odd letter squared
+                        flip ^= (pre & len(odd_t)) ^ (
+                            sum(1 for b in odd_t for a in odd_rest if a < b) & 1
+                        )
+                    m = tuple(sorted(t + rest))
+                    v = -(coeff * c) if flip else coeff * c
+                    if m in acc:
+                        v += acc[m]
+                        if not v:
+                            del acc[m]
+                            continue
+                    acc[m] = v
+            pre ^= parities[letter]
+    return Elem(alg, acc)
 
 
 def oracle_apply_derivation(alg, elem, values, parity):

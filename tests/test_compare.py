@@ -321,26 +321,27 @@ def test_strictify_raises_when_a_solution_breaks_its_identities(monkeypatch):
     def zero_solution(mat, rhs):
         return SparseMatrix.zero(mat.cols, 1)
 
-    monkeypatch.setattr(compare, "maybe_solve", unit_at_last_row)
+    monkeypatch.setattr(compare, "solve_linear", unit_at_last_row)
     with pytest.raises(IdentityViolated, match="not d- and eps-closed"):
         strictify_closed_two_form(b, tower, window)
-    monkeypatch.setattr(compare, "maybe_solve", zero_solution)
+    monkeypatch.setattr(compare, "solve_linear", zero_solution)
     with pytest.raises(IdentityViolated, match="in the window"):
         strictify_closed_two_form(b, tower, window)
 
 
 def _record_monomial_images(monkeypatch, alg):
     """Record (map, monomial) for every image of one monomial of alg: each
-    closure `_image` call on alg's d or eps term table, and each d/eps call
-    on one monomial."""
+    closure `_image` call (one given `inside`) on alg's d or eps term
+    table, and each d/eps call on one monomial."""
     seen = []
-    tables = {name: freecdga._term_table(alg, values) for name, values in (("d", alg.differential), ("eps", alg.mixed))}
+    tables = {name: freecdga._term_table(alg, values, 1) for name, values in (("d", alg.differential), ("eps", alg.mixed))}
     assert tables["d"] != tables["eps"]
     image = freecdga._image
 
-    def counted_image(table, mono, *args):
-        seen.extend((name, mono) for name, t in tables.items() if t == table)
-        return image(table, mono, *args)
+    def counted_image(table, mono, inside=None, *args, **kwargs):
+        if inside is not None:
+            seen.extend((name, mono) for name, t in tables.items() if t == table)
+        return image(table, mono, inside, *args, **kwargs)
 
     monkeypatch.setattr(freecdga, "_image", counted_image)
     for name in ("d", "eps"):
@@ -385,3 +386,27 @@ def test_reconstruct_two_tensor_from_an_integer_matrix_is_exact():
     assert out.coefficient(alg.index[n] for n in ("x", "x")) == F(3, 2)
     assert all(type(c) in (int, F) for c in out.terms.values())
     assert compare._second_partials(alg, symbols, out) == mat
+
+
+def test_reconstruct_two_tensor_calibrates_each_nonzero_slot_once(monkeypatch):
+    alg = FreeCDGA([("x", 0), ("y", 0), ("t", 1), ("u", 1)])
+    symbols = ("x", "y", "t", "u")
+    # the first vanishing slot in (i, j) order is the witness, whichever
+    # side of the diagonal holds the entry
+    for ent, witness in (({(3, 3): 1, (2, 2): 1}, r"t\*t"), ({(3, 3): 1, (3, 2): 1}, r"u\*u")):
+        with pytest.raises(Degenerate, match=f"vanishing slot {witness}$"):
+            compare._reconstruct_two_tensor(alg, symbols, SparseMatrix(4, 4, ent))
+    with pytest.raises(Degenerate, match="not graded-symmetric"):
+        compare._reconstruct_two_tensor(alg, symbols, SparseMatrix(4, 4, {(1, 0): 1}))
+    # two partials per folded nonzero slot, then one m + m^2 check
+    calls = []
+    partial = FreeCDGA.partial
+
+    def counted(self, name, elem):
+        calls.append(name)
+        return partial(self, name, elem)
+
+    monkeypatch.setattr(FreeCDGA, "partial", counted)
+    mat = SparseMatrix(4, 4, {(0, 0): 3, (0, 1): 5, (1, 0): 5, (2, 3): 1, (3, 2): -1})
+    compare._reconstruct_two_tensor(alg, symbols, mat)
+    assert len(calls) == 2 * 3 + 4 + 4 * 4

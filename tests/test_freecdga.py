@@ -16,6 +16,7 @@ from helpers import (
     oracle_product,
     oracle_sum,
     oracle_weight_window_total_complex,
+    oracle_word_derivation,
     poincare_window_dims,
     random_coefficient,
     random_valid_cdga,
@@ -411,7 +412,7 @@ def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
         monos = sorted(inside)
         # one table per nonzero map, d first, and every basis word imaged
         # once by each; a zero map (d on these algebras) images nothing
-        tables = [freecdga._term_table(alg, values) for values in (alg.differential, alg.mixed)]
+        tables = [freecdga._term_table(alg, values, 1) for values in (alg.differential, alg.mixed)]
         nonzero = [table for table in tables if table[1]]
         assert [table for table, _ in calls.values()] == (nonzero if monos else [])
         for _, seen in calls.values():
@@ -563,21 +564,28 @@ def _random_word(rng, alg):
 
 
 def _image_oracle(alg, values, w):
-    return apply_derivation(alg, Elem(alg, {w: 1}), values, 1).terms
+    return oracle_word_derivation(alg, Elem(alg, {w: 1}), values, 1).terms
 
 
-def _run_cancels_a_word(alg, values, w):
-    """Whether some run of e >= 2 copies of a letter x in w, added copy by
-    copy after the letters before it, cancels a word of the image after
-    r < e copies (so the next copy puts it back last)."""
+def _run_cancels_a_word(alg, values, w, parity=1, coeff=1, earlier=None):
+    """Whether some run of e >= 2 copies of a letter x in coeff * w, added
+    copy by copy after the letters before it, cancels a word of the image
+    after r < e copies (so the next copy puts it back last).  Given an Elem
+    `earlier` imaged first into the same sum, only a word of its image
+    counts."""
+    word = Elem(alg, {w: coeff})
+    written = {} if earlier is None else oracle_word_derivation(alg, earlier, values, parity).terms
     for x in set(w):
         e = w.count(x)
         if e < 2 or x not in values:
             continue
-        before = _image_oracle(alg, {k: v for k, v in values.items() if k < x}, w)
-        for m, total in _image_oracle(alg, {x: values[x]}, w).items():
+        before = dict(written)
+        lower = {k: v for k, v in values.items() if k < x}
+        for m, c in oracle_word_derivation(alg, word, lower, parity).terms.items():
+            before[m] = before.get(m, 0) + c
+        for m, total in oracle_word_derivation(alg, word, {x: values[x]}, parity).terms.items():
             prev = before.get(m)  # each copy adds total / e
-            if prev is not None and any(prev * e + r * total == 0 for r in range(1, e)):
+            if prev and (earlier is None or m in written) and any(prev * e + r * total == 0 for r in range(1, e)):
                 return True
     return False
 
@@ -588,7 +596,7 @@ def test_image_matches_apply_derivation_on_each_word():
     for _ in range(300):
         alg = FreeCDGA([(f"g{i}", rng.randint(-2, 2)) for i in range(rng.randint(1, 4))])
         values = _euler_values(rng, alg)
-        table = freecdga._term_table(alg, values)
+        table = freecdga._term_table(alg, values, 1)
         for _ in range(10):
             w = _random_word(rng, alg)
             got = freecdga._image(table, w)
@@ -604,7 +612,7 @@ def test_image_puts_back_a_word_that_a_run_cancels():
     alg = FreeCDGA([("y", 0), ("x", 0), ("z", 0), ("c", 1)])
     y, x, z, c = range(4)
     values = {y: Elem(alg, {(y, c): -1}), x: Elem(alg, {(x, c): 1})}
-    table = freecdga._term_table(alg, values)
+    table = freecdga._term_table(alg, values, 1)
     for w, want in (
         ((y, x, x), [((y, x, x, c), 1)]),
         ((y, y, x, x), []),
@@ -617,7 +625,7 @@ def test_image_puts_back_a_word_that_a_run_cancels():
     values[x] = Elem(alg, {(x, c): 1, (z,): 1})
     want = [((y, x, z), 2), ((y, x, x, c), 1)]
     assert list(_image_oracle(alg, values, (y, x, x)).items()) == want
-    assert list(freecdga._image(freecdga._term_table(alg, values), (y, x, x)).items()) == want
+    assert list(freecdga._image(freecdga._term_table(alg, values, 1), (y, x, x)).items()) == want
     # two words put back by one run: after one copy and after two copies
     # they come back in that order, and after the same copies in term order
     values = {x: Elem(alg, {(x, z): 1, (x, c): 1})}
@@ -627,7 +635,30 @@ def test_image_puts_back_a_word_that_a_run_cancels():
     ):
         values[y] = Elem(alg, d_y)
         assert list(_image_oracle(alg, values, w).items()) == want
-        assert list(freecdga._image(freecdga._term_table(alg, values), w).items()) == want
+        assert list(freecdga._image(freecdga._term_table(alg, values, 1), w).items()) == want
+
+
+def test_apply_derivation_matches_the_word_loop_on_sums():
+    # the words of an Elem are imaged into one dict: the same keys, order
+    # and coefficient types as the word-by-word loop, also where a run
+    # cancels and puts back a word that an earlier word wrote
+    rng = random.Random(131)
+    coeffs = (1, -1, 2, -2, F(1), F(-1), F(2), F(1, 2), F(-3, 2))
+    put_back = 0
+    for _ in range(600):
+        alg = FreeCDGA([(f"g{i}", rng.randint(-2, 2)) for i in range(rng.randint(2, 3))])
+        values, parity = _euler_values(rng, alg), rng.randrange(2)
+        words = dict.fromkeys(_random_word(rng, alg) for _ in range(12))
+        e = Elem(alg, {w: rng.choice(coeffs) for w in words})
+        got = apply_derivation(alg, e, values, parity)
+        assert _typed(got.terms) == _typed(oracle_word_derivation(alg, e, values, parity).terms)
+        terms = list(e.terms.items())
+        for k, (w, c) in enumerate(terms[1:], 1):
+            put_back += _run_cancels_a_word(alg, values, w, parity, c, Elem(alg, dict(terms[:k])))
+        i = rng.randrange(len(alg.generators))
+        want = oracle_word_derivation(alg, e, {i: alg.one()}, alg.parities[i])
+        assert _typed(alg.partial(alg.generators[i].name, e).terms) == _typed(want.terms)
+    assert put_back >= 100
 
 
 def _random_elem(rng, alg, max_len=4, terms=12):
