@@ -1,19 +1,18 @@
 """Time the de Rham window ladder, one child process per rung.
 
-    python tools/ladder.py [KE,KO,L ...]
+    python tools/ladder.py
 
 A rung (ke, ko, L) is the de Rham algebra of the free algebra on ke even
 generators of degree 0 and ko odd ones of degree 1, in the window
 wmin = 0, wmax = dmax = max_len = L, dmin = -L. Its child builds the window
 (`graded_mixed_window`), then the total complex and its `homology_dims`,
 and reports the window and end-to-end seconds (algebra to dimensions),
-the window's monomial count and its own peak RSS. The default rungs are
+the window's monomial count and its own peak RSS. The rungs are
 (3, 3, 6), (4, 4, 6) and (5, 5, 6).
 
 A rung fails when its child fails, or when its dimensions differ from
 `perfbench/oracles.de_rham_dims` or break the Poincare lemma
-(`poincare_violations`); the exit code is 1 if any rung fails, and 2 when
-a rung is not three integers. Standard
+(`poincare_violations`); the exit code is 1 if any rung fails. Standard
 library only.
 """
 
@@ -66,17 +65,10 @@ def run_rung(ke, ko, size):
     return line, verdict == "ok"
 
 
-def main(argv):
-    try:
-        rungs = [tuple(map(int, a.split(","))) for a in argv] or RUNGS
-    except ValueError:
-        rungs = [()]
-    if any(len(rung) != 3 for rung in rungs):
-        print("usage: python tools/ladder.py [KE,KO,L ...]", file=sys.stderr)
-        return 2
+def main():
     print(f"{'rung':>12}  {'monomials':>9}  {'window_s':>8}  {'total_s':>8}  {'rss_mb':>7}  dims")
     passed = True
-    for rung in rungs:
+    for rung in RUNGS:
         line, ok = run_rung(*rung)
         print(line, flush=True)
         passed &= ok
@@ -84,4 +76,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
