@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -357,7 +358,8 @@ def cmd_operad(manifest, args, report):
             "weight distribution",
             {str(k): v for k, v in space.weight_distribution().items()},
         )
-        report.check("computed", True)
+        k = args.arity - 1 if which == "lie" else args.arity
+        report.check(f"dimension equals {k}!", space.dimension == math.factorial(k))
     elif which == "bd1":
         op = operads.rees_bd1(labels)
         report.table("dimension", {"BD1": op.dimension()})

@@ -45,6 +45,8 @@ def _second_partials(alg: FreeCDGA, symbols, elem: Elem) -> SparseMatrix:
     ent = {}
     for i, si in enumerate(symbols):
         first = alg.partial(si, elem)
+        if first.is_zero():
+            continue
         for j, sj in enumerate(symbols):
             c = alg.partial(sj, first).constant_term()
             if c:

@@ -535,18 +535,21 @@ class ArnoldAlgebra:
         return (1 if (self.n + 1) % 2 == 0 else -1), (j, i)
 
     def _sorted_word(self, letters):
-        """(sign, word): the letters oriented and graded-commutatively sorted
-        by (j, i), each of degree n; None if a letter repeats (a_ij^2 = 0)."""
+        """(sign, word): the letters oriented by `orient` and sorted by (j, i);
+        passing one degree-n letter over another costs (-1)^n, so the sort adds
+        (-1)^(inversions) for odd n. None if a letter repeats (a_ij^2 = 0)."""
         sign = 1
-        oriented = []
+        keys = []
         for i, j in letters:
-            s, pair = self.orient(i, j)
+            s, (i, j) = self.orient(i, j)
             sign *= s
-            oriented.append(pair)
-        s, word = _koszul_sort(oriented, lambda p: (p[1], p[0]), lambda _: self.n % 2)
-        if len(set(word)) != len(word):
+            keys.append((j, i))
+        if len(set(keys)) != len(keys):
             return None
-        return sign * s, tuple(word)
+        if self.n % 2:
+            sign *= (-1) ** sum(a > b for a, b in combinations(keys, 2))
+        keys.sort()
+        return sign, tuple((i, j) for j, i in keys)
 
     def reduce_word(self, letters, coeff=1):
         """Normalise a product of a_xy letters to {basis word: coeff}."""
@@ -605,20 +608,17 @@ class ArnoldAlgebra:
         """Independent check that the normal forms are a linear basis:
         dim = (square-free words) - rank(Arnold relation multiples).
 
-        Shares orientation and sorting with `reduce_word`, not its rewrite."""
+        One relation row per 3-subset i < k < j and multiplier: the three
+        cyclic rotations of (i, k, j) give the same relation and a reversal
+        its negative, so the other five orderings only repeat rows up to
+        sign and cannot change the rank. Shares orientation and sorting
+        with `reduce_word`, not its rewrite."""
         ambient = [self.canonical_word(c) for c in combinations(self.pairs, length)]
         index = {w: i for i, w in enumerate(ambient)}
         rel_rows = []
-        triples = [
-            (i, k, j)
-            for i in self.labels
-            for k in self.labels
-            for j in self.labels
-            if len({i, k, j}) == 3
-        ]
         # below length 2 there are no relation multiples
         multipliers = list(combinations(self.pairs, length - 2)) if length >= 2 else []
-        for (i, k, j) in triples:
+        for i, k, j in combinations(self.labels, 3):
             for mult in multipliers:
                 row = {}
                 for term in (((i, k), (k, j)), ((k, j), (j, i)), ((j, i), (i, k))):

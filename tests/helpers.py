@@ -957,6 +957,21 @@ def oracle_reduce_word(alg, letters, coeff=F(1)):
     return {tuple(oriented): coeff * sign}
 
 
+def oracle_relation_row(alg, triple, mult, index):
+    """{column: coeff}: the Arnold relation of the ordered triple (i, k, j)
+    times the letters mult, over the words in index."""
+    i, k, j = triple
+    row = {}
+    for term in ([(i, k), (k, j)], [(k, j), (j, i)], [(j, i), (i, k)]):
+        sign, arr = _oracle_oriented_sort(alg, list(term) + list(mult), F(1))
+        if len(set(arr)) != len(arr):
+            continue
+        key = tuple(arr)
+        if key in index:
+            row[index[key]] = row.get(index[key], F(0)) + sign
+    return row
+
+
 def oracle_rank_certificate(alg, length):
     """(square-free words - rank of Arnold relation multiples, normal forms)."""
     from itertools import combinations
@@ -969,16 +984,9 @@ def oracle_rank_certificate(alg, length):
         if len({i, k, j}) == 3
     ]
     multipliers = [()] if length == 2 else list(combinations(alg.pairs, length - 2))
-    for (i, k, j) in triples:
+    for triple in triples:
         for mult in multipliers:
-            row = {}
-            for term in ([(i, k), (k, j)], [(k, j), (j, i)], [(j, i), (i, k)]):
-                sign, arr = _oracle_oriented_sort(alg, list(term) + list(mult), F(1))
-                if len(set(arr)) != len(arr):
-                    continue
-                key = tuple(arr)
-                if key in index:
-                    row[index[key]] = row.get(index[key], F(0)) + sign
+            row = oracle_relation_row(alg, triple, mult, index)
             if row:
                 rel_rows.append(row)
     mat = SparseMatrix(

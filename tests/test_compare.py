@@ -398,7 +398,8 @@ def test_reconstruct_two_tensor_calibrates_each_nonzero_slot_once(monkeypatch):
             compare._reconstruct_two_tensor(alg, symbols, SparseMatrix(4, 4, ent))
     with pytest.raises(Degenerate, match="not graded-symmetric"):
         compare._reconstruct_two_tensor(alg, symbols, SparseMatrix(4, 4, {(1, 0): 1}))
-    # two partials per folded nonzero slot, then one m + m^2 check
+    # two partials per folded nonzero slot, then a check of m first partials
+    # and m second partials for each first partial that is not zero
     calls = []
     partial = FreeCDGA.partial
 
@@ -410,3 +411,7 @@ def test_reconstruct_two_tensor_calibrates_each_nonzero_slot_once(monkeypatch):
     mat = SparseMatrix(4, 4, {(0, 0): 3, (0, 1): 5, (1, 0): 5, (2, 3): 1, (3, 2): -1})
     compare._reconstruct_two_tensor(alg, symbols, mat)
     assert len(calls) == 2 * 3 + 4 + 4 * 4
+    # rows y, t, u are zero: only x's first partial is differentiated again
+    calls.clear()
+    compare._reconstruct_two_tensor(alg, symbols, SparseMatrix(4, 4, {(0, 0): 3}))
+    assert len(calls) == 2 * 1 + 4 + 1 * 4

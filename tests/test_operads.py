@@ -1,19 +1,22 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
-from math import factorial
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
 from helpers import (
     OracleBD1,
     OraclePn,
+    _oracle_oriented_sort,
     oracle_pn_compose,
     oracle_rank_certificate,
+    oracle_relation_row,
     oracle_reduce_word,
 )
 from spw.errors import ArityTooLarge
-from spw.exactlin import QPoly
+from spw.exactlin import QPoly, SparseMatrix
+from spw import operads
 from spw.freecdga import FreeCDGA, Generator
 from spw.operads import (
     BD1Space,
@@ -216,6 +219,61 @@ def test_arnold_normal_form_and_certificate_match_the_oracle():
             alg = arnold_algebra(n, labels)
             for length in range(2, len(labels)):
                 assert alg.rank_certificate(length) == oracle_rank_certificate(alg, length)
+
+
+def test_arnold_sorted_word_matches_the_bubble_sort():
+    rng = random.Random(5)
+    outcomes = set()
+    for n in range(4):
+        alg = arnold_algebra(n, (1, 2, 3, 4))
+        for _ in range(300):
+            letters = [tuple(rng.sample(alg.labels, 2)) for _ in range(rng.randrange(5))]
+            if letters and rng.random() < 0.3:
+                # repeat a letter, as given or reversed
+                x = rng.choice(letters)
+                letters.insert(rng.randrange(len(letters) + 1), rng.choice([x, x[::-1]]))
+            sign, oriented = _oracle_oriented_sort(alg, letters, 1)
+            expected = None if len(set(oriented)) < len(oriented) else (sign, tuple(oriented))
+            assert alg._sorted_word(letters) == expected
+            outcomes.add(expected if expected is None else expected[0])
+        with pytest.raises(ValueError, match="a_ii is not a class"):
+            alg._sorted_word([(1, 2), (3, 3)])
+    assert outcomes == {None, 1, -1}
+
+
+def test_arnold_certificate_builds_one_row_per_3_subset(monkeypatch):
+    # the six orderings of a triple give one row up to a common sign, so
+    # the certificate keeps one row per 3-subset and multiplier
+    def up_to_sign(row):
+        s = row[min(row)]
+        return sorted((c, v * s) for c, v in row.items())
+
+    built = []
+
+    def recording(rows, cols, entries):
+        built.append(entries)
+        return SparseMatrix(rows, cols, entries)
+
+    monkeypatch.setattr(operads, "SparseMatrix", recording)
+    for n in range(4):
+        alg = arnold_algebra(n, (1, 2, 3, 4))
+        for length in (2, 3):
+            ambient = [alg.canonical_word(c) for c in combinations(alg.pairs, length)]
+            index = {w: c for c, w in enumerate(ambient)}
+            expected = []
+            for triple in combinations(alg.labels, 3):
+                for mult in combinations(alg.pairs, length - 2):
+                    rows = [oracle_relation_row(alg, t, mult, index) for t in permutations(triple)]
+                    negated = {c: -v for c, v in rows[0].items()}
+                    assert rows[0] and all(row in (rows[0], negated) for row in rows)
+                    expected.append(up_to_sign(rows[0]))
+            built.clear()
+            alg.rank_certificate(length)
+            got = {}
+            for r, c, v in built[0]:
+                got.setdefault(r, {})[c] = v
+            assert len(got) == comb(4, 3) * comb(6, length - 2)
+            assert sorted(up_to_sign(row) for row in got.values()) == sorted(expected)
 
 
 # -- BD_1 ------------------------------------------------------------------------
