@@ -607,10 +607,10 @@ def build_algebra(block: Block):
     from .freecdga import FreeCDGA, Generator
 
     v = block.values
-    alg = FreeCDGA([Generator(*g) for g in v["gens"]], base_names=v["base"])
-    alg.set_differential({x: eval_poly(e, alg) for x, e in v["d(<x>)"].items()})
-    alg.set_mixed({x: eval_poly(e, alg) for x, e in v["eps(<x>)"].items()})
-    return alg
+    gens = [Generator(*g) for g in v["gens"]]
+    free = FreeCDGA(gens, base_names=v["base"])  # the maps are written on its generators
+    d, eps = ({x: eval_poly(e, free) for x, e in v[key].items()} for key in ("d(<x>)", "eps(<x>)"))
+    return FreeCDGA(gens, base_names=v["base"], differential=d, mixed=eps)
 
 
 def build_lie(block: Block):

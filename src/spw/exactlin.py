@@ -353,7 +353,8 @@ def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
     Checks d_out @ d_in == 0 exactly and raises CompositionNonzero otherwise.
     Representatives are the `kernel_basis(d_out)` vectors independent of
     the image and of the kernel vectors before them: those whose columns
-    are pivot columns of [d_in | kernel vectors], found by one elimination.
+    are pivot columns of [d_in | kernel vectors], found by one elimination;
+    when d_in is zero, every kernel vector.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
@@ -362,7 +363,9 @@ def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
     ker = kernel_basis(d_out)
     dim = len(ker) - d_in.rank()
     reps = []
-    if dim:
+    if dim == len(ker):
+        reps = ker  # d_in has rank 0: no elimination needed
+    elif dim:
         n = d_in.cols
         entries = dict(d_in.items())
         for t, v in enumerate(ker):

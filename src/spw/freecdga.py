@@ -8,6 +8,8 @@ order of the generators.
 Derivations are given on generators and extended by graded Leibniz, so
 d^2 = 0 and the mixed identities only ever need to be verified on
 generators (the square of an odd derivation is again a derivation).
+An algebra's d and eps are fixed at construction, so each of their term
+tables is built once per algebra, on first use.
 
 Conventions fixed here:
 
@@ -23,7 +25,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Rat
+from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import (
     BidegreeError,
@@ -52,9 +56,10 @@ class Generator:
 
 
 class FreeCDGA:
-    """Free graded-commutative algebra with optional d and mixed eps."""
+    """Free graded-commutative algebra with optional d and mixed eps, given
+    once as {name: Elem on the same generators}; zero values are dropped."""
 
-    def __init__(self, generators, base_names=()):
+    def __init__(self, generators, base_names=(), differential=None, mixed=None):
         gens = []
         for g in generators:
             if isinstance(g, Generator):
@@ -75,8 +80,18 @@ class FreeCDGA:
         for b in self.base_names:
             if b not in self.index:
                 raise ValueError(f"base generator {b!r} not among generators")
-        self.differential = {}  # gen index -> Elem
-        self.mixed = {}  # gen index -> Elem
+        self.differential = self._on_generators(differential)  # read-only, gen index -> Elem
+        self.mixed = self._on_generators(mixed)
+
+    def _on_generators(self, values):
+        return MappingProxyType({
+            self.index[name]: Elem(self, v.terms) for name, v in (values or {}).items() if not v.is_zero()
+        })
+
+    @cached_property
+    def _tables(self):
+        """The term tables (see _term_table) of d and of eps."""
+        return _term_table(self, self.differential, 1), _term_table(self, self.mixed, 1)
 
     # -- identity ------------------------------------------------------
 
@@ -112,24 +127,11 @@ class FreeCDGA:
 
     # -- structure maps --------------------------------------------------
 
-    def set_differential(self, values):
-        """Install d on generators; values is {name: Elem}.  Returns self."""
-        self.differential = {
-            self.index[name]: v for name, v in values.items() if not v.is_zero()
-        }
-        return self
-
-    def set_mixed(self, values):
-        self.mixed = {
-            self.index[name]: v for name, v in values.items() if not v.is_zero()
-        }
-        return self
-
     def d(self, elem: "Elem") -> "Elem":
-        return apply_derivation(self, elem, self.differential, parity=1)
+        return _derive(self, self._tables[0], elem)
 
     def eps(self, elem: "Elem") -> "Elem":
-        return apply_derivation(self, elem, self.mixed, parity=1)
+        return _derive(self, self._tables[1], elem)
 
     def partial(self, name, elem: "Elem") -> "Elem":
         """Left graded partial derivative with respect to one generator."""
@@ -312,6 +314,11 @@ def apply_derivation(alg, elem, values, parity):
     elem, in the order of its terms, into one shared dict.  The term table
     holds only the letters of elem."""
     table = _term_table(alg, {i: values[i] for mono in elem.terms for i in mono if i in values}, parity)
+    return _derive(alg, table, elem)
+
+
+def _derive(alg, table, elem):
+    """The derivation of `table` (see _term_table) on elem."""
     acc = {}
     for mono, coeff in elem.terms.items():
         _image(table, mono, acc=acc, coeff=coeff)
@@ -584,7 +591,7 @@ def _closure(alg: FreeCDGA, window: Window):
     """
     wmin, wmax, dmin, dmax = window.wmin, window.wmax, window.dmin, window.dmax
     inside = _box_words(alg, window.max_len, wmin, wmax, dmin, dmax)
-    tables = (_term_table(alg, alg.differential, 1), _term_table(alg, alg.mixed, 1))
+    tables = alg._tables
     images = {}
     frontier = list(inside)
     for _ in range(window.closure_rounds):
@@ -707,8 +714,8 @@ def total_complex_window(alg: FreeCDGA, window: Window) -> ChainComplex:
 
 def _with_symbols(b: FreeCDGA):
     """B[d<g>] on a symbol d<g> of degree deg(g) + 1 and weight wt(g) + 1
-    for each non-base generator g, and the odd universal derivation
-    u: g -> d<g> as {gen index: Elem}.
+    for each non-base generator g, with the odd universal derivation
+    u: g -> d<g> as eps.
 
     The differential of B is carried over, with d(d<g>) = -u(d g).
     Raises BidegreeMismatch when some d g is not of bidegree
@@ -721,12 +728,9 @@ def _with_symbols(b: FreeCDGA):
         if "d" + g.name in b.index:
             raise DuplicateName(f"symbol name {'d' + g.name!r} collides with a generator")
         gens.append(Generator("d" + g.name, g.degree + 1, g.weight + 1, g.internal_weight))
-    alg = FreeCDGA(gens, base_names=b.base_names)
-    u = {
-        alg.index[g.name]: alg.gen("d" + g.name)
-        for g in b.generators
-        if g.name not in b.base_names
-    }
+    free = FreeCDGA(gens, base_names=b.base_names)
+    u = {g.name: free.gen("d" + g.name) for g in b.generators if g.name not in b.base_names}
+    u_at = {free.index[name]: v for name, v in u.items()}
     d_vals = {}
     for i, g in enumerate(b.generators):
         dg = b.differential.get(i)
@@ -738,12 +742,11 @@ def _with_symbols(b: FreeCDGA):
                 raise BidegreeMismatch(
                     f"d({g.name}) has the term {b.mono_str(m)} outside bidegree {want}"
                 )
-        d_vals[g.name] = Elem(alg, dg.terms)
+        d_vals[g.name] = Elem(free, dg.terms)
     for i, g in enumerate(b.generators):
         if g.name not in b.base_names and i in b.differential:
-            d_vals["d" + g.name] = apply_derivation(alg, d_vals[g.name], u, parity=1).scale(-1)
-    alg.set_differential(d_vals)
-    return alg, u
+            d_vals["d" + g.name] = apply_derivation(free, d_vals[g.name], u_at, parity=1).scale(-1)
+    return FreeCDGA(gens, base_names=b.base_names, differential=d_vals, mixed=u)
 
 
 @dataclass
@@ -768,8 +771,7 @@ class DeRhamAlgebra:
 
 def de_rham(b: FreeCDGA) -> DeRhamAlgebra:
     """Strict de Rham graded mixed cdga of B (relative to its base)."""
-    alg, u = _with_symbols(b)
-    alg.mixed = u
+    alg = _with_symbols(b)
     symbols = tuple(g.name for g in alg.generators[len(b.generators):])
     return DeRhamAlgebra(base=b, algebra=alg, symbols=symbols)
 
@@ -806,19 +808,17 @@ class ClosedFormTower:
     def check_cocycle(self, wmax) -> bool:
         """(d + eps) of the tower has no term of weight <= wmax.
 
-        d + eps is the derivation with the values d(g) + eps(g), so one
-        apply_derivation call images the sum of the components."""
+        Each component word is imaged by the algebra's d table and then its
+        eps table into one dict; a word whose coefficient sums to 0 is
+        deleted, so the words left do not depend on the order."""
         alg = self.de_rham.algebra
-        total = {}
+        image = {}
         for e in self.components.values():
             for m, c in e.terms.items():
-                total[m] = total.get(m, 0) + c
-        values = dict(alg.mixed)
-        for i, v in alg.differential.items():
-            values[i] = v + values[i] if i in values else v
-        image = apply_derivation(alg, Elem(alg, total), values, parity=1)
+                for table in alg._tables:
+                    _image(table, m, acc=image, coeff=c)
         weights = alg.weights
-        return all(sum(weights[i] for i in m) > wmax for m in image.terms)
+        return all(sum(weights[i] for i in m) > wmax for m in image)
 
 
 @dataclass
@@ -922,18 +922,18 @@ def koszul(b: FreeCDGA, fs, powers=None) -> KoszulComplex:
             name = "_" + name
         gens.append(Generator(name, -1, 0, 0))
         odd.append(name)
-    alg = FreeCDGA(gens)
+    free = FreeCDGA(gens)
     rels = []
     d_vals = {}
     for name, f, k in zip(odd, fs, powers):
-        fk = Elem(alg, dict((f ** k).terms))
+        fk = Elem(free, (f ** k).terms)
         if fk.constant_term():
             raise BidegreeError(
                 f"Koszul relation {fk} has a (0, 0) component: it must be a non-unit"
             )
         d_vals[name] = fk
         rels.append(f ** k)
-    alg.set_differential(d_vals)
+    alg = FreeCDGA(gens, differential=d_vals)
     return KoszulComplex(base=b, algebra=alg, odd_gens=tuple(odd), relations=tuple(rels))
 
 
@@ -997,9 +997,10 @@ def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:
     probe = k.homotopy_dims(max_len=max_len, min_degree=-3)
     if any(v for i, v in probe.items() if i >= 1):
         raise NotRegular(f"higher Koszul homotopy in probe window: {probe}")
-    rel = FreeCDGA(k.algebra.generators, base_names=[g.name for g in b.generators])
-    rel.set_differential(
-        {k.algebra.generators[i].name: Elem(rel, dict(v.terms)) for i, v in k.algebra.differential.items()}
+    gens = k.algebra.generators
+    rel = FreeCDGA(
+        gens, base_names=[g.name for g in b.generators],
+        differential={gens[i].name: v for i, v in k.algebra.differential.items()},
     )
     dr = de_rham(rel)
     weight0 = {}

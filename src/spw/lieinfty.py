@@ -112,21 +112,20 @@ def ce(g: LieAlgebra, weight_zero_duals=False) -> FreeCDGA:
     the CE differential installed as d) used for polyvector computations.
     """
     wt = 0 if weight_zero_duals else 1
-    alg = FreeCDGA([Generator(f"xi{i+1}", 1, wt) for i in range(g.dim)])
+    gens = [Generator(f"xi{i+1}", 1, wt) for i in range(g.dim)]
+    free = FreeCDGA(gens)
     vals = {}
     for k in range(g.dim):
-        img = alg.zero()
+        img = free.zero()
         for i, j in combinations(range(g.dim), 2):
             coeff = g.c[i][j][k]
             if coeff:
-                img = img + (alg.gen(f"xi{i+1}") * alg.gen(f"xi{j+1}")).scale(-coeff)
+                img = img + (free.gen(f"xi{i+1}") * free.gen(f"xi{j+1}")).scale(-coeff)
         if not img.is_zero():
             vals[f"xi{k+1}"] = img
     if weight_zero_duals:
-        alg.set_differential(vals)
-    else:
-        alg.set_mixed(vals)
-    return alg
+        return FreeCDGA(gens, differential=vals)
+    return FreeCDGA(gens, mixed=vals)
 
 
 def ce_complex(g: LieAlgebra) -> GradedMixedComplex:

@@ -66,7 +66,8 @@ class PolyvectorAlgebra:
             if not img.is_zero():
                 # -(-1)^{deg g_i}: forced by d[theta_i, g_j] = 0
                 d_vals[self.theta_names[i]] = img.scale(1 if g.degree % 2 else -1)
-        self.algebra.set_differential(d_vals)
+        # the bracket above needs only the generators: the maps come last
+        self.algebra = FreeCDGA(gens, differential=d_vals)
 
     # -- elements ----------------------------------------------------------
 

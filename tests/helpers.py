@@ -234,7 +234,7 @@ def random_valid_cdga(rng, max_gens=4, degree_span=(-3, 3)):
 
     n = rng.randint(1, max_gens)
     gens = [(f"g{i+1}", rng.randint(*degree_span)) for i in range(n)]
-    alg = FreeCDGA(gens)
+    alg = FreeCDGA(gens)  # map-free: d is written on it, then installed
     closed = []  # indices of generators with d = 0
     d_vals = {}
     order = list(range(n))
@@ -259,8 +259,7 @@ def random_valid_cdga(rng, max_gens=4, degree_span=(-3, 3)):
             d_vals[g.name] = Elem(alg, terms)
         else:
             closed.append(i)
-    alg.set_differential(d_vals)
-    return alg
+    return FreeCDGA(gens, differential=d_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +671,12 @@ def oracle_apply_derivation(alg, elem, values, parity):
     return out
 
 
-def _oracle_symbols(b, shift):
+def _oracle_symbols(b, shift, **maps):
     gens = list(b.generators)
     for g in b.generators:
         if g.name not in b.base_names:
             gens.append(Generator("d" + g.name, g.degree + shift, g.weight + 1, g.internal_weight))
-    return FreeCDGA(gens, base_names=b.base_names)
+    return FreeCDGA(gens, base_names=b.base_names, **maps)
 
 
 def _oracle_symbol_differential(b, alg, image_of_dg):
@@ -694,15 +693,16 @@ def _oracle_symbol_differential(b, alg, image_of_dg):
             val = image_of_dg(Elem(alg, dict(dg.terms)))
             if not val.is_zero():
                 d_vals["d" + g.name] = val
-    alg.set_differential(d_vals)
+    return d_vals
 
 
 def oracle_de_rham(b):
     """The de Rham algebra as built before the shared symbol builder."""
-    alg = _oracle_symbols(b, 1)
-    alg.set_mixed({g.name: alg.gen("d" + g.name) for g in b.generators if g.name not in b.base_names})
-    _oracle_symbol_differential(b, alg, lambda e: oracle_apply_derivation(alg, e, alg.mixed, 1).scale(-1))
-    return alg
+    free = _oracle_symbols(b, 1)
+    mixed = {g.name: free.gen("d" + g.name) for g in b.generators if g.name not in b.base_names}
+    u = {free.index[name]: v for name, v in mixed.items()}
+    d_vals = _oracle_symbol_differential(b, free, lambda e: oracle_apply_derivation(free, e, u, 1).scale(-1))
+    return _oracle_symbols(b, 1, differential=d_vals, mixed=mixed)
 
 
 # ---------------------------------------------------------------------------

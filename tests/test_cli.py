@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -130,6 +131,16 @@ def test_ce_and_invariants_and_z(capsys):
     assert code == 0 and '"wedge3": 1' in out
     code, out, _ = run(capsys, "z-from-t", path("sl2.spw"))
     assert code == 0
+
+
+def test_invariance_recheck_fails_on_a_tensor_that_is_not_invariant(capsys, monkeypatch):
+    from spw import lieinfty
+
+    # e1 (x) e1 is not sl2-invariant: sl2 has no centre
+    monkeypatch.setattr(lieinfty, "invariants", lambda g, kind: [lieinfty.InvariantTensor("sym2", {(0, 0): 1})])
+    code, out, _ = run(capsys, "invariants", path("sl2.spw"), "--kind", "sym2", "--json")
+    assert code == 1
+    assert json.loads(out)["verdicts"] == [{"check": "invariance recheck", "status": "fail"}]
 
 
 def test_lie_from_mixed_roundtrip_via_files(capsys):
@@ -489,13 +500,29 @@ def test_two_calls_build_the_parser_once(capsys, monkeypatch):
 
 def test_max_weight_is_read_from_the_environment_on_each_call(capsys, monkeypatch):
     argv = ("closed-forms", path("plane_poisson.spw"), "--target", "B", "--max-len", "4", "--json")
-    stages = []
-    for weight in ("3", "4"):
-        monkeypatch.setenv("SPW_MAX_WEIGHT", weight)
+    set_defaults = argparse.ArgumentParser.set_defaults
+    calls = []
+
+    def counting(parser, **kwargs):
+        calls.append(kwargs)
+        return set_defaults(parser, **kwargs)
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(argparse.ArgumentParser, "set_defaults", counting)
+    stages, resets = [], []
+    for weight in ("3", "4", "3", None, None):
+        if weight is None:
+            monkeypatch.delenv("SPW_MAX_WEIGHT", raising=False)
+        else:
+            monkeypatch.setenv("SPW_MAX_WEIGHT", weight)
         code, out, _ = run(capsys, *argv)
         assert code == 0
         stages.append(sorted(json.loads(out)["tables"]["hodge stages"]))
-    assert stages == [["2", "3"], ["2", "3", "4"]]
+        resets.append(len(calls))
+        calls.clear()
+    assert stages == [["2", "3"], ["2", "3", "4"], ["2", "3"], ["2", "3", "4", "5", "6"], ["2", "3", "4", "5", "6"]]
+    # the subparsers' defaults are set again only when the limits change
+    assert resets == [len(cli.COMMANDS)] * 4 + [0]
 
 
 @pytest.mark.parametrize(

@@ -235,8 +235,8 @@ def test_strictify_gauge_round_trip_exact():
 
 
 def test_strictify_rejects_nonminimal_base():
-    b = FreeCDGA([("x", 0), ("xi", -1)])
-    b.set_differential({"xi": b.gen("x")})
+    gens = [("x", 0), ("xi", -1)]
+    b = FreeCDGA(gens, differential={"xi": FreeCDGA(gens).gen("x")})
     dr = de_rham(b)
     tower = ClosedFormTower(dr, 2, 0, {})
     with pytest.raises(NotMinimal):
@@ -306,8 +306,9 @@ def test_obstructed_leading_term_cannot_pass_mc():
 
 def test_strictify_raises_when_a_solution_breaks_its_identities(monkeypatch):
     # minimal base with d(xi) = x y, so eps(x dxi)-type forms need not be d-closed
-    b = FreeCDGA([("x", 0), ("y", 0), ("xi", -1)])
-    b.set_differential({"xi": b.gen("x") * b.gen("y")})
+    gens = [("x", 0), ("y", 0), ("xi", -1)]
+    free = FreeCDGA(gens)
+    b = FreeCDGA(gens, differential={"xi": free.gen("x") * free.gen("y")})
     dr = de_rham(b)
     tower = ClosedFormTower(dr, 2, -1, {2: dr.algebra.gen("dx") * dr.algebra.gen("dy")})
     window = Window(1, 4, -1, 3, 4)

@@ -283,7 +283,7 @@ def _random_complex_pair(rng):
     return s @ d_in, d_out @ s_inv
 
 
-def test_homology_representatives_match_greedy_oracle():
+def test_homology_representatives_match_greedy_oracle(monkeypatch):
     rng = random.Random(506)
     for _ in range(60):
         d_in, d_out = _random_complex_pair(rng)
@@ -291,6 +291,21 @@ def test_homology_representatives_match_greedy_oracle():
         reps = [helpers.dense_vector(v, d_out.cols) for v in h.representatives]
         assert reps == helpers.oracle_homology_reps(d_in, d_out)
         assert h.dimension == len(h.representatives)
+    # a zero d_in, with no columns or with some: every kernel vector is a
+    # representative, and no stacked matrix is eliminated
+    pivot_columns = SparseMatrix.pivot_columns
+    stacked = []
+    monkeypatch.setattr(SparseMatrix, "pivot_columns", lambda m: stacked.append(m) or pivot_columns(m))
+    for a in (0, 0, 0, 2, 3, 5):
+        n = rng.randrange(1, 8)
+        _, s_inv = helpers.random_unimodular(rng, n)
+        d_out = helpers.random_rational_matrix(rng, rng.randrange(0, n), n, 0.4) @ s_inv
+        d_in = SparseMatrix.zero(n, a)
+        h = homology(d_in, d_out)
+        assert not stacked
+        reps = [helpers.dense_vector(v, d_out.cols) for v in h.representatives]
+        assert reps == helpers.oracle_homology_reps(d_in, d_out)
+        assert h.dimension == len(reps) > 0
 
 
 def test_homology_dims_is_rank_nullity_of_homology():

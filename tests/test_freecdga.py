@@ -66,15 +66,16 @@ def test_validate_polynomial_ring():
 
 
 def test_validate_koszul_style_differential():
-    alg = FreeCDGA([("x", 0), ("xi", -1)])
-    alg.set_differential({"xi": alg.gen("x") ** 2})
+    gens = [("x", 0), ("xi", -1)]
+    alg = FreeCDGA(gens, differential={"xi": FreeCDGA(gens).gen("x") ** 2})
     assert validate_cdga(alg).valid
 
 
 def test_validate_rejects_inconsistent_differential():
     # d(xi) = xi * x has d^2(xi) = x * d(xi) pattern: not square zero
-    alg = FreeCDGA([("x", 0), ("xi", -1)])
-    alg.set_differential({"xi": alg.gen("xi") * alg.gen("x")})
+    gens = [("x", 0), ("xi", -1)]
+    free = FreeCDGA(gens)
+    alg = FreeCDGA(gens, differential={"xi": free.gen("xi") * free.gen("x")})
     rep = validate_cdga(alg)
     assert not rep.valid
     assert any(v[0] in ("d^2", "d degree") for v in rep.violations)
@@ -159,7 +160,10 @@ def test_closed_forms_match_a_window_per_stage_and_fiber():
         assert _closed_form_answer(b, p, n, wmax, max_len) == want
 
 
-def test_check_cocycle_matches_the_elem_sum_oracle():
+def test_check_cocycle_matches_the_elem_sum_oracle(monkeypatch):
+    term_table = freecdga._term_table
+    built = []
+    monkeypatch.setattr(freecdga, "_term_table", lambda *args: built.append(args) or term_table(*args))
     rng = random.Random(1213)
     towers = failing = 0
     for _ in range(120):
@@ -174,7 +178,10 @@ def test_check_cocycle_matches_the_elem_sum_oracle():
         words = [m for m, (w, _) in window_basis(dr.algebra, Window(p, wmax, -4, 4, max_len)).items() if w >= p]
         for tower in rep.representatives:
             towers += 1
-            assert tower.check_cocycle(wmax) and oracle_check_cocycle(tower, wmax)
+            built.clear()
+            assert tower.check_cocycle(wmax)
+            assert not built  # closed_form_classes built the algebra's tables
+            assert oracle_check_cocycle(tower, wmax)
             if not words:
                 continue
             # perturb one component by a word that is not a cocycle alone
@@ -197,8 +204,9 @@ def test_closed_form_fiber_is_not_the_weight_slice():
     # d lengthens g2 to g1*g3, so the window of weights 2..3 holds words of
     # weight 2 longer than max_len, and their eps-image dg1*dg2*dg3; the
     # window of weight 3 alone does not hold it
-    b = FreeCDGA([("g1", -2), ("g2", -1), ("g3", 2)])
-    b.set_differential({"g2": -(b.gen("g1") * b.gen("g3"))})
+    gens = [("g1", -2), ("g2", -1), ("g3", 2)]
+    free = FreeCDGA(gens)
+    b = FreeCDGA(gens, differential={"g2": -(free.gen("g1") * free.gen("g3"))})
     answer = _closed_form_answer(b, 2, 0, 3, 2)
     assert answer == oracle_closed_form_classes(b, 2, 0, 3, 2)
     assert answer[2] == {2: 0}
@@ -334,8 +342,8 @@ def test_d_functor_rejects_non_regular():
 
 
 def test_degree_one_differential_on_generators_is_valid():
-    alg = FreeCDGA([("x", 0), ("xi", 1)])
-    alg.set_differential({"x": alg.gen("xi")})
+    gens = [("x", 0), ("xi", 1)]
+    alg = FreeCDGA(gens, differential={"x": FreeCDGA(gens).gen("xi")})
     assert validate_cdga(alg).valid
 
 
@@ -473,21 +481,25 @@ def _closure_cases():
         b = FreeCDGA([(f"x{i}", 0) for i in range(rng.randint(1, 3))])
         fs = _random_ideal(rng, b) or [b.gen("x0") * b.gen("x0")]
         k = koszul(b, fs).algebra
-        rel = FreeCDGA(k.generators, base_names=[g.name for g in b.generators])
-        rel.set_differential({k.generators[i].name: Elem(rel, v.terms) for i, v in k.differential.items()})
+        rel = FreeCDGA(
+            k.generators, base_names=[g.name for g in b.generators],
+            differential={k.generators[i].name: v for i, v in k.differential.items()},
+        )
         for max_len in (rng.randint(2, 5), 0, -1):
             yield k, Window(0, 0, -4, 1, max_len)
             yield de_rham(rel).algebra, Window(0, rng.randint(0, 3), -3, 2, max_len)
     for _ in range(60):
         # arbitrary, inhomogeneous values: images below the box, constant
         # terms, multi-letter odd terms and cancellations
-        alg = FreeCDGA([(f"g{i}", rng.randint(-2, 2), rng.randint(0, 1)) for i in range(rng.randint(1, 4))])
-        monos = list(enumerate_monomials(alg, 3))
-        for values in (alg.differential, alg.mixed):
-            for i in rng.sample(range(len(alg.generators)), rng.randint(0, len(alg.generators))):
+        gens = [(f"g{i}", rng.randint(-2, 2), rng.randint(0, 1)) for i in range(rng.randint(1, 4))]
+        free = FreeCDGA(gens)
+        monos = list(enumerate_monomials(free, 3))
+        maps = ({}, {})
+        for values in maps:
+            for i in rng.sample(range(len(gens)), rng.randint(0, len(gens))):
                 picked = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
-                values[i] = Elem(alg, {m: rng.choice((-1, 1, F(1, 2), 2)) for m in picked})
-        yield alg, _random_window(rng)
+                values[gens[i][0]] = Elem(free, {m: rng.choice((-1, 1, F(1, 2), 2)) for m in picked})
+        yield FreeCDGA(gens, differential=maps[0], mixed=maps[1]), _random_window(rng)
     for _ in range(20):
         # closed-forms boxes: weights p.., degrees n + p +- 2
         b = random_valid_cdga(rng, max_gens=3)
@@ -692,9 +704,10 @@ def test_apply_derivation_matches_elem_product_oracle_in_order():
 
 
 def _relative(b, rng):
-    rel = FreeCDGA(b.generators, base_names=[g.name for g in b.generators if rng.random() < 0.4])
-    rel.differential = {i: Elem(rel, v.terms) for i, v in b.differential.items()}
-    return rel
+    return FreeCDGA(
+        b.generators, base_names=[g.name for g in b.generators if rng.random() < 0.4],
+        differential={b.generators[i].name: v for i, v in b.differential.items()},
+    )
 
 
 def _in_order(structure):
@@ -717,10 +730,9 @@ def test_de_rham_matches_the_separate_builder():
 
 def test_image_inside_the_window_at_another_bidegree_is_refused():
     # d(x) = x is of degree 0, not 1; d(x) = x + y is inhomogeneous
-    line = FreeCDGA([("x", 0)])
-    line.set_differential({"x": line.gen("x")})
-    mixed = FreeCDGA([("x", 0), ("y", 1)])
-    mixed.set_differential({"x": mixed.gen("x") + mixed.gen("y")})
+    free_line, free_mixed = FreeCDGA([("x", 0)]), FreeCDGA([("x", 0), ("y", 1)])
+    line = FreeCDGA(free_line.generators, differential={"x": free_line.gen("x")})
+    mixed = FreeCDGA(free_mixed.generators, differential={"x": free_mixed.gen("x") + free_mixed.gen("y")})
     for alg in (line, mixed):
         with pytest.raises(BidegreeMismatch, match="image of x has the term x"):
             graded_mixed_window(alg, Window(0, 2, -2, 2, 3))

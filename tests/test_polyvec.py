@@ -339,8 +339,8 @@ def test_mc_tower_with_solved_correction():
     # d-closed but [p_0, p_0] != 0, so the i = 0 equation fails without
     # p_1; [p_0, p_0] is d-exact, so solving d p_1 = -1/2 [p_0, p_0] in the
     # weight-3 slot repairs the tower.
-    b = FreeCDGA([("x", 0), ("y", 0), ("z", 0), ("u", -1)])
-    b.set_differential({"u": b.gen("x")})
+    gens = [("x", 0), ("y", 0), ("z", 0), ("u", -1)]
+    b = FreeCDGA(gens, differential={"u": FreeCDGA(gens).gen("x")})
     n = 0
     pol = PolyvectorAlgebra(b, n + 1)
     x, y, u = (pol.include(b.gen(name)) for name in ("x", "y", "u"))
