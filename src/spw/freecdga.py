@@ -9,7 +9,8 @@ Derivations are given on generators and extended by graded Leibniz, so
 d^2 = 0 and the mixed identities only ever need to be verified on
 generators (the square of an odd derivation is again a derivation).
 An algebra's d and eps are fixed at construction, so each of their term
-tables is built once per algebra, on first use.
+tables, like those of the partial derivatives, is built once per algebra,
+on first use.
 
 Conventions fixed here:
 
@@ -93,6 +94,12 @@ class FreeCDGA:
         """The term tables (see _term_table) of d and of eps."""
         return _term_table(self, self.differential, 1), _term_table(self, self.mixed, 1)
 
+    @cached_property
+    def _partials(self):
+        """The term table of the left partial derivative by each letter."""
+        one = self.one()
+        return tuple(_term_table(self, {i: one}, p) for i, p in enumerate(self.parities))
+
     # -- identity ------------------------------------------------------
 
     def compatible(self, other) -> bool:
@@ -135,10 +142,7 @@ class FreeCDGA:
 
     def partial(self, name, elem: "Elem") -> "Elem":
         """Left graded partial derivative with respect to one generator."""
-        i = self.index[name]
-        return apply_derivation(
-            self, elem, {i: self.one()}, parity=self.parities[i]
-        )
+        return _derive(self, self._partials[self.index[name]], elem)
 
     # -- display ----------------------------------------------------------
 
@@ -926,13 +930,13 @@ def koszul(b: FreeCDGA, fs, powers=None) -> KoszulComplex:
     rels = []
     d_vals = {}
     for name, f, k in zip(odd, fs, powers):
-        fk = Elem(free, (f ** k).terms)
+        fk = f ** k
         if fk.constant_term():
             raise BidegreeError(
                 f"Koszul relation {fk} has a (0, 0) component: it must be a non-unit"
             )
-        d_vals[name] = fk
-        rels.append(f ** k)
+        d_vals[name] = Elem(free, fk.terms)
+        rels.append(fk)
     alg = FreeCDGA(gens, differential=d_vals)
     return KoszulComplex(base=b, algebra=alg, odd_gens=tuple(odd), relations=tuple(rels))
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Rat
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .errors import NotFreeOnV, NotInvariant
 from .exactlin import SparseMatrix, _as_rat, kernel_basis, solve_linear
-from .freecdga import FreeCDGA, Generator, Window, graded_mixed_window
+from .freecdga import Elem, FreeCDGA, Generator, Window, _box_words, _image, _term_table
+from .freecdga import graded_mixed_window
 from .gradedmixed import GradedMixedComplex
 from .polyvec import MaurerCartanTower, PolyvectorAlgebra, mc_check
 
@@ -175,93 +176,54 @@ class InvariantTensor:
     coeffs: dict  # sym2: {(i<=j): c}; wedge3: {(i<j<k): c}
 
 
-def _sym2_basis(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def _action(g: LieAlgebra, kind: str):
+    """(alg, tables): g's basis as letters e0.. of weight 1, even for sym2
+    and odd for wedge3, and for each x the parity-0 term table of ad_x,
+    e_i -> sum_a c[x][i][a] e_a.  A tensor's key is its word; the word's
+    coefficient is the key's times _scale."""
+    if kind not in ("sym2", "wedge3"):
+        raise ValueError("kind must be 'sym2' or 'wedge3'")
+    alg = FreeCDGA([Generator(f"e{i}", 0 if kind == "sym2" else 1, 1) for i in range(g.dim)])
+    tables = []
+    for cx in g.c:
+        values = {i: Elem(alg, {(a,): c for a, c in enumerate(row)}) for i, row in enumerate(cx) if any(row)}
+        tables.append(_term_table(alg, values, 0))
+    return alg, tables
 
 
-def _wedge3_basis(n):
-    return list(combinations(range(n), 3))
-
-
-def _ad_on_sym2(g, x, t):
-    """Coefficients of ad_x(t) for t symmetric: {(i<=j): c}.
-
-    On the full symmetric matrix T of t this is P + P^T with P = C T and
-    C[a][m] = c[x][m][a]; P is summed over the nonzero entries of T and
-    of the structure constants only, and the pair (a, b) of P folds onto
-    the unordered key, twice on the diagonal.
-    """
-    out = {}
-    for (i, j), v in t.items():
-        for m, b in ((i, j), (j, i)) if i != j else ((i, j),):
-            for a, coeff in enumerate(g.c[x][m]):
-                if not coeff:
-                    continue
-                key = (a, b) if a <= b else (b, a)
-                w = coeff * v
-                out[key] = out.get(key, 0) + (2 * w if a == b else w)
-    return {k: v for k, v in out.items() if v}
-
-
-def _wedge_sort(idx):
-    """Sort a wedge index tuple; returns (sign, tuple) or None on repeat."""
-    idx = list(idx)
-    sign = 1
-    for a in range(len(idx)):
-        for b in range(len(idx) - 1 - a):
-            if idx[b] > idx[b + 1]:
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                sign = -sign
-    if len(set(idx)) != len(idx):
-        return None
-    return sign, tuple(idx)
-
-
-def _ad_on_wedge3(g, x, t):
-    out = {}
-    for (i, j, k), c in t.items():
-        for slot, orig in enumerate((i, j, k)):
-            for m in range(g.dim):
-                coeff = g.c[x][orig][m]
-                if not coeff:
-                    continue
-                idx = [i, j, k]
-                idx[slot] = m
-                ws = _wedge_sort(idx)
-                if ws is None:
-                    continue
-                sign, key = ws
-                out[key] = out.get(key, 0) + sign * coeff * c
-    return {k: v for k, v in out.items() if v}
+def _scale(word):
+    """2 for an off-diagonal sym2 key, which stands for both (a, b) and (b, a)."""
+    return 2 if len(word) == 2 and word[0] != word[1] else 1
 
 
 def invariants(g: LieAlgebra, kind: str):
-    """Exact kernel of the adjoint action on Sym^2 g or wedge^3 g."""
-    if kind == "sym2":
-        basis = _sym2_basis(g.dim)
-        act = _ad_on_sym2
-    elif kind == "wedge3":
-        basis = _wedge3_basis(g.dim)
-        act = _ad_on_wedge3
-    else:
-        raise ValueError("kind must be 'sym2' or 'wedge3'")
-    index = {b: i for i, b in enumerate(basis)}
-    # one block row per basis direction x of g
+    """Exact kernel of the adjoint action on Sym^2 g or wedge^3 g, in the
+    tensors' key coordinates: one block row per basis direction x of g."""
+    alg, tables = _action(g, kind)
+    length = 2 if kind == "sym2" else 3
+    basis = sorted(_box_words(alg, length, length, length))
+    index = {b: (i, _scale(b)) for i, b in enumerate(basis)}
     ent = {}
-    for xi, x in enumerate(range(g.dim)):
+    for x, table in enumerate(tables):
+        top = x * len(basis)
         for j, b in enumerate(basis):
-            img = act(g, x, {b: 1})
-            for key, v in img.items():
-                ent[xi * len(basis) + index[key], j] = (
-                    ent.get((xi * len(basis) + index[key], j), 0) + v
-                )
-    mat = SparseMatrix(g.dim * len(basis), len(basis), {k: v for k, v in ent.items() if v})
+            for key, v in _image(table, b, coeff=index[b][1]).items():
+                i, r = index[key]
+                ent[top + i, j] = v if r == 1 else Rat(v, r)  # SparseMatrix keeps an integral value an int
+    mat = SparseMatrix(g.dim * len(basis), len(basis), ent)
     return [InvariantTensor(kind, {basis[i]: c for i, c in vec.items()}) for vec in kernel_basis(mat)]
 
 
 def is_invariant(g: LieAlgebra, tensor: InvariantTensor) -> bool:
-    act = _ad_on_sym2 if tensor.kind == "sym2" else _ad_on_wedge3
-    return all(not act(g, x, tensor.coeffs) for x in range(g.dim))
+    _, tables = _action(g, tensor.kind)
+    for table in tables:
+        image = {}
+        for key, c in tensor.coeffs.items():
+            if c:
+                _image(table, key, acc=image, coeff=c * _scale(key))
+        if image:
+            return False
+    return True
 
 
 def killing_form(g: LieAlgebra) -> InvariantTensor:
@@ -306,10 +268,8 @@ def z_from_t(g: LieAlgebra, t: InvariantTensor) -> InvariantTensor:
                             raw[key] = raw.get(key, 0) + coeff
     # antisymmetrize with the 1/6 projector, read off wedge coefficients
     coeffs = {}
-    for key in _wedge3_basis(n):
+    for key in combinations(range(n), 3):
         total = 0
-        from itertools import permutations
-
         for perm in permutations(range(3)):
             sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
             idx = tuple(key[p] for p in perm)

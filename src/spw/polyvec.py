@@ -9,9 +9,12 @@ biderivation of degree -n extending the tautological pairing
 
 with the shifted antisymmetry  [P,Q] = -(-1)^{(|P|+n)(|Q|+n)} [Q,P]
 and right Leibniz  [P, QR] = [P,Q] R + (-1)^{(|P|+n)|Q|} Q [P,R].
-Implemented by structural recursion on monomials, so both Leibniz rules
-hold by construction; the Jacobiator of an antisymmetric biderivation
-is a triderivation and vanishes on generators, hence identically.
+For p of parity P = |p| + n, [p, -] is the derivation of parity P whose
+value on a letter g is [p, g] = -(-1)^{P(|g|+n)} [g, h] d_h p, h the
+partner of g; the bracket images q through that derivation's term table
+(freecdga's one routine), one table per parity of p.  The Jacobiator of
+an antisymmetric biderivation is a triderivation and vanishes on
+generators, hence identically.
 
 The differential induced from d_B acts on the duals by
 
@@ -28,7 +31,7 @@ from fractions import Fraction as Rat
 
 from .errors import BidegreeError, Degenerate, ShiftMismatch
 from .exactlin import SparseMatrix
-from .freecdga import Elem, FreeCDGA, Generator, _box_words
+from .freecdga import Elem, FreeCDGA, Generator, _box_words, _derive, apply_derivation
 
 
 class PolyvectorAlgebra:
@@ -46,27 +49,31 @@ class PolyvectorAlgebra:
             gens.append(Generator(name, shift - g.degree, 1, g.internal_weight))
             self.theta_names.append(name)
         self.algebra = FreeCDGA(gens)
-        self._n_base = len(base.generators)
-        self._bracket_cache = {}
+        n_base = self._n_base = len(base.generators)
+        # per letter: its partner (@g for g, g for @g), the pairing sign
+        # [letter, partner] and the parity of |letter| + n
+        self._partners = tuple(
+            (i + n_base, 1 if (g.degree + shift) * g.degree % 2 else -1, (g.degree + shift) % 2)
+            for i, g in enumerate(base.generators)
+        ) + tuple((i, 1, g.degree % 2) for i, g in enumerate(base.generators))
         d_vals = {}
         for i, g in enumerate(base.generators):
             dg = base.differential.get(i)
             if dg is not None:
                 d_vals[g.name] = self.include(dg)
         for i, g in enumerate(base.generators):
-            theta = self.algebra.gen(self.theta_names[i])
             img = self.algebra.zero()
             for j, h in enumerate(base.generators):
                 dh = base.differential.get(j)
                 if dh is None:
                     continue
-                coeff = self.bracket(theta, self.include(dh))
+                coeff = self.algebra.partial(g.name, self.include(dh))  # [@g_i, d h] = d/dg_i (d h)
                 if not coeff.is_zero():
                     img = img + coeff * self.algebra.gen(self.theta_names[j])
             if not img.is_zero():
                 # -(-1)^{deg g_i}: forced by d[theta_i, g_j] = 0
                 d_vals[self.theta_names[i]] = img.scale(1 if g.degree % 2 else -1)
-        # the bracket above needs only the generators: the maps come last
+        # the partials above need only the generators: the maps come last
         self.algebra = FreeCDGA(gens, differential=d_vals)
 
     # -- elements ----------------------------------------------------------
@@ -86,53 +93,27 @@ class PolyvectorAlgebra:
 
     # -- bracket -----------------------------------------------------------
 
-    def _pair(self, a: int, b: int) -> int:
-        n = self.shift
-        if self.is_theta(a) and not self.is_theta(b) and a - self._n_base == b:
-            return 1
-        if self.is_theta(b) and not self.is_theta(a) and b - self._n_base == a:
-            da = self.algebra.gen_degree(a)
-            db = self.algebra.gen_degree(b)
-            s = (da + n) * (db + n)
-            return 1 if s % 2 else -1
-        return 0
-
-    def _bracket_mono(self, m1, m2) -> Elem:
-        key = (m1, m2)
-        hit = self._bracket_cache.get(key)
-        if hit is not None:
-            return hit
-        alg = self.algebra
-        n = self.shift
-        if not m1 or not m2:
-            out = alg.zero()
-        elif len(m1) == 1 and len(m2) == 1:
-            out = alg.scalar(self._pair(m1[0], m2[0]))
-        elif len(m1) == 1:
-            v = m1[0]
-            w, rest = m2[0], m2[1:]
-            t1 = self._bracket_mono((v,), (w,)) * Elem(alg, {rest: 1})
-            sign = -1 if ((alg.gen_degree(v) + n) * alg.gen_degree(w)) % 2 else 1
-            t2 = (Elem(alg, {(w,): 1}) * self._bracket_mono((v,), rest)).scale(sign)
-            out = t1 + t2
-        else:
-            v, rest = m1[0], m1[1:]
-            deg_rest = sum(alg.gen_degree(i) for i in rest)
-            deg_m2 = sum(alg.gen_degree(i) for i in m2)
-            t1 = Elem(alg, {(v,): 1}) * self._bracket_mono(rest, m2)
-            sign = -1 if (deg_rest * (deg_m2 + n)) % 2 else 1
-            t2 = (self._bracket_mono((v,), m2) * Elem(alg, {rest: 1})).scale(sign)
-            out = t1 + t2
-        self._bracket_cache[key] = out
-        return out
-
     def bracket(self, p: Elem, q: Elem) -> Elem:
-        if not p.algebra.compatible(self.algebra) or not q.algebra.compatible(self.algebra):
+        """[p, q]: for each parity P of |p| + n, [p_P, -] is the derivation
+        of parity P with value -(-1)^{P(|g|+n)} [g, h] d_h p_P on a letter g,
+        h its partner (see _partners), imaged through q."""
+        alg = self.algebra
+        if not p.algebra.compatible(alg) or not q.algebra.compatible(alg):
             raise ShiftMismatch("polyvectors from a different algebra or shift")
-        out = self.algebra.zero()
-        for m1, c1 in p.terms.items():
-            for m2, c2 in q.terms.items():
-                out = out + self._bracket_mono(m1, m2).scale(c1 * c2)
+        parts = {}
+        for m, c in p.terms.items():
+            parts.setdefault((p.mono_degree(m) + self.shift) % 2, {})[m] = c
+        letters = {i for m in q.terms for i in m}
+        out = alg.zero()
+        for parity, terms in parts.items():
+            part = Elem(alg, terms)
+            values = {}
+            for g in letters:
+                h, pair, odd = self._partners[g]
+                v = _derive(alg, alg._partials[h], part)
+                if not v.is_zero():
+                    values[g] = v.scale(pair if parity and odd else -pair)
+            out = out + apply_derivation(alg, q, values, parity)
         return out
 
     # -- bases -------------------------------------------------------------

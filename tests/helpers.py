@@ -19,7 +19,10 @@ unit against:
   `ClosedFormTower.check_cocycle` and `freecdga.d_functor`;
 - Fraction-only products, derivations and matrix operations: the
   int-first coefficients of `Elem` and `SparseMatrix`;
-- the dense adjoint action: `lieinfty._ad_on_sym2`;
+- the recursive Schouten bracket: `polyvec.PolyvectorAlgebra.bracket`;
+- the hand-written sparse actions on Sym^2 g and wedge^3 g and their
+  kernel: `lieinfty.invariants` and `lieinfty.is_invariant`; the dense
+  adjoint action: the sparse Sym^2 one;
 - the Poincare-lemma count of de Rham window cohomology.
 Also the per-case time limit of the CLI tests."""
 
@@ -27,10 +30,11 @@ import contextlib
 import random
 import signal
 from fractions import Fraction as F
+from itertools import combinations
 from math import gcd
 
 from spw.errors import WindowTooSmall
-from spw.exactlin import QPoly, SparseMatrix
+from spw.exactlin import QPoly, SparseMatrix, kernel_basis
 from spw.freecdga import (
     Elem,
     FreeCDGA,
@@ -50,6 +54,7 @@ from spw.gradedmixed import (
     shift,
     weight_window_total_complex,
 )
+from spw.lieinfty import InvariantTensor
 from spw.operads import LieWords
 
 
@@ -1136,6 +1141,51 @@ def oracle_matmul(a, b):
     )
 
 
+def oracle_bracket(pol, p, q):
+    """The Schouten bracket of Pol(B, n) by structural recursion on
+    monomials: the routine that `polyvec.PolyvectorAlgebra.bracket`
+    replaced.  Letters pair by [@g, g] = 1 and
+    [g, @g] = -(-1)^{(|g|+n)(|@g|+n)}; a letter brackets a word by right
+    Leibniz, and a longer word brackets a word by left Leibniz."""
+    alg, n, n_base = pol.algebra, pol.shift, pol._n_base
+    deg = alg.gen_degree
+
+    def pair(a, b):
+        if a >= n_base and b < n_base and a - n_base == b:
+            return 1
+        if b >= n_base and a < n_base and b - n_base == a:
+            return 1 if (deg(a) + n) * (deg(b) + n) % 2 else -1
+        return 0
+
+    cache = {}
+
+    def mono(m1, m2):
+        key = (m1, m2)
+        if key in cache:
+            return cache[key]
+        if not m1 or not m2:
+            out = alg.zero()
+        elif len(m1) == 1 and len(m2) == 1:
+            out = alg.scalar(pair(m1[0], m2[0]))
+        elif len(m1) == 1:
+            v, w, rest = m1[0], m2[0], m2[1:]
+            sign = -1 if ((deg(v) + n) * deg(w)) % 2 else 1
+            out = mono(m1, (w,)) * Elem(alg, {rest: 1}) + (Elem(alg, {(w,): 1}) * mono(m1, rest)).scale(sign)
+        else:
+            v, rest = m1[0], m1[1:]
+            deg_rest = sum(map(deg, rest))
+            sign = -1 if (deg_rest * (sum(map(deg, m2)) + n)) % 2 else 1
+            out = Elem(alg, {(v,): 1}) * mono(rest, m2) + (mono((v,), m2) * Elem(alg, {rest: 1})).scale(sign)
+        cache[key] = out
+        return out
+
+    out = alg.zero()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            out = out + mono(m1, m2).scale(c1 * c2)
+    return out
+
+
 def oracle_ad_on_sym2(g, x, t):
     """ad_x(t) for t symmetric as {(i<=j): Fraction}, on the dense n x n
     matrix T of t: C T + T C^T with C[a][m] = c[x][m][a], folded back."""
@@ -1154,6 +1204,85 @@ def oracle_ad_on_sym2(g, x, t):
             if s:
                 out[i, j] = s
     return out
+
+
+def oracle_sparse_ad_on_sym2(g, x, t):
+    """Coefficients of ad_x(t) for t symmetric: {(i<=j): c}, the
+    hand-written action that `lieinfty.invariants` replaced.
+
+    On the full symmetric matrix T of t this is P + P^T with P = C T and
+    C[a][m] = c[x][m][a]; P is summed over the nonzero entries of T and
+    of the structure constants only, and the pair (a, b) of P folds onto
+    the unordered key, twice on the diagonal.
+    """
+    out = {}
+    for (i, j), v in t.items():
+        for m, b in ((i, j), (j, i)) if i != j else ((i, j),):
+            for a, coeff in enumerate(g.c[x][m]):
+                if not coeff:
+                    continue
+                key = (a, b) if a <= b else (b, a)
+                w = coeff * v
+                out[key] = out.get(key, 0) + (2 * w if a == b else w)
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_wedge_sort(idx):
+    """Sort a wedge index tuple; returns (sign, tuple) or None on repeat."""
+    idx = list(idx)
+    sign = 1
+    for a in range(len(idx)):
+        for b in range(len(idx) - 1 - a):
+            if idx[b] > idx[b + 1]:
+                idx[b], idx[b + 1] = idx[b + 1], idx[b]
+                sign = -sign
+    if len(set(idx)) != len(idx):
+        return None
+    return sign, tuple(idx)
+
+
+def oracle_ad_on_wedge3(g, x, t):
+    """ad_x(t) for t in wedge^3 g as {(i<j<k): c}, slot by slot with a
+    bubble-sort sign: the action that `lieinfty.invariants` replaced."""
+    out = {}
+    for (i, j, k), c in t.items():
+        for slot, orig in enumerate((i, j, k)):
+            for m in range(g.dim):
+                coeff = g.c[x][orig][m]
+                if not coeff:
+                    continue
+                idx = [i, j, k]
+                idx[slot] = m
+                ws = _oracle_wedge_sort(idx)
+                if ws is None:
+                    continue
+                sign, key = ws
+                out[key] = out.get(key, 0) + sign * coeff * c
+    return {k: v for k, v in out.items() if v}
+
+
+def oracle_invariants(g, kind):
+    """The kernel of the hand-written actions above, on the keys
+    (i <= j) or (i < j < k) in lexicographic order."""
+    if kind == "sym2":
+        basis = [(i, j) for i in range(g.dim) for j in range(i, g.dim)]
+        act = oracle_sparse_ad_on_sym2
+    else:
+        basis = list(combinations(range(g.dim), 3))
+        act = oracle_ad_on_wedge3
+    index = {b: i for i, b in enumerate(basis)}
+    ent = {}
+    for x in range(g.dim):
+        for j, b in enumerate(basis):
+            for key, v in act(g, x, {b: 1}).items():
+                ent[x * len(basis) + index[key], j] = v
+    mat = SparseMatrix(g.dim * len(basis), len(basis), ent)
+    return [InvariantTensor(kind, {basis[i]: c for i, c in vec.items()}) for vec in kernel_basis(mat)]
+
+
+def oracle_is_invariant(g, tensor):
+    act = oracle_sparse_ad_on_sym2 if tensor.kind == "sym2" else oracle_ad_on_wedge3
+    return all(not act(g, x, tensor.coeffs) for x in range(g.dim))
 
 
 def poincare_window_dims(gens, size):

@@ -143,6 +143,20 @@ def test_invariance_recheck_fails_on_a_tensor_that_is_not_invariant(capsys, monk
     assert json.loads(out)["verdicts"] == [{"check": "invariance recheck", "status": "fail"}]
 
 
+def test_realize_fails_when_the_cell_model_oracle_disagrees(capsys, monkeypatch):
+    from spw import gradedmixed
+
+    code, out, _ = run(capsys, "realize", path("cell.spw"), "--json")
+    assert code == 0
+    assert json.loads(out)["verdicts"] == [{"check": "agrees with Hom(cell model, E)", "status": "pass"}]
+    monkeypatch.setattr(
+        gradedmixed, "realization_oracle_dims", lambda cx, wmax, degrees: {m: 7 for m in degrees}
+    )
+    code, out, _ = run(capsys, "realize", path("cell.spw"), "--json")
+    assert code == 1
+    assert json.loads(out)["verdicts"] == [{"check": "agrees with Hom(cell model, E)", "status": "fail"}]
+
+
 def test_lie_from_mixed_roundtrip_via_files(capsys):
     code, out, _ = run(capsys, "lie-from-mixed", path("ce_sl2.spw"))
     assert code == 0

@@ -1,12 +1,18 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from helpers import oracle_ad_on_sym2, random_coefficient
-from spw import lieinfty
+from helpers import (
+    oracle_ad_on_sym2,
+    oracle_invariants,
+    oracle_is_invariant,
+    oracle_sparse_ad_on_sym2,
+    random_coefficient,
+)
 from spw.errors import NotFreeOnV, NotInvariant
 from spw.gradedmixed import realization, validate_mixed
 from spw.lieinfty import (
@@ -195,7 +201,11 @@ def test_semi_strict_rejects_noninvariant_z():
 
 
 def test_ad_on_sym2_matches_the_dense_oracle():
+    # the moved sparse sym2 action against the dense one, and invariants /
+    # is_invariant on _image against the kernel and verdicts of both moved
+    # actions, on the same seeded algebras
     rng = random.Random(1506)
+    verdicts = set()
     for _ in range(60):
         n = rng.randint(1, 6)
         brackets = {
@@ -206,7 +216,29 @@ def test_ad_on_sym2_matches_the_dense_oracle():
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
         t = {p: random_coefficient(rng) for p in rng.sample(pairs, rng.randint(1, len(pairs)))}
         for x in range(n):
-            assert lieinfty._ad_on_sym2(g, x, t) == oracle_ad_on_sym2(g, x, t)
+            assert oracle_sparse_ad_on_sym2(g, x, t) == oracle_ad_on_sym2(g, x, t)
+        triples = list(combinations(range(n), 3))
+        for kind, keys in (("sym2", pairs), ("wedge3", triples)):
+            basis = invariants(g, kind)
+            want = oracle_invariants(g, kind)
+            assert [b.coeffs for b in basis] == [b.coeffs for b in want]
+            assert all(type(v) in (int, F) for b in basis for v in b.coeffs.values())
+            tensors = list(basis)
+            for _ in range(4):
+                if keys:
+                    picked = rng.sample(keys, rng.randint(1, len(keys)))
+                    tensors.append(InvariantTensor(kind, {k: random_coefficient(rng) for k in picked}))
+            if basis:
+                # an invariant tensor plus a small perturbation of one key
+                k = keys[rng.randrange(len(keys))]
+                coeffs = dict(basis[0].coeffs)
+                coeffs[k] = coeffs.get(k, 0) + 1
+                tensors.append(InvariantTensor(kind, coeffs))
+            for tensor in tensors:
+                verdict = is_invariant(g, tensor)
+                assert verdict == oracle_is_invariant(g, tensor)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_sym2_invariants_of_a_dim12_algebra_are_fast():

@@ -4,7 +4,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from helpers import enumerate_monomials, random_valid_cdga
+from helpers import enumerate_monomials, oracle_bracket, random_valid_cdga
+from spw import freecdga
 from spw.errors import BidegreeError, Degenerate
 from spw.exactlin import SparseMatrix, solve_linear
 from spw.freecdga import Elem, FreeCDGA
@@ -45,14 +46,20 @@ def test_pairing_derivation_on_line():
     assert pol.bracket(th, x * x * x) == (x * x).scale(3)
 
 
-def test_bracket_weights_drop_by_one():
+def test_bracket_weights_drop_by_one(monkeypatch):
+    # inhomogeneous p and q: the derivation bracket equals the recursive
+    # oracle, and the weights drop by one
     rng = random.Random(2)
-    for _ in range(10):
+    seen = set()
+    for _ in range(200):
         b = random_valid_cdga(rng, max_gens=3)
-        pol = PolyvectorAlgebra(b, rng.randint(-1, 2))
+        pol = PolyvectorAlgebra(b, rng.randint(-1, 3))
         p = random_polyvector(rng, pol)
         q = random_polyvector(rng, pol)
         br = pol.bracket(p, q)
+        assert br == oracle_bracket(pol, p, q)
+        seen |= {("odd letter", pol.algebra.parities[i]) for m in q.terms for i in m}
+        seen |= {("p parity", (p.mono_degree(m) + pol.shift) % 2) for m in p.terms}
         for m in br.terms:
             w = sum(pol.algebra.gen_weight(i) for i in m)
             ws = sorted(
@@ -64,6 +71,16 @@ def test_bracket_weights_drop_by_one():
                 }
             )
             assert w + 1 in ws
+    assert seen == {("odd letter", 0), ("odd letter", 1), ("p parity", 0), ("p parity", 1)}
+    # partial derivatives read term tables built once per algebra
+    alg = pol.algebra
+    alg.partial(alg.generators[0].name, p)
+    calls = []
+    real = freecdga._term_table
+    monkeypatch.setattr(freecdga, "_term_table", lambda *a: calls.append(a) or real(*a))
+    for g in alg.generators:
+        alg.partial(g.name, p + q)
+    assert not calls
 
 
 def homogeneous_polyvector(rng, pol, weight, degree, max_len=4, terms=3):
