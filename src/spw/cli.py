@@ -174,7 +174,7 @@ def cmd_check_poisson(manifest, args, report):
     from .polyvec import check_strict_poisson
 
     tower = dsl.build_poisson(_target_block(manifest, args, "poisson"))
-    rep = check_strict_poisson(tower.pol.base, tower.n, tower.component(0), tower.pol)
+    rep = check_strict_poisson(tower.pol, tower.component(0))
     report.check("d pi = 0", rep.d_pi.is_zero(), witness=rep.d_pi)
     report.check("[pi, pi] = 0", rep.self_bracket.is_zero(), witness=rep.self_bracket)
     if rep.valid:

@@ -29,7 +29,8 @@ from .polyvec import (
     PolyvectorAlgebra,
     check_strict_poisson,
     mc_check,
-    pairing_blocks,
+    pairing_matrix,
+    pairing_report,
     require_nondegenerate,
 )
 
@@ -37,21 +38,6 @@ from .polyvec import (
 # ---------------------------------------------------------------------------
 # two-tensor <-> matrix translation
 # ---------------------------------------------------------------------------
-
-
-def _second_partials(alg: FreeCDGA, symbols, elem: Elem) -> SparseMatrix:
-    """M[i][j] = (d/d s_j)(d/d s_i) elem at the augmentation."""
-    m = len(symbols)
-    ent = {}
-    for i, si in enumerate(symbols):
-        first = alg.partial(si, elem)
-        if first.is_zero():
-            continue
-        for j, sj in enumerate(symbols):
-            c = alg.partial(sj, first).constant_term()
-            if c:
-                ent[i, j] = c
-    return SparseMatrix(m, m, ent)
 
 
 def _reconstruct_two_tensor(alg: FreeCDGA, symbols, mat: SparseMatrix) -> Elem:
@@ -69,7 +55,7 @@ def _reconstruct_two_tensor(alg: FreeCDGA, symbols, mat: SparseMatrix) -> Elem:
             raise Degenerate(f"matrix hits the vanishing slot {symbols[i]}*{symbols[j]}")
         t = alg.partial(symbols[j], alg.partial(symbols[i], mono_elem)).constant_term()
         out = out + mono_elem.scale(Rat(mat.entry(i, j)) / t)
-    check = _second_partials(alg, symbols, out)
+    check = pairing_matrix(alg, symbols, out)
     if check != mat:
         raise Degenerate("matrix is not graded-symmetric for these symbols")
     return out
@@ -109,15 +95,10 @@ class SymplecticForm:
             raise Degenerate("omega is not d-closed")
         if not alg.eps(omega).is_zero():
             raise Degenerate("omega is not strictly de Rham closed")
-        theta = _second_partials(alg, dr.symbols, omega)
-        form = cls(dr, n, omega, theta)
-        if not form._blocks_invertible():
+        theta = pairing_matrix(alg, dr.symbols, omega)
+        if not pairing_report(theta, dr.base.generators, n).nondegenerate:
             raise Degenerate("underlying pairing not invertible at the augmentation")
-        return form
-
-    def _blocks_invertible(self) -> bool:
-        blocks = pairing_blocks(self.theta, self.de_rham.base.generators, self.n)
-        return all(r == c == k for r, c, k in blocks.values())
+        return cls(dr, n, omega, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +130,12 @@ def phi_pi(base: FreeCDGA, pi: Elem, n: int, window: Window = None) -> PhiPiResu
     """The comparison map DR^str(B) -> (Pol(B, n+1), [pi, -]).
 
     Identity on weight 0, pi-contraction dg -> [pi, g] on weight 1,
-    extended multiplicatively.  The chain-map identity ford and for the
+    extended multiplicatively.  The chain-map identity for d and for the
     mixed differentials is verified on every monomial in the window.
     Raises Degenerate when pi fails non-degeneracy (Def-level flag; the
     map itself is still constructible via the returned images).
     """
-    pol = PolyvectorAlgebra(base, n + 1)
-    rep = check_strict_poisson(base, n, pi, pol)
-    if not rep.valid:
-        raise Degenerate("pi is not a strict Poisson structure")
-    require_nondegenerate(pi, pol, n)
+    pol, _ = _strict_nondegenerate(base, pi, n)
     dr = de_rham(base)
     window = window or Window(0, 3, -8, 8, 4)
     images = {}
@@ -191,30 +168,28 @@ def phi_pi(base: FreeCDGA, pi: Elem, n: int, window: Window = None) -> PhiPiResu
 # ---------------------------------------------------------------------------
 
 
+def _strict_nondegenerate(base: FreeCDGA, pi: Elem, n: int):
+    """(Pol(B, n+1), pi's pairing matrix), once pi is checked strict
+    Poisson and non-degenerate; raises Degenerate otherwise."""
+    pol = PolyvectorAlgebra(base, n + 1)
+    if not check_strict_poisson(pol, pi).valid:
+        raise Degenerate("pi is not a strict Poisson structure")
+    return pol, require_nondegenerate(pol, pi).theta
+
+
 def poisson_to_form(base: FreeCDGA, pi: Elem, n: int) -> SymplecticForm:
     """omega with pairing matrix the inverse of pi's; round-trip exact."""
-    pol = PolyvectorAlgebra(base, n + 1)
-    rep = check_strict_poisson(base, n, pi, pol)
-    if not rep.valid:
-        raise Degenerate("pi is not a strict Poisson structure")
-    require_nondegenerate(pi, pol, n)
-    theta_names = ["@" + g.name for g in base.generators]
-    m_pi = _second_partials(pol.algebra, theta_names, pi)
+    _, m_pi = _strict_nondegenerate(base, pi, n)
     dr = de_rham(base)
-    m_omega = _invert(m_pi)
-    omega = _reconstruct_two_tensor(dr.algebra, dr.symbols, m_omega)
+    omega = _reconstruct_two_tensor(dr.algebra, dr.symbols, _invert(m_pi))
     return SymplecticForm.build(dr, n, omega)
 
 
 def symplectic_to_poisson(form: SymplecticForm) -> Elem:
     """The strict Poisson structure dual to a constant symplectic form."""
-    base = form.de_rham.base
-    pol = PolyvectorAlgebra(base, form.n + 1)
-    theta_names = ["@" + g.name for g in base.generators]
-    m_pi = _invert(form.theta)
-    pi = _reconstruct_two_tensor(pol.algebra, theta_names, m_pi)
-    rep = check_strict_poisson(base, form.n, pi, pol)
-    if not rep.valid:
+    pol = PolyvectorAlgebra(form.de_rham.base, form.n + 1)
+    pi = _reconstruct_two_tensor(pol.algebra, pol.theta_names, _invert(form.theta))
+    if not check_strict_poisson(pol, pi).valid:
         raise Degenerate("dual bivector fails the strict Poisson identities")
     return pi
 
@@ -343,8 +318,8 @@ def darboux_leading_term(tower: MaurerCartanTower) -> DarbouxReport:
     mc = mc_check(tower)
     if not mc.valid:
         raise ValueError(f"tower fails its own MC equations at i={mc.first_failure}")
-    require_nondegenerate(tower)
     pol = tower.pol
+    require_nondegenerate(pol, tower.component(0))
     q = pol.constant_part(tower.component(0))
     residual = [tower.component(0) - q] + [
         tower.component(i) for i in range(1, len(tower.components))

@@ -279,9 +279,6 @@ class Elem:
         """Image under all generators -> 0: the constant part."""
         return self.algebra.scalar(self.constant_term())
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), 0)
-
     def __repr__(self):
         if self.is_zero():
             return "0"
@@ -358,7 +355,7 @@ def validate_cdga(alg: FreeCDGA, check_mixed=True) -> CdgaReport:
         if dg is not None:
             if dg.degree() not in (None, g.degree + 1) and not dg.is_zero():
                 violations.append(("d degree", g.name))
-            if dg.weight() not in (None, g.weight) and not dg.is_zero():
+            if dg.weight() != g.weight:
                 violations.append(("d weight", g.name))
             if dg.degree() is None:
                 violations.append(("d inhomogeneous", g.name))

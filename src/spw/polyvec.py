@@ -22,11 +22,16 @@ The differential induced from d_B acts on the duals by
 
 the unique extension making d a derivation of the bracket (it is the
 endomorphism-complex differential of the tangent module).
+
+A two-tensor is read one way: `pairing_matrix` takes its second partials at
+the augmentation and `pairing_report` judges the result degree by degree.
+Non-degeneracy here and the symplectic forms of `compare` both use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction as Rat
 
 from .errors import BidegreeError, Degenerate, ShiftMismatch
@@ -148,10 +153,21 @@ class StrictPoissonReport:
     valid: bool
     d_pi: Elem
     self_bracket: Elem
-    bracket_table: dict  # (name, name) -> Elem of B-included algebra
+    pol: PolyvectorAlgebra
+    pi: Elem
 
     def __repr__(self):
         return f"StrictPoissonReport(valid={self.valid})"
+
+    @cached_property
+    def bracket_table(self) -> dict:
+        """(name, name) -> {g, h} in the B-included algebra, built on first
+        read; empty when pi is not strict Poisson."""
+        if not self.valid:
+            return {}
+        pol = self.pol
+        gens = [(g.name, pol.include(pol.base.gen(g.name))) for g in pol.base.generators]
+        return {(a, b): induced_bracket(pol, self.pi, f, g) for a, f in gens for b, g in gens}
 
 
 def induced_bracket(pol: PolyvectorAlgebra, pi: Elem, f: Elem, g: Elem) -> Elem:
@@ -166,25 +182,17 @@ def induced_bracket(pol: PolyvectorAlgebra, pi: Elem, f: Elem, g: Elem) -> Elem:
     return out.scale(sign)
 
 
-def check_strict_poisson(base: FreeCDGA, n: int, pi: Elem, pol=None) -> StrictPoissonReport:
+def check_strict_poisson(pol: PolyvectorAlgebra, pi: Elem) -> StrictPoissonReport:
     """Verify d pi = 0 and [pi, pi] = 0 for pi of weight 2, degree n+2
-    in Pol(B, n+1); on success also tabulate the induced bracket."""
-    pol = pol or PolyvectorAlgebra(base, n + 1)
+    in Pol(B, n+1); the induced bracket table is built on first read."""
+    n = pol.shift - 1
     if not pi.is_zero() and (pi.weight() != 2 or pi.degree() != n + 2):
         raise BidegreeError(
             f"pi must be pure weight 2, degree {n + 2}; got weight {pi.weight()}, degree {pi.degree()}"
         )
     d_pi = pol.d(pi)
     self_bracket = pol.bracket(pi, pi)
-    valid = d_pi.is_zero() and self_bracket.is_zero()
-    table = {}
-    if valid:
-        for g in base.generators:
-            for h in base.generators:
-                table[g.name, h.name] = induced_bracket(
-                    pol, pi, pol.include(base.gen(g.name)), pol.include(base.gen(h.name))
-                )
-    return StrictPoissonReport(valid, d_pi, self_bracket, table)
+    return StrictPoissonReport(d_pi.is_zero() and self_bracket.is_zero(), d_pi, self_bracket, pol, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +267,21 @@ def strict_tower(pol: PolyvectorAlgebra, n: int, pi: Elem) -> MaurerCartanTower:
 # ---------------------------------------------------------------------------
 
 
+def pairing_matrix(alg: FreeCDGA, symbols, elem: Elem) -> SparseMatrix:
+    """M[i][j] = (d/d s_j)(d/d s_i) elem at the augmentation."""
+    m = len(symbols)
+    ent = {}
+    for i, si in enumerate(symbols):
+        first = alg.partial(si, elem)
+        if first.is_zero():
+            continue
+        for j, sj in enumerate(symbols):
+            c = alg.partial(sj, first).constant_term()
+            if c:
+                ent[i, j] = c
+    return SparseMatrix(m, m, ent)
+
+
 @dataclass
 class NondegeneracyReport:
     nondegenerate: bool
@@ -266,43 +289,10 @@ class NondegeneracyReport:
     blocks: dict  # degree -> (rows, cols, rank)
 
 
-def nondegeneracy(arg, pol: PolyvectorAlgebra = None, n: int = None) -> NondegeneracyReport:
-    """Pairing matrix of the constant leading term at the augmentation.
-
-    Theta[i][j] is the @g_j-coefficient of [q, g_i] for q the constant
-    part of p_0; invertibility is tested degree by degree (the block for
-    degree d pairs generators of degree d with generators of degree n-d,
-    n the underlying Poisson shift).
-    """
-    if isinstance(arg, MaurerCartanTower):
-        pol = arg.pol
-        n = arg.n
-        p0 = arg.component(0)
-    else:
-        p0 = arg
-        if pol is None:
-            raise ValueError("nondegeneracy of a bare element needs its algebra")
-        if n is None:
-            n = pol.shift - 1
-    q = pol.constant_part(p0)
-    gens = pol.base.generators
-    m = len(gens)
-    ent = {}
-    for i, g in enumerate(gens):
-        br = pol.bracket(q, pol.include(pol.base.gen(g.name)))
-        for j in range(m):
-            c = br.coefficient((pol._n_base + j,))
-            if c:
-                ent[i, j] = c
-    theta = SparseMatrix(m, m, ent)
-    blocks = pairing_blocks(theta, gens, n)
-    ok = all(r == c == k for r, c, k in blocks.values())
-    return NondegeneracyReport(ok, theta, blocks)
-
-
-def pairing_blocks(theta: SparseMatrix, gens, n: int) -> dict:
-    """{d: (rows, cols, rank)} of the blocks of theta pairing the generators
-    of degree d (rows) with those of degree n - d (columns)."""
+def pairing_report(theta: SparseMatrix, gens, n: int) -> NondegeneracyReport:
+    """Judge a pairing matrix degree by degree: the block for degree d pairs
+    the generators of degree d (rows) with those of degree n - d (columns),
+    and theta is non-degenerate when every block is square of full rank."""
     blocks = {}
     for d in sorted({g.degree for g in gens}):
         rows = {i: a for a, i in enumerate(i for i, g in enumerate(gens) if g.degree == d)}
@@ -313,11 +303,25 @@ def pairing_blocks(theta: SparseMatrix, gens, n: int) -> dict:
             [(rows[i], cols[j], v) for (i, j), v in theta.items() if i in rows and j in cols],
         )
         blocks[d] = (len(rows), len(cols), sub.rank())
-    return blocks
+    return NondegeneracyReport(all(r == c == k for r, c, k in blocks.values()), theta, blocks)
 
 
-def require_nondegenerate(arg, pol=None, n=None) -> NondegeneracyReport:
-    rep = nondegeneracy(arg, pol, n)
+def nondegeneracy(pol: PolyvectorAlgebra, p0: Elem) -> NondegeneracyReport:
+    """The pairing of p0 at the augmentation, judged at the Poisson shift
+    n = pol.shift - 1.
+
+    Theta[i][j] is the second partial of p0 in @g_i, then @g_j, at the
+    augmentation, so only the constant part q of p0 enters; since
+    [q, g_i] = +-d_{@g_i} q with a sign that depends on i only, row i is
+    +-1 times the @g_j-coefficients of [q, g_i] and every block rank is the
+    same as the bracket's.
+    """
+    theta = pairing_matrix(pol.algebra, pol.theta_names, p0)
+    return pairing_report(theta, pol.base.generators, pol.shift - 1)
+
+
+def require_nondegenerate(pol: PolyvectorAlgebra, p0: Elem) -> NondegeneracyReport:
+    rep = nondegeneracy(pol, p0)
     if not rep.nondegenerate:
         raise Degenerate(f"pairing not invertible at the augmentation: {rep.blocks}")
     return rep

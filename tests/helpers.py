@@ -20,6 +20,7 @@ unit against:
 - Fraction-only products, derivations and matrix operations: the
   int-first coefficients of `Elem` and `SparseMatrix`;
 - the recursive Schouten bracket: `polyvec.PolyvectorAlgebra.bracket`;
+- the bracket-coefficient pairing matrix: `polyvec.nondegeneracy`;
 - the hand-written sparse actions on Sym^2 g and wedge^3 g and their
   kernel: `lieinfty.invariants` and `lieinfty.is_invariant`; the dense
   adjoint action: the sparse Sym^2 one;
@@ -56,6 +57,7 @@ from spw.gradedmixed import (
 )
 from spw.lieinfty import InvariantTensor
 from spw.operads import LieWords
+from spw.polyvec import NondegeneracyReport
 
 
 def direct_sum(e, f):
@@ -1184,6 +1186,33 @@ def oracle_bracket(pol, p, q):
         for m2, c2 in q.terms.items():
             out = out + mono(m1, m2).scale(c1 * c2)
     return out
+
+
+def oracle_nondegeneracy(pol, p0):
+    """Non-degeneracy of p0 read through the bracket: the routine that
+    `polyvec.nondegeneracy` replaced.  Theta[i][j] is the @g_j-coefficient
+    of [q, g_i], q the constant part of p0, and each degree block (degree d
+    rows against degree n - d columns, n = pol.shift - 1) must be square of
+    full rank."""
+    q = pol.constant_part(p0)
+    gens = pol.base.generators
+    m = len(gens)
+    ent = {}
+    for i, g in enumerate(gens):
+        br = pol.bracket(q, pol.include(pol.base.gen(g.name)))
+        for j in range(m):
+            c = br.terms.get((pol._n_base + j,), 0)
+            if c:
+                ent[i, j] = c
+    theta = SparseMatrix(m, m, ent)
+    n = pol.shift - 1
+    blocks = {}
+    for d in sorted({g.degree for g in gens}):
+        rows = [i for i, g in enumerate(gens) if g.degree == d]
+        cols = [j for j, g in enumerate(gens) if g.degree == n - d]
+        ent = [(a, b, theta.entry(i, j)) for a, i in enumerate(rows) for b, j in enumerate(cols)]
+        blocks[d] = (len(rows), len(cols), SparseMatrix(len(rows), len(cols), ent).rank())
+    return NondegeneracyReport(all(r == c == k for r, c, k in blocks.values()), theta, blocks)
 
 
 def oracle_ad_on_sym2(g, x, t):

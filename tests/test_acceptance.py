@@ -405,7 +405,7 @@ def test_criterion_8_operad_layer():
         pi = (pol.theta("xi1") * pol.theta("xi2")).scale(F(1, 2)) + (
             pol.theta("xi2") * pol.theta("xi1")
         ).scale(F(1, 2))
-        rep = check_strict_poisson(b, 2, pi, pol)
+        rep = check_strict_poisson(pol, pi)
         assert rep.valid
         for f in ("xi1", "xi2"):
             for g in ("xi1", "xi2"):

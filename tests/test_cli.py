@@ -295,6 +295,17 @@ def test_derived_commands_on_an_invalid_cdga(tmp_path, capsys, source):
         assert err.startswith("error: d(x) has the term x outside bidegree (0, 1)")
 
 
+def test_a_d_of_inhomogeneous_weight_fails_check_cdga_and_check_mixed(tmp_path, capsys):
+    manifest = tmp_path / "bad.spw"
+    manifest.write_text("algebra B { gens = x(0, 0), y(1, 0), z(1, 1); d(x) = y + z; }")
+    for command in ("check-cdga", "check-mixed"):
+        code, out, err = run(capsys, command, str(manifest), "--json")
+        assert code == 1 and not err
+        report = json.loads(out)
+        assert report["verdicts"] == [{"check": "cdga identities", "status": "fail"}]
+        assert report["witnesses"] == {"cdga identities": "[('d weight', 'x')]"}
+
+
 PLANE = "algebra B { gens = x(0), y(0); }\n"
 ROW_LIMIT_S = 5.0
 LINE = "algebra B { gens = x(0), xi(1); }\n"

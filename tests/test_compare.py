@@ -1,9 +1,11 @@
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from spw import compare, freecdga
+from helpers import oracle_nondegeneracy
+from spw import compare, dsl, freecdga, polyvec
 from spw.compare import (
     SymplecticForm,
     darboux_leading_term,
@@ -155,6 +157,55 @@ def test_symplectic_build_validates_closedness():
     assert form.theta.rank() == 2
     pi = symplectic_to_poisson(form)
     assert poisson_to_form(b, pi, 0).omega == omega
+
+
+def test_pairing_reader_agrees_with_the_bracket_coefficient_oracle():
+    rng = random.Random(23)
+    cases = []
+    for n in (0, 1, 2):
+        for _ in range(4):
+            b, pol, pi = random_constant_nondeg(rng, n, pairs=2)
+            a1 = pol.include(b.gen("a1"))
+            cases += [(pol, pi), (pol, pi + a1 * pi), (pol, pol.theta("a1") * pol.theta("b1"))]
+        b, pol, pi = cotangent_pair(n)
+        x = pol.include(b.gen("x"))
+        cases += [(pol, pi), (pol, x * pi), (pol, pol.algebra.zero())]
+        pol = PolyvectorAlgebra(FreeCDGA([("x", 0), ("y", 0), ("xi", n)]), n + 1)
+        cases.append((pol, pol.theta("x") * pol.theta("xi")))
+    verdicts = set()
+    for pol, p0 in cases:
+        new, old = polyvec.nondegeneracy(pol, p0), oracle_nondegeneracy(pol, p0)
+        assert (new.blocks, new.nondegenerate) == (old.blocks, old.nondegenerate)
+        for i in range(old.theta.rows):
+            row_new, row_old = ([t.entry(i, j) for j in range(t.cols)] for t in (new.theta, old.theta))
+            assert row_new in (row_old, [-v for v in row_old])
+        verdicts.add(old.nondegenerate)
+        if old.nondegenerate:
+            assert polyvec.require_nondegenerate(pol, p0) == new
+        else:
+            with pytest.raises(Degenerate) as exc:
+                polyvec.require_nondegenerate(pol, p0)
+            assert str(exc.value) == f"pairing not invertible at the augmentation: {old.blocks}"
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("example", ["cotangent", "plane_poisson"])
+def test_dualization_reads_pi_without_building_a_bracket_table(monkeypatch, example):
+    path = os.path.join(os.path.dirname(__file__), "..", "examples_dsl", example + ".spw")
+    with open(path, encoding="utf-8") as fh:
+        block = next(b for b in dsl.parse(fh.read()).blocks if b.kind == "poisson")
+    tower = dsl.build_poisson(block)
+    calls = []
+    induced = polyvec.induced_bracket
+
+    def counted(*args):
+        calls.append(args)
+        return induced(*args)
+
+    monkeypatch.setattr(polyvec, "induced_bracket", counted)
+    form = poisson_to_form(tower.pol.base, tower.component(0), tower.n)
+    assert symplectic_to_poisson(form) == tower.component(0)
+    assert calls == []
 
 
 # -- strictification -----------------------------------------------------------
@@ -384,9 +435,9 @@ def test_reconstruct_two_tensor_from_an_integer_matrix_is_exact():
     symbols = ("x", "y", "t", "u")
     mat = SparseMatrix(4, 4, {(0, 0): 3, (0, 1): 5, (1, 0): 5, (2, 3): 1, (3, 2): -1})
     out = compare._reconstruct_two_tensor(alg, symbols, mat)
-    assert out.coefficient(alg.index[n] for n in ("x", "x")) == F(3, 2)
+    assert out.terms[alg.index["x"], alg.index["x"]] == F(3, 2)
     assert all(type(c) in (int, F) for c in out.terms.values())
-    assert compare._second_partials(alg, symbols, out) == mat
+    assert polyvec.pairing_matrix(alg, symbols, out) == mat
 
 
 def test_reconstruct_two_tensor_calibrates_each_nonzero_slot_once(monkeypatch):

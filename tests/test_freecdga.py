@@ -58,7 +58,7 @@ def test_elem_arithmetic_and_odd_squares():
     assert a * b == -(b * a)
     assert (x * a) * b == x * (a * b)
     assert (x + a) * (x - a) == x * x  # a*x*... cross terms cancel with a^2 = 0
-    assert (x * x).coefficient((0, 0)) == 1
+    assert (x * x).terms[0, 0] == 1
 
 
 def test_validate_polynomial_ring():

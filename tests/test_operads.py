@@ -504,7 +504,7 @@ def test_weyl_bracket_matches_polyvec_table():
     names = ["xi1", "xi2"]
     for (k, l), v in tmat.items():
         pi = pi + (pol.theta(names[k]) * pol.theta(names[l])).scale(F(v, 2))
-    rep = check_strict_poisson(b, 2, pi, pol)
+    rep = check_strict_poisson(pol, pi)
     assert rep.valid
     for f in names:
         for g in names:

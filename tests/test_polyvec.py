@@ -227,7 +227,7 @@ def test_polyvectors_line_weight_bases():
 def test_zero_is_strict_poisson():
     b = plane()
     pol = PolyvectorAlgebra(b, 1)
-    rep = check_strict_poisson(b, 0, pol.algebra.zero(), pol)
+    rep = check_strict_poisson(pol, pol.algebra.zero())
     assert rep.valid
     assert all(v.is_zero() for v in rep.bracket_table.values())
 
@@ -236,7 +236,7 @@ def test_classical_bivector_is_poisson_with_unit_bracket():
     b = plane()
     pol = PolyvectorAlgebra(b, 1)
     pi = pol.theta("x") * pol.theta("y")
-    rep = check_strict_poisson(b, 0, pi, pol)
+    rep = check_strict_poisson(pol, pi)
     assert rep.valid
     assert rep.bracket_table["x", "y"] == pol.algebra.one()
     assert rep.bracket_table["x", "x"].is_zero()
@@ -247,7 +247,7 @@ def test_linear_poisson_structure_of_nonabelian_lie_algebra():
     pol = PolyvectorAlgebra(b, 1)
     pi = pol.include(b.gen("x")) * pol.theta("x") * pol.theta("y")
     assert pol.bracket(pi, pi).is_zero()
-    rep = check_strict_poisson(b, 0, pi, pol)
+    rep = check_strict_poisson(pol, pi)
     assert rep.valid
 
 
@@ -268,7 +268,7 @@ def test_jacobi_failure_detected_and_matches_jacobiator_oracle():
     jac = classical_jacobiator(b, pol, pi, x, y, z)
     assert self_br.is_zero() == jac.is_zero()
     assert not self_br.is_zero()
-    rep = check_strict_poisson(b, 0, pi, pol)
+    rep = check_strict_poisson(pol, pi)
     assert not rep.valid
     # and a genuinely Poisson pi passes both
     pi2 = x * tx * ty
@@ -305,7 +305,7 @@ def test_bidegree_error_for_wrong_pi():
     b = plane()
     pol = PolyvectorAlgebra(b, 1)
     with pytest.raises(BidegreeError):
-        check_strict_poisson(b, 0, pol.theta("x"), pol)
+        check_strict_poisson(pol, pol.theta("x"))
 
 
 def test_strict_poisson_bijection_with_bracket_tables():
@@ -318,7 +318,7 @@ def test_strict_poisson_bijection_with_bracket_tables():
     pol = PolyvectorAlgebra(b, 1)
     x, y, z = (pol.include(b.gen(c)) for c in "xyz")
     pi = x * pol.theta("x") * pol.theta("y") + pol.theta("y") * pol.theta("z")
-    rep = check_strict_poisson(b, 0, pi, pol)
+    rep = check_strict_poisson(pol, pi)
     assert rep.valid
 
     def br(u, v):
@@ -337,7 +337,7 @@ def test_strict_poisson_bijection_with_bracket_tables():
         y * z
     ) * pol.theta("z") * pol.theta("x")
     assert not pol.bracket(bad, bad).is_zero()
-    assert not check_strict_poisson(b, 0, bad, pol).valid
+    assert not check_strict_poisson(pol, bad).valid
 
 
 # -- MC towers ----------------------------------------------------------------
@@ -420,7 +420,7 @@ def test_cotangent_pairing_nondegenerate():
         b = FreeCDGA([("x", 0), ("xi", n)])
         pol = PolyvectorAlgebra(b, n + 1)
         pi = pol.theta("x") * pol.theta("xi")
-        rep = nondegeneracy(strict_tower(pol, n, pi))
+        rep = nondegeneracy(pol, pi)
         assert rep.nondegenerate
         assert rep.theta.rank() == 2
 
@@ -429,7 +429,7 @@ def test_vanishing_leading_term_is_degenerate():
     b = FreeCDGA([("x", 0), ("xi", 1)])
     pol = PolyvectorAlgebra(b, 2)
     pi = pol.include(b.gen("x")) * pol.theta("x") * pol.theta("xi")
-    rep = nondegeneracy(strict_tower(pol, 1, pi))
+    rep = nondegeneracy(pol, pi)
     assert not rep.nondegenerate
     with pytest.raises(Degenerate):
-        require_nondegenerate(strict_tower(pol, 1, pi))
+        require_nondegenerate(pol, pi)
