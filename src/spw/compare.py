@@ -318,6 +318,11 @@ def darboux_leading_term(tower: MaurerCartanTower) -> DarbouxReport:
     mc = mc_check(tower)
     if not mc.valid:
         raise ValueError(f"tower fails its own MC equations at i={mc.first_failure}")
+    return _darboux_report(tower)
+
+
+def _darboux_report(tower: MaurerCartanTower) -> DarbouxReport:
+    """darboux_leading_term on a tower whose MC equations hold."""
     pol = tower.pol
     require_nondegenerate(pol, tower.component(0))
     q = pol.constant_part(tower.component(0))

@@ -72,6 +72,19 @@ class SparseMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _owned(cls, rows: int, cols: int, entries: dict) -> "SparseMatrix":
+        """A matrix that takes over `entries`, {(row, col): coeff}, unchecked:
+        for builders whose entries are already in range, nonzero and as
+        `_as_rat` gives them, and whose dict nobody else keeps."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._entries = entries
+        m._fwd = None
+        m._rref = None
+        return m
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
         return cls(rows, cols)
 
@@ -152,7 +165,7 @@ class SparseMatrix:
         return SparseMatrix(self.rows, other.cols, acc)
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
+        return SparseMatrix._owned(
             self.cols, self.rows, {(j, i): v for (i, j), v in self._entries.items()}
         )
 

@@ -522,14 +522,15 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0, acc=None, coeff=1):
     pre = 0  # odd letters of mono before position j
     odds = None
     last = None
-    for j, letter in enumerate(mono):
+    for letter in mono:
         if letter == last:
             continue  # imaged with the first letter of its run
         last = letter
+        odd_letter = parities[letter]
         terms = by_letter.get(letter)
         if terms is not None:
+            j = mono.index(letter)  # where the run starts
             rest = mono[:j] + mono[j + 1:]
-            odd_letter = parities[letter]
             e = 1 if odd_letter else mono.count(letter)
             moved = None
             for t, c, b, odd_t, keep, dw, dd in terms:
@@ -577,7 +578,7 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0, acc=None, coeff=1):
                 moved.sort(key=itemgetter(0))  # stable: term order within one r
                 for _, m, s in moved:
                     acc[m] = s
-        pre += parities[letter]
+        pre += odd_letter
     return acc
 
 
@@ -592,25 +593,26 @@ def _closure(alg: FreeCDGA, window: Window):
     """
     wmin, wmax, dmin, dmax = window.wmin, window.wmax, window.dmin, window.dmax
     inside = _box_words(alg, window.max_len, wmin, wmax, dmin, dmax)
-    tables = alg._tables
+    # a zero derivation (e.g. d on a free algebra's de Rham algebra) images
+    # every word to {}
+    d_table, eps_table = (table if table[1] else None for table in alg._tables)
     images = {}
     frontier = list(inside)
     for _ in range(window.closure_rounds):
         new = []
         for m in frontier:
             w, d = inside[m]
-            pair = []
-            for table in tables:
-                if not table[1]:  # the zero derivation, e.g. d on a free algebra's de Rham algebra
-                    pair.append({})
-                    continue
-                fresh = {}
-                image = _image(table, m, inside, fresh, w, d)
-                pair.append(image)
-                if not fresh:
-                    continue
+            fresh = {}
+            pair = images[m] = (
+                {} if d_table is None else _image(d_table, m, inside, fresh, w, d),
+                {} if eps_table is None else _image(eps_table, m, inside, fresh, w, d),
+            )
+            if not fresh:
+                continue
+            # the d-image's new words go first, each image in its own order
+            for image in pair:
                 for m2 in image:
-                    bideg = fresh.get(m2)
+                    bideg = fresh.pop(m2, None)
                     if bideg is None:
                         continue
                     if bideg[0] > wmax or bideg[1] > dmax:
@@ -621,7 +623,6 @@ def _closure(alg: FreeCDGA, window: Window):
                         )
                     inside[m2] = bideg
                     new.append(m2)
-            images[m] = tuple(pair)
         if not new:
             break
         frontier = new
@@ -675,9 +676,10 @@ def _derivation_blocks(alg, monos, at, images, k):
                         f"image of {alg.mono_str(m)} has the term {alg.mono_str(m2)} "
                         f"in bidegree {pos[0]}, expected {tgt}"
                     )
-                ent[pos[1], j] = c
+                ent[pos[1], j] = c if type(c) is int else _as_rat(c)
         if ent:
-            out[w, d] = SparseMatrix(len(monos[tgt]), len(ms), ent)
+            # in range by `at`, nonzero as _image keeps them, one per cell
+            out[w, d] = SparseMatrix._owned(len(monos[tgt]), len(ms), ent)
     return out
 
 
@@ -762,11 +764,13 @@ class DeRhamAlgebra:
     algebra: FreeCDGA
     symbols: tuple
 
-    def weight_dim_window(self, j, max_len):
-        """Dimension of the weight-j part per degree within the word window."""
-        dims = {}
-        for _, d in _box_words(self.algebra, max_len, j, j).values():
-            dims[d] = dims.get(d, 0) + 1
+    def weight_dim_window(self, wmin, wmax, max_len):
+        """{j: {degree: dimension of the weight-j part}} for j = wmin..wmax
+        within the word window, from one enumeration."""
+        dims = {j: {} for j in range(wmin, wmax + 1)}
+        for w, d in _box_words(self.algebra, max_len, wmin, wmax).values():
+            per = dims[w]
+            per[d] = per.get(d, 0) + 1
         return dims
 
 

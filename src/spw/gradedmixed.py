@@ -260,9 +260,13 @@ class ChainComplex:
         return homology(self.d_block(m - 1), self.d_block(m))
 
     def homology_dim(self, m) -> int:
-        """dim H^m by rank-nullity."""
-        d_in, d_out = self.d_block(m - 1), self.d_block(m)
-        return d_out.cols - d_out.rank() - d_in.rank()
+        """dim H^m by rank-nullity; a missing differential has rank 0 and
+        is not eliminated."""
+        dim = self.dim(m)
+        for blk in (self.diff.get(m - 1), self.diff.get(m)):
+            if blk is not None:
+                dim -= blk.rank()
+        return dim
 
     def homology_dims(self, degrees=None):
         if degrees is None:
@@ -325,8 +329,9 @@ def weight_window_total_complex(e: GradedMixedComplex, wmin: int, wmax: int) -> 
                 out = ent.setdefault(m, {})
                 for (i, j), v in blk.items():
                     out[tgt + i, src + j] = v
+    # the blocks' entries are checked already, and land in distinct cells
     return ChainComplex(
-        basis, {m: SparseMatrix(len(basis[m + 1]), len(basis[m]), vals) for m, vals in ent.items()}
+        basis, {m: SparseMatrix._owned(len(basis[m + 1]), len(basis[m]), vals) for m, vals in ent.items()}
     )
 
 
@@ -351,9 +356,13 @@ def stage_homology_dims(e: GradedMixedComplex, wmin: int, wmax: int, deg: int):
         weights = [p for p, _ in total.basis.get(m, ())]
         return [bisect_right(weights, t) for t in stages]
 
+    def pivots(m):
+        # a missing differential has no pivots
+        blk = total.diff.get(m)
+        return () if blk is None else blk.transpose().pivot_columns()
+
     here, above = leading(deg), leading(deg + 1)
-    out_pivots = total.d_block(deg).transpose().pivot_columns()
-    in_pivots = total.d_block(deg - 1).transpose().pivot_columns()
+    out_pivots, in_pivots = pivots(deg), pivots(deg - 1)
     dims = {
         t: n - bisect_left(out_pivots, n_above) - bisect_left(in_pivots, n)
         for t, n, n_above in zip(stages, here, above)

@@ -215,7 +215,11 @@ def invariants(g: LieAlgebra, kind: str):
 
 
 def is_invariant(g: LieAlgebra, tensor: InvariantTensor) -> bool:
-    _, tables = _action(g, tensor.kind)
+    return _is_invariant(_action(g, tensor.kind)[1], tensor)
+
+
+def _is_invariant(tables, tensor: InvariantTensor) -> bool:
+    """is_invariant on the action tables of g for tensor.kind (see _action)."""
     for table in tables:
         image = {}
         for key, c in tensor.coeffs.items():

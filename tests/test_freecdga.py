@@ -83,7 +83,7 @@ def test_validate_rejects_inconsistent_differential():
 
 def test_de_rham_line_weights():
     dr = de_rham(poly_line())
-    dims = dr.weight_dim_window(0, 4), dr.weight_dim_window(1, 4), dr.weight_dim_window(2, 4)
+    dims = dr.weight_dim_window(0, 2, 4)
     assert dims[0] == {0: 4 + 1 - 1 + 1} or dims[0][0] >= 4  # 1, x, .., x^3 within length 4
     assert set(dims[1]) == {1}  # dx is odd: weight-1 part is B*dx in degree 1
     assert dims[2] == {}  # dx^2 = 0: no weight-2 part on a line
@@ -93,7 +93,7 @@ def test_de_rham_line_weights():
 def test_de_rham_plane_weight_two():
     dr = de_rham(poly_plane())
     alg = dr.algebra
-    dims = dr.weight_dim_window(2, 2)
+    dims = dr.weight_dim_window(2, 2, 2)[2]
     assert dims == {2: 1}  # dx*dy only
     x, dy = alg.gen("x"), alg.gen("dy")
     assert alg.eps(x * dy) == alg.gen("dx") * dy
@@ -362,7 +362,7 @@ def test_weight_j_part_is_wedge_of_kaehler_module():
             s: dr.algebra.gen_degree(dr.algebra.index[s]) for s in dr.symbols
         }
         for j in (1, 2):
-            got = dr.weight_dim_window(j, max_len)
+            got = dr.weight_dim_window(j, j, max_len)[j]
             expected = {}
             odd = [s for s in dr.symbols if sym_degs[s] % 2]
             even = [s for s in dr.symbols if sym_degs[s] % 2 == 0]
@@ -443,6 +443,42 @@ def test_window_monomials_keep_the_sorted_order_and_share_one_index():
             want.setdefault(bideg, []).append(m)
         assert list(monos.items()) == list(want.items())
         assert at == {m: (bideg, i) for bideg, ms in want.items() for i, m in enumerate(ms)}
+
+
+def _as_validated(m):
+    """True when m is the matrix the validating constructor builds from its
+    entries: the same entries, an int for every integral value, no zero."""
+    entries = dict(m.items())
+    return SparseMatrix(m.rows, m.cols, entries) == m and all(
+        v and (type(v) is int or (type(v) is F and v.denominator != 1)) for v in entries.values()
+    )
+
+
+def test_window_matrices_equal_the_validated_ones():
+    # block assembly, the total complex and transpose hand their entries
+    # over unchecked; d has coefficients drawn from int, integral Fraction
+    # and non-integer Fraction, so images hold Fraction(1)-like values
+    rng = random.Random(2020)
+    integral_fractions = fractions = matrices = 0
+    for _ in range(40):
+        b = random_valid_cdga(rng, max_gens=4, degree_span=(-2, 2))
+        d = {b.generators[i].name: Elem(b, {m: random_coefficient(rng) for m in v.terms})
+             for i, v in b.differential.items()}
+        b = FreeCDGA(b.generators, differential=d)
+        window = Window(0, 2, -3, 3, 3)
+        for alg in (b, de_rham(b).algebra):
+            for pair in freecdga._closure(alg, window)[1].values():
+                for image in pair:
+                    integral_fractions += sum(type(c) is F and c.denominator == 1 for c in image.values())
+            cx, _ = graded_mixed_window(alg, window)
+            blocks = [*cx.d.values(), *cx.eps.values()]
+            for wmin, wmax in ((0, 2), (1, 1)):
+                blocks += weight_window_total_complex(cx, wmin, wmax).diff.values()
+            for blk in blocks:
+                assert _as_validated(blk) and _as_validated(blk.transpose())
+                fractions += any(type(v) is F for _, v in blk.items())
+            matrices += len(blocks)
+    assert integral_fractions > 100 and fractions > 50 and matrices > 500
 
 
 def _typed(image):

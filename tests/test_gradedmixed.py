@@ -6,6 +6,7 @@ from helpers import (
     direct_sum,
     oracle_validate_mixed,
     oracle_weight_window_total_complex,
+    poincare_window_dims,
     random_mixed_blocks,
     random_valid_cdga,
     random_valid_complex,
@@ -298,6 +299,28 @@ def test_stage_homology_dims_match_a_total_complex_per_stage():
     assert empty_degrees > 100 and low_windows > 50
     # a window below its lowest weight has no stages
     assert stage_homology_dims(cell_model(2), 3, 2, 0)[1] == {}
+
+
+def test_homology_dims_eliminate_only_the_differentials_held(monkeypatch):
+    # a missing differential has rank 0: no zero matrix is built and eliminated
+    eliminated = []
+    for name in ("rank", "pivot_columns"):
+        original = getattr(SparseMatrix, name)
+
+        def recording(m, original=original):
+            eliminated.append(m)
+            return original(m)
+
+        monkeypatch.setattr(SparseMatrix, name, recording)
+    gens = [("x", 0), ("y", 0), ("a", 1)]
+    cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 4, -4, 4, 4))
+    total = weight_window_total_complex(cx, 0, 4)
+    dims = total.homology_dims()
+    assert dims == poincare_window_dims([(d, 0) for _, d in gens], 4) and len(dims) > len(total.diff)
+    assert eliminated and all(any(m is held for held in total.diff.values()) for m in eliminated)
+    for deg in range(-1, 6):
+        stage_homology_dims(cx, 0, 4, deg)
+    assert not any(m.is_zero() for m in eliminated)
 
 
 def test_stage_homology_dims_check_the_top_stage(monkeypatch):

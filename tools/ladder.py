@@ -5,9 +5,10 @@
 A rung (ke, ko, L) is the de Rham algebra of the free algebra on ke even
 generators of degree 0 and ko odd ones of degree 1, in the window
 wmin = 0, wmax = dmax = max_len = L, dmin = -L. Its child builds the window
-(`graded_mixed_window`), then the total complex and its `homology_dims`,
-and reports the window and end-to-end seconds (algebra to dimensions),
-the window's monomial count and its own peak RSS. The rungs are
+(`graded_mixed_window`), then the total complex with its d^2 check
+(`weight_window_total_complex`) and its `homology_dims`, and reports the
+seconds of each of these three stages and end to end (algebra to
+dimensions), the window's monomial count and its own peak RSS. The rungs are
 (3, 3, 6), (4, 4, 6) and (5, 5, 6).
 
 A rung fails when its child fails, or when its dimensions differ from
@@ -34,13 +35,16 @@ CHILD = (
     "gens = [(f'x{i}', 0) for i in range(ke)] + [(f't{i}', 1) for i in range(ko)]\n"
     "start = time.perf_counter()\n"
     "alg = de_rham(FreeCDGA(gens)).algebra\n"
-    "window = time.perf_counter()\n"
+    "t0 = time.perf_counter()\n"
     "cx, inside = graded_mixed_window(alg, Window(0, size, -size, size, size))\n"
-    "window = time.perf_counter() - window\n"
-    "dims = weight_window_total_complex(cx, 0, size).homology_dims()\n"
-    "total = time.perf_counter() - start\n"
+    "t1 = time.perf_counter()\n"
+    "total_complex = weight_window_total_complex(cx, 0, size)\n"
+    "t2 = time.perf_counter()\n"
+    "dims = total_complex.homology_dims()\n"
+    "t3 = time.perf_counter()\n"
     "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-    "print(json.dumps([len(inside), window, total, rss, sorted(dims.items())]))\n"
+    "print(json.dumps([len(inside), t1 - t0, t2 - t1, t3 - t2, t3 - start, rss,\n"
+    "                  sorted(dims.items())]))\n"
 )
 
 
@@ -52,7 +56,7 @@ def run_rung(ke, ko, size):
     rung = f"({ke}, {ko}, {size})"
     if proc.returncode:
         return f"{rung:>12}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
-    monomials, window, total, rss, dims = json.loads(proc.stdout)
+    monomials, window, assembly, homology, total, rss, dims = json.loads(proc.stdout)
     dims = dict(dims)
     want = de_rham_dims([(0, 0)] * ke + [(1, 0)] * ko, size)
     bad = poincare_violations(dims, size)
@@ -61,12 +65,14 @@ def run_rung(ke, ko, size):
         verdict = f"FAIL: Poincare lemma fails in degrees {bad}: {dims}"
     elif dims != want:
         verdict = f"FAIL: window dims {dims} != {want}"
-    line = f"{rung:>12}  {monomials:9d}  {window:8.3f}  {total:8.3f}  {rss:7.1f}  {verdict}"
+    line = (f"{rung:>12}  {monomials:9d}  {window:8.3f}  {assembly:10.3f}  {homology:10.3f}"
+            f"  {total:8.3f}  {rss:7.1f}  {verdict}")
     return line, verdict == "ok"
 
 
 def main():
-    print(f"{'rung':>12}  {'monomials':>9}  {'window_s':>8}  {'total_s':>8}  {'rss_mb':>7}  dims")
+    print(f"{'rung':>12}  {'monomials':>9}  {'window_s':>8}  {'assembly_s':>10}  {'homology_s':>10}"
+          f"  {'total_s':>8}  {'rss_mb':>7}  dims")
     passed = True
     for rung in RUNGS:
         line, ok = run_rung(*rung)
