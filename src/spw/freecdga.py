@@ -609,7 +609,8 @@ def _closure(alg: FreeCDGA, window: Window):
             )
             if not fresh:
                 continue
-            # the d-image's new words go first, each image in its own order
+            # the d-image's new words go first, each image in its own order:
+            # `inside`'s order is the order of strictify's unknowns
             for image in pair:
                 for m2 in image:
                     bideg = fresh.pop(m2, None)
