@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from fractions import Fraction as Rat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from . import __version__, dsl
@@ -77,7 +78,10 @@ class Report:
         }
         if timings is not None:
             payload["timings"] = timings
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out = []
+        _write_json(payload, "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     def to_text(self):
         lines = [f"{self.command}: digest {self.digest}"]
@@ -89,6 +93,39 @@ class Report:
         for name, data in self.tables.items():
             lines.append(f"  {name}: {json.dumps(data, sort_keys=True)}")
         return "\n".join(lines) + "\n"
+
+
+def _write_json(value, newline, out):
+    """Append `value` to `out` as `json.dumps(value, sort_keys=True,
+    indent=2)` writes it, `newline` being the line break and indent of the
+    line it starts on.  The C encoder has no indent, so json.dumps would
+    run the pure-Python one."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner, sep = newline + "  ", "{"
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                key = json.dumps(key)
+            out += (sep, inner, _quote(key), ": ")
+            _write_json(item, inner, out)
+            sep = ","
+        out += (newline, "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out += (sep, inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out += (newline, "]")
+    else:  # an empty container or a float, as json writes it
+        out.append(json.dumps(value))
 
 
 def _window(args):
@@ -498,6 +535,22 @@ def build_parser():
 _parser = None  # built by the first main() call, then reused
 
 
+def _parse_args(argv):
+    """`_parser.parse_args(argv)`.  When argv[0] names a command, its own
+    subparser reads the rest, as `_parser` would hand it over, and what it
+    leaves is the same usage error."""
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return _parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        _parser.error("unrecognized arguments: " + " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
@@ -507,7 +560,7 @@ def main(argv=None) -> int:
         for sub in _parser.commands.values():
             sub.set_defaults(**limits)
         _parser.limits = limits
-    args = _parser.parse_args(argv)
+    args = _parse_args(argv)
     command = COMMANDS[args.command]
     started = time.monotonic()
     source = ""

@@ -84,6 +84,11 @@ class SymplecticForm:
 
     @classmethod
     def build(cls, dr: DeRhamAlgebra, n: int, omega: Elem) -> "SymplecticForm":
+        return cls._build(dr, n, omega, pairing_matrix(dr.algebra, dr.symbols, omega))
+
+    @classmethod
+    def _build(cls, dr, n, omega, theta) -> "SymplecticForm":
+        """`build`, given omega's pairing matrix theta."""
         alg = dr.algebra
         if not omega.is_zero():
             if omega.weight() != 2 or omega.degree() != n + 2:
@@ -95,7 +100,6 @@ class SymplecticForm:
             raise Degenerate("omega is not d-closed")
         if not alg.eps(omega).is_zero():
             raise Degenerate("omega is not strictly de Rham closed")
-        theta = pairing_matrix(alg, dr.symbols, omega)
         if not pairing_report(theta, dr.base.generators, n).nondegenerate:
             raise Degenerate("underlying pairing not invertible at the augmentation")
         return cls(dr, n, omega, theta)
@@ -181,8 +185,10 @@ def poisson_to_form(base: FreeCDGA, pi: Elem, n: int) -> SymplecticForm:
     """omega with pairing matrix the inverse of pi's; round-trip exact."""
     _, m_pi = _strict_nondegenerate(base, pi, n)
     dr = de_rham(base)
-    omega = _reconstruct_two_tensor(dr.algebra, dr.symbols, _invert(m_pi))
-    return SymplecticForm.build(dr, n, omega)
+    theta = _invert(m_pi)
+    # _reconstruct_two_tensor checks that omega's pairing matrix is theta
+    omega = _reconstruct_two_tensor(dr.algebra, dr.symbols, theta)
+    return SymplecticForm._build(dr, n, omega, theta)
 
 
 def symplectic_to_poisson(form: SymplecticForm) -> Elem:

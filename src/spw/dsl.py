@@ -27,41 +27,47 @@ from typing import Callable, NamedTuple
 
 from .errors import DuplicateName, ParseError, UnresolvedReference
 
-# a token, a newline, or blanks and comments (no group)
+# a token, a newline, blanks and comments (no group), or any other
+# character (bad): the matches tile the source
 _TOKEN = re.compile(
     r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<number>\d+)|(?P<name>[^\W\d]\w*)"
-    r"|(?P<punct>[{}()\[\]=;,*+\-^@/])"
+    r"|(?P<punct>[{}()\[\]=;,*+\-^@/])|(?P<bad>.)"
 )
 _MAX_DIGITS = 4300  # int() refuses longer decimal strings
 
 EXPONENT_CAP = 64  # largest k in f^k: x^k is a word of k letters
 
 
-@dataclass
 class Token:
-    kind: str  # 'name', 'number', or a punctuation char, or 'eof'
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind  # 'name', 'number', or a punctuation char, or 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(source: str):
     tokens = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        col = pos - line_start + 1
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col, expected=("token",))
-        if m.lastgroup == "number" and len(m.group()) > _MAX_DIGITS:
-            raise ParseError("number too long", line, col, expected=(f"at most {_MAX_DIGITS} digits",))
-        if m.lastgroup == "newline":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
             line, line_start = line + 1, m.end()
-        elif m.lastgroup:
-            kind = m.group() if m.lastgroup == "punct" else m.lastgroup
-            tokens.append(Token(kind, m.group(), line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+            continue
+        text = m.group()
+        col = m.start() - line_start + 1
+        if kind == "punct":
+            kind = text
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col, expected=("token",))
+        elif kind == "number" and len(text) > _MAX_DIGITS:
+            raise ParseError("number too long", line, col, expected=(f"at most {_MAX_DIGITS} digits",))
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 

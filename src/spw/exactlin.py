@@ -364,17 +364,25 @@ def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
     """Homology at the middle of  A --d_in--> B --d_out--> C.
 
     Checks d_out @ d_in == 0 exactly and raises CompositionNonzero otherwise.
-    Representatives are the `kernel_basis(d_out)` vectors independent of
-    the image and of the kernel vectors before them: those whose columns
-    are pivot columns of [d_in | kernel vectors], found by one elimination;
-    when d_in is zero, every kernel vector.
+    Representatives are those of `_cycles_mod_image` on `kernel_basis(d_out)`.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
     if not (d_out @ d_in).is_zero():
         raise CompositionNonzero("d_out o d_in != 0")
-    ker = kernel_basis(d_out)
-    dim = len(ker) - d_in.rank()
+    return _cycles_mod_image(kernel_basis(d_out), d_in)
+
+
+def _cycles_mod_image(ker, d_in) -> HomologyResult:
+    """span(ker) / im(d_in), for independent cycles `ker` spanning a space
+    that holds the image of d_in; d_in None is the zero map.
+
+    Representatives are the vectors of `ker` independent of the image and
+    of the vectors before them: those whose columns are pivot columns of
+    [d_in | ker], found by one elimination; when d_in has rank 0, all of
+    `ker`.
+    """
+    dim = len(ker) - (d_in.rank() if d_in is not None else 0)
     reps = []
     if dim == len(ker):
         reps = ker  # d_in has rank 0: no elimination needed

@@ -257,7 +257,14 @@ class ChainComplex:
         return self.diff.get(m, SparseMatrix.zero(self.dim(m + 1), self.dim(m)))
 
     def homology(self, m) -> exactlin.HomologyResult:
-        return homology(self.d_block(m - 1), self.d_block(m))
+        """H^m with representatives; a missing differential is zero and is
+        neither built nor eliminated: without d(m) every vector of degree m
+        is a cycle, and without d(m-1) there is no image."""
+        d_in, d_out = self.diff.get(m - 1), self.diff.get(m)
+        if d_in is not None and d_out is not None:
+            return homology(d_in, d_out)
+        cycles = kernel_basis(d_out) if d_out is not None else [{f: 1} for f in range(self.dim(m))]
+        return exactlin._cycles_mod_image(cycles, d_in)
 
     def homology_dim(self, m) -> int:
         """dim H^m by rank-nullity; a missing differential has rank 0 and

@@ -24,17 +24,22 @@ unit against:
 - the hand-written sparse actions on Sym^2 g and wedge^3 g and their
   kernel: `lieinfty.invariants` and `lieinfty.is_invariant`; the dense
   adjoint action: the sparse Sym^2 one;
-- the Poincare-lemma count of de Rham window cohomology.
+- the Poincare-lemma count of de Rham window cohomology;
+- the indented `json.dumps` report and the match-at-each-position
+  tokenizer: `cli.Report.to_json` and `dsl.tokenize`.
 Also the per-case time limit of the CLI tests."""
 
 import contextlib
+import json
 import random
+import re
 import signal
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
 
-from spw.errors import WindowTooSmall
+from spw.dsl import _MAX_DIGITS
+from spw.errors import ParseError, WindowTooSmall
 from spw.exactlin import QPoly, SparseMatrix, kernel_basis
 from spw.freecdga import (
     Elem,
@@ -1361,6 +1366,45 @@ def _rank_out(by_weight, x):
     """Rank of eps out of weight x along an exact strand with the given
     number of words per weight."""
     return sum((-1) ** (x - j) * by_weight.get(j, 0) for j in range(min(by_weight), x + 1))
+
+
+# ---------------------------------------------------------------------------
+# Front-end oracles: the report writer and the tokenizer
+# ---------------------------------------------------------------------------
+
+
+def oracle_report_json(payload):
+    """A `--json` report as json.dumps writes it."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# a token, a newline, or blanks and comments (no group)
+_ORACLE_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<number>\d+)|(?P<name>[^\W\d]\w*)"
+    r"|(?P<punct>[{}()\[\]=;,*+\-^@/])"
+)
+
+
+def oracle_tokenize(source):
+    """(kind, text, line, col) tuples, one `match` at each position; no
+    match is an unexpected character."""
+    tokens = []
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        m = _ORACLE_TOKEN.match(source, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col, expected=("token",))
+        if m.lastgroup == "number" and len(m.group()) > _MAX_DIGITS:
+            raise ParseError("number too long", line, col, expected=(f"at most {_MAX_DIGITS} digits",))
+        if m.lastgroup == "newline":
+            line, line_start = line + 1, m.end()
+        elif m.lastgroup:
+            kind = m.group() if m.lastgroup == "punct" else m.lastgroup
+            tokens.append((kind, m.group(), line, col))
+        pos = m.end()
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import argparse
 import json
 import os
+import random
+import sys
 
 import pytest
 
-from helpers import CaseTimeout, time_limit
+from helpers import CaseTimeout, oracle_report_json, time_limit
 from spw import cli
 from spw.cli import main
 from spw.errors import IdentityViolated
@@ -574,3 +576,175 @@ def test_an_interrupt_is_not_an_internal_fault(monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "operad", cli.COMMANDS["operad"]._replace(handler=handler))
     with pytest.raises(KeyboardInterrupt):
         main(["operad", "pn"])
+
+
+# -- argv dispatch: a named command's own subparser against parse_args ---------
+
+ENV = ("SPW_MAX_WEIGHT", "SPW_MAX_DEGREE", "SPW_MAX_LEN")
+# an example that each manifest command reads
+COMMAND_EXAMPLES = {
+    "check-cdga": "ce_sl2", "check-mixed": "cell", "de-rham": "plane_poisson",
+    "closed-forms": "cotangent", "check-poisson": "plane_poisson", "mc": "cotangent",
+    "dualize": "cotangent", "strictify": "cotangent", "darboux": "jacobi_failure",
+    "ce": "sl2", "lie-from-mixed": "ce_sl2", "invariants": "sl2", "z-from-t": "sl2",
+    "koszul": "koszul_line", "d-functor": "koszul_line", "realize": "cell",
+    "tate": "negative_weight",
+}
+DERHAM = ["de-rham", path("plane_poisson.spw")]
+ARGV_CASES = [
+    *([cmd, path(f"{name}.spw"), "--json"] + (["--kind", "wedge3"] if cmd == "invariants" else [])
+      for cmd, name in COMMAND_EXAMPLES.items()),
+    ["operad", "weyl", "--arity", "3", "--n", "1", "--json"],
+    [], ["-h"], ["--version"], ["frobnicate"], ["--json", "de-rham"], ["-h", "de-rham"],
+    [*DERHAM, "--bogus"], [*DERHAM, "--json", "extra"], ["operad", "pn", "--version"],
+    ["operad", "pn", "--js"], ["operad", "pn", "--a", "3"], ["operad", "pn", "--json", "-h"],
+    ["operad"], ["operad", "weyl", "--arity", "1"], ["invariants", path("sl2.spw")],
+    ["de-rham", "--", path("plane_poisson.spw")], [*DERHAM, "--", "--json"],
+    ["de-rham", "--json", "--", path("plane_poisson.spw")],
+    [*DERHAM, "--max-len", "x"], [*DERHAM, "--max-len", "-1"], [*DERHAM, "--max-len=2", "--json"],
+]
+ENV_CASES = [
+    (["closed-forms", path("cotangent.spw"), "--json"], "3"),
+    ([*DERHAM, "--json"], "-2"),
+    ([*DERHAM, "--json"], "two"),
+    ([*DERHAM, "--json", "--max-len", "2"], "-2"),
+]
+
+
+def run_either_way(capsys, monkeypatch, argv):
+    """(exit code, stdout, stderr) of main(argv) through the dispatch, and
+    through `_parser.parse_args` alone."""
+    outcomes = []
+    for parse in (cli._parse_args, lambda argv: cli._parser.parse_args(argv)):
+        monkeypatch.setattr(cli, "_parse_args", parse)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_argv_cases_cover_every_command():
+    assert {argv[0] for argv in ARGV_CASES if argv} >= set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv", ARGV_CASES, ids=lambda argv: " ".join(os.path.basename(a) for a in argv) or "[]"
+)
+def test_dispatch_equals_parse_args(capsys, monkeypatch, argv):
+    for var in ENV:
+        monkeypatch.delenv(var, raising=False)
+    dispatched, parsed = run_either_way(capsys, monkeypatch, argv)
+    assert dispatched == parsed
+    assert dispatched[0] in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("argv, max_len", ENV_CASES, ids=("3", "-2", "two", "-2-and-option"))
+def test_dispatch_equals_parse_args_with_a_max_len_override(capsys, monkeypatch, argv, max_len):
+    for var in ENV:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("SPW_MAX_LEN", max_len)
+    dispatched, parsed = run_either_way(capsys, monkeypatch, argv)
+    assert dispatched == parsed
+
+
+def test_dispatch_reads_sys_argv_when_argv_is_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["spw", "operad", "pn", "--arity", "3", "--json"])
+    dispatched, parsed = run_either_way(capsys, monkeypatch, None)
+    assert dispatched == parsed and dispatched[0] == 0 and json.loads(dispatched[1])["tables"]
+
+
+# -- the report writer against json.dumps ---------------------------------------
+
+
+def write_report(payload):
+    out = []
+    cli._write_json(payload, "\n", out)
+    return "".join(out) + "\n"
+
+
+def test_every_golden_report_equals_the_json_dumps_oracle(capsys, monkeypatch):
+    from test_golden_cli import invocations
+
+    for var in ENV:
+        monkeypatch.delenv(var, raising=False)
+    payloads = []
+    write = cli._write_json
+
+    def recording(value, newline, out):
+        if newline == "\n":  # the whole payload; nested values start deeper
+            payloads.append(value)
+        write(value, newline, out)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    argvs = [a if a[0] == "operad" else [a[0], path(a[1]), *a[2:]] for a in invocations()]
+    argvs.append(["operad", "arnold", "--arity", "4", "--json", "--timings"])
+    written = 0
+    for argv in argvs:
+        payloads.clear()
+        main(argv)
+        out = capsys.readouterr().out
+        assert len(payloads) <= 1
+        assert out == (oracle_report_json(payloads[0]) if payloads else ""), argv
+        written += len(payloads)
+    assert written > len(argvs) // 2
+    assert "total_seconds" in payloads[0]["timings"]
+
+
+STRINGS = (
+    "", "plain", 'a "quoted" word', "back\\slash", "tab\tand\nnewline", "\x00\x1f\x7f",
+    "déjà vu", "ω ∧ dθ", "\U0001d53d", "\u2028", "</script>",
+)
+
+
+def random_leaf(rng):
+    pick = rng.randrange(7)
+    if pick == 0:
+        return rng.choice(STRINGS) + rng.choice(STRINGS)
+    if pick == 1:
+        return rng.randint(-10**6, 10**6)
+    if pick == 2:
+        return rng.choice((-1, 1)) * (10 ** rng.randint(18, 80) + rng.randrange(10**6))
+    if pick == 3:
+        return rng.choice((True, False, None))
+    if pick == 4:
+        return rng.choice(({}, [], ()))
+    if pick == 5:
+        return rng.choice((0.5, -2.25, 1e-07, 123456.789, 0.0))
+    return rng.choice(STRINGS)
+
+
+def random_payload(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return random_leaf(rng)
+    size = rng.randrange(6)
+    if rng.random() < 0.4:
+        items = [random_payload(rng, depth - 1) for _ in range(size)]
+        return tuple(items) if rng.random() < 0.2 else items
+    if rng.random() < 0.3:  # int keys: json sorts them as ints, then writes them
+        keys = rng.sample(range(-12, 40), size)
+    else:
+        keys = [rng.choice(STRINGS) + str(rng.randrange(30)) for _ in range(size)]
+    return {k: random_payload(rng, depth - 1) for k in keys}
+
+
+def test_report_writer_equals_the_json_dumps_oracle_on_random_payloads():
+    rng = random.Random(2121)
+    payloads = [random_payload(rng, 4) for _ in range(600)]
+    for payload in payloads:
+        assert write_report(payload) == oracle_report_json(payload), payload
+    assert {dict, list, tuple, str, int, bool, float, type(None)} <= {type(p) for p in payloads}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{1: "a", "b": 2}, {(1, 2): 3}, [{1, 2}], {"x": [1, object()]}],
+    ids=("mixed-keys", "tuple-key", "set", "object"),
+)
+def test_report_writer_refuses_what_json_refuses(payload):
+    with pytest.raises(TypeError):
+        oracle_report_json(payload)
+    with pytest.raises(TypeError):
+        write_report(payload)

@@ -467,3 +467,27 @@ def test_reconstruct_two_tensor_calibrates_each_nonzero_slot_once(monkeypatch):
     calls.clear()
     compare._reconstruct_two_tensor(alg, symbols, SparseMatrix(4, 4, {(0, 0): 3}))
     assert len(calls) == 2 * 1 + 4 + 1 * 4
+
+
+def test_poisson_to_form_reads_the_pairing_of_omega_once(monkeypatch):
+    # _reconstruct_two_tensor checks omega's pairing matrix against theta,
+    # and the form keeps that theta
+    path = os.path.join(os.path.dirname(__file__), "..", "examples_dsl", "cotangent.spw")
+    with open(path, encoding="utf-8") as fh:
+        block = next(b for b in dsl.parse(fh.read()).blocks if b.kind == "poisson")
+    tower = dsl.build_poisson(block)
+    pairing = compare.pairing_matrix
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pairing(*args)
+
+    monkeypatch.setattr(compare, "pairing_matrix", counted)
+    form = poisson_to_form(tower.pol.base, tower.component(0), tower.n)
+    assert len(calls) == 1
+    dr = form.de_rham
+    assert form.theta == pairing(dr.algebra, dr.symbols, form.omega)
+    built = SymplecticForm.build(dr, form.n, form.omega)
+    assert (built.omega, built.theta) == (form.omega, form.theta)
+    assert symplectic_to_poisson(form) == tower.component(0)

@@ -1,10 +1,13 @@
 import glob
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import oracle_tokenize
 from spw.dsl import (
+    _MAX_DIGITS,
     Items,
     build_algebra,
     build_complex,
@@ -12,6 +15,7 @@ from spw.dsl import (
     eval_poly,
     parse,
     serialize,
+    tokenize,
 )
 from spw.errors import DuplicateName, ParseError, UnresolvedReference
 
@@ -133,3 +137,58 @@ def test_rational_literals_are_exact_fractions():
         alg = build_algebra(parse(f"algebra C {{ gens = y(0), z(1); d(y) = {value}; }}").block("C"))
         (coeff,) = alg.d(alg.gen("y")).terms.values()
         assert coeff == want and type(coeff) is kind
+
+
+# -- the tokenizer against the match-at-each-position oracle -------------------
+
+
+def token_tuples(source):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(source)]
+
+
+def tokens_or_error(scan, source):
+    """scan(source), a (kind, text, line, col) list, or the ParseError's
+    message, position and expected set."""
+    try:
+        return scan(source)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col, exc.expected
+
+
+TOKENIZER_CASES = {
+    "bad character": "algebra A { gens = x(0) ! y(0); }\n",
+    "bad character after a newline": "algebra A {\n\n   $ }",
+    "number over the digit cap": "lie g { dim = " + "7" * (_MAX_DIGITS + 1) + "; }\n",
+    "number at the digit cap": "lie g { dim = " + "7" * _MAX_DIGITS + "; }\n",
+    "tabs and carriage returns": "algebra A {\r\n\tgens = x(0),\ty(1);\r\n\td(x) = 0 ;\r}\r\n",
+    "comment at end of file": "algebra A { gens = x(0); }\n# the end",
+    "no final newline": "algebra A { gens = x(0); }",
+    "empty source": "",
+    "only blanks": " \t\r\n\n",
+    "vertical tab and form feed": "a\x0bb\x0cc",
+    "non-ASCII names and digits": "\u03b1 = \u03b2\u00b2 + \u0663;",
+}
+
+
+@pytest.mark.parametrize("source", TOKENIZER_CASES.values(), ids=TOKENIZER_CASES)
+def test_tokenize_equals_the_oracle_on_edge_cases(source):
+    assert tokens_or_error(token_tuples, source) == tokens_or_error(oracle_tokenize, source)
+
+
+def test_tokenize_equals_the_oracle_on_manifests_mutants_and_random_sources():
+    from test_manifest_fuzz import mutants
+
+    sources = []
+    for path in CORPUS:
+        with open(path, encoding="utf-8") as fh:
+            sources.append(fh.read())
+    sources += [source for *_, source in mutants()]
+    rng = random.Random(2021)
+    alphabet = "ab_0123456789 \t\r\n\n#{}()[]=;,*+-^@/!$%~\x0b\x0c\u00e9\u00b2\u0663"
+    sources += ["".join(rng.choices(alphabet, k=rng.randrange(40))) for _ in range(400)]
+    errors = 0
+    for source in sources:
+        want = tokens_or_error(oracle_tokenize, source)
+        assert tokens_or_error(token_tuples, source) == want, source
+        errors += isinstance(want, tuple)
+    assert len(sources) == len(CORPUS) + 720 + 400 and 100 < errors < len(sources) - 100

@@ -329,3 +329,40 @@ def test_stage_homology_dims_check_the_top_stage(monkeypatch):
     monkeypatch.setattr("spw.gradedmixed.ChainComplex.homology_dim", lambda self, m: 7)
     with pytest.raises(IdentityViolated):
         stage_homology_dims(e, 0, 3, 0)
+
+
+def test_homology_with_a_missing_differential_eliminates_no_zero_matrix(monkeypatch):
+    # without d(m-1) the kernel of d(m) is all homology; without d(m) every
+    # vector of degree m is a cycle: neither builds nor eliminates a zero matrix
+    from spw import exactlin
+
+    rng = random.Random(21)
+    complexes = [realization(random_valid_complex(rng), 4) for _ in range(12)]
+    complexes.append(realization(cell_model(3), 3))
+    gens = [("x", 0), ("y", 0), ("a", 1)]
+    cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 3, -3, 3, 3))
+    complexes.append(weight_window_total_complex(cx, 0, 3))
+    eliminate = exactlin._eliminate
+    zero = []
+
+    def counting(rows, n_cols):
+        if not rows:
+            zero.append(n_cols)
+        return eliminate(rows, n_cols)
+
+    monkeypatch.setattr(exactlin, "_eliminate", counting)
+    results = []
+    for total in complexes:
+        ds = total.degrees()
+        degrees = range(min(ds) - 1, max(ds) + 2) if ds else range(0)
+        results.append({m: total.homology(m) for m in degrees})
+    assert zero == []
+    monkeypatch.undo()
+    missing = 0
+    for total, by_degree in zip(complexes, results):
+        for m, res in by_degree.items():
+            missing += m - 1 not in total.diff or m not in total.diff
+            old = exactlin.homology(total.d_block(m - 1), total.d_block(m))
+            assert res.dimension == old.dimension
+            assert res.representatives == old.representatives
+    assert missing > len(complexes)

@@ -9,7 +9,7 @@ wmin = 0, wmax = dmax = max_len = L, dmin = -L. Its child builds the window
 (`weight_window_total_complex`) and its `homology_dims`, and reports the
 seconds of each of these three stages and end to end (algebra to
 dimensions), the window's monomial count and its own peak RSS. The rungs are
-(3, 3, 6), (4, 4, 6) and (5, 5, 6).
+(3, 3, 6), (4, 4, 6), (5, 5, 6), (6, 6, 6) and (4, 4, 8).
 
 A rung fails when its child fails, or when its dimensions differ from
 `perfbench/oracles.de_rham_dims` or break the Poincare lemma
@@ -26,7 +26,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from oracles import de_rham_dims, poincare_violations  # noqa: E402
 
-RUNGS = ((3, 3, 6), (4, 4, 6), (5, 5, 6))
+RUNGS = ((3, 3, 6), (4, 4, 6), (5, 5, 6), (6, 6, 6), (4, 4, 8))
 CHILD = (
     "import json, resource, sys, time\n"
     "from spw.freecdga import FreeCDGA, Window, de_rham, graded_mixed_window\n"
