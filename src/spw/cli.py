@@ -18,7 +18,6 @@ import sys
 import time
 from fractions import Fraction as Rat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, NamedTuple
 
 from . import __version__, dsl
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .freecdga import Window
+from .record import FrozenRecord
 
 SCHEMA_VERSION = 1
 
@@ -441,10 +441,24 @@ def cmd_operad(manifest, args, report):
         raise ValueError(which)
 
 
-class _Command(NamedTuple):
-    handler: Callable
-    manifest: bool = True  # reads a manifest file (or stdin)
-    options: tuple = ()  # (flags, add_argument keywords) after the common options
+class _Command(FrozenRecord):
+    __slots__ = _fields = ("handler", "manifest", "options")
+
+    def __init__(self, handler, manifest: bool = True, options: tuple = ()):
+        self.handler = handler
+        self.manifest = manifest  # reads a manifest file (or stdin)
+        self.options = options  # (flags, add_argument keywords) after the common options
+
+
+def _size(text):
+    """A window size or a stage: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _option(*flags, **kwargs):
@@ -473,7 +487,7 @@ COMMANDS = {
     "koszul": _Command(cmd_koszul),
     "d-functor": _Command(cmd_d_functor),
     "realize": _Command(cmd_realize),
-    "tate": _Command(cmd_tate, options=(_option("--stage", type=int, default=1),)),
+    "tate": _Command(cmd_tate, options=(_option("--stage", type=_size, default=1),)),
     "operad": _Command(
         cmd_operad,
         manifest=False,
@@ -484,17 +498,6 @@ COMMANDS = {
         ),
     ),
 }
-
-
-def _size(text):
-    """A window size: an int >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 # (dest, environment variable, default) of the window options; main()

@@ -9,7 +9,6 @@ convention-independent normalisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rat
 
 from .errors import Degenerate, GaugeNotFound, IdentityViolated, NoSolution, NotMinimal
@@ -33,6 +32,7 @@ from .polyvec import (
     pairing_report,
     require_nondegenerate,
 )
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +73,16 @@ def _invert(mat: SparseMatrix) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SymplecticForm:
+class SymplecticForm(Record):
     """Strict weight-2 form of total degree n+2 with invertible pairing."""
 
-    de_rham: DeRhamAlgebra
-    n: int
-    omega: Elem
-    theta: SparseMatrix
+    __slots__ = _fields = ("de_rham", "n", "omega", "theta")
+
+    def __init__(self, de_rham: DeRhamAlgebra, n: int, omega: Elem, theta: SparseMatrix):
+        self.de_rham = de_rham
+        self.n = n
+        self.omega = omega
+        self.theta = theta
 
     @classmethod
     def build(cls, dr: DeRhamAlgebra, n: int, omega: Elem) -> "SymplecticForm":
@@ -110,14 +112,17 @@ class SymplecticForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PhiPiResult:
-    pol: PolyvectorAlgebra
-    de_rham: DeRhamAlgebra
-    images: dict  # generator/symbol name -> Elem of the polyvector algebra
-    chain_map_ok: bool
-    iso_blocks: dict  # (weight, degree) -> (dim, rank)
-    bidegree_iso: bool
+class PhiPiResult(Record):
+    __slots__ = _fields = ("pol", "de_rham", "images", "chain_map_ok", "iso_blocks", "bidegree_iso")
+
+    def __init__(self, pol: PolyvectorAlgebra, de_rham: DeRhamAlgebra, images: dict,
+                 chain_map_ok: bool, iso_blocks: dict, bidegree_iso: bool):
+        self.pol = pol
+        self.de_rham = de_rham
+        self.images = images  # generator/symbol name -> Elem of the polyvector algebra
+        self.chain_map_ok = chain_map_ok
+        self.iso_blocks = iso_blocks  # (weight, degree) -> (dim, rank)
+        self.bidegree_iso = bidegree_iso
 
     def apply(self, e: Elem) -> Elem:
         """Multiplicative extension of the generator images."""
@@ -205,12 +210,14 @@ def symplectic_to_poisson(form: SymplecticForm) -> Elem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StrictificationResult:
-    eta: Elem  # weight-1 potential: strict form = eps(eta)
-    strict_form: Elem
-    gauge: Elem  # h with omega - strict = (d + eps) h in the window
-    window: Window
+class StrictificationResult(Record):
+    __slots__ = _fields = ("eta", "strict_form", "gauge", "window")
+
+    def __init__(self, eta: Elem, strict_form: Elem, gauge: Elem, window: Window):
+        self.eta = eta  # weight-1 potential: strict form = eps(eta)
+        self.strict_form = strict_form
+        self.gauge = gauge  # h with omega - strict = (d + eps) h in the window
+        self.window = window
 
 
 def strictify_closed_two_form(
@@ -305,13 +312,16 @@ def strictify_closed_two_form(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DarbouxReport:
-    q: Elem
-    residual: list  # components of pi' = tower - q
-    q_closed: bool
-    q_self_bracket_zero: bool
-    rewritten_mc_ok: bool
+class DarbouxReport(Record):
+    __slots__ = _fields = ("q", "residual", "q_closed", "q_self_bracket_zero", "rewritten_mc_ok")
+
+    def __init__(self, q: Elem, residual: list, q_closed: bool, q_self_bracket_zero: bool,
+                 rewritten_mc_ok: bool):
+        self.q = q
+        self.residual = residual  # components of pi' = tower - q
+        self.q_closed = q_closed
+        self.q_self_bracket_zero = q_self_bracket_zero
+        self.rewritten_mc_ok = rewritten_mc_ok
 
     @property
     def valid(self):

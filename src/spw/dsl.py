@@ -20,12 +20,11 @@ values SCHEMA checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction as Rat
 from functools import partial
-from typing import Callable, NamedTuple
 
 from .errors import DuplicateName, ParseError, UnresolvedReference
+from .record import FrozenRecord, Record
 
 # a token, a newline, blanks and comments (no group), or any other
 # character (bad): the matches tile the source
@@ -74,58 +73,72 @@ def tokenize(source: str):
 # -- expression AST ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Rat
+class Num(FrozenRecord):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Rat):
+        self.value = value
 
     def show(self):
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
+class Name(FrozenRecord):
+    __slots__ = _fields = ("ident",)
+
+    def __init__(self, ident: str):
+        self.ident = ident
 
     def show(self):
         return self.ident
 
 
-@dataclass(frozen=True)
-class Dual:
-    ident: str
+class Dual(FrozenRecord):
+    __slots__ = _fields = ("ident",)
+
+    def __init__(self, ident: str):
+        self.ident = ident
 
     def show(self):
         return "@" + self.ident
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(FrozenRecord):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base, exponent: int):
+        self.base = base
+        self.exponent = exponent
 
     def show(self):
         return f"{self.base.show()}^{self.exponent}"
 
 
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple
+class Mul(FrozenRecord):
+    __slots__ = _fields = ("factors",)
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
 
     def show(self):
         return "*".join(f.show() for f in self.factors)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Neg(FrozenRecord):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg):
+        self.arg = arg
 
     def show(self):
         return f"-{self.arg.show()}"
 
 
-@dataclass(frozen=True)
-class Add:
-    terms: tuple
+class Add(FrozenRecord):
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple):
+        self.terms = terms
 
     def show(self):
         out = self.terms[0].show()
@@ -137,33 +150,45 @@ class Add:
         return out
 
 
-@dataclass(frozen=True)
-class Call:
-    ident: str
-    args: tuple  # of Rat
+class Call(FrozenRecord):
+    __slots__ = _fields = ("ident", "args")
+
+    def __init__(self, ident: str, args: tuple):
+        self.ident = ident
+        self.args = args  # of Rat
 
     def show(self):
         return f"{self.ident}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Items:
-    items: tuple
+class Items(FrozenRecord):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
 
     def show(self):
         return ", ".join(x.show() for x in self.items)
 
 
-@dataclass
-class Block:
-    kind: str
-    name: str
-    entries: list  # of (key tuple, expr AST); key = (base, *qualifiers)
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-    at: list = field(default_factory=list, repr=False, compare=False)  # (line, col) of each key
-    # SCHEMA shape -> checked value, set by parse
-    values: dict = field(default_factory=dict, repr=False, compare=False)
+class Block(Record):
+    __slots__ = ("kind", "name", "entries", "line", "col", "at", "values")
+    _fields = ("kind", "name", "entries")  # compared; the repr adds line and col
+
+    def __init__(self, kind: str, name: str, entries: list, line: int = 0, col: int = 0,
+                 at: list = None, values: dict = None):
+        self.kind = kind
+        self.name = name
+        self.entries = entries  # of (key tuple, expr AST); key = (base, *qualifiers)
+        self.line = line
+        self.col = col
+        self.at = [] if at is None else at  # (line, col) of each key
+        # SCHEMA shape -> checked value, set by parse
+        self.values = {} if values is None else values
+
+    def __repr__(self):
+        return (f"Block(kind={self.kind!r}, name={self.name!r}, entries={self.entries!r}, "
+                f"line={self.line!r}, col={self.col!r})")
 
     def get(self, key):
         for k, v in self.entries:
@@ -172,9 +197,11 @@ class Block:
         return None
 
 
-@dataclass
-class Manifest:
-    blocks: list  # equal manifests have equal kinds, names and entries
+class Manifest(Record):
+    __slots__ = _fields = ("blocks",)
+
+    def __init__(self, blocks: list):
+        self.blocks = blocks  # equal manifests have equal kinds, names and entries
 
     def block(self, name):
         for b in self.blocks:
@@ -476,11 +503,14 @@ def _on_cell(expr, key, values, blocks):
     return _combination(expr, labels, f"{key[0]} values are combinations of basis labels")
 
 
-class Key(NamedTuple):
-    check: Callable  # (expr, key, values of the keys above, blocks) -> what builders read
-    required: bool = False
-    default: object = None  # of a plain key; a pattern key defaults to {}
-    first: int = 0  # of a p<i> key, written as the run p<first>, p<first+1>, .. with no gap
+class Key(FrozenRecord):
+    __slots__ = _fields = ("check", "required", "default", "first")
+
+    def __init__(self, check, required: bool = False, default=None, first: int = 0):
+        self.check = check  # (expr, key, values of the keys above, blocks) -> what builders read
+        self.required = required
+        self.default = default  # of a plain key; a pattern key defaults to {}
+        self.first = first  # of a p<i> key, written as the run p<first>, p<first+1>, .. with no gap
 
 
 # block kind -> key shape -> Key.  Shapes: a plain name (gens), a name with

@@ -24,7 +24,6 @@ Conventions fixed here:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction as Rat
 from functools import cached_property
 from operator import itemgetter
@@ -46,14 +45,17 @@ from .gradedmixed import (
     weight_window_total_complex,
 )
 from .exactlin import SparseMatrix, _as_rat
+from .record import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
-    weight: int = 0
-    internal_weight: int = 0
+class Generator(FrozenRecord):
+    __slots__ = _fields = ("name", "degree", "weight", "internal_weight")
+
+    def __init__(self, name: str, degree: int, weight: int = 0, internal_weight: int = 0):
+        self.name = name
+        self.degree = degree
+        self.weight = weight
+        self.internal_weight = internal_weight
 
 
 class FreeCDGA:
@@ -391,8 +393,7 @@ def validate_cdga(alg: FreeCDGA, check_mixed=True) -> CdgaReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Window:
+class Window(Record):
     """Truncation window: weights and degrees inclusive, word length seed.
 
     The basis is the d/eps-closure of all monomials of word length
@@ -402,12 +403,16 @@ class Window:
     WindowTooSmall.
     """
 
-    wmin: int = 0
-    wmax: int = 6
-    dmin: int = -8
-    dmax: int = 8
-    max_len: int = 6
-    closure_rounds: int = 64
+    __slots__ = _fields = ("wmin", "wmax", "dmin", "dmax", "max_len", "closure_rounds")
+
+    def __init__(self, wmin: int = 0, wmax: int = 6, dmin: int = -8, dmax: int = 8,
+                 max_len: int = 6, closure_rounds: int = 64):
+        self.wmin = wmin
+        self.wmax = wmax
+        self.dmin = dmin
+        self.dmax = dmax
+        self.max_len = max_len
+        self.closure_rounds = closure_rounds
 
 
 def _mono_bidegree(alg, mono):
@@ -753,17 +758,19 @@ def _with_symbols(b: FreeCDGA):
     return FreeCDGA(gens, base_names=b.base_names, differential=d_vals, mixed=u)
 
 
-@dataclass
-class DeRhamAlgebra:
+class DeRhamAlgebra(Record):
     """Sym_B(Omega^1_{B/A}[-1]) with the de Rham differential as eps.
 
     d<g> has degree deg(g)+1, weight wt(g)+1; eps(g) = d<g>, eps(d<g>) = 0,
     and d(d<g>) = -dR(d g) so that d eps + eps d = 0.
     """
 
-    base: FreeCDGA
-    algebra: FreeCDGA
-    symbols: tuple
+    __slots__ = _fields = ("base", "algebra", "symbols")
+
+    def __init__(self, base: FreeCDGA, algebra: FreeCDGA, symbols: tuple):
+        self.base = base
+        self.algebra = algebra
+        self.symbols = symbols
 
     def weight_dim_window(self, wmin, wmax, max_len):
         """{j: {degree: dimension of the weight-j part}} for j = wmin..wmax
@@ -787,15 +794,17 @@ def de_rham(b: FreeCDGA) -> DeRhamAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClosedFormTower:
+class ClosedFormTower(Record):
     """Components omega_j in DR(B)(j)^{n+p} for j = p..top satisfying
     d omega_j + eps omega_{j-1} = 0 (omega_{p-1} = 0) in the window."""
 
-    de_rham: DeRhamAlgebra
-    p: int
-    n: int
-    components: dict  # weight -> Elem
+    __slots__ = _fields = ("de_rham", "p", "n", "components")
+
+    def __init__(self, de_rham: DeRhamAlgebra, p: int, n: int, components: dict):
+        self.de_rham = de_rham
+        self.p = p
+        self.n = n
+        self.components = components  # weight -> Elem
 
     def total(self) -> Elem:
         out = self.de_rham.algebra.zero()
@@ -827,12 +836,14 @@ class ClosedFormTower:
         return all(sum(weights[i] for i in m) > wmax for m in image)
 
 
-@dataclass
-class ClosedFormReport:
-    dimension: int
-    representatives: list  # of ClosedFormTower
-    stage_dims: dict  # m -> dim at Hodge stage weights p..m
-    fiber_dims: dict  # m -> dim of the weight-(m+1) fiber term
+class ClosedFormReport(Record):
+    __slots__ = _fields = ("dimension", "representatives", "stage_dims", "fiber_dims")
+
+    def __init__(self, dimension: int, representatives: list, stage_dims: dict, fiber_dims: dict):
+        self.dimension = dimension
+        self.representatives = representatives  # of ClosedFormTower
+        self.stage_dims = stage_dims  # m -> dim at Hodge stage weights p..m
+        self.fiber_dims = fiber_dims  # m -> dim of the weight-(m+1) fiber term
 
 
 def closed_form_classes(b: FreeCDGA, p: int, n: int, wmax: int, max_len=6) -> ClosedFormReport:
@@ -894,12 +905,14 @@ def _column(inside, images, w, max_len):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class KoszulComplex:
-    base: FreeCDGA
-    algebra: FreeCDGA
-    odd_gens: tuple
-    relations: tuple  # the f_i^{n_i} as base elements
+class KoszulComplex(Record):
+    __slots__ = _fields = ("base", "algebra", "odd_gens", "relations")
+
+    def __init__(self, base: FreeCDGA, algebra: FreeCDGA, odd_gens: tuple, relations: tuple):
+        self.base = base
+        self.algebra = algebra
+        self.odd_gens = odd_gens
+        self.relations = relations  # the f_i^{n_i} as base elements
 
     def homotopy_dims(self, max_len=6, min_degree=-4):
         """H^0, H^{-1}, ... dims of the Koszul algebra in a word window."""
@@ -943,14 +956,17 @@ def koszul(b: FreeCDGA, fs, powers=None) -> KoszulComplex:
     return KoszulComplex(base=b, algebra=alg, odd_gens=tuple(odd), relations=tuple(rels))
 
 
-@dataclass
-class CotangentTowerReport:
+class CotangentTowerReport(Record):
     """Pro-system of relative cotangent modules of K(B, f^n) after base change."""
 
-    stages: int
-    transition_matrices: list  # entries are base Elems, stage n+1 -> stage n
-    raw_nonzero: bool
-    zero_after_base_change: bool
+    __slots__ = _fields = ("stages", "transition_matrices", "raw_nonzero", "zero_after_base_change")
+
+    def __init__(self, stages: int, transition_matrices: list, raw_nonzero: bool,
+                 zero_after_base_change: bool):
+        self.stages = stages
+        self.transition_matrices = transition_matrices  # entries are base Elems, stage n+1 -> stage n
+        self.raw_nonzero = raw_nonzero
+        self.zero_after_base_change = zero_after_base_change
 
 
 def koszul_tower_cotangent(b: FreeCDGA, fs, stages: int) -> CotangentTowerReport:
@@ -981,12 +997,15 @@ def koszul_tower_cotangent(b: FreeCDGA, fs, stages: int) -> CotangentTowerReport
     return CotangentTowerReport(stages, mats, raw_nonzero, zero_after)
 
 
-@dataclass
-class DFunctorResult:
-    koszul: KoszulComplex
-    de_rham: DeRhamAlgebra
-    weight0_h0_dims: dict
-    realization_h0_dims: dict  # wmax -> dim of H^0 in the window
+class DFunctorResult(Record):
+    __slots__ = _fields = ("koszul", "de_rham", "weight0_h0_dims", "realization_h0_dims")
+
+    def __init__(self, koszul: KoszulComplex, de_rham: DeRhamAlgebra, weight0_h0_dims: dict,
+                 realization_h0_dims: dict):
+        self.koszul = koszul
+        self.de_rham = de_rham
+        self.weight0_h0_dims = weight0_h0_dims
+        self.realization_h0_dims = realization_h0_dims  # wmax -> dim of H^0 in the window
 
 
 def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:

@@ -7,7 +7,6 @@ xi^i of degree 1 and weight 1; eps^2 = 0 is exactly the Jacobi identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rat
 from itertools import combinations, permutations
 
@@ -17,6 +16,7 @@ from .freecdga import Elem, FreeCDGA, Generator, Window, _box_words, _image, _te
 from .freecdga import graded_mixed_window
 from .gradedmixed import GradedMixedComplex
 from .polyvec import MaurerCartanTower, PolyvectorAlgebra, mc_check
+from .record import Record
 
 
 class LieAlgebra:
@@ -67,9 +67,11 @@ def _nonabelian2(cls):
 LieAlgebra.nonabelian2 = _nonabelian2
 
 
-@dataclass
-class LieReport:
-    violations: list
+class LieReport(Record):
+    __slots__ = _fields = ("violations",)
+
+    def __init__(self, violations: list):
+        self.violations = violations
 
     @property
     def valid(self):
@@ -170,10 +172,12 @@ def lie_from_mixed(b: FreeCDGA) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InvariantTensor:
-    kind: str  # "sym2" or "wedge3"
-    coeffs: dict  # sym2: {(i<=j): c}; wedge3: {(i<j<k): c}
+class InvariantTensor(Record):
+    __slots__ = _fields = ("kind", "coeffs")
+
+    def __init__(self, kind: str, coeffs: dict):
+        self.kind = kind  # "sym2" or "wedge3"
+        self.coeffs = coeffs  # sym2: {(i<=j): c}; wedge3: {(i<j<k): c}
 
 
 def _action(g: LieAlgebra, kind: str):
@@ -292,12 +296,14 @@ def z_from_t(g: LieAlgebra, t: InvariantTensor) -> InvariantTensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SemiStrictReport:
-    valid: bool
-    invariant: bool
-    closed: bool
-    mc: object
+class SemiStrictReport(Record):
+    __slots__ = _fields = ("valid", "invariant", "closed", "mc")
+
+    def __init__(self, valid: bool, invariant: bool, closed: bool, mc):
+        self.valid = valid
+        self.invariant = invariant
+        self.closed = closed
+        self.mc = mc
 
 
 def semi_strict_check(g: LieAlgebra, z: InvariantTensor) -> SemiStrictReport:

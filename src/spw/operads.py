@@ -15,7 +15,6 @@ are the only places that accumulate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rat
 from itertools import combinations, permutations, product
 from math import prod
@@ -23,6 +22,7 @@ from math import prod
 from .errors import ArityTooLarge
 from .exactlin import QPoly, SparseMatrix
 from .freecdga import Elem, FreeCDGA
+from .record import Record
 
 
 def _check_arity(labels):
@@ -244,12 +244,14 @@ def _set_partitions(items):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MultilinearSpace:
-    operad: str
-    labels: tuple
-    basis: list
-    bigrading: dict  # basis element -> (degree, weight)
+class MultilinearSpace(Record):
+    __slots__ = _fields = ("operad", "labels", "basis", "bigrading")
+
+    def __init__(self, operad: str, labels: tuple, basis: list, bigrading: dict):
+        self.operad = operad
+        self.labels = labels
+        self.basis = basis
+        self.bigrading = bigrading  # basis element -> (degree, weight)
 
     @property
     def dimension(self):
@@ -327,11 +329,13 @@ class BD1Space(PnSpace):
         return {k: v.evaluate(value) for k, v in elem.items() if v.evaluate(value)}
 
 
-@dataclass
-class ReesOperad:
-    labels: tuple
-    space: BD1Space
-    basis: list
+class ReesOperad(Record):
+    __slots__ = _fields = ("labels", "space", "basis")
+
+    def __init__(self, labels: tuple, space: BD1Space, basis: list):
+        self.labels = labels
+        self.space = space
+        self.basis = basis
 
     def dimension(self):
         return len(self.basis)
@@ -384,12 +388,16 @@ def pn_compose(n, e1, label, e2, labels_out):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BD0Report:
-    d_bracket_zero: bool
-    d_product_is_hbar_bracket: bool
-    d_squared_zero_on_words: bool
-    derivation_respects_relations: bool
+class BD0Report(Record):
+    __slots__ = _fields = ("d_bracket_zero", "d_product_is_hbar_bracket", "d_squared_zero_on_words",
+                           "derivation_respects_relations")
+
+    def __init__(self, d_bracket_zero: bool, d_product_is_hbar_bracket: bool,
+                 d_squared_zero_on_words: bool, derivation_respects_relations: bool):
+        self.d_bracket_zero = d_bracket_zero
+        self.d_product_is_hbar_bracket = d_product_is_hbar_bracket
+        self.d_squared_zero_on_words = d_squared_zero_on_words
+        self.derivation_respects_relations = derivation_respects_relations
 
     @property
     def valid(self):

@@ -30,13 +30,13 @@ Non-degeneracy here and the symplectic forms of `compare` both use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction as Rat
 
 from .errors import BidegreeError, Degenerate, ShiftMismatch
 from .exactlin import SparseMatrix
 from .freecdga import Elem, FreeCDGA, Generator, _box_words, _derive, apply_derivation
+from .record import Record
 
 
 class PolyvectorAlgebra:
@@ -148,13 +148,16 @@ class PolyvectorAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StrictPoissonReport:
-    valid: bool
-    d_pi: Elem
-    self_bracket: Elem
-    pol: PolyvectorAlgebra
-    pi: Elem
+class StrictPoissonReport(Record):
+    # no __slots__: bracket_table is cached in the instance __dict__
+    _fields = ("valid", "d_pi", "self_bracket", "pol", "pi")
+
+    def __init__(self, valid: bool, d_pi: Elem, self_bracket: Elem, pol: PolyvectorAlgebra, pi: Elem):
+        self.valid = valid
+        self.d_pi = d_pi
+        self.self_bracket = self_bracket
+        self.pol = pol
+        self.pi = pi
 
     def __repr__(self):
         return f"StrictPoissonReport(valid={self.valid})"
@@ -200,26 +203,22 @@ def check_strict_poisson(pol: PolyvectorAlgebra, pi: Elem) -> StrictPoissonRepor
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MaurerCartanTower:
+class MaurerCartanTower(Record):
     """Weight-indexed components p_0, p_1, .. of a weak shifted Poisson
     structure: p_i has polyvector weight i+2 and degree n+2 in Pol(B, n+1)."""
 
-    pol: PolyvectorAlgebra
-    n: int
-    components: list  # of Elem
-    bound: int = None
+    __slots__ = _fields = ("pol", "n", "components", "bound")
 
-    def __post_init__(self):
-        if self.bound is None:
-            self.bound = len(self.components) + 1
-        for i, p in enumerate(self.components):
+    def __init__(self, pol: PolyvectorAlgebra, n: int, components: list, bound: int = None):
+        self.pol = pol
+        self.n = n
+        self.components = components  # of Elem
+        self.bound = len(components) + 1 if bound is None else bound
+        for i, p in enumerate(components):
             if p.is_zero():
                 continue
-            if p.weight() != i + 2 or p.degree() != self.n + 2:
-                raise BidegreeError(
-                    f"p_{i} must have weight {i + 2} and degree {self.n + 2}"
-                )
+            if p.weight() != i + 2 or p.degree() != n + 2:
+                raise BidegreeError(f"p_{i} must have weight {i + 2} and degree {n + 2}")
 
     def component(self, i) -> Elem:
         if 0 <= i < len(self.components):
@@ -233,11 +232,13 @@ class MaurerCartanTower:
         return out
 
 
-@dataclass
-class MCReport:
-    valid: bool
-    first_failure: int = None
-    residual: Elem = None
+class MCReport(Record):
+    __slots__ = _fields = ("valid", "first_failure", "residual")
+
+    def __init__(self, valid: bool, first_failure: int = None, residual: Elem = None):
+        self.valid = valid
+        self.first_failure = first_failure
+        self.residual = residual
 
     def __repr__(self):
         if self.valid:
@@ -282,11 +283,13 @@ def pairing_matrix(alg: FreeCDGA, symbols, elem: Elem) -> SparseMatrix:
     return SparseMatrix(m, m, ent)
 
 
-@dataclass
-class NondegeneracyReport:
-    nondegenerate: bool
-    theta: SparseMatrix  # generator-indexed pairing matrix
-    blocks: dict  # degree -> (rows, cols, rank)
+class NondegeneracyReport(Record):
+    __slots__ = _fields = ("nondegenerate", "theta", "blocks")
+
+    def __init__(self, nondegenerate: bool, theta: SparseMatrix, blocks: dict):
+        self.nondegenerate = nondegenerate
+        self.theta = theta  # generator-indexed pairing matrix
+        self.blocks = blocks  # degree -> (rows, cols, rank)
 
 
 def pairing_report(theta: SparseMatrix, gens, n: int) -> NondegeneracyReport:

@@ -26,20 +26,26 @@ unit against:
   adjoint action: the sparse Sym^2 one;
 - the Poincare-lemma count of de Rham window cohomology;
 - the indented `json.dumps` report and the match-at-each-position
-  tokenizer: `cli.Report.to_json` and `dsl.tokenize`.
+  tokenizer: `cli.Report.to_json` and `dsl.tokenize`;
+- the `@dataclass` and `NamedTuple` records: spw's plain record classes
+  (`ORACLE_RECORDS`).
 Also the per-case time limit of the CLI tests."""
+
+from __future__ import annotations
 
 import contextlib
 import json
 import random
 import re
 import signal
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
+from typing import Callable, NamedTuple
 
 from spw.dsl import _MAX_DIGITS
-from spw.errors import ParseError, WindowTooSmall
+from spw.errors import BidegreeError, ParseError, WindowTooSmall
 from spw.exactlin import QPoly, SparseMatrix, kernel_basis
 from spw.freecdga import (
     Elem,
@@ -1405,6 +1411,280 @@ def oracle_tokenize(source):
         pos = m.end()
     tokens.append(("eof", "", line, pos - line_start + 1))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# The @dataclass and NamedTuple records that the plain record classes
+# replaced: the fields, defaults, flags, __post_init__ and custom reprs as
+# they were, without the other methods
+# ---------------------------------------------------------------------------
+
+
+class OracleDsl:
+    @dataclass(frozen=True)
+    class Num:
+        value: Rat
+
+    @dataclass(frozen=True)
+    class Name:
+        ident: str
+
+    @dataclass(frozen=True)
+    class Dual:
+        ident: str
+
+    @dataclass(frozen=True)
+    class Pow:
+        base: object
+        exponent: int
+
+    @dataclass(frozen=True)
+    class Mul:
+        factors: tuple
+
+    @dataclass(frozen=True)
+    class Neg:
+        arg: object
+
+    @dataclass(frozen=True)
+    class Add:
+        terms: tuple
+
+    @dataclass(frozen=True)
+    class Call:
+        ident: str
+        args: tuple  # of Rat
+
+    @dataclass(frozen=True)
+    class Items:
+        items: tuple
+
+    @dataclass
+    class Block:
+        kind: str
+        name: str
+        entries: list  # of (key tuple, expr AST); key = (base, *qualifiers)
+        line: int = field(default=0, compare=False)
+        col: int = field(default=0, compare=False)
+        at: list = field(default_factory=list, repr=False, compare=False)  # (line, col) of each key
+        # SCHEMA shape -> checked value, set by parse
+        values: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @dataclass
+    class Manifest:
+        blocks: list  # equal manifests have equal kinds, names and entries
+
+    class Key(NamedTuple):
+        check: Callable  # (expr, key, values of the keys above, blocks) -> what builders read
+        required: bool = False
+        default: object = None  # of a plain key; a pattern key defaults to {}
+        first: int = 0  # of a p<i> key, written as the run p<first>, p<first+1>, .. with no gap
+
+
+class OracleFreecdga:
+    @dataclass(frozen=True)
+    class Generator:
+        name: str
+        degree: int
+        weight: int = 0
+        internal_weight: int = 0
+
+    @dataclass
+    class Window:
+        wmin: int = 0
+        wmax: int = 6
+        dmin: int = -8
+        dmax: int = 8
+        max_len: int = 6
+        closure_rounds: int = 64
+
+    @dataclass
+    class DeRhamAlgebra:
+        base: FreeCDGA
+        algebra: FreeCDGA
+        symbols: tuple
+
+    @dataclass
+    class ClosedFormTower:
+        de_rham: DeRhamAlgebra
+        p: int
+        n: int
+        components: dict  # weight -> Elem
+
+    @dataclass
+    class ClosedFormReport:
+        dimension: int
+        representatives: list  # of ClosedFormTower
+        stage_dims: dict  # m -> dim at Hodge stage weights p..m
+        fiber_dims: dict  # m -> dim of the weight-(m+1) fiber term
+
+    @dataclass
+    class KoszulComplex:
+        base: FreeCDGA
+        algebra: FreeCDGA
+        odd_gens: tuple
+        relations: tuple  # the f_i^{n_i} as base elements
+
+    @dataclass
+    class CotangentTowerReport:
+        stages: int
+        transition_matrices: list  # entries are base Elems, stage n+1 -> stage n
+        raw_nonzero: bool
+        zero_after_base_change: bool
+
+    @dataclass
+    class DFunctorResult:
+        koszul: KoszulComplex
+        de_rham: DeRhamAlgebra
+        weight0_h0_dims: dict
+        realization_h0_dims: dict  # wmax -> dim of H^0 in the window
+
+
+class OraclePolyvec:
+    @dataclass
+    class StrictPoissonReport:
+        valid: bool
+        d_pi: Elem
+        self_bracket: Elem
+        pol: PolyvectorAlgebra
+        pi: Elem
+
+        def __repr__(self):
+            return f"StrictPoissonReport(valid={self.valid})"
+
+    @dataclass
+    class MaurerCartanTower:
+        pol: PolyvectorAlgebra
+        n: int
+        components: list  # of Elem
+        bound: int = None
+
+        def __post_init__(self):
+            if self.bound is None:
+                self.bound = len(self.components) + 1
+            for i, p in enumerate(self.components):
+                if p.is_zero():
+                    continue
+                if p.weight() != i + 2 or p.degree() != self.n + 2:
+                    raise BidegreeError(
+                        f"p_{i} must have weight {i + 2} and degree {self.n + 2}"
+                    )
+
+    @dataclass
+    class MCReport:
+        valid: bool
+        first_failure: int = None
+        residual: Elem = None
+
+        def __repr__(self):
+            if self.valid:
+                return "MCReport(valid)"
+            return f"MCReport(fails at i={self.first_failure})"
+
+    @dataclass
+    class NondegeneracyReport:
+        nondegenerate: bool
+        theta: SparseMatrix  # generator-indexed pairing matrix
+        blocks: dict  # degree -> (rows, cols, rank)
+
+
+class OracleCompare:
+    @dataclass
+    class SymplecticForm:
+        de_rham: DeRhamAlgebra
+        n: int
+        omega: Elem
+        theta: SparseMatrix
+
+    @dataclass
+    class PhiPiResult:
+        pol: PolyvectorAlgebra
+        de_rham: DeRhamAlgebra
+        images: dict  # generator/symbol name -> Elem of the polyvector algebra
+        chain_map_ok: bool
+        iso_blocks: dict  # (weight, degree) -> (dim, rank)
+        bidegree_iso: bool
+
+    @dataclass
+    class StrictificationResult:
+        eta: Elem  # weight-1 potential: strict form = eps(eta)
+        strict_form: Elem
+        gauge: Elem  # h with omega - strict = (d + eps) h in the window
+        window: Window
+
+    @dataclass
+    class DarbouxReport:
+        q: Elem
+        residual: list  # components of pi' = tower - q
+        q_closed: bool
+        q_self_bracket_zero: bool
+        rewritten_mc_ok: bool
+
+
+class OracleLieinfty:
+    @dataclass
+    class LieReport:
+        violations: list
+
+    @dataclass
+    class InvariantTensor:
+        kind: str  # "sym2" or "wedge3"
+        coeffs: dict  # sym2: {(i<=j): c}; wedge3: {(i<j<k): c}
+
+    @dataclass
+    class SemiStrictReport:
+        valid: bool
+        invariant: bool
+        closed: bool
+        mc: object
+
+
+class OracleOperads:
+    @dataclass
+    class MultilinearSpace:
+        operad: str
+        labels: tuple
+        basis: list
+        bigrading: dict  # basis element -> (degree, weight)
+
+    @dataclass
+    class ReesOperad:
+        labels: tuple
+        space: BD1Space
+        basis: list
+
+    @dataclass
+    class BD0Report:
+        d_bracket_zero: bool
+        d_product_is_hbar_bracket: bool
+        d_squared_zero_on_words: bool
+        derivation_respects_relations: bool
+
+
+class OracleCli:
+    class _Command(NamedTuple):
+        handler: Callable
+        manifest: bool = True  # reads a manifest file (or stdin)
+        options: tuple = ()  # (flags, add_argument keywords) after the common options
+
+
+def _oracle_records():
+    """[(spw module name, oracle class)]; each class is renamed to its bare
+    name, so that its repr names it as spw's does."""
+    out = []
+    for module, namespace in (
+        ("dsl", OracleDsl), ("freecdga", OracleFreecdga), ("polyvec", OraclePolyvec),
+        ("compare", OracleCompare), ("lieinfty", OracleLieinfty), ("operads", OracleOperads),
+        ("cli", OracleCli),
+    ):
+        for cls in vars(namespace).values():
+            if isinstance(cls, type):
+                cls.__qualname__ = cls.__name__
+                out.append((module, cls))
+    return out
+
+
+ORACLE_RECORDS = _oracle_records()
 
 
 # ---------------------------------------------------------------------------

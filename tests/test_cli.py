@@ -492,6 +492,7 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, monkeypatch, command, so
         pytest.param(("de-rham", "plane_poisson.spw"), {"SPW_MAX_WEIGHT": "-1"}, id="env-max-weight"),
         pytest.param(("koszul", "koszul_line.spw"), {"SPW_MAX_LEN": "-3"}, id="env-max-len"),
         pytest.param(("de-rham", "plane_poisson.spw"), {"SPW_MAX_DEGREE": "-2"}, id="env-max-degree"),
+        pytest.param(("tate", "negative_weight.spw", "--stage", "-1"), {}, id="tate-stage"),
     ],
 )
 def test_negative_window_sizes_exit_two(capsys, monkeypatch, argv, env):
@@ -552,6 +553,12 @@ def test_max_weight_is_read_from_the_environment_on_each_call(capsys, monkeypatc
     assert resets == [len(cli.COMMANDS)] * 4 + [0]
 
 
+def operad_with(handler):
+    """The `operad` command with its handler replaced."""
+    operad = cli.COMMANDS["operad"]
+    return cli._Command(handler, operad.manifest, operad.options)
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [
@@ -564,7 +571,7 @@ def test_an_internal_fault_exits_four_without_a_traceback(capsys, monkeypatch, f
     def handler(manifest, args, report):
         raise fault
 
-    monkeypatch.setitem(cli.COMMANDS, "operad", cli.COMMANDS["operad"]._replace(handler=handler))
+    monkeypatch.setitem(cli.COMMANDS, "operad", operad_with(handler))
     code, out, err = run(capsys, "operad", "pn")
     assert (code, out, err) == (4, "", message)
 
@@ -573,7 +580,7 @@ def test_an_interrupt_is_not_an_internal_fault(monkeypatch):
     def handler(manifest, args, report):
         raise KeyboardInterrupt
 
-    monkeypatch.setitem(cli.COMMANDS, "operad", cli.COMMANDS["operad"]._replace(handler=handler))
+    monkeypatch.setitem(cli.COMMANDS, "operad", operad_with(handler))
     with pytest.raises(KeyboardInterrupt):
         main(["operad", "pn"])
 

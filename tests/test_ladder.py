@@ -1,5 +1,6 @@
-"""`tools/ladder.py` times de Rham window rungs in child processes and
-checks each against the closed-form window dimensions."""
+"""`tools/ladder.py` times `import spw.cli` and de Rham window rungs in
+child processes, and checks each rung against the closed-form window
+dimensions."""
 
 import importlib.util
 import os
@@ -25,3 +26,13 @@ def test_ladder_runs_the_first_rung_against_the_oracle():
     # printed to the millisecond, so the stages may sum just above the total
     assert 0 < min(window, assembly, homology) and window + assembly + homology <= total + 0.002
     assert rss > 0
+
+
+def test_ladder_times_the_import_of_the_cli():
+    ladder = load_ladder()
+    line, ok = ladder.import_line()
+    assert ok, line
+    cells = line.split()
+    assert cells[:2] == ["import", "spw.cli"] and cells[3] == "s", cells
+    assert 0 < float(cells[2]) < 10
+    assert cells[4:] == ["(median", "of", "5", "processes)"]

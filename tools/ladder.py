@@ -1,6 +1,11 @@
-"""Time the de Rham window ladder, one child process per rung.
+"""Time the start-up of spw and the de Rham window ladder, one child
+process per rung.
 
     python tools/ladder.py
+
+The first line gives the wall seconds of `import spw.cli` in a fresh child
+process, the median of 5 children; bytecode writing is left as the
+environment sets it.
 
 A rung (ke, ko, L) is the de Rham algebra of the free algebra on ke even
 generators of degree 0 and ko odd ones of degree 1, in the window
@@ -11,10 +16,11 @@ seconds of each of these three stages and end to end (algebra to
 dimensions), the window's monomial count and its own peak RSS. The rungs are
 (3, 3, 6), (4, 4, 6), (5, 5, 6), (6, 6, 6) and (4, 4, 8).
 
-A rung fails when its child fails, or when its dimensions differ from
+The import line fails when one of its children fails. A rung fails when
+its child fails, or when its dimensions differ from
 `perfbench/oracles.de_rham_dims` or break the Poincare lemma
-(`poincare_violations`); the exit code is 1 if any rung fails. Standard
-library only.
+(`poincare_violations`); the exit code is 1 if the import or any rung
+fails. Standard library only.
 """
 
 import json
@@ -27,6 +33,13 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from oracles import de_rham_dims, poincare_violations  # noqa: E402
 
 RUNGS = ((3, 3, 6), (4, 4, 6), (5, 5, 6), (6, 6, 6), (4, 4, 8))
+IMPORT_RUNS = 5
+IMPORT_CHILD = (
+    "import time\n"
+    "start = time.perf_counter()\n"
+    "import spw.cli\n"
+    "print(time.perf_counter() - start)\n"
+)
 CHILD = (
     "import json, resource, sys, time\n"
     "from spw.freecdga import FreeCDGA, Window, de_rham, graded_mixed_window\n"
@@ -48,11 +61,27 @@ CHILD = (
 )
 
 
+def run_child(code, *args):
+    """The finished child process running `code` on this checkout's spw."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def import_line():
+    """(report line, passed) of the median wall seconds of `import spw.cli`."""
+    times = []
+    for _ in range(IMPORT_RUNS):
+        proc = run_child(IMPORT_CHILD)
+        if proc.returncode:
+            return f"import spw.cli  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
+        times.append(float(proc.stdout))
+    return f"import spw.cli  {sorted(times)[IMPORT_RUNS // 2]:.4f} s  (median of {IMPORT_RUNS} processes)", True
+
+
 def run_rung(ke, ko, size):
     """(report line, passed) of one rung run in its own process."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(ke), str(ko), str(size)],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = run_child(CHILD, str(ke), str(ko), str(size))
     rung = f"({ke}, {ko}, {size})"
     if proc.returncode:
         return f"{rung:>12}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
@@ -71,9 +100,10 @@ def run_rung(ke, ko, size):
 
 
 def main():
+    line, passed = import_line()
+    print(line, flush=True)
     print(f"{'rung':>12}  {'monomials':>9}  {'window_s':>8}  {'assembly_s':>10}  {'homology_s':>10}"
           f"  {'total_s':>8}  {'rss_mb':>7}  dims")
-    passed = True
     for rung in RUNGS:
         line, ok = run_rung(*rung)
         print(line, flush=True)
