@@ -471,7 +471,7 @@ COMMANDS = {
     "de-rham": _Command(cmd_de_rham),
     "closed-forms": _Command(
         cmd_closed_forms,
-        options=(_option("--p", type=int, default=2), _option("--degree", type=int, default=0)),
+        options=(_option("--p", type=_size, default=2), _option("--degree", type=int, default=0)),
     ),
     "check-poisson": _Command(cmd_check_poisson),
     "mc": _Command(cmd_mc),

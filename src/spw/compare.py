@@ -20,6 +20,7 @@ from .freecdga import (
     FreeCDGA,
     Window,
     _closure,
+    _image,
     _window_monomials,
     de_rham,
 )
@@ -159,7 +160,9 @@ def phi_pi(base: FreeCDGA, pi: Elem, n: int, window: Window = None) -> PhiPiResu
         targets = {}
         for j, mono in enumerate(monos):
             phi_x = result.apply(Elem(dr.algebra, {mono: 1}))
-            dx, ex = (Elem(dr.algebra, image) for image in dr_images[mono])
+            # a top-degree word has no stored images (see _closure)
+            pair = dr_images.get(mono) or [_image(table, mono) for table in dr.algebra._tables]
+            dx, ex = (Elem(dr.algebra, image) for image in pair)
             if result.apply(dx) != pol.d(phi_x) or result.apply(ex) != pol.bracket(pi, phi_x):
                 chain_ok = False
             ent += [(targets.setdefault(mm, len(targets)), j, c) for mm, c in phi_x.terms.items()]

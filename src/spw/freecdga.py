@@ -400,7 +400,9 @@ class Window(Record):
     <= max_len inside the bidegree box.  Images above wmax or dmax are
     projected away (quotient complex, still exact); an image inside the
     box that the closure cannot absorb within `closure_rounds` raises
-    WindowTooSmall.
+    WindowTooSmall.  When d and eps raise the degree by one on every
+    term, the words of degree dmax are not imaged: their images lie
+    above the window.
     """
 
     __slots__ = _fields = ("wmin", "wmax", "dmin", "dmax", "max_len", "closure_rounds")
@@ -593,20 +595,29 @@ def _closure(alg: FreeCDGA, window: Window):
 
     The basis starts from the words of length <= max_len in the box, in
     `_box_words` order, and grows in closure order.  Each basis
-    monomial's two images are computed once, as the closure reaches it;
-    see Window.
+    monomial's two images are computed once, as the closure reaches it.
+    When every term of d and eps raises the degree by one, a word of
+    degree dmax has no term of its images inside the window and gets no
+    entry in the images; otherwise (a d of another degree) every word is
+    imaged, so that the blocks can raise BidegreeMismatch.  See Window.
     """
     wmin, wmax, dmin, dmax = window.wmin, window.wmax, window.dmin, window.dmax
     inside = _box_words(alg, window.max_len, wmin, wmax, dmin, dmax)
     # a zero derivation (e.g. d on a free algebra's de Rham algebra) images
     # every word to {}
     d_table, eps_table = (table if table[1] else None for table in alg._tables)
+    # rows are (t, c, b, odd_t, keep, dw, dd): see _term_table
+    top = dmax if all(
+        row[6] == 1 for _, by_letter in alg._tables for rows in by_letter.values() for row in rows
+    ) else None
     images = {}
     frontier = list(inside)
     for _ in range(window.closure_rounds):
         new = []
         for m in frontier:
             w, d = inside[m]
+            if d == top:
+                continue  # every image term lies at degree dmax + 1
             fresh = {}
             pair = images[m] = (
                 {} if d_table is None else _image(d_table, m, inside, fresh, w, d),
@@ -665,15 +676,19 @@ def _derivation_blocks(alg, monos, at, images, k):
     the window `_window_monomials` gives as (monos, at).
 
     Rows are keyed by monomial.  Image terms outside the window are
-    projected away; a term inside it at another bidegree raises
-    BidegreeMismatch.
+    projected away, and so is the image of a word with no entry in
+    `images` (see _closure); a term inside the window at another bidegree
+    raises BidegreeMismatch.
     """
     out = {}
     for (w, d), ms in monos.items():
         tgt = (w + k, d + 1)
         ent = {}
         for j, m in enumerate(ms):
-            for m2, c in images[m][k].items():
+            pair = images.get(m)
+            if pair is None:
+                continue
+            for m2, c in pair[k].items():
                 pos = at.get(m2)
                 if pos is None:
                     continue
@@ -852,14 +867,22 @@ def closed_form_classes(b: FreeCDGA, p: int, n: int, wmax: int, max_len=6) -> Cl
     Computes H^{n+p} of the total complex of DR(B) in weights p..wmax
     (a genuine subquotient: weights >= p form a subcomplex since d and
     eps never lower weight).  Also reports the Hodge-stage dimensions
-    and the fibration-sequence fiber dimensions.
+    and the fibration-sequence fiber dimensions.  Raises WindowTooSmall
+    when wmax < p: the window holds no p-forms.
+
+    H^{n+p} reads the degrees n+p-1..n+p+1, so the window ends at n+p+1;
+    the words there are not imaged (see _closure).  It starts at n+p-2,
+    not n+p-1: longer words of degree n+p-1 enter the window as the
+    images of the seed words one degree below.
     """
+    if wmax < p:
+        raise WindowTooSmall(f"max weight {wmax} is below the form degree p = {p}")
     dr = de_rham(b)
     deg = n + p
     # one closure serves every stage and fibre: d and eps never lower
     # weight, so the weights <= top of this window are the window of
     # weights p..top, and every stage is read off the top one
-    window = Window(wmin=p, wmax=wmax, dmin=deg - 2, dmax=deg + 2, max_len=max_len)
+    window = Window(wmin=p, wmax=wmax, dmin=deg - 2, dmax=deg + 1, max_len=max_len)
     inside, images = _closure(dr.algebra, window)
     cx = _mixed_complex(dr.algebra, inside, images)
     total, stage_dims = stage_homology_dims(cx, p, wmax, deg)
@@ -892,7 +915,8 @@ def _column(inside, images, w, max_len):
     while frontier:
         new = []
         for m in frontier:
-            for m2 in images[m][0]:
+            # a word with no images (see _closure) has none in the window
+            for m2 in images[m][0] if m in images else ():
                 if m2 in inside and m2 not in column:
                     column[m2] = inside[m2]
                     new.append(m2)
@@ -1039,6 +1063,7 @@ def _h0_by_weight(dr, wmax, max_len):
     """{w: dim H^0 of the total complex in weights 0..w} for w = 0..wmax,
     from one window: d and eps never lower weight, so the words of weight
     <= w of the weight-wmax window are the weight-w window, and every
-    stage is read off the top one (see stage_homology_dims)."""
-    cx, _ = graded_mixed_window(dr.algebra, Window(0, wmax, -2, 2, max_len))
+    stage is read off the top one (see stage_homology_dims).  H^0 reads
+    the degrees -1..1, so the window ends at 1 (see closed_form_classes)."""
+    cx, _ = graded_mixed_window(dr.algebra, Window(0, wmax, -2, 1, max_len))
     return stage_homology_dims(cx, 0, wmax, 0)[1]

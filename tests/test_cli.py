@@ -66,6 +66,13 @@ def test_tate_negative_weight_inconclusive_exit_three(capsys):
     assert "?" in out
 
 
+def test_closed_forms_above_the_max_weight_exit_three(capsys):
+    # p-forms have weight p: a window of weights p..max-weight is empty
+    code, out, err = run(capsys, "closed-forms", path("cotangent.spw"), "--p", "7", "--max-weight", "6")
+    assert code == 3 and out == ""
+    assert err == "window too small: max weight 6 is below the form degree p = 7\n"
+
+
 def test_json_reports_are_byte_deterministic(capsys):
     runs = []
     for _ in range(2):
@@ -493,6 +500,7 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, monkeypatch, command, so
         pytest.param(("koszul", "koszul_line.spw"), {"SPW_MAX_LEN": "-3"}, id="env-max-len"),
         pytest.param(("de-rham", "plane_poisson.spw"), {"SPW_MAX_DEGREE": "-2"}, id="env-max-degree"),
         pytest.param(("tate", "negative_weight.spw", "--stage", "-1"), {}, id="tate-stage"),
+        pytest.param(("closed-forms", "cotangent.spw", "--p", "-1"), {}, id="closed-forms-p"),
     ],
 )
 def test_negative_window_sizes_exit_two(capsys, monkeypatch, argv, env):

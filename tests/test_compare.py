@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import oracle_nondegeneracy
+from helpers import oracle_closure, oracle_nondegeneracy
 from spw import compare, dsl, freecdga, polyvec
 from spw.compare import (
     SymplecticForm,
@@ -94,6 +94,30 @@ def test_phi_pi_iso_blocks_match_recorded_values():
     b, _, pi = random_constant_nondeg(random.Random(3), 1, pairs=2)
     res = phi_pi(b, pi, 1, Window(0, 2, -8, 8, 2))
     assert list(res.iso_blocks.items()) == RECORDED_ISO_BLOCKS["four generators"]
+
+
+def test_phi_pi_images_the_top_degree_words_itself(monkeypatch):
+    # the closure stores no images of the words of degree dmax; phi_pi
+    # images them itself, and reads as it does on the oracle's closure,
+    # which images every word
+    checked = 0
+    cases = [(*cotangent_pair(n), n) for n in (0, 1, 2)]
+    cases.append((*random_constant_nondeg(random.Random(3), 1, pairs=2), 1))
+    for b, _, pi, n in cases:
+        alg = de_rham(b).algebra
+        for window in (Window(0, 2, -2, 2, 3), Window(0, 3, 0, 1, 4)):
+            inside, images = freecdga._closure(alg, window)
+            assert any(m not in images for m in inside)
+            got = phi_pi(b, pi, n, window)
+            monkeypatch.setattr(compare, "_closure", oracle_closure)
+            want = phi_pi(b, pi, n, window)
+            monkeypatch.undo()
+            assert got.chain_map_ok and got.bidegree_iso
+            assert (got.chain_map_ok, got.iso_blocks, got.bidegree_iso) == (
+                want.chain_map_ok, want.iso_blocks, want.bidegree_iso
+            )
+            checked += 1
+    assert checked == 8
 
 
 def test_phi_pi_rejects_zero_pi():

@@ -40,7 +40,7 @@ from spw.freecdga import (
     validate_cdga,
     window_basis,
 )
-from spw.gradedmixed import validate_mixed, weight_window_total_complex
+from spw.gradedmixed import stage_homology_dims, validate_mixed, weight_window_total_complex
 
 
 def poly_line():
@@ -124,6 +124,14 @@ def test_de_rham_eps_is_derivation_on_quadratic_monomials():
 def test_closed_forms_no_two_forms_on_line():
     rep = closed_form_classes(poly_line(), p=2, n=0, wmax=3, max_len=4)
     assert rep.dimension == 0
+
+
+def test_closed_forms_below_the_form_degree_raise():
+    # p-forms have weight p: the window of weights p..wmax is empty
+    for p, wmax in ((3, 2), (1, 0)):
+        with pytest.raises(WindowTooSmall, match=f"max weight {wmax} is below the form degree p = {p}"):
+            closed_form_classes(poly_plane(), p=p, n=0, wmax=wmax, max_len=4)
+    assert closed_form_classes(poly_plane(), p=2, n=0, wmax=2, max_len=4).dimension == 6
 
 
 def test_closed_forms_run_one_closure(monkeypatch):
@@ -319,6 +327,27 @@ def test_d_functor_h0_matches_a_window_per_weight():
     assert compared >= 20
 
 
+def test_d_functor_h0_matches_the_window_through_degree_two():
+    # the H^0 window ends at degree 1; the one through degree 2 gives the
+    # same sequence.  It holds words of degree 2, dx0 dx1, on the zero
+    # ideal, whose de Rham algebra is absolute
+    rng = random.Random(41)
+    compared = with_top = 0
+    for _ in range(40):
+        b = FreeCDGA([("x0", 0), ("x1", 0)])
+        fs = _random_ideal(rng, b)
+        wmax, max_len = rng.randint(2, 3), rng.randint(2, 4)
+        try:
+            res = d_functor(b, fs, wmax=wmax, max_len=max_len)
+        except NotRegular:
+            continue
+        cx, inside = graded_mixed_window(res.de_rham.algebra, Window(0, wmax, -2, 2, max_len))
+        assert res.realization_h0_dims == stage_homology_dims(cx, 0, wmax, 0)[1]
+        with_top += any(d == 2 for _, d in inside.values())
+        compared += 1
+    assert compared >= 20 and with_top >= 8
+
+
 def test_d_functor_runs_three_closures(monkeypatch):
     # the Koszul probe, the weight-0 window and one window for the H^0
     # sequence; a window per weight ran wmax + 3 = 9 at the default wmax
@@ -404,10 +433,25 @@ def test_graded_mixed_window_matches_per_label_oracle():
             assert named == oracle.basis and got.diff == oracle.diff
 
 
+def _raises_degree_by_one(alg):
+    """True when every term of d and of eps lies one degree above its
+    generator: then the closure stores no images of the top-degree words."""
+    return all(
+        freecdga._mono_bidegree(alg, t)[1] == alg.degrees[i] + 1
+        for values in (alg.differential, alg.mixed)
+        for i, v in values.items()
+        for t in v.terms
+    )
+
+
 def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
     image = freecdga._image
-    zero_maps = 0
-    for alg, window in _de_rham_windows():
+    zero_maps = top_skipped = top_imaged = 0
+    # d(x) = y raises the degree by three: its images of the degree-1 top
+    # words lie above the window, but they are imaged
+    free = FreeCDGA([("x", 0), ("z", 1), ("y", 3)])
+    skew = FreeCDGA(free.generators, differential={"x": free.gen("y")})
+    for alg, window in [*_de_rham_windows(), (skew, Window(0, 0, -1, 1, 4))]:
         calls = {}  # id of a term table -> (table, words imaged with it)
 
         def counted(table, mono, *args):
@@ -419,19 +463,30 @@ def test_graded_mixed_window_images_each_monomial_once(monkeypatch):
         monkeypatch.undo()
         monos = sorted(inside)
         # one table per nonzero map, d first, and every basis word imaged
-        # once by each; a zero map (d on these algebras) images nothing
+        # once by each, but for the top-degree words when every term
+        # raises the degree by one; a zero map (d on the de Rham algebras)
+        # images nothing
+        by_one = _raises_degree_by_one(alg)
+        imaged = [m for m in monos if not by_one or inside[m][1] < window.dmax]
+        top = sum(inside[m][1] == window.dmax for m in monos)
+        if by_one:
+            top_skipped += top
+        else:
+            top_imaged += top
         tables = [freecdga._term_table(alg, values, 1) for values in (alg.differential, alg.mixed)]
         nonzero = [table for table in tables if table[1]]
-        assert [table for table, _ in calls.values()] == (nonzero if monos else [])
+        assert [table for table, _ in calls.values()] == (nonzero if imaged else [])
         for _, seen in calls.values():
-            assert sorted(seen) == monos
+            assert sorted(seen) == imaged
         assert set(monos) == set(window_basis(alg, window))
         images = freecdga._closure(alg, window)[1]
+        assert sorted(images) == imaged
         for k, table in enumerate(tables):
             if not table[1]:
                 zero_maps += 1
                 assert all(pair[k] == {} for pair in images.values())
     assert zero_maps >= 9  # d on the de Rham algebras of the three free algebras
+    assert top_skipped >= 100 and top_imaged == 4
 
 
 def test_window_monomials_keep_the_sorted_order_and_share_one_index():
@@ -545,14 +600,56 @@ def _closure_cases():
 
 def test_closure_matches_the_enumerate_filter_oracle():
     outcomes = {}
+    top_skipped = top_imaged = 0
     for alg, window in _closure_cases():
         got = _closure_or_raise(freecdga._closure, alg, window)
-        assert got == _closure_or_raise(oracle_closure, alg, window)
+        want = _closure_or_raise(oracle_closure, alg, window)
+        if isinstance(want[0], list):
+            # the oracle images every word; the closure stores no images of
+            # the top-degree words when every term raises the degree by one
+            inside = dict(want[0])
+            top = [item for item in want[1] if inside[item[0]][1] == window.dmax]
+            if _raises_degree_by_one(alg):
+                top_skipped += len(top)
+                want = want[0], [item for item in want[1] if inside[item[0]][1] < window.dmax]
+            else:
+                top_imaged += len(top)
+        assert got == want
         kind = "window" if isinstance(got[0], list) else got[0]
         outcomes[kind] = outcomes.get(kind, 0) + 1
     assert outcomes["window"] >= 900
+    assert top_skipped >= 400 and top_imaged >= 5
     assert outcomes["window closure did not terminate"] >= 5
     assert outcomes["differential image below the window"] >= 5
+
+
+def test_window_blocks_match_the_ones_from_full_images():
+    # the closure stores no images of the top-degree words: the blocks, the
+    # total complex and the closed-forms columns equal the ones built from
+    # the oracle's images of every word
+    rng = random.Random(503)
+    top_words = 0
+    for _ in range(60):
+        b = random_valid_cdga(rng, max_gens=4)
+        for alg in (b, de_rham(b).algebra):
+            wmin, dmin = rng.randint(0, 1), rng.randint(-4, 1)
+            window = Window(wmin, wmin + rng.randint(0, 3), dmin, dmin + rng.randint(1, 4), rng.randint(2, 4))
+            try:
+                inside, images = freecdga._closure(alg, window)
+            except WindowTooSmall:
+                continue
+            full_inside, full_images = oracle_closure(alg, window)
+            assert inside == full_inside
+            got = freecdga._mixed_complex(alg, inside, images)
+            want = freecdga._mixed_complex(alg, full_inside, full_images)
+            assert got.d == want.d and got.eps == want.eps
+            for wmax in range(window.wmin, window.wmax + 1):
+                got_total = weight_window_total_complex(got, window.wmin, wmax)
+                assert got_total.diff == weight_window_total_complex(want, window.wmin, wmax).diff
+                column = freecdga._column(inside, images, wmax, window.max_len)
+                assert column == freecdga._column(full_inside, full_images, wmax, window.max_len)
+            top_words += sum(d == window.dmax for _, d in inside.values())
+    assert top_words >= 200
 
 
 def _between(lo, x, hi):

@@ -366,3 +366,21 @@ def test_homology_with_a_missing_differential_eliminates_no_zero_matrix(monkeypa
             assert res.dimension == old.dimension
             assert res.representatives == old.representatives
     assert missing > len(complexes)
+
+
+def test_homology_forms_no_composite(monkeypatch):
+    # the constructor proved d(m) d(m-1) = 0: homology(m) does not form it again
+    rng = random.Random(31)
+    complexes = [realization(random_valid_complex(rng), 4) for _ in range(16)]
+    gens = [("x", 0), ("y", 0), ("a", 1)]
+    cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 3, -3, 3, 3))
+    complexes.append(weight_window_total_complex(cx, 0, 3))
+    products = []
+    matmul = SparseMatrix.__matmul__
+    monkeypatch.setattr(SparseMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    middles = 0
+    for total in complexes:
+        for m in total.degrees():
+            middles += m - 1 in total.diff and m in total.diff
+            total.homology(m)
+    assert products == [] and middles >= 10

@@ -1,6 +1,6 @@
-"""`tools/ladder.py` times `import spw.cli` and de Rham window rungs in
-child processes, and checks each rung against the closed-form window
-dimensions."""
+"""`tools/ladder.py` times `import spw.cli`, de Rham window rungs and a
+closed-forms rung in child processes, and checks each rung against the
+closed-form window dimensions."""
 
 import importlib.util
 import os
@@ -36,3 +36,17 @@ def test_ladder_times_the_import_of_the_cli():
     assert cells[:2] == ["import", "spw.cli"] and cells[3] == "s", cells
     assert 0 < float(cells[2]) < 10
     assert cells[4:] == ["(median", "of", "5", "processes)"]
+
+
+def test_ladder_runs_the_closed_forms_rung_against_the_oracle():
+    ladder = load_ladder()
+    assert ladder.CLOSED_FORMS_RUNG == (4, 2, 2, 0, 6, 6)
+    line, ok = ladder.run_closed_forms_rung(*ladder.CLOSED_FORMS_RUNG)
+    assert ok, line
+    cells = line.split()
+    assert cells[:6] == ["cf(4,", "2,", "2,", "0,", "6,", "6)"] and cells[-1] == "ok"
+    assert int(cells[6]) == 1540  # window words: degrees 0..3, the top one not imaged
+    closure, assembly, homology, total, rss = map(float, cells[7:12])
+    assert 0 < min(closure, assembly) and homology >= 0
+    assert closure + assembly + homology <= total + 0.002
+    assert rss > 0

@@ -16,11 +16,20 @@ seconds of each of these three stages and end to end (algebra to
 dimensions), the window's monomial count and its own peak RSS. The rungs are
 (3, 3, 6), (4, 4, 6), (5, 5, 6), (6, 6, 6) and (4, 4, 8).
 
+The closed-forms rung (ke, ko, p, n, wmax, L) runs `closed_form_classes`
+on the same free algebra, p-forms of degree n in weights p..wmax with word
+length L, in its own child. It reports the window's word count, the seconds
+spent in the window closure (`_closure`), in assembly (`_column`,
+`_mixed_complex` and `weight_window_total_complex`) and in the rest
+(homology: elimination and representatives), end to end, and its peak
+RSS. The rung is (4, 2, 2, 0, 6, 6).
+
 The import line fails when one of its children fails. A rung fails when
 its child fails, or when its dimensions differ from
 `perfbench/oracles.de_rham_dims` or break the Poincare lemma
-(`poincare_violations`); the exit code is 1 if the import or any rung
-fails. Standard library only.
+(`poincare_violations`); the closed-forms rung fails when its classes,
+stage or fibre dimensions differ from `perfbench/oracles.closed_form_tables`.
+The exit code is 1 if the import or any rung fails. Standard library only.
 """
 
 import json
@@ -30,9 +39,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from oracles import de_rham_dims, poincare_violations  # noqa: E402
+from oracles import closed_form_tables, de_rham_dims, poincare_violations  # noqa: E402
 
 RUNGS = ((3, 3, 6), (4, 4, 6), (5, 5, 6), (6, 6, 6), (4, 4, 8))
+CLOSED_FORMS_RUNG = (4, 2, 2, 0, 6, 6)
 IMPORT_RUNS = 5
 IMPORT_CHILD = (
     "import time\n"
@@ -58,6 +68,38 @@ CHILD = (
     "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
     "print(json.dumps([len(inside), t1 - t0, t2 - t1, t3 - t2, t3 - start, rss,\n"
     "                  sorted(dims.items())]))\n"
+)
+
+CLOSED_FORMS_CHILD = (
+    "import json, resource, sys, time\n"
+    "from spw import freecdga, gradedmixed\n"
+    "ke, ko, p, n, wmax, size = map(int, sys.argv[1:])\n"
+    "gens = [(f'x{i}', 0) for i in range(ke)] + [(f't{i}', 1) for i in range(ko)]\n"
+    "spent = {'closure': 0.0, 'assembly': 0.0}\n"
+    "words = []\n"
+    "def timed(module, name, stage):\n"
+    "    call = getattr(module, name)\n"
+    "    def wrapper(*args, **kwargs):\n"
+    "        t = time.perf_counter()\n"
+    "        out = call(*args, **kwargs)\n"
+    "        spent[stage] += time.perf_counter() - t\n"
+    "        if name == '_closure':\n"
+    "            words.append(len(out[0]))\n"
+    "        return out\n"
+    "    setattr(module, name, wrapper)\n"
+    "timed(freecdga, '_closure', 'closure')\n"
+    "for module, name in ((freecdga, '_column'), (freecdga, '_mixed_complex'),\n"
+    "                     (freecdga, 'weight_window_total_complex'),\n"
+    "                     (gradedmixed, 'weight_window_total_complex')):\n"
+    "    timed(module, name, 'assembly')\n"
+    "start = time.perf_counter()\n"
+    "rep = freecdga.closed_form_classes(freecdga.FreeCDGA(gens), p, n, wmax, max_len=size)\n"
+    "total = time.perf_counter() - start\n"
+    "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+    "homology = total - spent['closure'] - spent['assembly']\n"
+    "print(json.dumps([sum(words), spent['closure'], spent['assembly'], homology, total, rss,\n"
+    "                  rep.dimension, sorted(rep.stage_dims.items()),\n"
+    "                  sorted(rep.fiber_dims.items())]))\n"
 )
 
 
@@ -99,6 +141,21 @@ def run_rung(ke, ko, size):
     return line, verdict == "ok"
 
 
+def run_closed_forms_rung(ke, ko, p, n, wmax, size):
+    """(report line, passed) of the closed-forms rung run in its own process."""
+    proc = run_child(CLOSED_FORMS_CHILD, *map(str, (ke, ko, p, n, wmax, size)))
+    rung = f"cf({ke}, {ko}, {p}, {n}, {wmax}, {size})"
+    if proc.returncode:
+        return f"{rung:>22}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
+    words, closure, assembly, homology, total, rss, classes, stages, fibers = json.loads(proc.stdout)
+    got = (classes, dict(stages), dict(fibers))
+    want = closed_form_tables([(0, 0)] * ke + [(1, 0)] * ko, wmax, size, p, n)
+    verdict = "ok" if got == want else f"FAIL: classes, stages, fibres {got} != {want}"
+    line = (f"{rung:>22}  {words:9d}  {closure:9.3f}  {assembly:10.3f}  {homology:10.3f}"
+            f"  {total:8.3f}  {rss:7.1f}  {verdict}")
+    return line, verdict == "ok"
+
+
 def main():
     line, passed = import_line()
     print(line, flush=True)
@@ -108,6 +165,11 @@ def main():
         line, ok = run_rung(*rung)
         print(line, flush=True)
         passed &= ok
+    print(f"{'closed-forms rung':>22}  {'words':>9}  {'closure_s':>9}  {'assembly_s':>10}"
+          f"  {'homology_s':>10}  {'total_s':>8}  {'rss_mb':>7}  classes")
+    line, ok = run_closed_forms_rung(*CLOSED_FORMS_RUNG)
+    print(line, flush=True)
+    passed &= ok
     return 0 if passed else 1
 
 
