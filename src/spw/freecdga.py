@@ -811,15 +811,22 @@ def de_rham(b: FreeCDGA) -> DeRhamAlgebra:
 
 class ClosedFormTower(Record):
     """Components omega_j in DR(B)(j)^{n+p} for j = p..top satisfying
-    d omega_j + eps omega_{j-1} = 0 (omega_{p-1} = 0) in the window."""
+    d omega_j + eps omega_{j-1} = 0 (omega_{p-1} = 0) in the window.
 
-    __slots__ = _fields = ("de_rham", "p", "n", "components")
+    `images`, when given, holds the (d, eps) images of words, {word:
+    (d word, eps word)} as `_closure` stores them: `closed_form_classes`
+    hands its window's images to the towers it builds.  It is neither
+    compared nor shown."""
 
-    def __init__(self, de_rham: DeRhamAlgebra, p: int, n: int, components: dict):
+    __slots__ = ("de_rham", "p", "n", "components", "images")
+    _fields = ("de_rham", "p", "n", "components")
+
+    def __init__(self, de_rham: DeRhamAlgebra, p: int, n: int, components: dict, images: dict = None):
         self.de_rham = de_rham
         self.p = p
         self.n = n
         self.components = components  # weight -> Elem
+        self.images = images
 
     def total(self) -> Elem:
         out = self.de_rham.algebra.zero()
@@ -838,15 +845,23 @@ class ClosedFormTower(Record):
     def check_cocycle(self, wmax) -> bool:
         """(d + eps) of the tower has no term of weight <= wmax.
 
-        Each component word is imaged by the algebra's d table and then its
-        eps table into one dict; a word whose coefficient sums to 0 is
-        deleted, so the words left do not depend on the order."""
+        Each component word's d- and eps-images are read from `images`,
+        or imaged by the algebra's term tables when the word has no entry
+        there, and added with the word's coefficient into one dict; a word
+        whose coefficient sums to 0 is deleted, so the words left do not
+        depend on the order."""
         alg = self.de_rham.algebra
+        images = self.images or {}
         image = {}
         for e in self.components.values():
             for m, c in e.terms.items():
-                for table in alg._tables:
-                    _image(table, m, acc=image, coeff=c)
+                for part in images.get(m) or [_image(table, m) for table in alg._tables]:
+                    for m2, v in part.items():
+                        s = image.get(m2, 0) + c * v
+                        if s:
+                            image[m2] = s
+                        else:
+                            del image[m2]
         weights = alg.weights
         return all(sum(weights[i] for i in m) > wmax for m in image)
 
@@ -874,6 +889,14 @@ def closed_form_classes(b: FreeCDGA, p: int, n: int, wmax: int, max_len=6) -> Cl
     the words there are not imaged (see _closure).  It starts at n+p-2,
     not n+p-1: longer words of degree n+p-1 enter the window as the
     images of the seed words one degree below.
+
+    Everything is read off this one window: one closure, one graded mixed
+    complex and one total complex.  The towers carry the closure's images,
+    which hold the full images of their words (degree n+p, below the
+    top), for `ClosedFormTower.check_cocycle`.  A fibre's dimension is its
+    column's word count at degree n+p less the ranks of the window's d
+    blocks at n+p-1 and n+p on the column's words (see _column_rank); the
+    total complex's d^2 check covers the fibres' d^2.
     """
     if wmax < p:
         raise WindowTooSmall(f"max weight {wmax} is below the form degree p = {p}")
@@ -896,13 +919,30 @@ def closed_form_classes(b: FreeCDGA, p: int, n: int, wmax: int, max_len=6) -> Cl
             w, mono = labels[i]
             comps.setdefault(w, {})[mono] = coeff
         comps = {w: Elem(dr.algebra, terms) for w, terms in comps.items()}
-        reps.append(ClosedFormTower(dr, p, n, comps))
+        reps.append(ClosedFormTower(dr, p, n, comps, images))
     fiber_dims = {}
     for m in range(p, wmax):
         # fiber of stage m+1 -> stage m: H^{n+p} of the weight-(m+1) column
-        fiber = _mixed_complex(dr.algebra, _column(inside, images, m + 1, max_len), images)
-        fiber_dims[m] = weight_window_total_complex(fiber, m + 1, m + 1).homology_dim(deg)
+        column = _column(inside, images, m + 1, max_len)
+        fiber_dims[m] = (
+            sum(1 for bideg in column.values() if bideg[1] == deg)
+            - _column_rank(cx, column, m + 1, deg - 1)
+            - _column_rank(cx, column, m + 1, deg)
+        )
     return ClosedFormReport(h.dimension, reps, stage_dims, fiber_dims)
+
+
+def _column_rank(cx, column, w, k):
+    """The rank of d on the words of `column` of bidegree (w, k): the
+    columns of cx's d block at (w, k) at those words.  The column is closed
+    under d in the window, so the block's other rows are zero there; a
+    missing block has rank 0."""
+    blk = cx.d.get((w, k))
+    if blk is None:
+        return 0
+    keep = {j for j, m in enumerate(cx.module.labels(w, k)) if m in column}
+    ent = {ij: v for ij, v in blk.items() if ij[1] in keep}
+    return SparseMatrix._owned(blk.rows, blk.cols, ent).rank() if ent else 0
 
 
 def _column(inside, images, w, max_len):

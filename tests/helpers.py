@@ -1510,6 +1510,7 @@ class OracleFreecdga:
         p: int
         n: int
         components: dict  # weight -> Elem
+        images: dict = field(default=None, repr=False, compare=False)  # word -> (d, eps) image
 
     @dataclass
     class ClosedFormReport:

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import random
@@ -6,8 +7,8 @@ import sys
 
 import pytest
 
-from helpers import CaseTimeout, oracle_report_json, time_limit
-from spw import cli
+from helpers import CaseTimeout, oracle_report_json, random_valid_cdga, time_limit
+from spw import cli, dsl, freecdga, gradedmixed
 from spw.cli import main
 from spw.errors import IdentityViolated
 
@@ -225,6 +226,81 @@ def test_de_rham_and_closed_forms(capsys):
         "4",
     )
     assert code == 0
+
+
+def _algebra_manifest(b):
+    """The manifest of a free cdga: its generators and the d of each."""
+    gens = ", ".join(f"{g.name}({g.degree})" for g in b.generators)
+    lines = [f"algebra B {{\n  gens = {gens};\n"]
+    for i, e in b.differential.items():
+        terms = " + ".join(f"{c}*{'*'.join(b.generators[j].name for j in m)}" for m, c in e.terms.items())
+        lines.append(f"  d({b.generators[i].name}) = {terms};\n")
+    return "".join(lines) + "}\n"
+
+
+def test_closed_forms_read_one_window(capsys, monkeypatch):
+    """`spw closed-forms` images words only in the window closure (and in
+    building the de Rham algebra's d, before any window), and builds one
+    graded mixed complex and one chain complex per `closed_form_classes`:
+    the towers read the closure's images, the fibres its d blocks."""
+    calls = {"classes": 0, "mixed": 0, "chain": 0, "imaged outside": 0}
+    depth = [0]
+
+    def inside(fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    image = freecdga._image
+
+    def imaging(*args, **kwargs):
+        if not depth[0]:
+            calls["imaged outside"] += 1
+        return image(*args, **kwargs)
+
+    monkeypatch.setattr(freecdga, "_image", imaging)
+    monkeypatch.setattr(freecdga, "_closure", inside(freecdga._closure))
+    monkeypatch.setattr(freecdga, "de_rham", inside(freecdga.de_rham))
+    monkeypatch.setattr(freecdga, "closed_form_classes", counted("classes", freecdga.closed_form_classes))
+    monkeypatch.setattr(freecdga, "_mixed_complex", counted("mixed", freecdga._mixed_complex))
+    monkeypatch.setattr(gradedmixed.ChainComplex, "__init__", counted("chain", gradedmixed.ChainComplex.__init__))
+    runs = []
+    for name in sorted(os.listdir(DATA)):
+        with open(path(name), encoding="utf-8") as fh:
+            if any(b.kind == "algebra" for b in dsl.parse(fh.read()).blocks):
+                runs.append((path(name), "--max-weight", "4", "--max-len", "4"))
+    assert len(runs) == 6
+    rng = random.Random(2406)
+    while len(runs) < 16:
+        b = random_valid_cdga(rng, max_gens=3)
+        text = _algebra_manifest(b)
+        assert dsl.build_algebra(dsl.parse(text).blocks[0]).differential == b.differential
+        p = rng.randint(0, 2)
+        runs.append((text, "--p", str(p), "--degree", str(rng.randint(-1, 1)),
+                     "--max-weight", str(p + rng.randint(1, 2)), "--max-len", "3"))
+    towers = 0
+    for argv in runs:
+        if argv[0].startswith("algebra"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(argv[0]))
+            argv = argv[1:]
+        before = dict(calls)
+        code, out, err = run(capsys, "closed-forms", *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        towers += json.loads(out)["tables"]["dimension"]["classes"]
+        assert {k: calls[k] - before[k] for k in calls} == {
+            "classes": 1, "mixed": 1, "chain": 1, "imaged outside": 0
+        }, argv
+    assert towers > 20
 
 
 def test_operad_commands(capsys):

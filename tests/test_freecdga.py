@@ -220,6 +220,127 @@ def test_closed_form_fiber_is_not_the_weight_slice():
     assert answer[2] == {2: 0}
 
 
+def test_closed_form_fibers_match_a_window_per_fiber(monkeypatch):
+    """Fibre dimensions read off the top window's d blocks equal those of a
+    window of weight m+1 per fibre.  The cases met are recorded from the
+    blocks each fibre reads: a column smaller than its weight slice (a d
+    that lengthens words), a missing d(n+p-1) block next to a present
+    d(n+p) one, p = wmax (no fibre) and odd generators."""
+    blocks = {}  # (w, k - n - p) -> "missing", "partial" or "whole", for one run
+    column_rank = freecdga._column_rank
+
+    def recording(cx, column, w, k):
+        blk = cx.d.get((w, k))
+        if blk is None:
+            blocks[w, k - deg] = "missing"
+        elif any(m not in column for m in cx.module.labels(w, k)):
+            blocks[w, k - deg] = "partial"
+        else:
+            blocks[w, k - deg] = "whole"
+        return column_rank(cx, column, w, k)
+
+    monkeypatch.setattr(freecdga, "_column_rank", recording)
+    gens = [("g1", -2), ("g2", -1), ("g3", 2)]
+    free = FreeCDGA(gens)
+    lengthening = FreeCDGA(gens, differential={"g2": -(free.gen("g1") * free.gen("g3"))})
+    odd = FreeCDGA([("x", 0), ("t", 1), ("u", 1)])
+    cases = [(lengthening, 2, 0, 3, 2), (lengthening, 1, 0, 3, 3), (odd, 2, 0, 2, 3), (odd, 1, 1, 4, 3)]
+    rng = random.Random(97)
+    for _ in range(120):
+        b = random_valid_cdga(rng, max_gens=4)
+        p = rng.randint(0, 2)
+        cases.append((b, p, rng.randint(-2, 1), p + rng.randint(0, 3), rng.randint(2, 4)))
+    nonzero = odd_nonzero = no_fibre = partial = missing_in = 0
+    for b, p, n, wmax, max_len in cases:
+        deg = n + p
+        blocks.clear()
+        try:
+            want = oracle_closed_form_classes(b, p, n, wmax, max_len)[2]
+        except SpwError as exc:
+            with pytest.raises(type(exc)):
+                closed_form_classes(b, p, n, wmax, max_len=max_len)
+            continue
+        got = closed_form_classes(b, p, n, wmax, max_len=max_len).fiber_dims
+        assert got == want, (b, p, n, wmax, max_len)
+        no_fibre += p == wmax and got == {}
+        partial += "partial" in blocks.values()
+        if any(got.values()):
+            nonzero += 1
+            odd_nonzero += any(g.degree % 2 for g in b.generators)
+            missing_in += any(
+                blocks[m + 1, -1] == "missing" and blocks[m + 1, 0] != "missing" for m in got
+            )
+    assert nonzero > 20 and odd_nonzero > 10 and no_fibre > 10 and partial and missing_in
+
+
+def test_check_cocycle_reads_the_window_and_images_words_outside_it(monkeypatch):
+    """check_cocycle equals the Elem-sum oracle on the towers of
+    closed_form_classes bent by a word the window holds no image of
+    (longer than max_len, or of weight above wmax), which it images
+    itself, and on towers built by hand, which carry no images."""
+    imaged = []
+    image = freecdga._image
+
+    def recording(table, mono, *args, **kwargs):
+        imaged.append(mono)
+        return image(table, mono, *args, **kwargs)
+
+    monkeypatch.setattr(freecdga, "_image", recording)
+    rng = random.Random(4111)
+    towers = bent_towers = failing = 0
+    for _ in range(80):
+        b = random_valid_cdga(rng, max_gens=3)
+        p, n = rng.randint(0, 2), rng.randint(-2, 1)
+        wmax, max_len = p + rng.randint(0, 2), rng.randint(2, 3)
+        try:
+            rep = closed_form_classes(b, p, n, wmax, max_len=max_len)
+        except SpwError:
+            continue
+        if not rep.representatives:
+            continue
+        alg = rep.representatives[0].de_rham.algebra
+        weights, degrees = alg.weights, alg.degrees
+        outside = [
+            m for m in enumerate_monomials(alg, max_len + 1)
+            if sum(degrees[i] for i in m) == n + p and sum(weights[i] for i in m) >= p
+            and (len(m) > max_len or sum(weights[i] for i in m) > wmax)
+            and m not in rep.representatives[0].images
+        ]
+        for tower in rep.representatives:
+            towers += 1
+            imaged.clear()
+            assert tower.check_cocycle(wmax)
+            assert not imaged  # the closure imaged every tower word
+            assert oracle_check_cocycle(tower, wmax)
+            for m in rng.sample(outside, min(len(outside), 2)):
+                w = sum(weights[i] for i in m)
+                comps = dict(tower.components)
+                comps[w] = comps.get(w, alg.zero()) + Elem(alg, {m: rng.choice((1, -3, F(2, 5)))})
+                bent = ClosedFormTower(tower.de_rham, p, n, comps, tower.images)
+                imaged.clear()
+                ok = bent.check_cocycle(wmax)
+                assert imaged == [m, m]  # by d and eps, and no other word
+                assert ok == oracle_check_cocycle(bent, wmax)
+                bent_towers += 1
+                failing += not ok
+    assert towers > 20 and bent_towers > 20 and failing > 0
+
+    # towers built by hand carry no images: every word is imaged
+    for b, comps_of in (
+        (FreeCDGA([("x", 0), ("xi", 1)]), lambda a: {2: a.gen("dx") * a.gen("dxi")}),
+        (poly_plane(), lambda a: {2: a.gen("dx") * a.gen("dy"), 3: a.gen("x") * a.gen("dx") * a.gen("dy")}),
+        (poly_plane(), lambda a: {2: a.gen("x") * a.gen("dy")}),
+        (FreeCDGA([("x", 0), ("t", 1)]), lambda a: {}),
+    ):
+        dr = de_rham(b)
+        tower = ClosedFormTower(dr, 2, 0, comps_of(dr.algebra))
+        for wmax in (2, 3, 4):
+            imaged.clear()
+            ok = tower.check_cocycle(wmax)
+            assert len(imaged) == sum(len(e.terms) for e in tower.components.values()) * 2
+            assert ok == oracle_check_cocycle(tower, wmax)
+
+
 def test_closed_forms_plane_match_brute_force():
     rep = closed_form_classes(poly_plane(), p=2, n=0, wmax=4, max_len=5)
     # Hodge-truncated classes: every f dx dy is its own class (no degree-1

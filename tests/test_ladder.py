@@ -46,7 +46,7 @@ def test_ladder_runs_the_closed_forms_rung_against_the_oracle():
     cells = line.split()
     assert cells[:6] == ["cf(4,", "2,", "2,", "0,", "6,", "6)"] and cells[-1] == "ok"
     assert int(cells[6]) == 1540  # window words: degrees 0..3, the top one not imaged
-    closure, assembly, homology, total, rss = map(float, cells[7:12])
-    assert 0 < min(closure, assembly) and homology >= 0
-    assert closure + assembly + homology <= total + 0.002
+    closure, assembly, homology, cocycle, total, rss = map(float, cells[7:13])
+    assert 0 < min(closure, assembly, cocycle) and homology >= 0
+    assert closure + assembly + homology + cocycle <= total + 0.002
     assert rss > 0

@@ -18,17 +18,20 @@ dimensions), the window's monomial count and its own peak RSS. The rungs are
 
 The closed-forms rung (ke, ko, p, n, wmax, L) runs `closed_form_classes`
 on the same free algebra, p-forms of degree n in weights p..wmax with word
-length L, in its own child. It reports the window's word count, the seconds
-spent in the window closure (`_closure`), in assembly (`_column`,
-`_mixed_complex` and `weight_window_total_complex`) and in the rest
-(homology: elimination and representatives), end to end, and its peak
-RSS. The rung is (4, 2, 2, 0, 6, 6).
+length L, then `check_cocycle(wmax)` on every tower, as `spw closed-forms`
+does, in its own child. It reports the window's word count, the seconds
+spent in the window closure (`_closure`), in assembly (the window's one
+`_mixed_complex` and total complex, and each fibre's `_column`), in the
+rest of `closed_form_classes` (homology: elimination, representatives and
+the fibres' ranks), in the cocycle checks, end to end, and its peak RSS.
+The rung is (4, 2, 2, 0, 6, 6).
 
 The import line fails when one of its children fails. A rung fails when
 its child fails, or when its dimensions differ from
 `perfbench/oracles.de_rham_dims` or break the Poincare lemma
 (`poincare_violations`); the closed-forms rung fails when its classes,
-stage or fibre dimensions differ from `perfbench/oracles.closed_form_tables`.
+stage or fibre dimensions differ from `perfbench/oracles.closed_form_tables`,
+or when a tower is not a cocycle.
 The exit code is 1 if the import or any rung fails. Standard library only.
 """
 
@@ -94,11 +97,14 @@ CLOSED_FORMS_CHILD = (
     "    timed(module, name, 'assembly')\n"
     "start = time.perf_counter()\n"
     "rep = freecdga.closed_form_classes(freecdga.FreeCDGA(gens), p, n, wmax, max_len=size)\n"
+    "t = time.perf_counter()\n"
+    "cocycles = all(tower.check_cocycle(wmax) for tower in rep.representatives)\n"
+    "cocycle = time.perf_counter() - t\n"
     "total = time.perf_counter() - start\n"
     "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-    "homology = total - spent['closure'] - spent['assembly']\n"
-    "print(json.dumps([sum(words), spent['closure'], spent['assembly'], homology, total, rss,\n"
-    "                  rep.dimension, sorted(rep.stage_dims.items()),\n"
+    "homology = total - spent['closure'] - spent['assembly'] - cocycle\n"
+    "print(json.dumps([sum(words), spent['closure'], spent['assembly'], homology, cocycle, total, rss,\n"
+    "                  cocycles, rep.dimension, sorted(rep.stage_dims.items()),\n"
     "                  sorted(rep.fiber_dims.items())]))\n"
 )
 
@@ -147,12 +153,17 @@ def run_closed_forms_rung(ke, ko, p, n, wmax, size):
     rung = f"cf({ke}, {ko}, {p}, {n}, {wmax}, {size})"
     if proc.returncode:
         return f"{rung:>22}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
-    words, closure, assembly, homology, total, rss, classes, stages, fibers = json.loads(proc.stdout)
+    words, closure, assembly, homology, cocycle, total, rss, cocycles, classes, stages, fibers = (
+        json.loads(proc.stdout))
     got = (classes, dict(stages), dict(fibers))
     want = closed_form_tables([(0, 0)] * ke + [(1, 0)] * ko, wmax, size, p, n)
-    verdict = "ok" if got == want else f"FAIL: classes, stages, fibres {got} != {want}"
+    verdict = "ok"
+    if got != want:
+        verdict = f"FAIL: classes, stages, fibres {got} != {want}"
+    elif not cocycles:
+        verdict = "FAIL: a tower is not a cocycle"
     line = (f"{rung:>22}  {words:9d}  {closure:9.3f}  {assembly:10.3f}  {homology:10.3f}"
-            f"  {total:8.3f}  {rss:7.1f}  {verdict}")
+            f"  {cocycle:9.3f}  {total:8.3f}  {rss:7.1f}  {verdict}")
     return line, verdict == "ok"
 
 
@@ -166,7 +177,7 @@ def main():
         print(line, flush=True)
         passed &= ok
     print(f"{'closed-forms rung':>22}  {'words':>9}  {'closure_s':>9}  {'assembly_s':>10}"
-          f"  {'homology_s':>10}  {'total_s':>8}  {'rss_mb':>7}  classes")
+          f"  {'homology_s':>10}  {'cocycle_s':>9}  {'total_s':>8}  {'rss_mb':>7}  classes")
     line, ok = run_closed_forms_rung(*CLOSED_FORMS_RUNG)
     print(line, flush=True)
     passed &= ok
