@@ -511,7 +511,7 @@ _LIMITS = (
 
 def build_parser():
     """The spw argument parser; `parser.commands` maps each command name to
-    its subparser."""
+    its subparser, `parser.tables` to its table for `_read`."""
     parser = argparse.ArgumentParser(
         prog="spw",
         description="Exact workbench for graded mixed and shifted Poisson checks",
@@ -532,26 +532,105 @@ def build_parser():
             p.add_argument(*flags, **kwargs)
     parser.commands = sub.choices
     parser.limits = {dest: default for dest, _, default in _LIMITS}  # as the subparsers hold them
+    parser.tables = _tables(parser.commands)
     return parser
 
 
 _parser = None  # built by the first main() call, then reused
 
 
+class _Irregular(Exception):
+    """An argv that `_read` leaves to argparse."""
+
+
+# what `_read` raises on an argv that argparse then reads, with its usage error
+_UNREAD = (_Irregular, argparse.ArgumentTypeError, TypeError, ValueError)
+
+
+def _tables(commands):
+    """{command: (positionals, options, defaults, needed)} read off each
+    subparser's actions: its positional actions in order, its option
+    strings' actions, each dest's default as argparse leaves it when the
+    argv does not set it (a string default passed through the action's
+    type), and the dests argv must set (required, or a default that does
+    not convert).  -h and --help are left out, so argparse prints the help."""
+    tables = {}
+    for name, sub in commands.items():
+        positionals, options, defaults, needed = [], {}, {}, set()
+        for action in sub._actions:
+            if action.default is argparse.SUPPRESS:
+                continue
+            if action.nargs not in (None, 0, "?"):
+                raise ValueError(f"{name}: no fast reading of nargs={action.nargs!r}")
+            if action.option_strings:
+                options.update(dict.fromkeys(action.option_strings, action))
+            else:
+                positionals.append(action)
+            if action.required:
+                needed.add(action.dest)
+            elif isinstance(action.default, str):
+                try:
+                    defaults[action.dest] = _value(action, action.default)
+                except _UNREAD:
+                    needed.add(action.dest)
+            else:
+                defaults[action.dest] = action.default
+        tables[name] = (positionals, options, defaults, needed)
+    return tables
+
+
+def _value(action, token):
+    """`token` read as argparse reads an argument of `action`."""
+    value = token if action.type is None else action.type(token)
+    if action.choices is not None and value not in action.choices:
+        raise _Irregular
+    return value
+
+
+def _read(table, argv):
+    """The namespace of argv in the regular shape: the command, its
+    positionals in order, then option strings each with one value (none for
+    a flag), no token of which starts with "-" unless it is an option string;
+    `_Irregular` for any other argv."""
+    positionals, options, defaults, needed = table
+    values = dict(defaults)
+    i, end = 1, len(argv)
+    for action in positionals:
+        if i < end and argv[i][:1] != "-":
+            values[action.dest] = _value(action, argv[i])
+            i += 1
+        elif action.required:
+            raise _Irregular
+    while i < end:
+        action = options.get(argv[i])
+        if action is None:
+            raise _Irregular
+        if action.nargs == 0:
+            values[action.dest] = action.const
+        elif i + 1 < end and argv[i + 1][:1] != "-":
+            i += 1
+            values[action.dest] = _value(action, argv[i])
+        else:
+            raise _Irregular
+        i += 1
+    if not values.keys() >= needed:  # a needed dest has no default in values
+        raise _Irregular
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse_args(argv):
-    """`_parser.parse_args(argv)`.  When argv[0] names a command, its own
-    subparser reads the rest, as `_parser` would hand it over, and what it
-    leaves is the same usage error."""
+    """`_parser.parse_args(argv)`.  An argv in the regular shape (see
+    `_read`) is read off its command's table; every other argv goes to
+    argparse, which alone gives usage errors, help and the version."""
     if argv is None:
         argv = sys.argv[1:]
-    sub = _parser.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return _parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:])
-    if extra:
-        _parser.error("unrecognized arguments: " + " ".join(extra))
-    args.command = argv[0]
-    return args
+    table = _parser.tables.get(argv[0]) if argv else None
+    if table is not None:
+        try:
+            return _read(table, argv)
+        except _UNREAD:
+            pass
+    return _parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -563,6 +642,7 @@ def main(argv=None) -> int:
         for sub in _parser.commands.values():
             sub.set_defaults(**limits)
         _parser.limits = limits
+        _parser.tables = _tables(_parser.commands)
     args = _parse_args(argv)
     command = COMMANDS[args.command]
     started = time.monotonic()

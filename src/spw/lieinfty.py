@@ -258,22 +258,24 @@ def z_from_t(g: LieAlgebra, t: InvariantTensor) -> InvariantTensor:
     if not is_invariant(g, t):
         raise NotInvariant("t is not g-invariant")
     n = g.dim
-
-    def tt(i, j):
-        if i <= j:
-            return t.coeffs.get((i, j), 0)
-        return t.coeffs.get((j, i), 0)
-
+    rows = {}  # t read symmetrically off its keys (i <= j): i -> [(j, t^{ij})], nonzero only
+    for (i, j), v in t.coeffs.items():
+        if i <= j and v:
+            rows.setdefault(i, []).append((j, v))
+            if i != j:
+                rows.setdefault(j, []).append((i, v))
+    # raw[a, m, d] = sum over b, c of t^{ab} c_{bc}^m t^{cd}
     raw = {}
-    for a in range(n):
-        for b in range(n):
-            for c_ in range(n):
-                for d in range(n):
-                    for m in range(n):
-                        coeff = tt(a, b) * tt(c_, d) * g.c[b][c_][m]
-                        if coeff:
+    for a, row in rows.items():
+        for b, tab in row:
+            for c_, bracket in enumerate(g.c[b]):
+                if c_ not in rows:
+                    continue
+                for m, cv in enumerate(bracket):
+                    if cv:
+                        for d, tcd in rows[c_]:
                             key = (a, m, d)
-                            raw[key] = raw.get(key, 0) + coeff
+                            raw[key] = raw.get(key, 0) + tab * tcd * cv
     # antisymmetrize with the 1/6 projector, read off wedge coefficients
     coeffs = {}
     for key in combinations(range(n), 3):

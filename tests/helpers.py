@@ -23,7 +23,8 @@ unit against:
 - the bracket-coefficient pairing matrix: `polyvec.nondegeneracy`;
 - the hand-written sparse actions on Sym^2 g and wedge^3 g and their
   kernel: `lieinfty.invariants` and `lieinfty.is_invariant`; the dense
-  adjoint action: the sparse Sym^2 one;
+  adjoint action: the sparse Sym^2 one; the dense n^5 contraction:
+  `lieinfty.z_from_t`;
 - the Poincare-lemma count of de Rham window cohomology;
 - the indented `json.dumps` report and the match-at-each-position
   tokenizer: `cli.Report.to_json` and `dsl.tokenize`;
@@ -40,7 +41,7 @@ import re
 import signal
 from dataclasses import dataclass, field
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -1323,6 +1324,34 @@ def oracle_invariants(g, kind):
 def oracle_is_invariant(g, tensor):
     act = oracle_sparse_ad_on_sym2 if tensor.kind == "sym2" else oracle_ad_on_wedge3
     return all(not act(g, x, tensor.coeffs) for x in range(g.dim))
+
+
+def oracle_z_from_t(g, t):
+    """The wedge^3 coefficients of Z = [t^{12}, t^{23}]: the dense loop over
+    all n^5 index tuples, then the 1/6 antisymmetrizing projector."""
+    n = g.dim
+
+    def tt(i, j):
+        return t.coeffs.get((i, j) if i <= j else (j, i), 0)
+
+    raw = {}
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    for m in range(n):
+                        coeff = tt(a, b) * tt(c, d) * g.c[b][c][m]
+                        if coeff:
+                            raw[a, m, d] = raw.get((a, m, d), 0) + coeff
+    coeffs = {}
+    for key in combinations(range(n), 3):
+        total = sum(
+            (1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1) * raw.get(tuple(key[p] for p in perm), 0)
+            for perm in permutations(range(3))
+        )
+        if total:
+            coeffs[key] = F(total, 6)
+    return coeffs
 
 
 def poincare_window_dims(gens, size):

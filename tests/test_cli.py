@@ -669,7 +669,7 @@ def test_an_interrupt_is_not_an_internal_fault(monkeypatch):
         main(["operad", "pn"])
 
 
-# -- argv dispatch: a named command's own subparser against parse_args ---------
+# -- argv reading: the command's table against parse_args ----------------------
 
 ENV = ("SPW_MAX_WEIGHT", "SPW_MAX_DEGREE", "SPW_MAX_LEN")
 # an example that each manifest command reads
@@ -693,6 +693,9 @@ ARGV_CASES = [
     ["de-rham", "--", path("plane_poisson.spw")], [*DERHAM, "--", "--json"],
     ["de-rham", "--json", "--", path("plane_poisson.spw")],
     [*DERHAM, "--max-len", "x"], [*DERHAM, "--max-len", "-1"], [*DERHAM, "--max-len=2", "--json"],
+    ["operad", "--json"], [*DERHAM, "--max-len", "1", "--json", "--max-len", "2"],
+    ["de-rham", "", "--json"], ["de-rham", "-", "--json"], ["operad", "pn", "--n", "-1", "--json"],
+    ["invariants", path("sl2.spw"), "--kind", "sym3", "--json"],
 ]
 ENV_CASES = [
     (["closed-forms", path("cotangent.spw"), "--json"], "3"),
@@ -703,11 +706,14 @@ ENV_CASES = [
 
 
 def run_either_way(capsys, monkeypatch, argv):
-    """(exit code, stdout, stderr) of main(argv) through the dispatch, and
-    through `_parser.parse_args` alone."""
+    """(exit code, stdout, stderr) of main(argv) through `_parse_args`, and
+    through `_parser.parse_args` alone, with plane_poisson.spw on stdin."""
+    with open(path("plane_poisson.spw"), encoding="utf-8") as fh:
+        source = fh.read()
     outcomes = []
     for parse in (cli._parse_args, lambda argv: cli._parser.parse_args(argv)):
         monkeypatch.setattr(cli, "_parse_args", parse)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(source))
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -745,6 +751,124 @@ def test_dispatch_reads_sys_argv_when_argv_is_none(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["spw", "operad", "pn", "--arity", "3", "--json"])
     dispatched, parsed = run_either_way(capsys, monkeypatch, None)
     assert dispatched == parsed and dispatched[0] == 0 and json.loads(dispatched[1])["tables"]
+
+
+OPERADS = ("pn", "as", "lie", "bd1", "bd0", "arnold", "weyl")
+REGULAR_ARGV = [
+    *ARGV_CASES[:len(COMMAND_EXAMPLES)],
+    *(["operad", name, "--arity", str(k), "--n", str(m), "--json"]
+      for name in OPERADS for k in (2, 3, 4) for m in range(4)),
+    ["closed-forms", "--json", "--max-weight", "4", "--max-len", "5"],
+]
+
+
+def test_a_regular_argv_does_not_reach_argparse(capsys, monkeypatch):
+    """Every command on its example, the operads and closed-forms on stdin
+    are read off the command's table, into the namespace argparse gives."""
+    for var in ENV:
+        monkeypatch.delenv(var, raising=False)
+    with open(path("plane_poisson.spw"), encoding="utf-8") as fh:
+        source = fh.read()
+    parse, known = cli._parse_args, argparse.ArgumentParser.parse_known_args
+    read, calls = [], []
+
+    def reading(argv):
+        read.append(parse(argv))
+        return read[-1]
+
+    def counting(parser, *args, **kwargs):
+        calls.append(parser.prog)
+        return known(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_parse_args", reading)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in REGULAR_ARGV:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(source))
+        assert main(argv) in (0, 1, 3), argv
+        capsys.readouterr()
+    assert calls == []
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", known)
+    assert len(read) == len(REGULAR_ARGV) == 102
+    for argv, args in zip(REGULAR_ARGV, read):
+        assert vars(args) == vars(cli._parser.parse_args(argv)), argv
+
+
+def option_vocabulary():
+    """{command: [(option string, action)]}: the command's own options four
+    times over, then every command's, -h and --help aside."""
+    every = [(flag, action) for sub in cli._parser.commands.values() for action in sub._actions
+             if action.default is not argparse.SUPPRESS for flag in action.option_strings]
+    return {name: [pair for pair in every if pair[1] in sub._actions] * 4 + every
+            for name, sub in cli._parser.commands.items()}
+
+
+def random_argv(rng, vocabulary):
+    """An argv over the commands' option strings, fitting values and the
+    pitfalls of ARGV_CASES; about 40% of them in the regular shape."""
+    if rng.random() < 0.03:
+        return rng.choice([[], ["-h"], ["--version"], ["frobnicate"], ["--json", "de-rham"]])
+    name = rng.choice(list(cli.COMMANDS))
+    argv = [name]
+    if name == "operad":
+        argv += rng.choice([[rng.choice(OPERADS)]] * 12 + [[], ["pm"], ["-"]])
+    else:
+        argv += rng.choice([[path(f"{COMMAND_EXAMPLES[name]}.spw")]] * 8 + [[]] * 4 + [[""], ["-"], ["a", "b"]])
+    for _ in range(rng.randint(0, 4)):
+        flag, action = rng.choice(vocabulary[name])
+        argv.append(flag)
+        if rng.random() < 0.06:
+            argv += rng.choice([[], ["-1"], ["x"], [""], ["--json"], ["-"], ["sym3"], ["0", "0"]])
+        elif action.nargs != 0:
+            argv.append(rng.choice(action.choices or ("0", "2", "3")))
+    if name == "invariants" and rng.random() < 0.8:
+        argv += ["--kind", rng.choice(("sym2", "wedge3"))]
+    if rng.random() < 0.06:
+        token = rng.choice(["-", "--", "-h", "--max-len=2", "--js", "--a", "--version", "extra"])
+        argv.insert(rng.randint(1, len(argv)), token)
+    return argv
+
+
+def test_reading_equals_parse_args_on_random_argv(capsys, monkeypatch):
+    """`_parse_args` and `_parser.parse_args` give equal namespaces, or the
+    same exit code, stdout and stderr, under each SPW_MAX_LEN that main applies."""
+    for var in ENV:
+        monkeypatch.delenv(var, raising=False)
+    known = argparse.ArgumentParser.parse_known_args
+    calls = []
+
+    def counting(parser, *args, **kwargs):
+        calls.append(1)
+        return known(parser, *args, **kwargs)
+
+    def outcome(parse, argv):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    rng = random.Random(2507)
+    fast = exits = 0
+    for max_len in (None, "3", "-2", "two"):
+        if max_len is None:
+            monkeypatch.delenv("SPW_MAX_LEN", raising=False)
+        else:
+            monkeypatch.setenv("SPW_MAX_LEN", max_len)
+        with pytest.raises(SystemExit):
+            main(["--version"])  # sets the limits as every call does
+        capsys.readouterr()
+        vocabulary = option_vocabulary()
+        for _ in range(500):
+            argv = random_argv(rng, vocabulary)
+            before = len(calls)
+            read = outcome(cli._parse_args, argv)
+            fast += len(calls) == before
+            parsed = outcome(cli._parser.parse_args, argv)
+            assert read == parsed, (max_len, argv)
+            exits += isinstance(parsed[0], int)
+    assert fast > 700 and exits > 1000, (fast, exits)  # 779 and 1130
 
 
 # -- the report writer against json.dumps ---------------------------------------

@@ -1,6 +1,6 @@
-"""`tools/ladder.py` times `import spw.cli`, de Rham window rungs and a
-closed-forms rung in child processes, and checks each rung against the
-closed-form window dimensions."""
+"""`tools/ladder.py` times `import spw.cli`, in-process `cli.main` calls,
+de Rham window rungs and a closed-forms rung in child processes, and
+checks each rung against the closed-form window dimensions."""
 
 import importlib.util
 import os
@@ -36,6 +36,17 @@ def test_ladder_times_the_import_of_the_cli():
     assert cells[:2] == ["import", "spw.cli"] and cells[3] == "s", cells
     assert 0 < float(cells[2]) < 10
     assert cells[4:] == ["(median", "of", "5", "processes)"]
+
+
+def test_ladder_times_in_process_cli_calls():
+    ladder = load_ladder()
+    line, ok = ladder.cli_line()
+    assert ok, line
+    cells = line.split()
+    assert cells[0] == "cli.main" and cells[1::3][:2] == ["operad", "de-rham"], cells
+    assert cells[3] == cells[6] == "us"
+    assert 0 < float(cells[2]) < 1e5 and 0 < float(cells[5]) < 1e5
+    assert cells[7:] == ["(median", "of", "200", "calls", "each,", "one", "process)"]
 
 
 def test_ladder_runs_the_closed_forms_rung_against_the_oracle():

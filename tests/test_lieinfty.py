@@ -1,3 +1,4 @@
+import os
 import random
 import time
 from fractions import Fraction as F
@@ -11,8 +12,10 @@ from helpers import (
     oracle_invariants,
     oracle_is_invariant,
     oracle_sparse_ad_on_sym2,
+    oracle_z_from_t,
     random_coefficient,
 )
+from spw import dsl
 from spw.errors import NotFreeOnV, NotInvariant
 from spw.gradedmixed import realization, validate_mixed
 from spw.lieinfty import (
@@ -180,6 +183,31 @@ def test_z_from_t_rejects_noninvariant():
     assert not is_invariant(g, bad)
     with pytest.raises(NotInvariant):
         z_from_t(g, bad)
+
+
+SL2 = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+
+
+def sl2_example():
+    with open(os.path.join(os.path.dirname(__file__), "..", "examples_dsl", "sl2.spw"), encoding="utf-8") as fh:
+        return dsl.build_lie(dsl.parse(fh.read()).blocks[0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        sl2_example,
+        lambda: LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}),
+        lambda: LieAlgebra.from_brackets(6, {**SL2, **{(i + 3, j + 3): {k + 3: v for k, v in comps.items()}
+                                                       for (i, j), comps in SL2.items()}}),
+    ],
+    ids=("sl2", "so3", "sl2+sl2"),
+)
+def test_z_from_t_equals_the_dense_contraction(build):
+    g = build()
+    t = killing_form(g)
+    z = z_from_t(g, t)
+    assert z.coeffs and z.coeffs == oracle_z_from_t(g, t)
 
 
 def test_semi_strict_zero_and_killing():

@@ -1,11 +1,17 @@
-"""Time the start-up of spw and the de Rham window ladder, one child
-process per rung.
+"""Time the start-up of spw, two in-process CLI calls and the de Rham
+window ladder, one child process per rung.
 
     python tools/ladder.py
 
 The first line gives the wall seconds of `import spw.cli` in a fresh child
 process, the median of 5 children; bytecode writing is left as the
 environment sets it.
+
+The second line gives the per-call microseconds of in-process
+`spw.cli.main` with stdout captured, the median of 200 calls each, on
+`operad pn --arity 3 --n 1 --json` and on
+`de-rham examples_dsl/plane_poisson.spw --json`, both in one child process
+with the SPW_MAX_* variables unset.
 
 A rung (ke, ko, L) is the de Rham algebra of the free algebra on ke even
 generators of degree 0 and ko odd ones of degree 1, in the window
@@ -26,13 +32,14 @@ rest of `closed_form_classes` (homology: elimination, representatives and
 the fibres' ranks), in the cocycle checks, end to end, and its peak RSS.
 The rung is (4, 2, 2, 0, 6, 6).
 
-The import line fails when one of its children fails. A rung fails when
+The import line fails when one of its children fails, the cli.main line
+when its child fails or a call exits nonzero. A rung fails when
 its child fails, or when its dimensions differ from
 `perfbench/oracles.de_rham_dims` or break the Poincare lemma
 (`poincare_violations`); the closed-forms rung fails when its classes,
 stage or fibre dimensions differ from `perfbench/oracles.closed_form_tables`,
 or when a tower is not a cocycle.
-The exit code is 1 if the import or any rung fails. Standard library only.
+The exit code is 1 if either line or any rung fails. Standard library only.
 """
 
 import json
@@ -52,6 +59,28 @@ IMPORT_CHILD = (
     "start = time.perf_counter()\n"
     "import spw.cli\n"
     "print(time.perf_counter() - start)\n"
+)
+CLI_CALLS = 200
+CLI_ARGV = (["operad", "pn", "--arity", "3", "--n", "1", "--json"],
+            ["de-rham", "examples_dsl/plane_poisson.spw", "--json"])
+CLI_CHILD = (
+    "import contextlib, io, json, os, sys, time\n"
+    "from spw.cli import main\n"
+    "for var in ('SPW_MAX_WEIGHT', 'SPW_MAX_DEGREE', 'SPW_MAX_LEN'):\n"
+    "    os.environ.pop(var, None)\n"
+    "calls = int(sys.argv[1])\n"
+    "medians = []\n"
+    "for argv in json.loads(sys.argv[2]):\n"
+    "    times = []\n"
+    "    for _ in range(calls):\n"
+    "        with contextlib.redirect_stdout(io.StringIO()):\n"
+    "            t = time.perf_counter()\n"
+    "            code = main(argv)\n"
+    "            times.append(time.perf_counter() - t)\n"
+    "        if code:\n"
+    "            sys.exit(f'exit {code}: {argv}')\n"
+    "    medians.append(sorted(times)[calls // 2] * 1e6)\n"
+    "print(json.dumps(medians))\n"
 )
 CHILD = (
     "import json, resource, sys, time\n"
@@ -127,6 +156,16 @@ def import_line():
     return f"import spw.cli  {sorted(times)[IMPORT_RUNS // 2]:.4f} s  (median of {IMPORT_RUNS} processes)", True
 
 
+def cli_line():
+    """(report line, passed) of the median microseconds per in-process
+    `cli.main` call on each of CLI_ARGV."""
+    proc = run_child(CLI_CHILD, str(CLI_CALLS), json.dumps(CLI_ARGV))
+    if proc.returncode:
+        return f"cli.main  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
+    cells = "  ".join(f"{argv[0]} {us:.1f} us" for argv, us in zip(CLI_ARGV, json.loads(proc.stdout)))
+    return f"cli.main  {cells}  (median of {CLI_CALLS} calls each, one process)", True
+
+
 def run_rung(ke, ko, size):
     """(report line, passed) of one rung run in its own process."""
     proc = run_child(CHILD, str(ke), str(ko), str(size))
@@ -170,6 +209,9 @@ def run_closed_forms_rung(ke, ko, p, n, wmax, size):
 def main():
     line, passed = import_line()
     print(line, flush=True)
+    line, ok = cli_line()
+    print(line, flush=True)
+    passed &= ok
     print(f"{'rung':>12}  {'monomials':>9}  {'window_s':>8}  {'assembly_s':>10}  {'homology_s':>10}"
           f"  {'total_s':>8}  {'rss_mb':>7}  dims")
     for rung in RUNGS:
