@@ -650,7 +650,7 @@ def main(argv=None) -> int:
     manifest = None
     try:
         if command.manifest:
-            if args.manifest:
+            if args.manifest is not None:
                 with open(args.manifest, "r", encoding="utf-8") as fh:
                     source = fh.read()
             else:

@@ -10,7 +10,7 @@ class SpwError(Exception):
 
 
 class CompositionNonzero(SpwError):
-    """homology() was fed maps whose composite is not zero."""
+    """A complex was given maps whose composite is not zero."""
 
 
 class NoSolution(SpwError):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from .errors import CompositionNonzero, IdentityViolated, NoSolution
+from .errors import IdentityViolated, NoSolution
 
 Rat = Fraction
 
@@ -358,19 +358,6 @@ class HomologyResult:
 
     def __repr__(self):
         return f"HomologyResult(dim={self.dimension})"
-
-
-def homology(d_in: SparseMatrix, d_out: SparseMatrix) -> HomologyResult:
-    """Homology at the middle of  A --d_in--> B --d_out--> C.
-
-    Checks d_out @ d_in == 0 exactly and raises CompositionNonzero otherwise.
-    Representatives are those of `_cycles_mod_image` on `kernel_basis(d_out)`.
-    """
-    if d_in.rows != d_out.cols:
-        raise ValueError("middle dimensions disagree")
-    if not (d_out @ d_in).is_zero():
-        raise CompositionNonzero("d_out o d_in != 0")
-    return _cycles_mod_image(kernel_basis(d_out), d_in)
 
 
 def _cycles_mod_image(ker, d_in) -> HomologyResult:

@@ -5,6 +5,7 @@ Each oracle is an older or plainer computation kept only to check one
 unit against:
 - dense Bareiss elimination and the scale-and-subtract loop of every pivot
   row: `exactlin` and `exactlin._eliminate`;
+- homology of a pair of maps with its own d^2 check: `exactlin._cycles_mod_image`;
 - dense-scan window and total-complex assembly, the word enumeration and
   the four-product loop: `freecdga.graded_mixed_window`, the order of
   `freecdga._box_words`, `gradedmixed.weight_window_total_complex` and
@@ -21,6 +22,7 @@ unit against:
   int-first coefficients of `Elem` and `SparseMatrix`;
 - the recursive Schouten bracket: `polyvec.PolyvectorAlgebra.bracket`;
 - the bracket-coefficient pairing matrix: `polyvec.nondegeneracy`;
+- the per-monomial chain-map loop: `compare.phi_pi`;
 - the hand-written sparse actions on Sym^2 g and wedge^3 g and their
   kernel: `lieinfty.invariants` and `lieinfty.is_invariant`; the dense
   adjoint action: the sparse Sym^2 one; the dense n^5 contraction:
@@ -45,15 +47,19 @@ from itertools import combinations, permutations
 from math import gcd
 from typing import Callable, NamedTuple
 
+from spw.compare import PhiPiResult, _strict_nondegenerate
 from spw.dsl import _MAX_DIGITS
-from spw.errors import BidegreeError, ParseError, WindowTooSmall
-from spw.exactlin import QPoly, SparseMatrix, kernel_basis
+from spw.errors import BidegreeError, CompositionNonzero, ParseError, WindowTooSmall
+from spw.exactlin import QPoly, SparseMatrix, _cycles_mod_image, kernel_basis
 from spw.freecdga import (
     Elem,
     FreeCDGA,
     Generator,
     Window,
+    _closure,
+    _image,
     _mono_bidegree,
+    _window_monomials,
     de_rham,
     graded_mixed_window,
     total_complex_window,
@@ -429,6 +435,19 @@ def oracle_homology_reps(d_in, d_out):
             stacked = stacked + [list(v)]
             current = r
     return reps
+
+
+def oracle_homology(d_in, d_out):
+    """Homology at the middle of  A --d_in--> B --d_out--> C, checking
+    d_out @ d_in == 0 exactly (CompositionNonzero otherwise); the
+    representatives are those of `exactlin._cycles_mod_image` on
+    `kernel_basis(d_out)`.  `ChainComplex.homology`, which checks d^2 = 0
+    once when it is built, replaced it."""
+    if d_in.rows != d_out.cols:
+        raise ValueError("middle dimensions disagree")
+    if not (d_out @ d_in).is_zero():
+        raise CompositionNonzero("d_out o d_in != 0")
+    return _cycles_mod_image(kernel_basis(d_out), d_in)
 
 
 def oracle_eliminate(rows, n_cols):
@@ -1225,6 +1244,51 @@ def oracle_nondegeneracy(pol, p0):
         ent = [(a, b, theta.entry(i, j)) for a, i in enumerate(rows) for b, j in enumerate(cols)]
         blocks[d] = (len(rows), len(cols), SparseMatrix(len(rows), len(cols), ent).rank())
     return NondegeneracyReport(all(r == c == k for r, c, k in blocks.values()), theta, blocks)
+
+
+def _oracle_phi_apply(result, e):
+    """Multiplicative extension of the generator images of a PhiPiResult."""
+    out = result.pol.algebra.zero()
+    for mono, c in e.terms.items():
+        term = result.pol.algebra.one()
+        for letter in mono:
+            term = term * result.images[result.de_rham.algebra.generators[letter].name]
+        out = out + term.scale(c)
+    return out
+
+
+def oracle_phi_pi(base, pi, n, window=None):
+    """`compare.phi_pi` imaging every window monomial one Elem product at a
+    time and checking both chain-map identities on each monomial."""
+    pol, _ = _strict_nondegenerate(base, pi, n)
+    dr = de_rham(base)
+    window = window or Window(0, 3, -8, 8, 4)
+    images = {}
+    for g in base.generators:
+        images[g.name] = pol.include(base.gen(g.name))
+        images["d" + g.name] = pol.bracket(pi, pol.include(base.gen(g.name)))
+    result = PhiPiResult(pol, dr, images, True, {}, True)
+    inside, dr_images = _closure(dr.algebra, window)
+    chain_ok = True
+    for (p, m), monos in _window_monomials(inside)[0].items():
+        ent = []
+        targets = {}
+        for j, mono in enumerate(monos):
+            phi_x = _oracle_phi_apply(result, Elem(dr.algebra, {mono: 1}))
+            # a top-degree word has no stored images (see _closure)
+            pair = dr_images.get(mono) or [_image(table, mono) for table in dr.algebra._tables]
+            dx, ex = (Elem(dr.algebra, image) for image in pair)
+            if (_oracle_phi_apply(result, dx) != pol.d(phi_x)
+                    or _oracle_phi_apply(result, ex) != pol.bracket(pi, phi_x)):
+                chain_ok = False
+            ent += [(targets.setdefault(mm, len(targets)), j, c) for mm, c in phi_x.terms.items()]
+        # bidegree-wise rank: images must stay independent
+        rank = SparseMatrix(len(targets), len(monos), ent).rank()
+        result.iso_blocks[p, m] = (len(monos), rank)
+        if rank < len(monos):
+            result.bidegree_iso = False
+    result.chain_map_ok = chain_ok
+    return result
 
 
 def oracle_ad_on_sym2(g, x, t):

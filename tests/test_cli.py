@@ -362,6 +362,16 @@ def test_stdin_input(capsys, monkeypatch):
     assert code == 0
 
 
+def test_an_empty_manifest_path_is_a_missing_file(capsys, monkeypatch):
+    with open(path("plane_poisson.spw"), encoding="utf-8") as fh:
+        stdin = io.StringIO(fh.read())
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "de-rham", "", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert stdin.tell() == 0  # stdin is not read
+
+
 INVALID_CDGAS = ("algebra B { gens = x(0); d(x) = x; }", "algebra B { gens = x(0), y(1); d(x) = x + y; }")
 
 

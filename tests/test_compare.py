@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import helpers
 from helpers import oracle_closure, oracle_nondegeneracy
 from spw import compare, dsl, freecdga, polyvec
 from spw.compare import (
@@ -98,26 +99,83 @@ def test_phi_pi_iso_blocks_match_recorded_values():
 
 def test_phi_pi_images_the_top_degree_words_itself(monkeypatch):
     # the closure stores no images of the words of degree dmax; phi_pi
-    # images them itself, and reads as it does on the oracle's closure,
-    # which images every word
+    # images every window word from its prefixes, and reads as the oracle
+    # does on the oracle's closure, which images every word
     checked = 0
     cases = [(*cotangent_pair(n), n) for n in (0, 1, 2)]
     cases.append((*random_constant_nondeg(random.Random(3), 1, pairs=2), 1))
+    monkeypatch.setattr(helpers, "_closure", oracle_closure)
     for b, _, pi, n in cases:
         alg = de_rham(b).algebra
         for window in (Window(0, 2, -2, 2, 3), Window(0, 3, 0, 1, 4)):
             inside, images = freecdga._closure(alg, window)
             assert any(m not in images for m in inside)
             got = phi_pi(b, pi, n, window)
-            monkeypatch.setattr(compare, "_closure", oracle_closure)
-            want = phi_pi(b, pi, n, window)
-            monkeypatch.undo()
+            want = helpers.oracle_phi_pi(b, pi, n, window)
             assert got.chain_map_ok and got.bidegree_iso
             assert (got.chain_map_ok, got.iso_blocks, got.bidegree_iso) == (
                 want.chain_map_ok, want.iso_blocks, want.bidegree_iso
             )
             checked += 1
     assert checked == 8
+
+
+def nonconstant_strict_pi():
+    """pi = (1 + x) @x @y on two degree-0 generators: strict Poisson,
+    non-degenerate at the augmentation, and not constant."""
+    b = FreeCDGA([("x", 0), ("y", 0)])
+    pol = PolyvectorAlgebra(b, 1)
+    return b, pol, ((pol.algebra.one() + pol.include(b.gen("x"))) * pol.theta("x") * pol.theta("y"))
+
+
+def phi_pi_cases():
+    """(base, pi, n, window): constant non-degenerate pi at shifts 0-2, and
+    the non-constant strict pi, each in two windows."""
+    rng = random.Random(26)
+    cases = []
+    for n in (0, 1, 2):
+        b, _, pi = random_constant_nondeg(rng, n)
+        cases += [(b, pi, n, Window(0, 2, -8, 8, 3)), (b, pi, n, Window(0, 3, -2, 2, 3))]
+    b, _, pi = nonconstant_strict_pi()
+    cases += [(b, pi, 0, Window(0, 2, -8, 8, 3)), (b, pi, 0, Window(0, 3, -2, 2, 4))]
+    return cases
+
+
+def phi_pi_outcome(res):
+    return res.chain_map_ok, res.iso_blocks, res.bidegree_iso, res.images
+
+
+def test_phi_pi_equals_the_per_monomial_oracle():
+    for b, pi, n, window in phi_pi_cases():
+        got = phi_pi(b, pi, n, window)
+        assert got.chain_map_ok and got.bidegree_iso
+        assert phi_pi_outcome(got) == phi_pi_outcome(helpers.oracle_phi_pi(b, pi, n, window))
+
+
+def test_phi_pi_and_the_oracle_reject_a_doubled_symbol_image(monkeypatch):
+    # the first [pi, x] a run takes is phi(dx): doubled, it breaks
+    # phi eps = [pi, phi -] on x, which both must see
+    bracket = PolyvectorAlgebra.bracket
+    for b, pi, n, window in phi_pi_cases():
+        x = b.generators[0].name
+        runs = []
+        for run in (phi_pi, helpers.oracle_phi_pi):
+            doubled = []
+
+            def doubling(pol, p, q):
+                out = bracket(pol, p, q)
+                if not doubled and q == pol.include(b.gen(x)):
+                    doubled.append(q)
+                    return out.scale(2)
+                return out
+
+            monkeypatch.setattr(PolyvectorAlgebra, "bracket", doubling)
+            res = run(b, pi, n, window)
+            monkeypatch.undo()
+            assert doubled and not res.chain_map_ok
+            assert res.images["d" + x] == bracket(res.pol, pi, res.pol.include(b.gen(x))).scale(2)
+            runs.append(phi_pi_outcome(res))
+        assert runs[0] == runs[1]
 
 
 def test_phi_pi_rejects_zero_pi():

@@ -1,5 +1,6 @@
-"""Time the start-up of spw, two in-process CLI calls and the de Rham
-window ladder, one child process per rung.
+"""Time the start-up of spw, two in-process CLI calls, the de Rham
+window ladder, a closed-forms rung and the phi_pi rungs, one child process
+per rung.
 
     python tools/ladder.py
 
@@ -32,13 +33,31 @@ rest of `closed_form_classes` (homology: elimination, representatives and
 the fibres' ranks), in the cocycle checks, end to end, and its peak RSS.
 The rung is (4, 2, 2, 0, 6, 6).
 
+A phi_pi rung (k, L) runs `compare.phi_pi` on the Darboux structure
+pi = sum_i @x_i @y_i over 2k generators x_i, y_i of degree 0, with n = 0, in
+the window (0, L, -L, L, L), in its own child. It reports the window's word
+count (the sum of the block dimensions), the seconds end to end (base to
+result) and its peak RSS. The rungs are (3, 6) and (4, 6).
+
+Each rung's line also gives its end-to-end time in reference seconds:
+perfbench's Fraction probe (`perfbench/run.py`, `fraction_loop` of
+PROBE_STEPS steps) is read just before and just after the rung's child, and
+ref_s = seconds / mean probe * PROBE_REF_S, as perfbench reports job times,
+so that rungs timed on hosts of different speed can be compared. Each
+reading is the median of PROBE_RUNS probes: on a 2-vCPU host, a lone
+probe in this process, idle while its child ran, read from 1.4 to 6.4 ms
+where the median of eight read 1.7 ms.
+
 The import line fails when one of its children fails, the cli.main line
 when its child fails or a call exits nonzero. A rung fails when
 its child fails, or when its dimensions differ from
 `perfbench/oracles.de_rham_dims` or break the Poincare lemma
 (`poincare_violations`); the closed-forms rung fails when its classes,
 stage or fibre dimensions differ from `perfbench/oracles.closed_form_tables`,
-or when a tower is not a cocycle.
+or when a tower is not a cocycle; a phi_pi rung fails unless the
+chain-map identities hold, every bidegree block has full rank and the
+block dimensions sum to the window's word count,
+sum_j C(2k, j) C(2k + L - j, L - j) (the words with j letters d<g>).
 The exit code is 1 if either line or any rung fails. Standard library only.
 """
 
@@ -46,13 +65,17 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from oracles import closed_form_tables, de_rham_dims, poincare_violations  # noqa: E402
+from run import PROBE_REF_S, PROBE_STEPS, fraction_loop  # noqa: E402
 
 RUNGS = ((3, 3, 6), (4, 4, 6), (5, 5, 6), (6, 6, 6), (4, 4, 8))
 CLOSED_FORMS_RUNG = (4, 2, 2, 0, 6, 6)
+PHI_PI_RUNGS = ((3, 6), (4, 6))
+PROBE_RUNS = 5
 IMPORT_RUNS = 5
 IMPORT_CHILD = (
     "import time\n"
@@ -136,20 +159,46 @@ CLOSED_FORMS_CHILD = (
     "                  cocycles, rep.dimension, sorted(rep.stage_dims.items()),\n"
     "                  sorted(rep.fiber_dims.items())]))\n"
 )
+PHI_PI_CHILD = (
+    "import json, resource, sys, time\n"
+    "from spw.compare import phi_pi\n"
+    "from spw.freecdga import FreeCDGA, Window\n"
+    "from spw.polyvec import PolyvectorAlgebra\n"
+    "k, size = map(int, sys.argv[1:])\n"
+    "start = time.perf_counter()\n"
+    "base = FreeCDGA([(f'x{i}', 0) for i in range(k)] + [(f'y{i}', 0) for i in range(k)])\n"
+    "pol = PolyvectorAlgebra(base, 1)\n"
+    "pi = pol.algebra.zero()\n"
+    "for i in range(k):\n"
+    "    pi = pi + pol.theta(f'x{i}') * pol.theta(f'y{i}')\n"
+    "res = phi_pi(base, pi, 0, Window(0, size, -size, size, size))\n"
+    "total = time.perf_counter() - start\n"
+    "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+    "words = sum(dim for dim, _ in res.iso_blocks.values())\n"
+    "print(json.dumps([words, total, rss, res.chain_map_ok, res.bidegree_iso]))\n"
+)
+
+
+def probe():
+    """Seconds of perfbench's Fraction probe: the median of PROBE_RUNS runs."""
+    return sorted(fraction_loop(PROBE_STEPS) for _ in range(PROBE_RUNS))[PROBE_RUNS // 2]
 
 
 def run_child(code, *args):
-    """The finished child process running `code` on this checkout's spw."""
+    """(the finished child process running `code` on this checkout's spw,
+    the mean of the probes read just before and just after it)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    return subprocess.run([sys.executable, "-c", code, *args],
+    before = probe()
+    proc = subprocess.run([sys.executable, "-c", code, *args],
                           cwd=ROOT, env=env, capture_output=True, text=True)
+    return proc, (before + probe()) / 2
 
 
 def import_line():
     """(report line, passed) of the median wall seconds of `import spw.cli`."""
     times = []
     for _ in range(IMPORT_RUNS):
-        proc = run_child(IMPORT_CHILD)
+        proc, _ = run_child(IMPORT_CHILD)
         if proc.returncode:
             return f"import spw.cli  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
         times.append(float(proc.stdout))
@@ -159,7 +208,7 @@ def import_line():
 def cli_line():
     """(report line, passed) of the median microseconds per in-process
     `cli.main` call on each of CLI_ARGV."""
-    proc = run_child(CLI_CHILD, str(CLI_CALLS), json.dumps(CLI_ARGV))
+    proc, _ = run_child(CLI_CHILD, str(CLI_CALLS), json.dumps(CLI_ARGV))
     if proc.returncode:
         return f"cli.main  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
     cells = "  ".join(f"{argv[0]} {us:.1f} us" for argv, us in zip(CLI_ARGV, json.loads(proc.stdout)))
@@ -168,7 +217,7 @@ def cli_line():
 
 def run_rung(ke, ko, size):
     """(report line, passed) of one rung run in its own process."""
-    proc = run_child(CHILD, str(ke), str(ko), str(size))
+    proc, probe_s = run_child(CHILD, str(ke), str(ko), str(size))
     rung = f"({ke}, {ko}, {size})"
     if proc.returncode:
         return f"{rung:>12}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
@@ -182,13 +231,13 @@ def run_rung(ke, ko, size):
     elif dims != want:
         verdict = f"FAIL: window dims {dims} != {want}"
     line = (f"{rung:>12}  {monomials:9d}  {window:8.3f}  {assembly:10.3f}  {homology:10.3f}"
-            f"  {total:8.3f}  {rss:7.1f}  {verdict}")
+            f"  {total:8.3f}  {total / probe_s * PROBE_REF_S:8.3f}  {rss:7.1f}  {verdict}")
     return line, verdict == "ok"
 
 
 def run_closed_forms_rung(ke, ko, p, n, wmax, size):
     """(report line, passed) of the closed-forms rung run in its own process."""
-    proc = run_child(CLOSED_FORMS_CHILD, *map(str, (ke, ko, p, n, wmax, size)))
+    proc, probe_s = run_child(CLOSED_FORMS_CHILD, *map(str, (ke, ko, p, n, wmax, size)))
     rung = f"cf({ke}, {ko}, {p}, {n}, {wmax}, {size})"
     if proc.returncode:
         return f"{rung:>22}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
@@ -202,7 +251,27 @@ def run_closed_forms_rung(ke, ko, p, n, wmax, size):
     elif not cocycles:
         verdict = "FAIL: a tower is not a cocycle"
     line = (f"{rung:>22}  {words:9d}  {closure:9.3f}  {assembly:10.3f}  {homology:10.3f}"
-            f"  {cocycle:9.3f}  {total:8.3f}  {rss:7.1f}  {verdict}")
+            f"  {cocycle:9.3f}  {total:8.3f}  {total / probe_s * PROBE_REF_S:8.3f}  {rss:7.1f}  {verdict}")
+    return line, verdict == "ok"
+
+
+def run_phi_pi_rung(k, size):
+    """(report line, passed) of one phi_pi rung run in its own process."""
+    proc, probe_s = run_child(PHI_PI_CHILD, str(k), str(size))
+    rung = f"phi({k}, {size})"
+    if proc.returncode:
+        return f"{rung:>12}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
+    words, total, rss, chain_map_ok, bidegree_iso = json.loads(proc.stdout)
+    # a word has j of the 2k odd letters d<g> and L - j or fewer even ones
+    want = sum(comb(2 * k, j) * comb(2 * k + size - j, size - j) for j in range(min(2 * k, size) + 1))
+    verdict = "ok"
+    if not chain_map_ok:
+        verdict = "FAIL: phi_pi is not a chain map"
+    elif not bidegree_iso:
+        verdict = "FAIL: a bidegree block is not an isomorphism"
+    elif words != want:
+        verdict = f"FAIL: block dims sum to {words}, the window has {want} words"
+    line = f"{rung:>12}  {words:9d}  {total:8.3f}  {total / probe_s * PROBE_REF_S:8.3f}  {rss:7.1f}  {verdict}"
     return line, verdict == "ok"
 
 
@@ -213,16 +282,21 @@ def main():
     print(line, flush=True)
     passed &= ok
     print(f"{'rung':>12}  {'monomials':>9}  {'window_s':>8}  {'assembly_s':>10}  {'homology_s':>10}"
-          f"  {'total_s':>8}  {'rss_mb':>7}  dims")
+          f"  {'total_s':>8}  {'ref_s':>8}  {'rss_mb':>7}  dims")
     for rung in RUNGS:
         line, ok = run_rung(*rung)
         print(line, flush=True)
         passed &= ok
     print(f"{'closed-forms rung':>22}  {'words':>9}  {'closure_s':>9}  {'assembly_s':>10}"
-          f"  {'homology_s':>10}  {'cocycle_s':>9}  {'total_s':>8}  {'rss_mb':>7}  classes")
+          f"  {'homology_s':>10}  {'cocycle_s':>9}  {'total_s':>8}  {'ref_s':>8}  {'rss_mb':>7}  classes")
     line, ok = run_closed_forms_rung(*CLOSED_FORMS_RUNG)
     print(line, flush=True)
     passed &= ok
+    print(f"{'phi_pi rung':>12}  {'words':>9}  {'total_s':>8}  {'ref_s':>8}  {'rss_mb':>7}  identities")
+    for rung in PHI_PI_RUNGS:
+        line, ok = run_phi_pi_rung(*rung)
+        print(line, flush=True)
+        passed &= ok
     return 0 if passed else 1
 
 
