@@ -425,17 +425,18 @@ def cmd_operad(manifest, args, report):
     elif which == "weyl":
         from .freecdga import FreeCDGA, Generator
 
-        b = FreeCDGA([Generator(f"xi{i+1}", 1) for i in range(2)])
+        b = FreeCDGA([Generator(f"xi{i}", 1) for i in labels])
+        xs = [b.gen(f"xi{i}") for i in labels]
         # a bracket of degree -n on degree-1 generators has
-        # {a, b} = (-1)^n {b, a}, so the pairing must too
+        # {a, b} = (-1)^n {b, a}, so the pairing of xi1 and xi2 must too
         t = {(0, 1): 1, (1, 0): -1 if args.n % 2 else 1}
-        wm = operads.weyl_structure_map(b, t, (1, 2), n=args.n)
-        out0 = wm.structure_map([b.gen("xi1"), b.gen("xi2")])
-        report.check("degree-0 part is multiplication", out0[()] == b.gen("xi1") * b.gen("xi2"))
+        out0 = operads.weyl_structure_map(b, t, labels, n=args.n).structure_map(xs)
+        report.check("degree-0 part is multiplication", out0[()] == math.prod(xs, start=b.one()))
+        # a_12 pairs xi1 with xi2 and passes xi3 .. xik, of degree k - 2
         a12 = out0.get(((1, 2),), b.zero())
-        report.check("a_12 coefficient is the pairing", a12.constant_term() == 1)
-        zero = operads.weyl_structure_map(b, {}, (1, 2), n=args.n)
-        outz = zero.structure_map([b.gen("xi1"), b.gen("xi2")])
+        sign = -1 if args.n * (args.arity - 2) % 2 else 1
+        report.check("a_12 coefficient is the pairing", a12 == math.prod(xs[2:], start=b.scalar(sign)))
+        outz = operads.weyl_structure_map(b, {}, labels, n=args.n).structure_map(xs)
         report.check("t = 0 gives plain multiplication", set(outz) == {()})
     else:
         raise ValueError(which)

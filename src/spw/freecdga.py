@@ -236,7 +236,7 @@ class Elem:
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                sm = mono_mul(alg, m1, m2)
+                sm = mono_mul(alg.parities, m1, m2)
                 if sm is None:
                     continue
                 sign, m = sm
@@ -293,12 +293,14 @@ class Elem:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def mono_mul(alg, m1, m2):
-    """Merge two canonical words; None if an odd generator repeats.
+def mono_mul(parities, m1, m2):
+    """Merge two canonical words; None if an odd letter repeats.
 
-    Sign: one transposition per crossing pair of odd letters.
+    Sign: one transposition per crossing pair of odd letters.  `parities`
+    maps each letter to its parity, the only thing read of an algebra, so
+    the letters may be any that compare in word order, not only a
+    FreeCDGA's generator indices.
     """
-    parities = alg.parities
     sign_exp = 0
     odd1 = [i for i in m1 if parities[i]]
     if odd1:

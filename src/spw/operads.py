@@ -3,11 +3,14 @@ the hbar-Rees model of BD_1, BD_0, Arnold algebras of configuration-space
 cohomology, and Weyl structure maps.
 
 Multilinear Lie elements are normalised to the left-normed basis with the
-minimal label first (dimension (|I|-1)!); P_n monomials are products of
-such blocks sorted by minimal label, with Koszul signs driven by the
-bracket degree 1-n.  The BD_1 model is P_1 over Q[hbar] with the
-straightening rule  u v = v u + hbar {u, v}  on PBW block monomials in
-place of the commutative product.
+minimal label first (dimension (|I|-1)!).  The BD_1 model is P_1 over
+Q[hbar] with the straightening rule  u v = v u + hbar {u, v}  on PBW block
+monomials in place of the commutative product.
+
+Each product is that of a free graded-commutative algebra on named
+letters, one merge of two canonical words by `freecdga.mono_mul`, which
+gives every Koszul sign of a reordering: P_n's letters are Lie blocks,
+the Arnold algebra's the a_ij and the Weyl maps' those of B^(x)k.
 
 Elements are linear combinations {key: coeff}; `_add` and `_bilinear`
 are the only places that accumulate them.
@@ -17,11 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction as Rat
 from itertools import combinations, permutations, product
-from math import prod
 
 from .errors import ArityTooLarge
 from .exactlin import QPoly, SparseMatrix
-from .freecdga import Elem, FreeCDGA
+from .freecdga import Elem, FreeCDGA, Generator, _image, mono_mul
 from .record import Record
 
 
@@ -50,19 +52,23 @@ def _bilinear(e1, e2, f):
     return out
 
 
-def _koszul_sort(items, key, odd):
-    """Stable bubble sort by key: (sign, sorted list), the sign flipping
-    whenever two odd items swap."""
-    items = list(items)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            a, b = items[j], items[j + 1]
-            if key(a) > key(b):
-                items[j], items[j + 1] = b, a
-                if odd(a) and odd(b):
-                    sign = -sign
-    return sign, items
+def _merge(parities, words):
+    """(sign, word): canonical words multiplied in order by `mono_mul`, or None."""
+    sign, out = 1, (words[0] if words else ())
+    for word in words[1:]:
+        merged = mono_mul(parities, out, word)
+        if merged is None:
+            return None
+        sign *= merged[0]
+        out = merged[1]
+    return sign, out
+
+
+def _check_disjoint(m1, m2):
+    """Raise unless the block monomials m1 and m2 share no label."""
+    labels = sum(m1 + m2, ())
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be disjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +140,21 @@ class LieWords:
 # ---------------------------------------------------------------------------
 
 
+class _BlockParities:
+    """The parity lookup of Lie blocks as letters: (len - 1) b mod 2."""
+
+    __slots__ = ("b",)
+
+    def __init__(self, b: int):
+        self.b = b
+
+    def __getitem__(self, block) -> int:
+        return (len(block) - 1) * self.b % 2
+
+
 class PnSpace:
-    """Multilinear part of the P_n operad on a label set."""
+    """Multilinear part of the P_n operad on a label set.  A monomial is a
+    word of Lie blocks, which sort by their first label, the minimal one."""
 
     one = 1
 
@@ -144,6 +163,7 @@ class PnSpace:
         self.n = n
         self.b = (1 - n) % 2
         self.lie = LieWords(1 - n)
+        self.parities = _BlockParities(self.b)
 
     def block_degree(self, block) -> int:
         return (len(block) - 1) * self.b
@@ -154,22 +174,17 @@ class PnSpace:
     def mono_weight(self, blocks) -> int:
         return len(blocks) - sum(len(bl) for bl in blocks)
 
-    def sort_blocks(self, blocks):
-        """Canonical order by minimal label; Koszul sign from block degrees."""
-        sign, blocks = _koszul_sort(blocks, min, lambda bl: self.block_degree(bl) % 2)
-        return sign, tuple(blocks)
-
     def basis(self):
         """All products of Lie-basis blocks over set partitions."""
-        out = set()
-        for part in _set_partitions(list(self.labels)):
-            for combo in product(*(self.lie.basis(bl) for bl in part)):
-                _, mono = self.sort_blocks(combo)
-                out.add(mono)
-        return sorted(out)
+        return sorted(
+            tuple(sorted(combo))
+            for part in _set_partitions(list(self.labels))
+            for combo in product(*(self.lie.basis(bl) for bl in part))
+        )
 
     def product_mono(self, m1, m2):
-        sign, mono = self.sort_blocks(m1 + m2)
+        _check_disjoint(m1, m2)
+        sign, mono = mono_mul(self.parities, m1, m2)
         return {mono: sign}
 
     def product(self, e1, e2):
@@ -276,8 +291,7 @@ def multilinear_basis(operad: str, labels, n: int = 1) -> MultilinearSpace:
         basis = [tuple(p) for p in permutations(labels)]
         grading = {b: (0, 0) for b in basis}
     elif operad == "Lie":
-        lw = LieWords(1 - n)
-        basis = lw.basis(labels)
+        basis = LieWords(1 - n).basis(labels)
         grading = {b: ((len(labels) - 1) * (1 - n), -(len(labels) - 1)) for b in basis}
     elif operad == "Pn":
         space = PnSpace(n, labels)
@@ -306,8 +320,7 @@ class BD1Space(PnSpace):
         super().__init__(1, labels)
 
     def straighten(self, blocks):
-        """Canonical form of a block word as {monomial: QPoly}."""
-        blocks = tuple(blocks)
+        """Canonical form of a tuple of blocks as {monomial: QPoly}."""
         for i in range(len(blocks) - 1):
             if min(blocks[i]) > min(blocks[i + 1]):
                 swapped = blocks[:i] + (blocks[i + 1], blocks[i]) + blocks[i + 2:]
@@ -321,6 +334,7 @@ class BD1Space(PnSpace):
         return {blocks: self.one}
 
     def product_mono(self, m1, m2):
+        _check_disjoint(m1, m2)
         return self.straighten(m1 + m2)
 
     mul = PnSpace.product
@@ -401,50 +415,24 @@ class BD0Report(Record):
 
     @property
     def valid(self):
-        return (
-            self.d_bracket_zero
-            and self.d_product_is_hbar_bracket
-            and self.d_squared_zero_on_words
-            and self.derivation_respects_relations
-        )
+        return all(self._values())
 
 
-class _Tree:
-    """Operad word on generators 'm' (product) and 'b' (bracket)."""
-
-    def __init__(self, kind, left=None, right=None, leaf=None):
-        self.kind = kind  # 'leaf', 'm', 'b'
-        self.left = left
-        self.right = right
-        self.leaf = leaf
-
-    @classmethod
-    def leaf_(cls, label):
-        return cls("leaf", leaf=label)
-
-    @classmethod
-    def m(cls, l, r):
-        return cls("m", l, r)
-
-    @classmethod
-    def b(cls, l, r):
-        return cls("b", l, r)
-
-    def degree(self, bracket_degree):
-        if self.kind == "leaf":
-            return 0
-        own = bracket_degree if self.kind == "b" else 0
-        return own + self.left.degree(bracket_degree) + self.right.degree(bracket_degree)
+def _degree(tree):
+    """The degree of an operad word: a label, or (kind, left, right) with
+    kind 'm' (the product, degree 0) or 'b' (the odd P_0 bracket)."""
+    if not isinstance(tree, tuple):
+        return 0
+    kind, left, right = tree
+    return (kind == "b") + _degree(left) + _degree(right)
 
 
-def _eval_tree(space: PnSpace, tree: _Tree):
-    if tree.kind == "leaf":
-        return {((tree.leaf,),): 1}
-    lv = _eval_tree(space, tree.left)
-    rv = _eval_tree(space, tree.right)
-    if tree.kind == "m":
-        return space.product(lv, rv)
-    return space.bracket(lv, rv)
+def _eval_tree(space: PnSpace, tree):
+    if not isinstance(tree, tuple):
+        return {((tree,),): 1}
+    kind, left, right = tree
+    op = space.product if kind == "m" else space.bracket
+    return op(_eval_tree(space, left), _eval_tree(space, right))
 
 
 def _eval_sum(space: PnSpace, summands):
@@ -456,25 +444,25 @@ def _eval_sum(space: PnSpace, summands):
     return out
 
 
-def _bd0_differential(tree: _Tree):
+def _bd0_differential(tree):
     """d(m) = hbar b, d(b) = 0, extended as an odd operadic derivation:
     d(kappa(L, R)) = (d kappa)(L, R) + (-1)^{|kappa|} kappa(dL, R)
     + (-1)^{|kappa| + |L|} kappa(L, dR).  Returns [(hbar_power, sign, tree)].
     """
-    if tree.kind == "leaf":
+    if not isinstance(tree, tuple):
         return []
+    kind, left, right = tree
     out = []
-    if tree.kind == "m":
-        out.append((1, 1, _Tree.b(tree.left, tree.right)))
-    bracket_degree = 1  # the P_0 bracket is odd
-    kappa = bracket_degree if tree.kind == "b" else 0
-    ldeg = tree.left.degree(bracket_degree)
-    for power, sign, replaced in _bd0_differential(tree.left):
-        s = sign * (-1 if kappa % 2 else 1)
-        out.append((power, s, _Tree(tree.kind, replaced, tree.right)))
-    for power, sign, replaced in _bd0_differential(tree.right):
+    if kind == "m":
+        out.append((1, 1, ("b", left, right)))
+    kappa = kind == "b"
+    ldeg = _degree(left)
+    for power, sign, replaced in _bd0_differential(left):
+        s = sign * (-1 if kappa else 1)
+        out.append((power, s, (kind, replaced, right)))
+    for power, sign, replaced in _bd0_differential(right):
         s = sign * (-1 if (kappa + ldeg) % 2 else 1)
-        out.append((power, s, _Tree(tree.kind, tree.left, replaced)))
+        out.append((power, s, (kind, left, replaced)))
     return out
 
 
@@ -482,8 +470,7 @@ def bd0_check() -> BD0Report:
     """BD_0 on generators (product, odd bracket) with d(product) = hbar
     bracket: verify d^2 = 0 and that d descends to the P_0 relations at
     arity <= 3."""
-    labels = (1, 2, 3)
-    space = PnSpace(0, labels)
+    space = PnSpace(0, (1, 2, 3))
 
     def d_of_summands(summands):
         return [
@@ -492,25 +479,22 @@ def bd0_check() -> BD0Report:
             for p2, s2, t2 in _bd0_differential(tree)
         ]
 
-    l1, l2, l3 = (_Tree.leaf_(i) for i in labels)
     # d{,} = 0 and d(.) = hbar {,} at arity 2
-    ok_db = not _bd0_differential(_Tree.b(l1, l2))
-    ok_dm = _eval_sum(space, _bd0_differential(_Tree.m(l1, l2))) == _eval_sum(
-        space, [(1, 1, _Tree.b(l1, l2))]
-    )
+    ok_db = not _bd0_differential(("b", 1, 2))
+    ok_dm = _eval_sum(space, _bd0_differential(("m", 1, 2))) == _eval_sum(space, [(1, 1, ("b", 1, 2))])
 
     # d^2 on all two-node words at arity 3
     two_node_words = []
-    for mk1 in (_Tree.m, _Tree.b):
-        for mk2 in (_Tree.m, _Tree.b):
-            two_node_words.append(mk1(mk2(l1, l2), l3))
-            two_node_words.append(mk1(l1, mk2(l2, l3)))
+    for k1 in "mb":
+        for k2 in "mb":
+            two_node_words.append((k1, (k2, 1, 2), 3))
+            two_node_words.append((k1, 1, (k2, 2, 3)))
     dd_ok = all(
         not _eval_sum(space, d_of_summands(_bd0_differential(t))) for t in two_node_words
     )
 
     # d of the associativity relation word reduces to zero in P_0(3)[hbar]
-    assoc = [(0, 1, _Tree.m(_Tree.m(l1, l2), l3)), (0, -1, _Tree.m(l1, _Tree.m(l2, l3)))]
+    assoc = [(0, 1, ("m", ("m", 1, 2), 3)), (0, -1, ("m", 1, ("m", 2, 3)))]
     relations_ok = not _eval_sum(space, d_of_summands(assoc))
     return BD0Report(ok_db, ok_dm, dd_ok, relations_ok)
 
@@ -526,13 +510,17 @@ class ArnoldAlgebra:
     a_ij a_jk + a_jk a_ki + a_ki a_ij = 0.
 
     Basis: products a_{i_1 j_1} .. a_{i_k j_k} with i_t < j_t and
-    j_1 < j_2 < .. strictly.
+    j_1 < j_2 < .. strictly.  The letters a_ij, i < j, of parity n, are
+    indexed in (j, i) order.
     """
 
     def __init__(self, n: int, labels):
         self.labels = _check_arity(labels)
         self.n = n
         self.pairs = list(combinations(self.labels, 2))
+        self.letters = self.canonical_word(self.pairs)
+        self.index = {pair: k for k, pair in enumerate(self.letters)}
+        self.parities = (n % 2,) * len(self.letters)
 
     def orient(self, i, j):
         """(sign, (min, max)) for a_ij."""
@@ -543,21 +531,22 @@ class ArnoldAlgebra:
         return (1 if (self.n + 1) % 2 == 0 else -1), (j, i)
 
     def _sorted_word(self, letters):
-        """(sign, word): the letters oriented by `orient` and sorted by (j, i);
-        passing one degree-n letter over another costs (-1)^n, so the sort adds
-        (-1)^(inversions) for odd n. None if a letter repeats (a_ij^2 = 0)."""
-        sign = 1
-        keys = []
+        """(sign, word): the letters oriented by `orient`, then put in (j, i)
+        order by merging their ascending runs with `mono_mul`.  None if a
+        letter repeats: a_ij^2 = 0 for even n too."""
+        sign, runs = 1, []
         for i, j in letters:
-            s, (i, j) = self.orient(i, j)
+            s, pair = self.orient(i, j)
             sign *= s
-            keys.append((j, i))
-        if len(set(keys)) != len(keys):
+            k = self.index[pair]
+            if runs and k > runs[-1][-1]:
+                runs[-1] += (k,)
+            else:
+                runs.append((k,))
+        merged = _merge(self.parities, runs)
+        if merged is None or len(set(merged[1])) < len(merged[1]):
             return None
-        if self.n % 2:
-            sign *= (-1) ** sum(a > b for a, b in combinations(keys, 2))
-        keys.sort()
-        return sign, tuple((i, j) for j, i in keys)
+        return sign * merged[0], tuple(self.letters[k] for k in merged[1])
 
     def reduce_word(self, letters, coeff=1):
         """Normalise a product of a_xy letters to {basis word: coeff}."""
@@ -573,7 +562,7 @@ class ArnoldAlgebra:
                 # a_{i1 j} a_{i2 j} = a_{i1 i2} a_{i2 j} + (-1)^{n+1} a_{i1 j} a_{i1 i2}
                 for repl, extra_sign in (
                     (((i1, i2), (i2, j1)), 1),
-                    (((i1, j1), (i1, i2)), 1 if (self.n + 1) % 2 == 0 else -1),
+                    (((i1, j1), (i1, i2)), self.orient(i2, i1)[0]),
                 ):
                     sub = self.reduce_word(
                         word[:t] + repl + word[t + 2:], coeff * sign * extra_sign
@@ -588,18 +577,13 @@ class ArnoldAlgebra:
         return tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
 
     def basis(self, length=None):
-        out = [()] if length in (None, 0) else []
-        max_len = len(self.labels) - 1
-        for k in range(1, max_len + 1):
-            if length is not None and length != k:
-                continue
+        out = []
+        # a word has at most one letter a_ij per j > min(labels)
+        for k in range(max(len(self.labels), 1)) if length is None else (length,):
             for combo in combinations(self.pairs, k):
-                js = {p[1] for p in combo}
-                if len(js) == k:
+                if len({p[1] for p in combo}) == k:
                     out.append(self.canonical_word(combo))
-        if length is None:
-            out = [()] + sorted(w for w in out if w)
-        return out
+        return sorted(out) if length is None else out
 
     def hilbert_series(self):
         """{cohomological degree: dimension}."""
@@ -620,27 +604,34 @@ class ArnoldAlgebra:
         cyclic rotations of (i, k, j) give the same relation and a reversal
         its negative, so the other five orderings only repeat rows up to
         sign and cannot change the rank. Shares orientation and sorting
-        with `reduce_word`, not its rewrite."""
-        ambient = [self.canonical_word(c) for c in combinations(self.pairs, length)]
-        index = {w: i for i, w in enumerate(ambient)}
+        with `reduce_word`, not its rewrite; each sorted relation term is
+        merged with each multiplier, a word of letter indices."""
+        index = self.index.__getitem__
+        # the square-free words, in the order of their combinations
+        column = {tuple(sorted(map(index, c))): col for col, c in enumerate(combinations(self.pairs, length))}
         rel_rows = []
         # below length 2 there are no relation multiples
-        multipliers = list(combinations(self.pairs, length - 2)) if length >= 2 else []
+        multipliers = list(combinations(range(len(self.letters)), length - 2)) if length >= 2 else []
         for i, k, j in combinations(self.labels, 3):
+            terms = []
+            for term in (((i, k), (k, j)), ((k, j), (j, i)), ((j, i), (i, k))):
+                sign, word = self._sorted_word(term)
+                terms.append((sign, tuple(map(index, word))))
             for mult in multipliers:
                 row = {}
-                for term in (((i, k), (k, j)), ((k, j), (j, i)), ((j, i), (i, k))):
-                    sorted_word = self._sorted_word(term + mult)
-                    if sorted_word is not None and sorted_word[1] in index:
-                        _add(row, index[sorted_word[1]], sorted_word[0])
+                for sign, word in terms:
+                    merged = mono_mul(self.parities, word, mult)
+                    # a word with a repeated letter is not a column
+                    if merged is not None and merged[1] in column:
+                        _add(row, column[merged[1]], sign * merged[0])
                 if row:
                     rel_rows.append(row)
         mat = SparseMatrix(
             len(rel_rows),
-            len(ambient),
+            len(column),
             [(r, c, v) for r, row in enumerate(rel_rows) for c, v in row.items()],
         )
-        quotient_dim = len(ambient) - mat.rank()
+        quotient_dim = len(column) - mat.rank()
         return quotient_dim, len(self.basis(length))
 
 
@@ -656,10 +647,10 @@ def arnold_algebra(n: int, labels) -> ArnoldAlgebra:
 class WeylMap:
     """m o exp(a) with a = sum_{i != j} d_t^{i,j} (x) a_{ij}.
 
-    States are {arnold word: {tuple of B-monomials: coeff}}; the second
-    partial operator acts with Koszul signs over the tensor factors and
-    the Arnold letter is multiplied on the left of the accumulated word
-    after passing the B-factors to its right.
+    States are {arnold word: {word of `tensor`: coeff}}: `tensor` is B^(x)k,
+    whose letter s m + g is B's letter g in slot s (B has m letters).  The
+    Arnold letter is multiplied on the left of the accumulated word after
+    passing the B-factors to its right.
     """
 
     def __init__(self, base: FreeCDGA, t_matrix, labels, n: int):
@@ -669,22 +660,9 @@ class WeylMap:
         self.arity = len(self.labels)
         self.arnold = ArnoldAlgebra(n, self.labels)
         self.n = n
-
-    def _apply_partial(self, monos, slot, gen_index):
-        """Left partial at one tensor slot; returns (sign, new monos) list."""
-        alg = self.base
-        target = Elem(alg, {monos[slot]: 1})
-        img = alg.partial(alg.generators[gen_index].name, target)
-        parity = alg.gen_degree(gen_index) % 2
-        passed = sum(
-            sum(alg.gen_degree(i) for i in monos[s]) for s in range(slot)
-        )
-        sign = -1 if (parity and passed % 2) else 1
-        out = []
-        for mono, c in img.terms.items():
-            new = monos[:slot] + (mono,) + monos[slot + 1:]
-            out.append((sign * c, new))
-        return out
+        self.tensor = FreeCDGA([
+            Generator(f"{g.name}@{s}", g.degree) for s in range(self.arity) for g in base.generators
+        ])
 
     def apply_a(self, state):
         """One application of a; slots are 0-based positions of labels.
@@ -694,61 +672,67 @@ class WeylMap:
         derivative acts first; this pins the arity-2 a_12 coefficient to
         the t-bracket itself.
         """
+        m = len(self.base.generators)
+        tensor = self.tensor
         out = {}
         for word, tensors in state.items():
-            for monos, coeff in tensors.items():
-                for (si, li), (sj, lj) in permutations(enumerate(self.labels), 2):
+            for (si, li), (sj, lj) in permutations(enumerate(self.labels), 2):
+                terms = {}
+                for tensor_word, coeff in tensors.items():
                     for (k, l), tv in self.t.items():
-                        tv = tv * Rat(1, 2)
-                        for c1, m1 in self._apply_partial(monos, si, k):
-                            for c2, m2 in self._apply_partial(m1, sj, l):
-                                # multiply a_{li lj} into the word; it
-                                # passes the B-factors (degree D) first
-                                d_total = sum(
-                                    self.base.gen_degree(i) for mm in m2 for i in mm
-                                )
-                                s = -1 if (self.n % 2 and d_total % 2) else 1
-                                for w2, cw in self.arnold.reduce_word(
-                                    ((li, lj),) + word
-                                ).items():
-                                    _add(
-                                        out.setdefault(w2, {}),
-                                        m2,
-                                        s * cw * tv * c1 * c2 * coeff,
-                                    )
+                        for w1, c1 in _image(tensor._partials[si * m + k], tensor_word).items():
+                            _image(tensor._partials[sj * m + l], w1, acc=terms, coeff=c1 * tv * coeff)
+                if not terms:
+                    continue
+                # multiply a_{li lj} into the word; it passes the
+                # B-factors (degree D) first
+                prefixed = self.arnold.reduce_word(((li, lj),) + word)
+                for tensor_word, c in terms.items():
+                    s = -1 if (self.n % 2 and sum(tensor.parities[x] for x in tensor_word) % 2) else 1
+                    for w2, cw in prefixed.items():
+                        _add(out.setdefault(w2, {}), tensor_word, s * cw * c * Rat(1, 2))
         return {w: t for w, t in out.items() if t}
 
     def structure_map(self, inputs):
         """inputs: list of Elems of B, one per label; returns
         {arnold word: Elem of B} after exp(a) then multiplication."""
-        base_tensors = {}
-        for combo in product(*(e.terms.items() for e in inputs)):
-            monos = tuple(m for m, _ in combo)
-            _add(base_tensors, monos, prod((c for _, c in combo), start=1))
+        if len(inputs) != self.arity:
+            raise ValueError("one input per label")
+        m = len(self.base.generators)
+        # slot s's letters shifted by s m, in slot order: a canonical word
+        base_tensors = {(): 1}
+        for s, e in enumerate(inputs):
+            base_tensors = {
+                tensor_word + tuple(x + s * m for x in mono): c * ce
+                for tensor_word, c in base_tensors.items()
+                for mono, ce in e.terms.items()
+            }
         # exp(a): arnold words are nilpotent beyond arity-1 letters
         power = {(): base_tensors}
         total = dict(power)
         factorial = 1
-        for m in range(1, self.arity * (self.arity - 1) + 1):
+        for k in range(1, self.arity * (self.arity - 1) + 1):
             power = self.apply_a(power)
             if not power:
                 break
-            factorial *= m
+            factorial *= k
             for w, tensors in power.items():
                 tgt = total.setdefault(w, {})
-                for monos, c in tensors.items():
-                    _add(tgt, monos, Rat(c) / factorial)
-        # multiply the factors together
+                for tensor_word, c in tensors.items():
+                    _add(tgt, tensor_word, Rat(c) / factorial)
+        # multiply the slots together, in slot order, reading s m + g as g
         out = {}
         for w, tensors in total.items():
-            acc = self.base.zero()
-            for monos, c in tensors.items():
-                term = self.base.scalar(c)
-                for mono in monos:
-                    term = term * Elem(self.base, {mono: 1})
-                acc = acc + term
-            if not acc.is_zero():
-                out[w] = acc
+            acc = {}
+            for tensor_word, c in tensors.items():
+                slots = [() for _ in range(self.arity)]
+                for x in tensor_word:
+                    slots[x // m] += (x % m,)
+                merged = _merge(self.base.parities, slots)
+                if merged is not None:
+                    _add(acc, merged[1], merged[0] * c)
+            if acc:
+                out[w] = Elem(self.base, acc)
         return out
 
 

@@ -43,8 +43,8 @@ import re
 import signal
 from dataclasses import dataclass, field
 from fractions import Fraction as F
-from itertools import combinations, permutations
-from math import gcd
+from itertools import combinations, permutations, product
+from math import gcd, prod
 from typing import Callable, NamedTuple
 
 from spw.compare import PhiPiResult, _strict_nondegenerate
@@ -74,7 +74,7 @@ from spw.gradedmixed import (
     weight_window_total_complex,
 )
 from spw.lieinfty import InvariantTensor
-from spw.operads import LieWords
+from spw.operads import ArnoldAlgebra, LieWords, _add
 from spw.polyvec import NondegeneracyReport
 
 
@@ -745,8 +745,9 @@ def oracle_de_rham(b):
 
 # ---------------------------------------------------------------------------
 # Operad oracles: P_n and BD_1 each with their own product, bracket,
-# substitution and accumulation loops, and the Arnold normal form and
-# certificate rows each with their own sort
+# substitution and accumulation loops, the Arnold normal form and
+# certificate rows each with their own sort, and the Weyl map with its own
+# slot-passing signs and Elem products
 # ---------------------------------------------------------------------------
 
 
@@ -1033,6 +1034,106 @@ def oracle_rank_certificate(alg, length):
         {(r, c): v for r, row in enumerate(rel_rows) for c, v in row.items() if v},
     )
     return len(ambient) - mat.rank(), len(alg.basis(length))
+
+
+class OracleWeylMap:
+    """m o exp(a) with a = sum_{i != j} d_t^{i,j} (x) a_{ij}.
+
+    States are {arnold word: {tuple of B-monomials: coeff}}; the second
+    partial operator acts with Koszul signs over the tensor factors and
+    the Arnold letter is multiplied on the left of the accumulated word
+    after passing the B-factors to its right.  The Arnold normal form is
+    `oracle_reduce_word`'s.
+    """
+
+    def __init__(self, base: FreeCDGA, t_matrix, labels, n: int):
+        self.base = base
+        self.t = t_matrix  # dict (k, l) -> coefficient over generator indices
+        self.labels = tuple(sorted(labels))
+        self.arity = len(self.labels)
+        self.arnold = ArnoldAlgebra(n, self.labels)
+        self.n = n
+
+    def _apply_partial(self, monos, slot, gen_index):
+        """Left partial at one tensor slot; returns (sign, new monos) list."""
+        alg = self.base
+        target = Elem(alg, {monos[slot]: 1})
+        img = alg.partial(alg.generators[gen_index].name, target)
+        parity = alg.gen_degree(gen_index) % 2
+        passed = sum(
+            sum(alg.gen_degree(i) for i in monos[s]) for s in range(slot)
+        )
+        sign = -1 if (parity and passed % 2) else 1
+        out = []
+        for mono, c in img.terms.items():
+            new = monos[:slot] + (mono,) + monos[slot + 1:]
+            out.append((sign * c, new))
+        return out
+
+    def apply_a(self, state):
+        """One application of a; slots are 0-based positions of labels.
+
+        The operator carries the bivector normalisation 1/2 (the ordered
+        sum over (i, j) and (j, i) double-counts), and the i-slot
+        derivative acts first; this pins the arity-2 a_12 coefficient to
+        the t-bracket itself.
+        """
+        out = {}
+        for word, tensors in state.items():
+            for monos, coeff in tensors.items():
+                for (si, li), (sj, lj) in permutations(enumerate(self.labels), 2):
+                    for (k, l), tv in self.t.items():
+                        tv = tv * F(1, 2)
+                        for c1, m1 in self._apply_partial(monos, si, k):
+                            for c2, m2 in self._apply_partial(m1, sj, l):
+                                # multiply a_{li lj} into the word; it
+                                # passes the B-factors (degree D) first
+                                d_total = sum(
+                                    self.base.gen_degree(i) for mm in m2 for i in mm
+                                )
+                                s = -1 if (self.n % 2 and d_total % 2) else 1
+                                for w2, cw in oracle_reduce_word(
+                                    self.arnold, ((li, lj),) + word
+                                ).items():
+                                    _add(
+                                        out.setdefault(w2, {}),
+                                        m2,
+                                        s * cw * tv * c1 * c2 * coeff,
+                                    )
+        return {w: t for w, t in out.items() if t}
+
+    def structure_map(self, inputs):
+        """inputs: list of Elems of B, one per label; returns
+        {arnold word: Elem of B} after exp(a) then multiplication."""
+        base_tensors = {}
+        for combo in product(*(e.terms.items() for e in inputs)):
+            monos = tuple(m for m, _ in combo)
+            _add(base_tensors, monos, prod((c for _, c in combo), start=1))
+        # exp(a): arnold words are nilpotent beyond arity-1 letters
+        power = {(): base_tensors}
+        total = dict(power)
+        factorial = 1
+        for m in range(1, self.arity * (self.arity - 1) + 1):
+            power = self.apply_a(power)
+            if not power:
+                break
+            factorial *= m
+            for w, tensors in power.items():
+                tgt = total.setdefault(w, {})
+                for monos, c in tensors.items():
+                    _add(tgt, monos, F(c) / factorial)
+        # multiply the factors together
+        out = {}
+        for w, tensors in total.items():
+            acc = self.base.zero()
+            for monos, c in tensors.items():
+                term = self.base.scalar(c)
+                for mono in monos:
+                    term = term * Elem(self.base, {mono: 1})
+                acc = acc + term
+            if not acc.is_zero():
+                out[w] = acc
+        return out
 
 
 # ---------------------------------------------------------------------------

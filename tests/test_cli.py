@@ -321,6 +321,39 @@ def test_operad_commands(capsys):
         assert code == 0
 
 
+def test_operad_weyl_probes_one_input_per_label(capsys, monkeypatch):
+    from spw import operads
+
+    seen = []
+    real = operads.weyl_structure_map
+
+    def recording(base, t, labels, n):
+        seen.append((len(base.generators), labels))
+        return real(base, t, labels, n)
+
+    monkeypatch.setattr(operads, "weyl_structure_map", recording)
+    for k in (2, 3, 4):
+        for n in range(4):
+            seen.clear()
+            code, out, _ = run(capsys, "operad", "weyl", "--arity", str(k), "--n", str(n), "--json")
+            assert code == 0 and all(v["status"] == "pass" for v in json.loads(out)["verdicts"])
+            # the pairing and the t = 0 map, each on k generators and labels 1..k
+            assert seen == [(k, tuple(range(1, k + 1)))] * 2
+
+    def negated(base, t, labels, n):
+        # the a-terms with the wrong sign: the pairing check must see it
+        wm = real(base, t, labels, n)
+        plain = wm.structure_map
+        wm.structure_map = lambda inputs: {w: -e if w else e for w, e in plain(inputs).items()}
+        return wm
+
+    monkeypatch.setattr(operads, "weyl_structure_map", negated)
+    code, out, _ = run(capsys, "operad", "weyl", "--arity", "3", "--n", "1", "--json")
+    assert code == 1
+    failed = [v["check"] for v in json.loads(out)["verdicts"] if v["status"] != "pass"]
+    assert failed == ["a_12 coefficient is the pairing"]
+
+
 @pytest.mark.parametrize(
     "operad, arity, least",
     [

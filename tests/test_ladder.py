@@ -1,4 +1,5 @@
-"""`tools/ladder.py` times `import spw.cli`, in-process `cli.main` calls,
+"""`tools/ladder.py` times `import spw.cli`, in-process `cli.main` calls
+(operad calls among them),
 de Rham window rungs, a closed-forms rung and phi_pi rungs in child
 processes, each rung also in reference seconds, and checks each rung
 against its oracle."""
@@ -48,6 +49,27 @@ def test_ladder_times_in_process_cli_calls():
     assert cells[3] == cells[6] == "us"
     assert 0 < float(cells[2]) < 1e5 and 0 < float(cells[5]) < 1e5
     assert cells[7:] == ["(median", "of", "200", "calls", "each,", "one", "process)"]
+
+
+def test_ladder_times_in_process_operad_calls():
+    ladder = load_ladder()
+    line, ok = ladder.operad_line()
+    assert ok, line
+    cells = line.split()
+    assert cells[:5] == ["operad", "--arity", "4", "--n", "1"], cells
+    ops, values, units = cells[5:20:3], cells[6:20:3], cells[7:20:3]
+    assert ops == ["pn", "bd1", "bd0", "arnold", "weyl"] and units == ["us"] * 5
+    assert all(0 < float(v) < 1e5 for v in values)
+    assert cells[20:] == ["(median", "of", "200", "calls", "each,", "one", "process)"]
+
+
+def test_ladder_operad_line_fails_when_a_call_exits_nonzero(monkeypatch):
+    ladder = load_ladder()
+    # arity 5 is above the cap: the call exits 2
+    monkeypatch.setattr(ladder, "OPERAD_ARGV", (["operad", "pn", "--arity", "5", "--json"],))
+    monkeypatch.setattr(ladder, "CLI_CALLS", 3)
+    line, ok = ladder.operad_line()
+    assert not ok and line.startswith("operad --arity 4 --n 1  FAIL: exit 1:"), line
 
 
 def test_ladder_runs_the_closed_forms_rung_against_the_oracle():

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     OracleBD1,
     OraclePn,
+    OracleWeylMap,
     _oracle_oriented_sort,
     oracle_pn_compose,
     oracle_rank_certificate,
@@ -17,12 +18,12 @@ from helpers import (
 from spw.errors import ArityTooLarge
 from spw.exactlin import QPoly, SparseMatrix
 from spw import operads
-from spw.freecdga import FreeCDGA, Generator
+from spw.freecdga import Elem, FreeCDGA, Generator
 from spw.operads import (
     BD1Space,
     LieWords,
     PnSpace,
-    _koszul_sort,
+    WeylMap,
     arnold_algebra,
     as_compose,
     bd0_check,
@@ -196,16 +197,17 @@ def test_compose_of_a_missing_label_is_a_value_error():
         BD1Space((1, 2, 3)).compose({((1, 2),): QPoly.const(1)}, 3, {((3,),): QPoly.const(1)})
 
 
-def test_koszul_sort_sign_is_the_sign_on_the_odd_items():
-    rng = random.Random(11)
-    for _ in range(300):
-        # (key, odd, position): the position tells equal-key items apart
-        items = [(rng.randrange(4), rng.random() < 0.5, p) for p in range(rng.randrange(8))]
-        sign, out = _koszul_sort(items, lambda it: it[0], lambda it: it[1])
-        assert out == sorted(items, key=lambda it: it[0])
-        odd_keys = [it[0] for it in items if it[1]]
-        inversions = sum(a > b for a, b in combinations(odd_keys, 2))
-        assert sign == (-1) ** inversions
+def test_a_product_of_factors_sharing_a_label_is_a_value_error():
+    # as the bracket: a shared label, also one that is not the minimum of
+    # both blocks, makes no multilinear monomial
+    spaces = [PnSpace(n, (1, 2, 3)) for n in range(4)] + [BD1Space((1, 2, 3))]
+    for space in spaces:
+        one = space.one
+        for m1, m2 in ((((1,),), ((1,),)), (((2, 3),), ((1, 3),)), (((1,), (2,)), ((2, 3),))):
+            with pytest.raises(ValueError, match="labels must be disjoint"):
+                space.product({m1: one}, {m2: one})
+            with pytest.raises(ValueError, match="labels must be disjoint"):
+                space.bracket({m1: one}, {m2: one})
 
 
 def test_arnold_normal_form_and_certificate_match_the_oracle():
@@ -476,6 +478,14 @@ def test_weyl_zero_pairing_is_multiplication():
     assert out[()] == x * y
 
 
+def test_weyl_structure_map_takes_one_input_per_label():
+    b = sym_v_dual(2)
+    wm = weyl_structure_map(b, {(0, 1): F(1), (1, 0): F(1)}, (1, 2), n=0)
+    for inputs in ([b.gen("xi1")], [b.gen("xi1"), b.gen("xi2"), b.gen("xi1")]):
+        with pytest.raises(ValueError, match="one input per label"):
+            wm.structure_map(inputs)
+
+
 def test_weyl_arity2_bracket_coefficient():
     # t = identity pairing on a 2-dim V: the a_12 coefficient of the image
     # of xi1 (x) xi2 is t(xi1, xi2) * 1
@@ -559,3 +569,44 @@ def test_weyl_structure_map_with_an_integer_pairing_is_exact():
     assert out == want
     assert any(len(w) == 2 for w in out)  # a second power of a, divided by 2
     assert all(type(c) in (int, F) for e in out.values() for c in e.terms.values())
+
+
+def _random_weyl_case(rng, arity):
+    """(B, t, inputs): B with an even and an odd generator among two or
+    three of degree 0..2, a random rational t and one polynomial per slot."""
+    degrees = [0, 1] + [rng.randrange(3) for _ in range(rng.randrange(2))]
+    rng.shuffle(degrees)
+    b = FreeCDGA([Generator(f"g{i}", d) for i, d in enumerate(degrees)])
+    m = len(degrees)
+    t = {}
+    while not t:
+        t = {(k, l): F(rng.randint(-3, 3), rng.randint(1, 3)) for k in range(m) for l in range(m)
+             if rng.random() < 0.5}
+        t = {key: v for key, v in t.items() if v}
+    inputs = []
+    for _ in range(arity):
+        e = b.zero()
+        for _ in range(rng.randint(1, 2)):
+            term = b.scalar(F(rng.randint(-2, 2) or 1, rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 2)):
+                term = term * b.gen(f"g{rng.randrange(m)}")
+            e = e + term
+        inputs.append(e if not e.is_zero() else b.one())
+    return b, t, inputs
+
+
+def test_weyl_structure_map_matches_the_oracle():
+    # seeded bases, pairings and polynomial inputs at arities 2-4, n = 0..3
+    rng = random.Random(27)
+    lengths = []
+    for arity in (2, 3, 4):
+        labels = tuple(range(1, arity + 1))
+        for n in range(4):
+            for _ in range(3):
+                b, t, inputs = _random_weyl_case(rng, arity)
+                got = WeylMap(b, t, labels, n).structure_map(inputs)
+                assert got == OracleWeylMap(b, t, labels, n).structure_map(inputs)
+                assert all(isinstance(e, Elem) and not e.is_zero() for e in got.values())
+                lengths.append(max(map(len, got), default=0))
+    # most cases reach an Arnold word, and some a power of a
+    assert sum(k >= 1 for k in lengths) >= 20 and sum(k >= 2 for k in lengths) >= 5

@@ -1,6 +1,6 @@
-"""Time the start-up of spw, two in-process CLI calls, the de Rham
-window ladder, a closed-forms rung and the phi_pi rungs, one child process
-per rung.
+"""Time the start-up of spw, in-process CLI calls, the de Rham window
+ladder, a closed-forms rung and the phi_pi rungs, one child process per
+rung.
 
     python tools/ladder.py
 
@@ -12,7 +12,8 @@ The second line gives the per-call microseconds of in-process
 `spw.cli.main` with stdout captured, the median of 200 calls each, on
 `operad pn --arity 3 --n 1 --json` and on
 `de-rham examples_dsl/plane_poisson.spw --json`, both in one child process
-with the SPW_MAX_* variables unset.
+with the SPW_MAX_* variables unset.  The third line gives the same for
+`operad pn|bd1|bd0|arnold|weyl --arity 4 --n 1 --json`, in one more child.
 
 A rung (ke, ko, L) is the de Rham algebra of the free algebra on ke even
 generators of degree 0 and ko odd ones of degree 1, in the window
@@ -48,8 +49,8 @@ reading is the median of PROBE_RUNS probes: on a 2-vCPU host, a lone
 probe in this process, idle while its child ran, read from 1.4 to 6.4 ms
 where the median of eight read 1.7 ms.
 
-The import line fails when one of its children fails, the cli.main line
-when its child fails or a call exits nonzero. A rung fails when
+The import line fails when one of its children fails, the cli.main and
+operad lines when their child fails or a call exits nonzero. A rung fails when
 its child fails, or when its dimensions differ from
 `perfbench/oracles.de_rham_dims` or break the Poincare lemma
 (`poincare_violations`); the closed-forms rung fails when its classes,
@@ -58,7 +59,7 @@ or when a tower is not a cocycle; a phi_pi rung fails unless the
 chain-map identities hold, every bidegree block has full rank and the
 block dimensions sum to the window's word count,
 sum_j C(2k, j) C(2k + L - j, L - j) (the words with j letters d<g>).
-The exit code is 1 if either line or any rung fails. Standard library only.
+The exit code is 1 if any line or rung fails. Standard library only.
 """
 
 import json
@@ -86,6 +87,8 @@ IMPORT_CHILD = (
 CLI_CALLS = 200
 CLI_ARGV = (["operad", "pn", "--arity", "3", "--n", "1", "--json"],
             ["de-rham", "examples_dsl/plane_poisson.spw", "--json"])
+OPERAD_ARGV = tuple(["operad", op, "--arity", "4", "--n", "1", "--json"]
+                    for op in ("pn", "bd1", "bd0", "arnold", "weyl"))
 CLI_CHILD = (
     "import contextlib, io, json, os, sys, time\n"
     "from spw.cli import main\n"
@@ -100,8 +103,8 @@ CLI_CHILD = (
     "            t = time.perf_counter()\n"
     "            code = main(argv)\n"
     "            times.append(time.perf_counter() - t)\n"
-    "        if code:\n"
-    "            sys.exit(f'exit {code}: {argv}')\n"
+    "            if code:\n"
+    "                sys.exit(f'exit {code}: {argv}')\n"
     "    medians.append(sorted(times)[calls // 2] * 1e6)\n"
     "print(json.dumps(medians))\n"
 )
@@ -205,14 +208,24 @@ def import_line():
     return f"import spw.cli  {sorted(times)[IMPORT_RUNS // 2]:.4f} s  (median of {IMPORT_RUNS} processes)", True
 
 
-def cli_line():
+def _cli_calls(head, argvs, name):
     """(report line, passed) of the median microseconds per in-process
-    `cli.main` call on each of CLI_ARGV."""
-    proc, _ = run_child(CLI_CHILD, str(CLI_CALLS), json.dumps(CLI_ARGV))
+    `cli.main` call on each of argvs, shown as argv[name]."""
+    proc, _ = run_child(CLI_CHILD, str(CLI_CALLS), json.dumps(argvs))
     if proc.returncode:
-        return f"cli.main  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
-    cells = "  ".join(f"{argv[0]} {us:.1f} us" for argv, us in zip(CLI_ARGV, json.loads(proc.stdout)))
-    return f"cli.main  {cells}  (median of {CLI_CALLS} calls each, one process)", True
+        return f"{head}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
+    cells = "  ".join(f"{argv[name]} {us:.1f} us" for argv, us in zip(argvs, json.loads(proc.stdout)))
+    return f"{head}  {cells}  (median of {CLI_CALLS} calls each, one process)", True
+
+
+def cli_line():
+    """(report line, passed) for each of CLI_ARGV."""
+    return _cli_calls("cli.main", CLI_ARGV, 0)
+
+
+def operad_line():
+    """(report line, passed) for each of OPERAD_ARGV, named by its operad."""
+    return _cli_calls("operad --arity 4 --n 1", OPERAD_ARGV, 1)
 
 
 def run_rung(ke, ko, size):
@@ -278,9 +291,10 @@ def run_phi_pi_rung(k, size):
 def main():
     line, passed = import_line()
     print(line, flush=True)
-    line, ok = cli_line()
-    print(line, flush=True)
-    passed &= ok
+    for timed in (cli_line, operad_line):
+        line, ok = timed()
+        print(line, flush=True)
+        passed &= ok
     print(f"{'rung':>12}  {'monomials':>9}  {'window_s':>8}  {'assembly_s':>10}  {'homology_s':>10}"
           f"  {'total_s':>8}  {'ref_s':>8}  {'rss_mb':>7}  dims")
     for rung in RUNGS:
