@@ -86,12 +86,8 @@ class SymplecticForm(Record):
         self.theta = theta
 
     @classmethod
-    def build(cls, dr: DeRhamAlgebra, n: int, omega: Elem) -> "SymplecticForm":
-        return cls._build(dr, n, omega, pairing_matrix(dr.algebra, dr.symbols, omega))
-
-    @classmethod
-    def _build(cls, dr, n, omega, theta) -> "SymplecticForm":
-        """`build`, given omega's pairing matrix theta."""
+    def build(cls, dr: DeRhamAlgebra, n: int, omega: Elem, theta: SparseMatrix) -> "SymplecticForm":
+        """The form omega, given its pairing matrix theta (`pairing_matrix`)."""
         alg = dr.algebra
         if not omega.is_zero():
             if omega.weight() != 2 or omega.degree() != n + 2:
@@ -195,7 +191,7 @@ def poisson_to_form(base: FreeCDGA, pi: Elem, n: int) -> SymplecticForm:
     theta = _invert(m_pi)
     # _reconstruct_two_tensor checks that omega's pairing matrix is theta
     omega = _reconstruct_two_tensor(dr.algebra, dr.symbols, theta)
-    return SymplecticForm._build(dr, n, omega, theta)
+    return SymplecticForm.build(dr, n, omega, theta)
 
 
 def symplectic_to_poisson(form: SymplecticForm) -> Elem:

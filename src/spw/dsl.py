@@ -190,12 +190,6 @@ class Block(Record):
         return (f"Block(kind={self.kind!r}, name={self.name!r}, entries={self.entries!r}, "
                 f"line={self.line!r}, col={self.col!r})")
 
-    def get(self, key):
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return None
-
 
 class Manifest(Record):
     __slots__ = _fields = ("blocks",)

@@ -111,12 +111,6 @@ class SparseMatrix:
             and self._entries == other._entries
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._entries.items())))
-
-    def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self._entries)} entries)"
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -130,14 +124,6 @@ class SparseMatrix:
             else:
                 data.pop(k, None)
         return SparseMatrix(self.rows, self.cols, data)
-
-    def __neg__(self):
-        return SparseMatrix(
-            self.rows, self.cols, {k: -v for k, v in self._entries.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c) -> "SparseMatrix":
         c = _as_rat(c)
@@ -356,9 +342,6 @@ class HomologyResult:
         self.dimension = dimension
         self.representatives = representatives
 
-    def __repr__(self):
-        return f"HomologyResult(dim={self.dimension})"
-
 
 def _cycles_mod_image(ker, d_in) -> HomologyResult:
     """span(ker) / im(d_in), for independent cycles `ker` spanning a space
@@ -434,9 +417,6 @@ class QPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __add__(self, other):
         other = other if isinstance(other, QPoly) else QPoly.const(other)
         n = max(len(self.coeffs), len(other.coeffs))
@@ -449,13 +429,6 @@ class QPoly:
         )
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = other if isinstance(other, QPoly) else QPoly.const(other)
-        return self + (-other)
 
     def __mul__(self, other):
         other = other if isinstance(other, QPoly) else QPoly.const(other)
@@ -476,27 +449,9 @@ class QPoly:
             other = QPoly.const(other)
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def evaluate(self, value):
         value = _as_rat(value)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*h" if c != 1 else "h")
-            else:
-                parts.append(f"{c}*h^{i}" if c != 1 else f"h^{i}")
-        return " + ".join(parts)

@@ -49,13 +49,14 @@ from .record import FrozenRecord, Record
 
 
 class Generator(FrozenRecord):
-    __slots__ = _fields = ("name", "degree", "weight", "internal_weight")
+    """Generator(name, degree[, weight]): a free generator; weight 0 unless given."""
 
-    def __init__(self, name: str, degree: int, weight: int = 0, internal_weight: int = 0):
+    __slots__ = _fields = ("name", "degree", "weight")
+
+    def __init__(self, name: str, degree: int, weight: int = 0):
         self.name = name
         self.degree = degree
         self.weight = weight
-        self.internal_weight = internal_weight
 
 
 class FreeCDGA:
@@ -77,7 +78,7 @@ class FreeCDGA:
         self.degrees = tuple(g.degree for g in gens)
         self.parities = tuple(g.degree % 2 for g in gens)
         self.weights = tuple(g.weight for g in gens)
-        self.signature = tuple((g.name, g.degree, g.weight, g.internal_weight) for g in gens)
+        self.signature = tuple((g.name, g.degree, g.weight) for g in gens)
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.base_names = frozenset(base_names)
         for b in self.base_names:
@@ -128,12 +129,6 @@ class FreeCDGA:
     def gen(self, name) -> "Elem":
         return Elem(self, {(self.index[name],): 1})
 
-    def monomial(self, names, coeff=1) -> "Elem":
-        e = self.scalar(coeff)
-        for n in names:
-            e = e * self.gen(n)
-        return e
-
     # -- structure maps --------------------------------------------------
 
     def d(self, elem: "Elem") -> "Elem":
@@ -165,10 +160,6 @@ class FreeCDGA:
             self.generators[i].name + (f"^{e}" if e > 1 else "") for i, e in parts
         )
 
-    def __repr__(self):
-        gens = ", ".join(f"{g.name}({g.degree})" for g in self.generators)
-        return f"FreeCDGA[{gens}]"
-
 
 class Elem:
     """Exact polynomial in the generators of a FreeCDGA."""
@@ -190,9 +181,6 @@ class Elem:
             and self.algebra.compatible(other.algebra)
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         if isinstance(other, (int, Rat)):
@@ -217,9 +205,6 @@ class Elem:
         if isinstance(other, (int, Rat)):
             other = self.algebra.scalar(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c):
         c = _as_rat(c)
@@ -247,11 +232,6 @@ class Elem:
                     acc.pop(m, None)
         return Elem(alg, acc)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Rat)):
-            return self.scale(other)
-        return NotImplemented
-
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
@@ -276,10 +256,6 @@ class Elem:
 
     def constant_term(self):
         return self.terms.get((), 0)
-
-    def augmentation(self) -> "Elem":
-        """Image under all generators -> 0: the constant part."""
-        return self.algebra.scalar(self.constant_term())
 
     def __repr__(self):
         if self.is_zero():
@@ -345,9 +321,6 @@ class CdgaReport:
     def valid(self):
         return not self.violations
 
-    def __repr__(self):
-        return "CdgaReport(valid)" if self.valid else f"CdgaReport({self.violations})"
-
 
 def validate_cdga(alg: FreeCDGA, check_mixed=True) -> CdgaReport:
     """Check bidegrees and d^2 = 0 on generators, plus Leibniz consistency
@@ -394,6 +367,10 @@ def validate_cdga(alg: FreeCDGA, check_mixed=True) -> CdgaReport:
 # windows: finite exact slices of an algebra
 # ---------------------------------------------------------------------------
 
+# rounds of the window closure before an image that stays inside the box
+# raises WindowTooSmall
+_CLOSURE_ROUNDS = 64
+
 
 class Window(Record):
     """Truncation window: weights and degrees inclusive, word length seed.
@@ -401,22 +378,21 @@ class Window(Record):
     The basis is the d/eps-closure of all monomials of word length
     <= max_len inside the bidegree box.  Images above wmax or dmax are
     projected away (quotient complex, still exact); an image inside the
-    box that the closure cannot absorb within `closure_rounds` raises
-    WindowTooSmall.  When d and eps raise the degree by one on every
+    box that the closure cannot absorb within `_CLOSURE_ROUNDS` rounds
+    raises WindowTooSmall.  When d and eps raise the degree by one on every
     term, the words of degree dmax are not imaged: their images lie
     above the window.
     """
 
-    __slots__ = _fields = ("wmin", "wmax", "dmin", "dmax", "max_len", "closure_rounds")
+    __slots__ = _fields = ("wmin", "wmax", "dmin", "dmax", "max_len")
 
     def __init__(self, wmin: int = 0, wmax: int = 6, dmin: int = -8, dmax: int = 8,
-                 max_len: int = 6, closure_rounds: int = 64):
+                 max_len: int = 6):
         self.wmin = wmin
         self.wmax = wmax
         self.dmin = dmin
         self.dmax = dmax
         self.max_len = max_len
-        self.closure_rounds = closure_rounds
 
 
 def _mono_bidegree(alg, mono):
@@ -614,7 +590,7 @@ def _closure(alg: FreeCDGA, window: Window):
     ) else None
     images = {}
     frontier = list(inside)
-    for _ in range(window.closure_rounds):
+    for _ in range(_CLOSURE_ROUNDS):
         new = []
         for m in frontier:
             w, d = inside[m]
@@ -753,7 +729,7 @@ def _with_symbols(b: FreeCDGA):
             continue
         if "d" + g.name in b.index:
             raise DuplicateName(f"symbol name {'d' + g.name!r} collides with a generator")
-        gens.append(Generator("d" + g.name, g.degree + 1, g.weight + 1, g.internal_weight))
+        gens.append(Generator("d" + g.name, g.degree + 1, g.weight + 1))
     free = FreeCDGA(gens, base_names=b.base_names)
     u = {g.name: free.gen("d" + g.name) for g in b.generators if g.name not in b.base_names}
     u_at = {free.index[name]: v for name, v in u.items()}
@@ -835,14 +811,6 @@ class ClosedFormTower(Record):
         for e in self.components.values():
             out = out + e
         return out
-
-    def underlying_form(self) -> Elem:
-        return self.components.get(self.p, self.de_rham.algebra.zero())
-
-    def is_strict(self) -> bool:
-        return all(
-            e.is_zero() for w, e in self.components.items() if w != self.p
-        )
 
     def check_cocycle(self, wmax) -> bool:
         """(d + eps) of the tower has no term of weight <= wmax.
@@ -1005,7 +973,7 @@ def koszul(b: FreeCDGA, fs, powers=None) -> KoszulComplex:
         name = f"X{i+1}"
         while name in b.index:
             name = "_" + name
-        gens.append(Generator(name, -1, 0, 0))
+        gens.append(Generator(name, -1))
         odd.append(name)
     free = FreeCDGA(gens)
     rels = []

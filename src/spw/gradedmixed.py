@@ -44,9 +44,6 @@ class BiGradedModule:
     def support(self):
         return sorted(self.basis)
 
-    def degrees(self):
-        return sorted({m for _, m in self.basis})
-
 
 class GradedMixedComplex:
     """BiGradedModule plus d and eps stored as per-bidegree blocks.
@@ -146,11 +143,6 @@ class MixedReport:
     @property
     def valid(self) -> bool:
         return not self.violations
-
-    def __repr__(self):
-        if self.valid:
-            return "MixedReport(valid)"
-        return f"MixedReport({len(self.violations)} violations)"
 
 
 def validate_mixed(e: GradedMixedComplex) -> MixedReport:
@@ -252,9 +244,6 @@ class ChainComplex:
 
     def degrees(self):
         return sorted(self.basis)
-
-    def d_block(self, m) -> SparseMatrix:
-        return self.diff.get(m, SparseMatrix.zero(self.dim(m + 1), self.dim(m)))
 
     def homology(self, m) -> exactlin.HomologyResult:
         """H^m with representatives; a missing differential is zero and is

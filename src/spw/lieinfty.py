@@ -45,9 +45,6 @@ class LieAlgebra:
                 c[j][i][k] = -_as_rat(v)
         return cls(c)
 
-    def bracket(self, i, j):
-        return self.c[i][j]
-
 
 @classmethod
 def _sl2(cls):

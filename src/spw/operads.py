@@ -533,12 +533,16 @@ class ArnoldAlgebra:
     def _sorted_word(self, letters):
         """(sign, word): the letters oriented by `orient`, then put in (j, i)
         order by merging their ascending runs with `mono_mul`.  None if a
-        letter repeats: a_ij^2 = 0 for even n too."""
+        letter repeats: a_ij^2 = 0 for even n too.  Raises ValueError for a
+        letter whose labels are not the algebra's."""
         sign, runs = 1, []
         for i, j in letters:
             s, pair = self.orient(i, j)
             sign *= s
-            k = self.index[pair]
+            try:
+                k = self.index[pair]
+            except KeyError:
+                raise ValueError(f"a_{i}{j} is not a class of the algebra on {self.labels}") from None
             if runs and k > runs[-1][-1]:
                 runs[-1] += (k,)
             else:
@@ -592,9 +596,6 @@ class ArnoldAlgebra:
             d = self.n * len(w)
             out[d] = out.get(d, 0) + 1
         return out
-
-    def mul(self, e1, e2):
-        return _bilinear(e1, e2, lambda w1, w2: self.reduce_word(w1 + w2))
 
     def rank_certificate(self, length):
         """Independent check that the normal forms are a linear basis:

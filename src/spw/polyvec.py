@@ -51,7 +51,7 @@ class PolyvectorAlgebra:
             name = "@" + g.name
             if name in base.index:
                 raise ValueError(f"dual symbol {name!r} collides with a generator")
-            gens.append(Generator(name, shift - g.degree, 1, g.internal_weight))
+            gens.append(Generator(name, shift - g.degree, 1))
             self.theta_names.append(name)
         self.algebra = FreeCDGA(gens)
         n_base = self._n_base = len(base.generators)
@@ -126,12 +126,6 @@ class PolyvectorAlgebra:
     def basis(self, weight: int, degree: int, max_len: int):
         """Monomials of the given polyvector weight and degree (word window)."""
         return sorted(_box_words(self.algebra, max_len, weight, weight, degree, degree))
-
-    def basis_dims(self, max_weight: int, max_len: int):
-        dims = {}
-        for bideg in _box_words(self.algebra, max_len, wmax=max_weight).values():
-            dims[bideg] = dims.get(bideg, 0) + 1
-        return dims
 
     # -- constant parts ------------------------------------------------------
 
@@ -224,12 +218,6 @@ class MaurerCartanTower(Record):
         if 0 <= i < len(self.components):
             return self.components[i]
         return self.pol.algebra.zero()
-
-    def total(self) -> Elem:
-        out = self.pol.algebra.zero()
-        for p in self.components:
-            out = out + p
-        return out
 
 
 class MCReport(Record):

@@ -32,7 +32,10 @@ unit against:
   tokenizer: `cli.Report.to_json` and `dsl.tokenize`;
 - the `@dataclass` and `NamedTuple` records: spw's plain record classes
   (`ORACLE_RECORDS`).
-Also the per-case time limit of the CLI tests."""
+Also the small readers that left spw because only tests called them
+(`d_block`, `module_degrees`, `basis_dims`, `monomial`, `underlying_form`,
+`is_strict`, `block_entry`, `arnold_mul`), and the per-case time limit of
+the CLI tests."""
 
 from __future__ import annotations
 
@@ -52,10 +55,12 @@ from spw.dsl import _MAX_DIGITS
 from spw.errors import BidegreeError, CompositionNonzero, ParseError, WindowTooSmall
 from spw.exactlin import QPoly, SparseMatrix, _cycles_mod_image, kernel_basis
 from spw.freecdga import (
+    _CLOSURE_ROUNDS,
     Elem,
     FreeCDGA,
     Generator,
     Window,
+    _box_words,
     _closure,
     _image,
     _mono_bidegree,
@@ -74,7 +79,7 @@ from spw.gradedmixed import (
     weight_window_total_complex,
 )
 from spw.lieinfty import InvariantTensor
-from spw.operads import ArnoldAlgebra, LieWords, _add
+from spw.operads import ArnoldAlgebra, LieWords, _add, _bilinear
 from spw.polyvec import NondegeneracyReport
 
 
@@ -614,7 +619,7 @@ def oracle_closure(alg, window):
             inside[m] = (w, d)
     images = {}
     frontier = list(inside)
-    for _ in range(window.closure_rounds):
+    for _ in range(_CLOSURE_ROUNDS):
         new = []
         for m in frontier:
             x = Elem(alg, {m: 1})
@@ -713,7 +718,7 @@ def _oracle_symbols(b, shift, **maps):
     gens = list(b.generators)
     for g in b.generators:
         if g.name not in b.base_names:
-            gens.append(Generator("d" + g.name, g.degree + shift, g.weight + 1, g.internal_weight))
+            gens.append(Generator("d" + g.name, g.degree + shift, g.weight + 1))
     return FreeCDGA(gens, base_names=b.base_names, **maps)
 
 
@@ -1681,7 +1686,6 @@ class OracleFreecdga:
         name: str
         degree: int
         weight: int = 0
-        internal_weight: int = 0
 
     @dataclass
     class Window:
@@ -1690,7 +1694,6 @@ class OracleFreecdga:
         dmin: int = -8
         dmax: int = 8
         max_len: int = 6
-        closure_rounds: int = 64
 
     @dataclass
     class DeRhamAlgebra:
@@ -1880,6 +1883,60 @@ def _oracle_records():
 
 
 ORACLE_RECORDS = _oracle_records()
+
+
+# ---------------------------------------------------------------------------
+# Readers that only tests call
+# ---------------------------------------------------------------------------
+
+
+def d_block(cx, m):
+    """The differential of the ChainComplex cx out of degree m; a zero
+    matrix where cx has none."""
+    return cx.diff.get(m, SparseMatrix.zero(cx.dim(m + 1), cx.dim(m)))
+
+
+def module_degrees(module):
+    """The sorted degrees of a BiGradedModule's support."""
+    return sorted({m for _, m in module.basis})
+
+
+def basis_dims(pol, max_weight, max_len):
+    """{(weight, degree): number of words} of the polyvector algebra pol
+    in weights 0..max_weight, words of length <= max_len."""
+    dims = {}
+    for bideg in _box_words(pol.algebra, max_len, wmax=max_weight).values():
+        dims[bideg] = dims.get(bideg, 0) + 1
+    return dims
+
+
+def monomial(alg, names, coeff=1):
+    """coeff times the product of the named generators of alg, in order."""
+    e = alg.scalar(coeff)
+    for n in names:
+        e = e * alg.gen(n)
+    return e
+
+
+def underlying_form(tower):
+    """The weight-p component of a ClosedFormTower, zero if it has none."""
+    return tower.components.get(tower.p, tower.de_rham.algebra.zero())
+
+
+def is_strict(tower):
+    """Whether every component of a ClosedFormTower but the weight-p one is zero."""
+    return all(e.is_zero() for w, e in tower.components.items() if w != tower.p)
+
+
+def block_entry(block, key):
+    """The expression of the first entry of a manifest block under key,
+    or None."""
+    return next((v for k, v in block.entries if k == key), None)
+
+
+def arnold_mul(alg, e1, e2):
+    """The product of two linear combinations of words of an ArnoldAlgebra."""
+    return _bilinear(e1, e2, lambda w1, w2: alg.reduce_word(w1 + w2))
 
 
 # ---------------------------------------------------------------------------

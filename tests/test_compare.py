@@ -18,7 +18,7 @@ from spw.compare import (
 from spw.errors import Degenerate, IdentityViolated, NotMinimal
 from spw.exactlin import SparseMatrix
 from spw.freecdga import ClosedFormTower, Elem, FreeCDGA, Window, de_rham
-from spw.polyvec import MaurerCartanTower, PolyvectorAlgebra, mc_check, strict_tower
+from spw.polyvec import MaurerCartanTower, PolyvectorAlgebra, mc_check, pairing_matrix, strict_tower
 
 
 def cotangent_pair(n):
@@ -227,7 +227,7 @@ def test_symplectic_rejects_degenerate_at_augmentation():
     alg = dr.algebra
     omega = alg.gen("x") * alg.gen("dx") * alg.gen("dy")
     with pytest.raises(Degenerate):
-        SymplecticForm.build(dr, 0, omega)
+        SymplecticForm.build(dr, 0, omega, pairing_matrix(alg, dr.symbols, omega))
 
 
 def test_symplectic_build_validates_closedness():
@@ -235,7 +235,7 @@ def test_symplectic_build_validates_closedness():
     dr = de_rham(b)
     alg = dr.algebra
     omega = alg.gen("dx") * alg.gen("dy")
-    form = SymplecticForm.build(dr, 0, omega)
+    form = SymplecticForm.build(dr, 0, omega, pairing_matrix(alg, dr.symbols, omega))
     assert form.theta.rank() == 2
     pi = symplectic_to_poisson(form)
     assert poisson_to_form(b, pi, 0).omega == omega
@@ -570,6 +570,6 @@ def test_poisson_to_form_reads_the_pairing_of_omega_once(monkeypatch):
     assert len(calls) == 1
     dr = form.de_rham
     assert form.theta == pairing(dr.algebra, dr.symbols, form.omega)
-    built = SymplecticForm.build(dr, form.n, form.omega)
+    built = SymplecticForm.build(dr, form.n, form.omega, pairing(dr.algebra, dr.symbols, form.omega))
     assert (built.omega, built.theta) == (form.omega, form.theta)
     assert symplectic_to_poisson(form) == tower.component(0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_tokenize
+from helpers import block_entry, oracle_tokenize
 from spw.dsl import (
     _MAX_DIGITS,
     Items,
@@ -66,7 +66,7 @@ def test_cross_reference_resolves():
         "algebra B { gens = x(0), y(0); }\n"
         "poisson P { on = B; shift = 0; p0 = @x*@y; }\n"
     )
-    assert m.block("P").get(("on",)).ident == "B"
+    assert block_entry(m.block("P"), ("on",)).ident == "B"
 
 
 def test_build_algebra_with_differential():
@@ -85,7 +85,7 @@ def test_eval_poly_rationals_and_duals():
         "algebra B { gens = x(0), y(0); }\n"
         "poisson P { on = B; shift = 0; p0 = 1/2*x*@x*@y - 3*@y*@x; }\n"
     )
-    e = eval_poly(m2.block("P").get(("p0",)), pol.algebra)
+    e = eval_poly(block_entry(m2.block("P"), ("p0",)), pol.algebra)
     x = pol.include(alg.gen("x"))
     expected = (x * pol.theta("x") * pol.theta("y")).scale(__import__("fractions").Fraction(1, 2)) - (
         pol.theta("y") * pol.theta("x")
@@ -119,7 +119,7 @@ def test_build_complex_cell_model():
 
 def test_items_lists_parse():
     m = parse("algebra B { gens = x(0); } ideal I { on = B; gens = x, x^2, 2*x; }")
-    expr = m.block("I").get(("gens",))
+    expr = block_entry(m.block("I"), ("gens",))
     assert isinstance(expr, Items) and len(expr.items) == 3
 
 
@@ -128,7 +128,7 @@ def test_numeric_literals_are_exact():
     from spw.dsl import Num
     from fractions import Fraction
 
-    assert m.block("P").get(("p0",)) == Num(Fraction(1, 3))
+    assert block_entry(m.block("P"), ("p0",)) == Num(Fraction(1, 3))
 
 
 def test_rational_literals_are_exact_fractions():

@@ -155,7 +155,7 @@ def test_homology_invariant_under_permutation():
 
 def test_qpoly_arithmetic():
     h = QPoly.hbar()
-    p = (h + 1) * (h - 1)
+    p = (h + 1) * (h + -1)
     assert p == QPoly([-1, 0, 1])
     assert p.evaluate(2) == 3
     assert (h * h).evaluate(F(1, 2)) == F(1, 4)
@@ -231,7 +231,7 @@ def test_one_entry_pivot_rows_match_the_scaling_loop():
         cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 4, -4, 4, 4))
         total = weight_window_total_complex(cx, 0, 4)
         for deg in total.degrees():
-            m = total.d_block(deg)
+            m = helpers.d_block(total, deg)
             want = helpers.oracle_eliminate(exactlin._int_rows(m.items()), m.cols)
             assert _echelon_in_order(m._forward()) == _echelon_in_order(want)
 
@@ -366,7 +366,7 @@ def test_sparse_sum_and_product_match_fraction_oracle():
             assert all(type(v) in (int, F) for _, v in got.items())
         # integer inputs stay int, integral Fractions included
         ints = [SparseMatrix(x.rows, x.cols, {key: v * 6 for key, v in x.items()}) for x in (a, a2, b)]
-        for got in (ints[0] + ints[1], ints[0] @ ints[2], ints[0] - ints[1]):
+        for got in (ints[0] + ints[1], ints[0] @ ints[2], ints[0] + ints[1].scale(-1)):
             assert all(type(v) is int for _, v in got.items())
 
 

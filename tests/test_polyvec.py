@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from helpers import enumerate_monomials, oracle_bracket, random_valid_cdga
+from helpers import basis_dims, enumerate_monomials, oracle_bracket, random_valid_cdga
 from spw import freecdga
 from spw.errors import BidegreeError, Degenerate
 from spw.exactlin import SparseMatrix, solve_linear
@@ -197,24 +197,24 @@ def count_biderivations(base, symmetric, coeff_deg_cap):
 def test_weight_two_slot_matches_multiderivation_enumeration():
     b = plane()
     # n = 1: duals are odd (degree 1): exterior slots, one per pair i<j
-    dims1 = PolyvectorAlgebra(b, 1).basis_dims(max_weight=2, max_len=4)
+    dims1 = basis_dims(PolyvectorAlgebra(b, 1), max_weight=2, max_len=4)
     got = sum(v for (w, d), v in dims1.items() if w == 2)
     assert got == count_biderivations(b, symmetric=False, coeff_deg_cap=2)
     # n = 0: duals are even: symmetric slots, one per pair i<=j
-    dims0 = PolyvectorAlgebra(b, 0).basis_dims(max_weight=2, max_len=4)
+    dims0 = basis_dims(PolyvectorAlgebra(b, 0), max_weight=2, max_len=4)
     got0 = sum(v for (w, d), v in dims0.items() if w == 2)
     assert got0 == count_biderivations(b, symmetric=True, coeff_deg_cap=2)
 
 
 def test_polyvectors_of_point():
     pt = FreeCDGA([])
-    dims = PolyvectorAlgebra(pt, 2).basis_dims(max_weight=3, max_len=3)
+    dims = basis_dims(PolyvectorAlgebra(pt, 2), max_weight=3, max_len=3)
     assert dims == {(0, 0): 1}
 
 
 def test_polyvectors_line_weight_bases():
     b = line()
-    dims = PolyvectorAlgebra(b, 0).basis_dims(max_weight=2, max_len=3)
+    dims = basis_dims(PolyvectorAlgebra(b, 0), max_weight=2, max_len=3)
     # weight 0: 1, x, x^2, x^3; weight 1: f * @x with @x degree 0
     assert dims[0, 0] == 4
     assert dims[1, 0] == 3

@@ -7,8 +7,9 @@ A child process runs `tests/test_golden_cli.py` and
 `tests/test_acceptance.py` under cProfile. Each module-level function and
 each method (nested classes included, nested functions counted inside
 their parent) that no profile entry names is printed as
-`lines  module:qualname`, longest first, then the totals. The exit code is
-the test run's. Standard library only; the child imports pytest.
+`lines  module:qualname`, longest first, then the totals, and last the
+line count of `src/spw`. The exit code is the test run's. Standard
+library only; the child imports pytest.
 """
 
 import ast
@@ -56,16 +57,20 @@ def main():
         called = {(os.path.realpath(f), line, name)
                   for f, line, name in pstats.Stats(prof).stats}
     unreached = []
+    src_lines = 0
     for mod in sorted(os.listdir(SRC)):
         if not mod.endswith(".py"):
             continue
         path = os.path.realpath(os.path.join(SRC, mod))
+        with open(path, encoding="utf-8") as fh:
+            src_lines += sum(1 for _ in fh)
         for qual, first, name, size in units(path):
             if (path, first, name) not in called:
                 unreached.append((size, f"{mod[:-3]}:{qual}"))
     for size, unit in sorted(unreached, key=lambda u: (-u[0], u[1])):
         print(f"{size:5d}  {unit}")
     print(f"{sum(s for s, _ in unreached):5d}  lines in {len(unreached)} unreached units")
+    print(f"{src_lines:5d}  lines in src/spw")
     return code
 
 
