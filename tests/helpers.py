@@ -1864,6 +1864,7 @@ class OracleCli:
         handler: Callable
         manifest: bool = True  # reads a manifest file (or stdin)
         options: tuple = ()  # (flags, add_argument keywords) after the common options
+        limits: tuple = ()  # the dests of the window options the handler reads
 
 
 def _oracle_records():

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from helpers import CaseTimeout, oracle_report_json, random_valid_cdga, time_limit
 from spw import cli, dsl, freecdga, gradedmixed
 from spw.cli import main
-from spw.errors import IdentityViolated
+from spw.errors import IdentityViolated, SpwError
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "examples_dsl")
 
@@ -173,6 +174,31 @@ def test_lie_from_mixed_roundtrip_via_files(capsys):
     assert "[e1,e2]" in out
 
 
+def test_lie_from_mixed_reports_a_jacobi_failure(capsys, monkeypatch):
+    # CE-shaped, but eps^2 xi1 != 0: [e1, e2] = e2 and [e2, e3] = e1 fail Jacobi
+    source = ("algebra CE { gens = xi1(1, 1), xi2(1, 1), xi3(1, 1);"
+              " eps(xi1) = -1*xi2*xi3; eps(xi2) = -1*xi1*xi2; }")
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    code, out, err = run(capsys, "lie-from-mixed", "--json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["verdicts"] == [{"check": "extracted bracket satisfies Jacobi", "status": "fail"}]
+    assert report["witnesses"]["extracted bracket satisfies Jacobi"].startswith("[('jacobi', (0, 1, 2, 0))")
+    assert report["tables"]["brackets"] == {"[e1,e2]": "1*e2", "[e2,e3]": "1*e1"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    assert run(capsys, "check-cdga")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "source", ["lie g { dim = 2; bracket[1][2] = e1; }", "lie g { dim = 2; }"], ids=("nonabelian", "abelian")
+)
+def test_z_from_t_on_a_lie_algebra_that_is_not_semisimple_exits_one(capsys, monkeypatch, source):
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    code, out, err = run(capsys, "z-from-t")
+    assert (code, out) == (1, "")
+    assert err == "check failed: the Killing form is degenerate: g is not semisimple\n"
+
+
 def test_koszul_and_d_functor(capsys):
     code, out, _ = run(capsys, "koszul", path("koszul_line.spw"))
     assert code == 0
@@ -309,8 +335,9 @@ def test_operad_commands(capsys):
     payload = json.loads(out)
     assert payload["tables"]["dimension"]["Pn"] == 6
     assert payload["tables"]["weight distribution"] == {"0": 1, "-1": 3, "-2": 2}
-    code, _, _ = run(capsys, "operad", "bd1", "--arity", "3")
+    code, out, _ = run(capsys, "operad", "bd1", "--arity", "3", "--json")
     assert code == 0
+    assert json.loads(out)["verdicts"] == [{"check": "dimension equals dim As = 3!", "status": "pass"}]
     code, _, _ = run(capsys, "operad", "bd0")
     assert code == 0
     code, out, _ = run(capsys, "operad", "arnold", "--arity", "3", "--n", "2", "--json")
@@ -584,11 +611,11 @@ def run_exit(capsys, *argv):
         ),
         pytest.param("check-cdga", "algebra B { gens = x(0\u00b2); }", {}, "expected ')'", id="superscript-digit"),
         pytest.param(
-            "check-cdga", "algebra B { gens = x(0); }", {"SPW_MAX_WEIGHT": "six"}, "invalid int value",
+            "closed-forms", "algebra B { gens = x(0); }", {"SPW_MAX_WEIGHT": "six"}, "invalid int value",
             id="env-max-weight",
         ),
         pytest.param(
-            "check-cdga", "algebra B { gens = x(0); }", {"SPW_MAX_LEN": "1.5"}, "invalid int value",
+            "koszul", "algebra B { gens = x(0); }", {"SPW_MAX_LEN": "1.5"}, "invalid int value",
             id="env-max-len",
         ),
     ],
@@ -676,14 +703,16 @@ def test_max_weight_is_read_from_the_environment_on_each_call(capsys, monkeypatc
         resets.append(len(calls))
         calls.clear()
     assert stages == [["2", "3"], ["2", "3", "4"], ["2", "3"], ["2", "3", "4", "5", "6"], ["2", "3", "4", "5", "6"]]
-    # the subparsers' defaults are set again only when the limits change
-    assert resets == [len(cli.COMMANDS)] * 4 + [0]
+    # the defaults of each subparser with window options are set again only
+    # when the limits change
+    assert resets == [sum(1 for c in cli.COMMANDS.values() if c.limits)] * 4 + [0]
+    assert resets[0] == 8
 
 
 def operad_with(handler):
     """The `operad` command with its handler replaced."""
     operad = cli.COMMANDS["operad"]
-    return cli._Command(handler, operad.manifest, operad.options)
+    return cli._Command(handler, operad.manifest, operad.options, operad.limits)
 
 
 @pytest.mark.parametrize(
@@ -912,6 +941,118 @@ def test_reading_equals_parse_args_on_random_argv(capsys, monkeypatch):
             assert read == parsed, (max_len, argv)
             exits += isinstance(parsed[0], int)
     assert fast > 700 and exits > 1000, (fast, exits)  # 779 and 1130
+
+
+# -- window options: a command accepts those its handler reads ----------------
+
+WINDOW = {dest: "--" + dest.replace("_", "-") for dest, _, _ in cli._LIMITS}
+
+
+class ReadLog(argparse.Namespace):
+    """A namespace that logs the name of each attribute read off it."""
+
+    def __init__(self, log, **values):
+        super().__init__(**values)
+        self._log = log
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_log").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_each_command_reads_exactly_its_window_options():
+    """Every handler on every example manifest, and `operad` on every
+    operad, with each window dest in its namespace: the dests a command's
+    handler reads are the ones its row names."""
+    parser = cli.build_parser()
+    runs = []
+    for name in sorted(os.listdir(DATA)):
+        with open(path(name), encoding="utf-8") as fh:
+            source = fh.read()
+        for command in cli.COMMANDS:
+            if command == "operad":
+                continue
+            extra = [["--kind", "sym2"], ["--kind", "wedge3"]] if command == "invariants" else [[]]
+            runs += [(command, source, [command, path(name), *e]) for e in extra]
+    runs += [("operad", None, ["operad", op, "--arity", "3"]) for op in OPERADS]
+    read = {command: set() for command in cli.COMMANDS}
+    finished = set()
+    for command, source, argv in runs:
+        values = {dest: int(default) for dest, _, default in cli._LIMITS}
+        values.update(vars(parser.parse_args(argv)))
+        args = ReadLog(read[command], **values)
+        manifest = None if source is None else dsl.parse(source)
+        try:
+            cli.COMMANDS[command].handler(manifest, args, cli.Report(command, source or ""))
+        except SpwError:
+            continue
+        finished.add(command)
+    assert finished == set(cli.COMMANDS)
+    assert {c: read[c] & set(WINDOW) for c in read} == {c: set(row.limits) for c, row in cli.COMMANDS.items()}
+    assert sum(len(row.limits) for row in cli.COMMANDS.values()) == 15
+
+
+def window_argv(command):
+    """An argv of the command on its example in COMMAND_EXAMPLES."""
+    if command == "operad":
+        return ["operad", "pn"]
+    kind = ["--kind", "sym2"] if command == "invariants" else []
+    return [command, path(f"{COMMAND_EXAMPLES[command]}.spw"), *kind]
+
+
+def test_an_unread_window_option_is_a_usage_error(capsys, monkeypatch):
+    for var in ENV:
+        monkeypatch.delenv(var, raising=False)
+    accepted = refused = 0
+    for command, row in cli.COMMANDS.items():
+        for dest, flag in WINDOW.items():
+            code, err = run_exit(capsys, *window_argv(command), "--json", flag, "2")
+            if dest in row.limits:
+                assert code in (0, 1, 3), (command, flag, err)
+                accepted += 1
+            else:
+                assert code == 2 and f"unrecognized arguments: {flag} 2" in err, (command, flag)
+                refused += 1
+    assert (accepted, refused) == (15, 39)
+
+
+def test_an_unread_window_variable_is_ignored(capsys, monkeypatch):
+    """An SPW_MAX_* variable that a command does not read changes nothing,
+    not even when its value is not a size."""
+    for var in ENV:
+        monkeypatch.delenv(var, raising=False)
+    ignored = 0
+    for command, row in cli.COMMANDS.items():
+        argv = window_argv(command)
+        unread = [var for (dest, var, _) in cli._LIMITS if dest not in row.limits]
+        if not unread:
+            continue
+        want = run(capsys, *argv, "--json")
+        for var in unread:
+            monkeypatch.setenv(var, "bad")
+        assert run(capsys, *argv, "--json") == want, command
+        ignored += len(unread)
+        for var in unread:
+            monkeypatch.delenv(var)
+    assert ignored == 39
+
+
+def test_readme_lists_each_command_s_options():
+    """The README's CLI synopsis: the common options of the manifest
+    commands and of `operad`, then one row per command with its own."""
+    with open(os.path.join(DATA, "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## The CLI\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+    assert block[0].startswith("spw <command> [manifest.spw]") and block[1].startswith("spw operad ")
+    assert block[2:4] == ["", "command          options"]
+    common = {"manifest": set(re.findall(r"--[a-z-]+", block[0])), "operad": set(re.findall(r"--[a-z-]+", block[1]))}
+    rows = {line.split()[0]: set(re.findall(r"--[a-z-]+", line)) for line in block[4:]}
+    assert list(rows) == list(cli.COMMANDS)
+    for name, sub in cli.build_parser().commands.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        mine = common["operad" if name == "operad" else "manifest"]
+        assert rows[name] | mine == flags and not rows[name] & mine, name
 
 
 # -- the report writer against json.dumps ---------------------------------------

@@ -1,8 +1,8 @@
 """`tools/ladder.py` times `import spw.cli`, in-process `cli.main` calls
 (operad calls among them),
 de Rham window rungs, a closed-forms rung and phi_pi rungs in child
-processes, each rung also in reference seconds, and checks each rung
-against its oracle."""
+processes, each rung also in reference seconds with the probe's drift,
+and checks each rung against its oracle."""
 
 import importlib.util
 import os
@@ -24,10 +24,10 @@ def test_ladder_runs_the_first_rung_against_the_oracle():
     assert ok, line
     cells = line.split()
     assert cells[:4] == ["(3,", "3,", "6)", "6028"] and cells[-1] == "ok"
-    window, assembly, homology, total, ref, rss = map(float, cells[4:10])
+    window, assembly, homology, total, ref, drift, rss = map(float, cells[4:11])
     # printed to the millisecond, so the stages may sum just above the total
     assert 0 < min(window, assembly, homology) and window + assembly + homology <= total + 0.002
-    assert ref > 0 and rss > 0
+    assert ref > 0 and drift > 0 and rss > 0
 
 
 def test_ladder_times_the_import_of_the_cli():
@@ -80,22 +80,25 @@ def test_ladder_runs_the_closed_forms_rung_against_the_oracle():
     cells = line.split()
     assert cells[:6] == ["cf(4,", "2,", "2,", "0,", "6,", "6)"] and cells[-1] == "ok"
     assert int(cells[6]) == 1540  # window words: degrees 0..3, the top one not imaged
-    closure, assembly, homology, cocycle, total, ref, rss = map(float, cells[7:14])
+    closure, assembly, homology, cocycle, total, ref, drift, rss = map(float, cells[7:15])
     assert 0 < min(closure, assembly, cocycle) and homology >= 0
     assert closure + assembly + homology + cocycle <= total + 0.002
-    assert ref > 0 and rss > 0
+    assert ref > 0 and drift > 0 and rss > 0
 
 
 def test_ladder_runs_the_first_phi_pi_rung(monkeypatch):
     ladder = load_ladder()
     assert ladder.PHI_PI_RUNGS == ((3, 6), (4, 6))
-    # a probe at twice its reference time: ref_s = seconds / probe *
-    # PROBE_REF_S is half the wall seconds
-    monkeypatch.setattr(ladder, "fraction_loop", lambda steps: 2 * ladder.PROBE_REF_S)
+    # the probe reads twice its reference time before the child and three
+    # times after it: ref_s = seconds / mean probe * PROBE_REF_S is 2/5 of
+    # the wall seconds, and the drift after / before is 1.5
+    readings = iter([2 * ladder.PROBE_REF_S] * ladder.PROBE_RUNS + [3 * ladder.PROBE_REF_S] * ladder.PROBE_RUNS)
+    monkeypatch.setattr(ladder, "fraction_loop", lambda steps: next(readings))
     line, ok = ladder.run_phi_pi_rung(3, 6)
     assert ok, line
     cells = line.split()
     assert cells[:3] == ["phi(3,", "6)", "8989"] and cells[-1] == "ok"
-    total, ref, rss = map(float, cells[3:6])
+    total, ref, drift, rss = map(float, cells[3:7])
     assert total > 0 and rss > 0
-    assert abs(ref - total / 2) <= 0.001  # both printed to the millisecond
+    assert abs(ref - total * 2 / 5) <= 0.001  # both printed to the millisecond
+    assert drift == 1.5

@@ -16,7 +16,7 @@ from helpers import (
     random_coefficient,
 )
 from spw import dsl
-from spw.errors import NotFreeOnV, NotInvariant
+from spw.errors import Degenerate, NotFreeOnV, NotInvariant
 from spw.gradedmixed import realization, validate_mixed
 from spw.lieinfty import (
     InvariantTensor,
@@ -148,6 +148,24 @@ def test_invariants_sl2_lines():
     wed = invariants(g, "wedge3")
     assert len(wed) == 1
     assert is_invariant(g, sym[0]) and is_invariant(g, wed[0])
+
+
+def test_lie_from_mixed_leaves_jacobi_to_validate_lie():
+    from spw.freecdga import FreeCDGA, Generator
+
+    gens = [Generator(f"xi{i}", 1, 1) for i in (1, 2, 3)]
+    b = FreeCDGA(gens)
+    eps = {"xi1": (b.gen("xi2") * b.gen("xi3")).scale(-1), "xi2": (b.gen("xi1") * b.gen("xi2")).scale(-1)}
+    g = lie_from_mixed(FreeCDGA(gens, mixed=eps))
+    assert g.c[0][1] == (0, 1, 0) and g.c[1][2] == (1, 0, 0)
+    violations = validate_lie(g).violations
+    assert violations and {kind for kind, _ in violations} == {"jacobi"}
+
+
+def test_killing_form_of_a_lie_algebra_that_is_not_semisimple_is_degenerate():
+    for g in (LieAlgebra.nonabelian2(), LieAlgebra.abelian(2)):
+        with pytest.raises(Degenerate, match="Killing form is degenerate"):
+            killing_form(g)
 
 
 def test_killing_form_is_invariant():

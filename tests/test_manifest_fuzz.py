@@ -1,7 +1,8 @@
 """Seeded token- and value-level mutants of every example manifest, run
-in-process through `spw.cli.main` with small windows, each under a time
-limit.  Whatever the mutant, spw answers with an exit code of the contract
-(0, 1, 2 or 3), never with a traceback, and within the limit.
+in-process through `spw.cli.main` with small windows (the window options
+each command reads), each under a time limit.  Whatever the mutant, spw
+answers with an exit code of the contract (0, 1, 2 or 3), never with a
+traceback, and within the limit.
 
 Numbers are drawn small, except after `^`: a manifest's sizes (a Lie
 algebra's dim, generator degrees and weights) are work the user asks for,
@@ -14,7 +15,7 @@ import os
 import random
 
 from helpers import CaseTimeout, time_limit
-from spw import dsl
+from spw import cli, dsl
 from spw.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "examples_dsl")
@@ -90,7 +91,10 @@ def run_case(command, extra, source, stdin):
     stdin.truncate()
     stdin.write(source)
     stdin.seek(0)
-    argv = [command, *extra, "--json", "--max-weight", "2", "--max-len", "3"]
+    argv = [command, *extra, "--json"]
+    for dest, value in (("max_weight", "2"), ("max_len", "3")):
+        if dest in cli.COMMANDS[command].limits:
+            argv += ["--" + dest.replace("_", "-"), value]
     try:
         with (
             time_limit(LIMIT_S),

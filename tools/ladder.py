@@ -47,7 +47,9 @@ ref_s = seconds / mean probe * PROBE_REF_S, as perfbench reports job times,
 so that rungs timed on hosts of different speed can be compared. Each
 reading is the median of PROBE_RUNS probes: on a 2-vCPU host, a lone
 probe in this process, idle while its child ran, read from 1.4 to 6.4 ms
-where the median of eight read 1.7 ms.
+where the median of eight read 1.7 ms. Next to ref_s, `drift` is the
+probe after the child over the probe before it: the host's speed moved
+while the rung ran when it is far from 1, and ref_s is then uncertain.
 
 The import line fails when one of its children fails, the cli.main and
 operad lines when their child fails or a call exits nonzero. A rung fails when
@@ -189,19 +191,21 @@ def probe():
 
 def run_child(code, *args):
     """(the finished child process running `code` on this checkout's spw,
-    the mean of the probes read just before and just after it)."""
+    the mean of the probes read just before and just after it, the one
+    after over the one before)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     before = probe()
     proc = subprocess.run([sys.executable, "-c", code, *args],
                           cwd=ROOT, env=env, capture_output=True, text=True)
-    return proc, (before + probe()) / 2
+    after = probe()
+    return proc, (before + after) / 2, after / before
 
 
 def import_line():
     """(report line, passed) of the median wall seconds of `import spw.cli`."""
     times = []
     for _ in range(IMPORT_RUNS):
-        proc, _ = run_child(IMPORT_CHILD)
+        proc, _, _ = run_child(IMPORT_CHILD)
         if proc.returncode:
             return f"import spw.cli  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
         times.append(float(proc.stdout))
@@ -211,7 +215,7 @@ def import_line():
 def _cli_calls(head, argvs, name):
     """(report line, passed) of the median microseconds per in-process
     `cli.main` call on each of argvs, shown as argv[name]."""
-    proc, _ = run_child(CLI_CHILD, str(CLI_CALLS), json.dumps(argvs))
+    proc, _, _ = run_child(CLI_CHILD, str(CLI_CALLS), json.dumps(argvs))
     if proc.returncode:
         return f"{head}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
     cells = "  ".join(f"{argv[name]} {us:.1f} us" for argv, us in zip(argvs, json.loads(proc.stdout)))
@@ -230,7 +234,7 @@ def operad_line():
 
 def run_rung(ke, ko, size):
     """(report line, passed) of one rung run in its own process."""
-    proc, probe_s = run_child(CHILD, str(ke), str(ko), str(size))
+    proc, probe_s, drift = run_child(CHILD, str(ke), str(ko), str(size))
     rung = f"({ke}, {ko}, {size})"
     if proc.returncode:
         return f"{rung:>12}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
@@ -244,13 +248,13 @@ def run_rung(ke, ko, size):
     elif dims != want:
         verdict = f"FAIL: window dims {dims} != {want}"
     line = (f"{rung:>12}  {monomials:9d}  {window:8.3f}  {assembly:10.3f}  {homology:10.3f}"
-            f"  {total:8.3f}  {total / probe_s * PROBE_REF_S:8.3f}  {rss:7.1f}  {verdict}")
+            f"  {total:8.3f}  {total / probe_s * PROBE_REF_S:8.3f}  {drift:5.2f}  {rss:7.1f}  {verdict}")
     return line, verdict == "ok"
 
 
 def run_closed_forms_rung(ke, ko, p, n, wmax, size):
     """(report line, passed) of the closed-forms rung run in its own process."""
-    proc, probe_s = run_child(CLOSED_FORMS_CHILD, *map(str, (ke, ko, p, n, wmax, size)))
+    proc, probe_s, drift = run_child(CLOSED_FORMS_CHILD, *map(str, (ke, ko, p, n, wmax, size)))
     rung = f"cf({ke}, {ko}, {p}, {n}, {wmax}, {size})"
     if proc.returncode:
         return f"{rung:>22}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
@@ -264,13 +268,14 @@ def run_closed_forms_rung(ke, ko, p, n, wmax, size):
     elif not cocycles:
         verdict = "FAIL: a tower is not a cocycle"
     line = (f"{rung:>22}  {words:9d}  {closure:9.3f}  {assembly:10.3f}  {homology:10.3f}"
-            f"  {cocycle:9.3f}  {total:8.3f}  {total / probe_s * PROBE_REF_S:8.3f}  {rss:7.1f}  {verdict}")
+            f"  {cocycle:9.3f}  {total:8.3f}  {total / probe_s * PROBE_REF_S:8.3f}  {drift:5.2f}  {rss:7.1f}"
+            f"  {verdict}")
     return line, verdict == "ok"
 
 
 def run_phi_pi_rung(k, size):
     """(report line, passed) of one phi_pi rung run in its own process."""
-    proc, probe_s = run_child(PHI_PI_CHILD, str(k), str(size))
+    proc, probe_s, drift = run_child(PHI_PI_CHILD, str(k), str(size))
     rung = f"phi({k}, {size})"
     if proc.returncode:
         return f"{rung:>12}  FAIL: exit {proc.returncode}: {proc.stderr.strip()[-300:]}", False
@@ -284,7 +289,8 @@ def run_phi_pi_rung(k, size):
         verdict = "FAIL: a bidegree block is not an isomorphism"
     elif words != want:
         verdict = f"FAIL: block dims sum to {words}, the window has {want} words"
-    line = f"{rung:>12}  {words:9d}  {total:8.3f}  {total / probe_s * PROBE_REF_S:8.3f}  {rss:7.1f}  {verdict}"
+    line = (f"{rung:>12}  {words:9d}  {total:8.3f}  {total / probe_s * PROBE_REF_S:8.3f}  {drift:5.2f}"
+            f"  {rss:7.1f}  {verdict}")
     return line, verdict == "ok"
 
 
@@ -296,17 +302,19 @@ def main():
         print(line, flush=True)
         passed &= ok
     print(f"{'rung':>12}  {'monomials':>9}  {'window_s':>8}  {'assembly_s':>10}  {'homology_s':>10}"
-          f"  {'total_s':>8}  {'ref_s':>8}  {'rss_mb':>7}  dims")
+          f"  {'total_s':>8}  {'ref_s':>8}  {'drift':>5}  {'rss_mb':>7}  dims")
     for rung in RUNGS:
         line, ok = run_rung(*rung)
         print(line, flush=True)
         passed &= ok
     print(f"{'closed-forms rung':>22}  {'words':>9}  {'closure_s':>9}  {'assembly_s':>10}"
-          f"  {'homology_s':>10}  {'cocycle_s':>9}  {'total_s':>8}  {'ref_s':>8}  {'rss_mb':>7}  classes")
+          f"  {'homology_s':>10}  {'cocycle_s':>9}  {'total_s':>8}  {'ref_s':>8}  {'drift':>5}  {'rss_mb':>7}"
+          "  classes")
     line, ok = run_closed_forms_rung(*CLOSED_FORMS_RUNG)
     print(line, flush=True)
     passed &= ok
-    print(f"{'phi_pi rung':>12}  {'words':>9}  {'total_s':>8}  {'ref_s':>8}  {'rss_mb':>7}  identities")
+    print(f"{'phi_pi rung':>12}  {'words':>9}  {'total_s':>8}  {'ref_s':>8}  {'drift':>5}  {'rss_mb':>7}"
+          "  identities")
     for rung in PHI_PI_RUNGS:
         line, ok = run_phi_pi_rung(*rung)
         print(line, flush=True)
