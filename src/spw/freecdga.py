@@ -322,10 +322,9 @@ class CdgaReport:
         return not self.violations
 
 
-def validate_cdga(alg: FreeCDGA, check_mixed=True) -> CdgaReport:
-    """Check bidegrees and d^2 = 0 on generators, plus Leibniz consistency
-    on all quadratic monomials; with check_mixed also eps^2 and d eps + eps d.
-    """
+def validate_cdga(alg: FreeCDGA) -> CdgaReport:
+    """Check bidegrees, d^2 = 0, eps^2 = 0 and d eps + eps d = 0 on
+    generators, plus Leibniz consistency on all quadratic monomials."""
     violations = []
     for i, g in enumerate(alg.generators):
         dg = alg.differential.get(i)
@@ -347,7 +346,7 @@ def validate_cdga(alg: FreeCDGA, check_mixed=True) -> CdgaReport:
             rhs = alg.d(x) * y + (x * alg.d(y)).scale(-1 if g.degree % 2 else 1)
             if lhs != rhs:
                 raise SignError("Leibniz failure", witness=f"{g.name}*{h.name}")
-    if check_mixed and alg.mixed:
+    if alg.mixed:
         for i, g in enumerate(alg.generators):
             eg = alg.mixed.get(i)
             if eg is not None and not eg.is_zero():

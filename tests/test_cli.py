@@ -183,7 +183,7 @@ def test_lie_from_mixed_reports_a_jacobi_failure(capsys, monkeypatch):
     assert (code, err) == (1, "")
     report = json.loads(out)
     assert report["verdicts"] == [{"check": "extracted bracket satisfies Jacobi", "status": "fail"}]
-    assert report["witnesses"]["extracted bracket satisfies Jacobi"].startswith("[('jacobi', (0, 1, 2, 0))")
+    assert report["witnesses"]["extracted bracket satisfies Jacobi"].startswith("[('jacobi', ('e1', 'e2', 'e3', 'e1'))")
     assert report["tables"]["brackets"] == {"[e1,e2]": "1*e2", "[e2,e3]": "1*e1"}
     monkeypatch.setattr("sys.stdin", io.StringIO(source))
     assert run(capsys, "check-cdga")[0] == 1
@@ -461,6 +461,40 @@ def test_a_d_of_inhomogeneous_weight_fails_check_cdga_and_check_mixed(tmp_path, 
         assert report["witnesses"] == {"cdga identities": "[('d weight', 'x')]"}
 
 
+def test_check_mixed_and_de_rham_build_no_window(capsys, monkeypatch):
+    """Both decide the mixed identities on generators: with the window
+    closure raising, each keeps its golden exit code on every example."""
+    for var in ENV:
+        monkeypatch.delenv(var, raising=False)
+    with open(os.path.join(os.path.dirname(__file__), "golden_cli.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+
+    def closure(alg, window):
+        raise RuntimeError("a window closure")
+
+    monkeypatch.setattr(freecdga, "_closure", closure)
+    for name in sorted(os.listdir(DATA)):
+        for command in ("check-mixed", "de-rham"):
+            code, _, err = run(capsys, command, path(name), "--json")
+            assert code == golden[f"{command} {name} --json"][0], (command, name, err)
+
+
+@pytest.mark.parametrize("weight", [0, 7])
+def test_de_rham_fails_d_squared_at_any_weight(tmp_path, capsys, weight):
+    """d^2 x = z != 0, also when every word lies above the default weight 6."""
+    manifest = tmp_path / "b.spw"
+    manifest.write_text(f"algebra B {{ gens = x(0, {weight}), y(1, {weight}), z(2, {weight}); d(x) = y; d(y) = z; }}")
+    for command, check, witness in (
+        ("check-mixed", "cdga identities", "[('d^2', 'x')]"),
+        ("de-rham", "de Rham mixed identities", "[('d^2', 'x'), ('d^2', 'dx')]"),
+    ):
+        code, out, err = run(capsys, command, str(manifest), "--json")
+        assert (code, err) == (1, ""), command
+        report = json.loads(out)
+        assert report["verdicts"] == [{"check": check, "status": "fail"}]
+        assert report["witnesses"] == {check: witness}
+
+
 PLANE = "algebra B { gens = x(0), y(0); }\n"
 ROW_LIMIT_S = 5.0
 LINE = "algebra B { gens = x(0), xi(1); }\n"
@@ -641,10 +675,8 @@ def test_malformed_manifests_exit_two(tmp_path, capsys, monkeypatch, command, so
         pytest.param(("realize", "cell.spw", "--max-weight", "-1"), {}, id="realize-max-weight"),
         pytest.param(("closed-forms", "plane_poisson.spw", "--max-len", "-2"), {}, id="closed-forms-max-len"),
         pytest.param(("d-functor", "koszul_line.spw", "--max-weight", "-4"), {}, id="d-functor-max-weight"),
-        pytest.param(("check-mixed", "plane_poisson.spw", "--max-degree", "-1"), {}, id="check-mixed-max-degree"),
-        pytest.param(("de-rham", "plane_poisson.spw"), {"SPW_MAX_WEIGHT": "-1"}, id="env-max-weight"),
+        pytest.param(("realize", "cell.spw"), {"SPW_MAX_WEIGHT": "-1"}, id="env-max-weight"),
         pytest.param(("koszul", "koszul_line.spw"), {"SPW_MAX_LEN": "-3"}, id="env-max-len"),
-        pytest.param(("de-rham", "plane_poisson.spw"), {"SPW_MAX_DEGREE": "-2"}, id="env-max-degree"),
         pytest.param(("tate", "negative_weight.spw", "--stage", "-1"), {}, id="tate-stage"),
         pytest.param(("closed-forms", "cotangent.spw", "--p", "-1"), {}, id="closed-forms-p"),
     ],
@@ -658,10 +690,12 @@ def test_negative_window_sizes_exit_two(capsys, monkeypatch, argv, env):
 
 
 def test_zero_window_sizes_are_accepted(capsys):
-    code, out, _ = run(
-        capsys, "de-rham", path("plane_poisson.spw"), "--max-len", "0", "--max-weight", "0", "--max-degree", "0"
-    )
-    assert code == 0 and "[ok]" in out
+    for argv in (
+        ("de-rham", path("plane_poisson.spw"), "--max-len", "0"),
+        ("d-functor", path("koszul_line.spw"), "--max-weight", "0", "--max-len", "0"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "[ok]" in out, argv
 
 
 def test_two_calls_build_the_parser_once(capsys, monkeypatch):
@@ -706,7 +740,7 @@ def test_max_weight_is_read_from_the_environment_on_each_call(capsys, monkeypatc
     # the defaults of each subparser with window options are set again only
     # when the limits change
     assert resets == [sum(1 for c in cli.COMMANDS.values() if c.limits)] * 4 + [0]
-    assert resets[0] == 8
+    assert resets[0] == 7
 
 
 def operad_with(handler):
@@ -743,7 +777,7 @@ def test_an_interrupt_is_not_an_internal_fault(monkeypatch):
 
 # -- argv reading: the command's table against parse_args ----------------------
 
-ENV = ("SPW_MAX_WEIGHT", "SPW_MAX_DEGREE", "SPW_MAX_LEN")
+ENV = ("SPW_MAX_WEIGHT", "SPW_MAX_LEN")
 # an example that each manifest command reads
 COMMAND_EXAMPLES = {
     "check-cdga": "ce_sl2", "check-mixed": "cell", "de-rham": "plane_poisson",
@@ -940,12 +974,14 @@ def test_reading_equals_parse_args_on_random_argv(capsys, monkeypatch):
             parsed = outcome(cli._parser.parse_args, argv)
             assert read == parsed, (max_len, argv)
             exits += isinstance(parsed[0], int)
-    assert fast > 700 and exits > 1000, (fast, exits)  # 779 and 1130
+    assert fast > 800 and exits > 900, (fast, exits)  # 917 and 985
 
 
 # -- window options: a command accepts those its handler reads ----------------
 
-WINDOW = {dest: "--" + dest.replace("_", "-") for dest, _, _ in cli._LIMITS}
+# the window options' dests, max_degree among them: no command reads it
+# (the mixed identities are decided on generators), so each one refuses it
+WINDOW = {dest: "--" + dest.replace("_", "-") for dest in ("max_weight", "max_degree", "max_len")}
 
 
 class ReadLog(argparse.Namespace):
@@ -990,7 +1026,7 @@ def test_each_command_reads_exactly_its_window_options():
         finished.add(command)
     assert finished == set(cli.COMMANDS)
     assert {c: read[c] & set(WINDOW) for c in read} == {c: set(row.limits) for c, row in cli.COMMANDS.items()}
-    assert sum(len(row.limits) for row in cli.COMMANDS.values()) == 15
+    assert sum(len(row.limits) for row in cli.COMMANDS.values()) == 10
 
 
 def window_argv(command):
@@ -1014,7 +1050,7 @@ def test_an_unread_window_option_is_a_usage_error(capsys, monkeypatch):
             else:
                 assert code == 2 and f"unrecognized arguments: {flag} 2" in err, (command, flag)
                 refused += 1
-    assert (accepted, refused) == (15, 39)
+    assert (accepted, refused) == (10, 44)
 
 
 def test_an_unread_window_variable_is_ignored(capsys, monkeypatch):
@@ -1025,9 +1061,7 @@ def test_an_unread_window_variable_is_ignored(capsys, monkeypatch):
     ignored = 0
     for command, row in cli.COMMANDS.items():
         argv = window_argv(command)
-        unread = [var for (dest, var, _) in cli._LIMITS if dest not in row.limits]
-        if not unread:
-            continue
+        unread = ["SPW_" + dest.upper() for dest in WINDOW if dest not in row.limits]
         want = run(capsys, *argv, "--json")
         for var in unread:
             monkeypatch.setenv(var, "bad")
@@ -1035,7 +1069,7 @@ def test_an_unread_window_variable_is_ignored(capsys, monkeypatch):
         ignored += len(unread)
         for var in unread:
             monkeypatch.delenv(var)
-    assert ignored == 39
+    assert ignored == 44
 
 
 def test_readme_lists_each_command_s_options():

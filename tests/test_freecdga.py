@@ -112,6 +112,56 @@ def test_de_rham_of_random_cdgas_is_valid_mixed():
         assert validate_mixed(cx).valid
 
 
+def _random_homogeneous_cdga(rng, with_eps):
+    """A free cdga whose d has bidegree (0, 1) on every generator, and with
+    with_eps an eps of bidegree (1, 1): nothing makes d^2, eps^2 or
+    d eps + eps d vanish."""
+    gens = [(f"g{i}", rng.randint(-2, 2), rng.randint(0, 1)) for i in range(rng.randint(1, 4))]
+    free = FreeCDGA(gens)
+    words = [m for m in enumerate_monomials(free, 3) if m]
+    maps = ({}, {})
+    for k, values in enumerate(maps[:2 if with_eps else 1]):
+        for name, degree, weight in gens:
+            fits = [m for m in words if freecdga._mono_bidegree(free, m) == (weight + k, degree + 1)]
+            if fits and rng.random() < 0.8:
+                picked = rng.sample(fits, min(len(fits), rng.randint(1, 2)))
+                values[name] = Elem(free, {m: random_coefficient(rng) for m in picked})
+    return FreeCDGA(gens, differential=maps[0], mixed=maps[1])
+
+
+def test_the_mixed_identities_on_generators_decide_them_on_windows():
+    """d^2, eps^2 and d eps + eps d are derivations: when `validate_cdga`
+    passes, `validate_mixed` passes on every window.  On a de Rham algebra
+    whose window holds each generator and the bidegree of its d^2, the two
+    verdicts are equal."""
+    rng = random.Random(30)
+    windows = (Window(0, 3, -6, 6, 3), Window(0, 2, -3, 5, 2), Window(1, 2, -2, 3, 3))
+    passes = fails = implied = 0
+    for _ in range(100):
+        bases = (
+            random_valid_cdga(rng, max_gens=3, degree_span=(-2, 2)),
+            _random_homogeneous_cdga(rng, with_eps=False),
+            _random_homogeneous_cdga(rng, with_eps=True),
+        )
+        for b in bases:
+            for alg, on_de_rham in ((b, False), (de_rham(b).algebra, True)):
+                valid = validate_cdga(alg).valid
+                for window in windows:
+                    mixed = validate_mixed(graded_mixed_window(alg, window)[0]).valid
+                    if valid:
+                        assert mixed, (alg.signature, window)
+                        implied += 1
+                    holds = window.max_len >= 1 and all(
+                        window.wmin <= g.weight <= window.wmax and window.dmin <= g.degree <= window.dmax - 2
+                        for g in alg.generators
+                    )
+                    if on_de_rham and holds:
+                        assert mixed == valid, (alg.signature, window)
+                        passes += valid
+                        fails += not valid
+    assert passes > 400 and fails > 35 and implied > 1200, (passes, fails, implied)  # 572, 50, 1599
+
+
 def test_de_rham_eps_is_derivation_on_quadratic_monomials():
     rng = random.Random(43)
     b = random_valid_cdga(rng, max_gens=4)

@@ -30,7 +30,7 @@ MANIFEST_COMMANDS = (
     "invariants", "z-from-t", "koszul", "d-functor", "realize", "tate",
 )
 OPERADS = ("pn", "as", "lie", "bd1", "bd0", "arnold", "weyl")
-ENV = ("SPW_MAX_WEIGHT", "SPW_MAX_DEGREE", "SPW_MAX_LEN")
+ENV = ("SPW_MAX_WEIGHT", "SPW_MAX_LEN")
 
 
 def invocations():

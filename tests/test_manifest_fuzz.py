@@ -108,7 +108,7 @@ def run_case(command, extra, source, stdin):
 
 
 def test_mutated_manifests_keep_the_exit_code_contract(monkeypatch):
-    for var in ("SPW_MAX_WEIGHT", "SPW_MAX_DEGREE", "SPW_MAX_LEN"):
+    for var in ("SPW_MAX_WEIGHT", "SPW_MAX_LEN"):
         monkeypatch.delenv(var, raising=False)
     stdin = io.StringIO()
     monkeypatch.setattr("sys.stdin", stdin)

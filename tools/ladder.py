@@ -94,7 +94,7 @@ OPERAD_ARGV = tuple(["operad", op, "--arity", "4", "--n", "1", "--json"]
 CLI_CHILD = (
     "import contextlib, io, json, os, sys, time\n"
     "from spw.cli import main\n"
-    "for var in ('SPW_MAX_WEIGHT', 'SPW_MAX_DEGREE', 'SPW_MAX_LEN'):\n"
+    "for var in ('SPW_MAX_WEIGHT', 'SPW_MAX_LEN'):\n"
     "    os.environ.pop(var, None)\n"
     "calls = int(sys.argv[1])\n"
     "medians = []\n"
