@@ -324,7 +324,8 @@ class CdgaReport:
 
 def validate_cdga(alg: FreeCDGA) -> CdgaReport:
     """Check bidegrees, d^2 = 0, eps^2 = 0 and d eps + eps d = 0 on
-    generators, plus Leibniz consistency on all quadratic monomials."""
+    generators, plus Leibniz consistency on the quadratic monomials with a
+    letter that d acts on: on the others both sides are 0."""
     violations = []
     for i, g in enumerate(alg.generators):
         dg = alg.differential.get(i)
@@ -340,7 +341,9 @@ def validate_cdga(alg: FreeCDGA) -> CdgaReport:
             violations.append(("d^2", g.name))
     # Leibniz consistency of the extension on quadratic monomials
     for i, g in enumerate(alg.generators):
-        for h in alg.generators[i:]:
+        for j, h in enumerate(alg.generators[i:], i):
+            if i not in alg.differential and j not in alg.differential:
+                continue
             x, y = alg.gen(g.name), alg.gen(h.name)
             lhs = alg.d(x * y)
             rhs = alg.d(x) * y + (x * alg.d(y)).scale(-1 if g.degree % 2 else 1)
@@ -957,7 +960,9 @@ class KoszulComplex(Record):
 
 
 def koszul(b: FreeCDGA, fs, powers=None) -> KoszulComplex:
-    """K(B, f_1^{n_1}, .., f_p^{n_p}): odd X_i in degree -1 with dX_i = f_i^{n_i}."""
+    """K(B, f_1^{n_1}, .., f_p^{n_p}): odd X_i in degree -1 with dX_i = f_i^{n_i},
+    on B's generators and then the X_i.  B's generators are its base names,
+    so de_rham(k.algebra) is DR(K/B), with a symbol d<X_i> for each X_i only."""
     for g in b.generators:
         if g.degree != 0:
             raise BidegreeError(
@@ -967,26 +972,20 @@ def koszul(b: FreeCDGA, fs, powers=None) -> KoszulComplex:
     if powers is None:
         powers = [1] * len(fs)
     gens = list(b.generators)
-    odd = []
-    for i, _ in enumerate(fs):
+    d_vals = {}
+    for i, (f, k) in enumerate(zip(fs, powers, strict=True)):
         name = f"X{i+1}"
         while name in b.index:
             name = "_" + name
         gens.append(Generator(name, -1))
-        odd.append(name)
-    free = FreeCDGA(gens)
-    rels = []
-    d_vals = {}
-    for name, f, k in zip(odd, fs, powers):
         fk = f ** k
         if fk.constant_term():
             raise BidegreeError(
                 f"Koszul relation {fk} has a (0, 0) component: it must be a non-unit"
             )
-        d_vals[name] = Elem(free, fk.terms)
-        rels.append(fk)
-    alg = FreeCDGA(gens, differential=d_vals)
-    return KoszulComplex(base=b, algebra=alg, odd_gens=tuple(odd), relations=tuple(rels))
+        d_vals[name] = fk  # B's words are K's: its letters come first
+    alg = FreeCDGA(gens, base_names=b.index, differential=d_vals)
+    return KoszulComplex(base=b, algebra=alg, odd_gens=tuple(d_vals), relations=tuple(d_vals.values()))
 
 
 class CotangentTowerReport(Record):
@@ -1045,8 +1044,14 @@ def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:
     """DR^str(K(B, I)/B): the affine formal-completion mixed cdga.
 
     The user asserts B/I reduced with I generated by a regular sequence;
-    a probe window checks the higher Koszul homotopy and raises NotRegular
-    on a nonzero group.
+    a probe window on K checks the higher Koszul homotopy and raises
+    NotRegular on a nonzero group.  The weight-0 part of DR(K/B) is K,
+    each symbol d<X_i> having weight 1, so the weight-0 table {m: dim H^m}
+    for m = -2..0 is read off the probe, whose window starts two degrees
+    below H^-2, the lowest it reads (see closed_form_classes).  (On a base
+    with a generator of negative weight, the weight-0 slice of DR(K/B)
+    also holds words with symbols; the table is H(K) all the same.)  Two
+    windows in all: the probe and the one of the H^0 sequence.
     """
     if not ideal_gens:
         dr = de_rham(b)
@@ -1055,17 +1060,8 @@ def d_functor(b: FreeCDGA, ideal_gens, wmax: int, max_len=5) -> DFunctorResult:
     probe = k.homotopy_dims(max_len=max_len, min_degree=-3)
     if any(v for i, v in probe.items() if i >= 1):
         raise NotRegular(f"higher Koszul homotopy in probe window: {probe}")
-    gens = k.algebra.generators
-    rel = FreeCDGA(
-        gens, base_names=[g.name for g in b.generators],
-        differential={gens[i].name: v for i, v in k.algebra.differential.items()},
-    )
-    dr = de_rham(rel)
-    weight0 = {}
-    w0 = total_complex_window(dr.algebra, Window(0, 0, -3, 1, max_len))
-    for m in range(-2, 1):
-        weight0[m] = w0.homology_dim(m)
-    return DFunctorResult(k, dr, weight0, _h0_by_weight(dr, wmax, max_len))
+    dr = de_rham(k.algebra)
+    return DFunctorResult(k, dr, {-i: probe[i] for i in (2, 1, 0)}, _h0_by_weight(dr, wmax, max_len))
 
 
 def _h0_by_weight(dr, wmax, max_len):

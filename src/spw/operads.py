@@ -606,14 +606,16 @@ class ArnoldAlgebra:
         its negative, so the other five orderings only repeat rows up to
         sign and cannot change the rank. Shares orientation and sorting
         with `reduce_word`, not its rewrite; each sorted relation term is
-        merged with each multiplier, a word of letter indices."""
+        merged with each multiplier, a word of letter indices, except the
+        empty one of length 2, where the term is the row's word.  Below
+        length 2 nothing is sorted: there are no rows."""
         index = self.index.__getitem__
         # the square-free words, in the order of their combinations
         column = {tuple(sorted(map(index, c))): col for col, c in enumerate(combinations(self.pairs, length))}
         rel_rows = []
         # below length 2 there are no relation multiples
         multipliers = list(combinations(range(len(self.letters)), length - 2)) if length >= 2 else []
-        for i, k, j in combinations(self.labels, 3):
+        for i, k, j in combinations(self.labels, 3) if multipliers else ():
             terms = []
             for term in (((i, k), (k, j)), ((k, j), (j, i)), ((j, i), (i, k))):
                 sign, word = self._sorted_word(term)
@@ -621,7 +623,7 @@ class ArnoldAlgebra:
             for mult in multipliers:
                 row = {}
                 for sign, word in terms:
-                    merged = mono_mul(self.parities, word, mult)
+                    merged = mono_mul(self.parities, word, mult) if mult else (1, word)
                     # a word with a repeated letter is not a column
                     if merged is not None and merged[1] in column:
                         _add(row, column[merged[1]], sign * merged[0])

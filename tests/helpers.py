@@ -15,9 +15,11 @@ unit against:
   `freecdga.apply_derivation`, `freecdga._image` and `freecdga.de_rham`;
 - the separate P_n and BD_1 operations, `pn_compose` and the Arnold
   certificate rows: the one linear-combination layer of `operads`;
-- the window-per-stage closed forms, the Elem-sum cocycle check and the
-  window-per-weight H^0 sequence: `freecdga.closed_form_classes`,
-  `ClosedFormTower.check_cocycle` and `freecdga.d_functor`;
+- the window-per-stage closed forms, the Elem-sum cocycle check, the
+  window-per-weight H^0 sequence and the weight-0 window of DR(K/B):
+  `freecdga.closed_form_classes`, `ClosedFormTower.check_cocycle` and
+  `freecdga.d_functor` (its H^0 sequence and its weight-0 table);
+- the Leibniz check on every quadratic monomial: `freecdga.validate_cdga`;
 - Fraction-only products, derivations and matrix operations: the
   int-first coefficients of `Elem` and `SparseMatrix`;
 - the recursive Schouten bracket: `polyvec.PolyvectorAlgebra.bracket`;
@@ -52,10 +54,11 @@ from typing import Callable, NamedTuple
 
 from spw.compare import PhiPiResult, _strict_nondegenerate
 from spw.dsl import _MAX_DIGITS
-from spw.errors import BidegreeError, CompositionNonzero, ParseError, WindowTooSmall
+from spw.errors import BidegreeError, CompositionNonzero, ParseError, SignError, WindowTooSmall
 from spw.exactlin import QPoly, SparseMatrix, _cycles_mod_image, kernel_basis
 from spw.freecdga import (
     _CLOSURE_ROUNDS,
+    CdgaReport,
     Elem,
     FreeCDGA,
     Generator,
@@ -67,6 +70,7 @@ from spw.freecdga import (
     _window_monomials,
     de_rham,
     graded_mixed_window,
+    koszul,
     total_complex_window,
     window_basis,
 )
@@ -748,6 +752,43 @@ def oracle_de_rham(b):
     return _oracle_symbols(b, 1, differential=d_vals, mixed=mixed)
 
 
+def oracle_validate_cdga(alg):
+    """`validate_cdga` with the Leibniz check on every quadratic monomial,
+    also those of two letters that d does not act on."""
+    violations = []
+    for i, g in enumerate(alg.generators):
+        dg = alg.differential.get(i)
+        if dg is not None:
+            if dg.degree() not in (None, g.degree + 1) and not dg.is_zero():
+                violations.append(("d degree", g.name))
+            if dg.weight() != g.weight:
+                violations.append(("d weight", g.name))
+            if dg.degree() is None:
+                violations.append(("d inhomogeneous", g.name))
+        if not alg.d(alg.d(alg.gen(g.name))).is_zero():
+            violations.append(("d^2", g.name))
+    for i, g in enumerate(alg.generators):
+        for h in alg.generators[i:]:
+            x, y = alg.gen(g.name), alg.gen(h.name)
+            rhs = alg.d(x) * y + (x * alg.d(y)).scale(-1 if g.degree % 2 else 1)
+            if alg.d(x * y) != rhs:
+                raise SignError("Leibniz failure", witness=f"{g.name}*{h.name}")
+    if alg.mixed:
+        for i, g in enumerate(alg.generators):
+            eg = alg.mixed.get(i)
+            if eg is not None and not eg.is_zero():
+                if eg.degree() != g.degree + 1:
+                    violations.append(("eps degree", g.name))
+                if eg.weight() != g.weight + 1:
+                    violations.append(("eps weight", g.name))
+            if not alg.eps(alg.eps(alg.gen(g.name))).is_zero():
+                violations.append(("eps^2", g.name))
+            anti = alg.d(alg.eps(alg.gen(g.name))) + alg.eps(alg.d(alg.gen(g.name)))
+            if not anti.is_zero():
+                violations.append(("d eps + eps d", g.name))
+    return CdgaReport(violations)
+
+
 # ---------------------------------------------------------------------------
 # Operad oracles: P_n and BD_1 each with their own product, bracket,
 # substitution and accumulation loops, the Arnold normal form and
@@ -1196,6 +1237,19 @@ def oracle_h0_by_weight(dr, wmax, max_len):
         w: total_complex_window(dr.algebra, Window(0, w, -2, 2, max_len)).homology_dim(0)
         for w in range(0, wmax + 1)
     }
+
+
+def oracle_d_functor_weight0(b, ideal_gens, max_len):
+    """The d-functor's weight-0 table {m: dim H^m}, m = -2..0, from its own
+    window: weight 0, degrees -3..1, on DR(K/B) for a relative Koszul
+    algebra rebuilt with B's generators as base names."""
+    k = koszul(b, ideal_gens).algebra
+    rel = FreeCDGA(
+        k.generators, base_names=[g.name for g in b.generators],
+        differential={k.generators[i].name: v for i, v in k.differential.items()},
+    )
+    w0 = total_complex_window(de_rham(rel).algebra, Window(0, 0, -3, 1, max_len))
+    return {m: w0.homology_dim(m) for m in range(-2, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ from helpers import (
     oracle_check_cocycle,
     oracle_closed_form_classes,
     oracle_closure,
+    oracle_d_functor_weight0,
     oracle_de_rham,
     oracle_derivation,
     oracle_graded_mixed_window,
     oracle_h0_by_weight,
     oracle_product,
     oracle_sum,
+    oracle_validate_cdga,
     oracle_weight_window_total_complex,
     oracle_word_derivation,
     poincare_window_dims,
@@ -25,7 +27,7 @@ from helpers import (
     underlying_form,
 )
 from spw import freecdga
-from spw.errors import BidegreeMismatch, NotRegular, SpwError, WindowTooSmall
+from spw.errors import BidegreeMismatch, NotRegular, SignError, SpwError, WindowTooSmall
 from spw.exactlin import SparseMatrix
 from spw.freecdga import (
     ClosedFormTower,
@@ -160,6 +162,36 @@ def test_the_mixed_identities_on_generators_decide_them_on_windows():
                         passes += valid
                         fails += not valid
     assert passes > 400 and fails > 35 and implied > 1200, (passes, fails, implied)  # 572, 50, 1599
+
+
+def _cdga_verdict(check, alg):
+    try:
+        return check(alg).violations
+    except SignError as e:
+        return ("SignError", str(e))
+
+
+def test_validate_cdga_matches_the_all_pairs_leibniz_oracle():
+    """Leibniz is checked only on pairs with a letter that d acts on: the
+    verdicts and violation lists equal the all-pairs loop's, on cdgas with
+    d != 0 on some generators, on homogeneous ones that may fail, and on
+    their de Rham algebras."""
+    rng = random.Random(37)
+    acted = valid = failed = 0
+    for _ in range(40):
+        bases = (
+            random_valid_cdga(rng, max_gens=4),
+            _random_homogeneous_cdga(rng, with_eps=False),
+            _random_homogeneous_cdga(rng, with_eps=True),
+        )
+        for b in bases:
+            for alg in (b, de_rham(b).algebra):
+                got = _cdga_verdict(validate_cdga, alg)
+                assert got == _cdga_verdict(oracle_validate_cdga, alg), alg.signature
+                acted += 0 < len(alg.differential) < len(alg.generators)
+                valid += got == []
+                failed += got != []
+    assert acted > 45 and valid > 180 and failed > 12, (acted, valid, failed)  # 60, 223, 17
 
 
 def test_de_rham_eps_is_derivation_on_quadratic_monomials():
@@ -435,6 +467,19 @@ def test_koszul_square_relation():
     assert dims[1] == 0
 
 
+def test_koszul_is_relative_to_its_base():
+    # B's generators are base names: DR(K/B) has a symbol for each X_i only
+    b = poly_plane()
+    x, y = b.gen("x"), b.gen("y")
+    k = koszul(b, [x * y, y], powers=[1, 2])
+    assert k.algebra.base_names == {"x", "y"} and k.odd_gens == ("X1", "X2")
+    assert k.relations == (x * y, y * y)
+    assert k.algebra.differential[3] == Elem(k.algebra, {(1, 1): 1})
+    assert de_rham(k.algebra).symbols == ("dX1", "dX2")
+    with pytest.raises(ValueError):
+        koszul(b, [x, y], powers=[2])
+
+
 def test_koszul_non_regular_sequence():
     b = poly_line()
     k = koszul(b, [b.gen("x"), b.gen("x")])
@@ -473,11 +518,12 @@ def test_d_functor_line_origin():
     assert dr_alg.generators[i].degree == 0 and dr_alg.generators[i].weight == 1
 
 
-def _random_ideal(rng, b):
-    """Up to two non-unit polynomials in the degree-0 generators of b."""
+def _random_ideal(rng, b, count=None):
+    """count (by default up to two) non-unit polynomials in the degree-0
+    generators of b."""
     names = [g.name for g in b.generators]
     fs = []
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(rng.randint(0, 2) if count is None else count):
         f = b.zero()
         for _ in range(rng.randint(1, 2)):
             f = f + monomial(b, rng.choices(names, k=rng.randint(1, 2)), rng.choice((1, -1, 2)))
@@ -522,9 +568,10 @@ def test_d_functor_h0_matches_the_window_through_degree_two():
     assert compared >= 20 and with_top >= 8
 
 
-def test_d_functor_runs_three_closures(monkeypatch):
-    # the Koszul probe, the weight-0 window and one window for the H^0
-    # sequence; a window per weight ran wmax + 3 = 9 at the default wmax
+def test_d_functor_runs_two_closures(monkeypatch):
+    # the Koszul probe, whose table is the weight-0 table, and one window
+    # for the H^0 sequence; a window per weight ran wmax + 3 = 9 at the
+    # default wmax
     closures = []
     closure = freecdga._closure
 
@@ -535,7 +582,28 @@ def test_d_functor_runs_three_closures(monkeypatch):
     monkeypatch.setattr(freecdga, "_closure", counting)
     b = poly_line()
     d_functor(b, [b.gen("x")], wmax=6, max_len=6)
-    assert len(closures) == 3
+    assert len(closures) == 2
+
+
+def test_d_functor_weight0_table_is_the_koszul_probe():
+    """The weight-0 table equals its own window on DR(K/B) and the Koszul
+    algebra's homotopy dims, reindexed, on regular ideals of 1-3 relations."""
+    rng = random.Random(31)
+    compared = 0
+    for _ in range(60):
+        b = FreeCDGA([(f"x{i}", 0) for i in range(rng.randint(1, 3))])
+        fs = _random_ideal(rng, b, rng.randint(1, 3))
+        max_len = rng.randint(1, 5)
+        try:
+            res = d_functor(b, fs, wmax=1, max_len=max_len)
+        except NotRegular:
+            continue
+        probe = koszul(b, fs).homotopy_dims(max_len=max_len, min_degree=-3)
+        assert res.weight0_h0_dims == oracle_d_functor_weight0(b, fs, max_len)
+        assert res.weight0_h0_dims == {m: probe[-m] for m in (-2, -1, 0)}
+        assert list(res.weight0_h0_dims) == [-2, -1, 0]
+        compared += 1
+    assert compared >= 20, compared
 
 
 def test_d_functor_rejects_non_regular():
@@ -747,13 +815,9 @@ def _closure_cases():
         b = FreeCDGA([(f"x{i}", 0) for i in range(rng.randint(1, 3))])
         fs = _random_ideal(rng, b) or [b.gen("x0") * b.gen("x0")]
         k = koszul(b, fs).algebra
-        rel = FreeCDGA(
-            k.generators, base_names=[g.name for g in b.generators],
-            differential={k.generators[i].name: v for i, v in k.differential.items()},
-        )
         for max_len in (rng.randint(2, 5), 0, -1):
             yield k, Window(0, 0, -4, 1, max_len)
-            yield de_rham(rel).algebra, Window(0, rng.randint(0, 3), -3, 2, max_len)
+            yield de_rham(k).algebra, Window(0, rng.randint(0, 3), -3, 2, max_len)
     for _ in range(60):
         # arbitrary, inhomogeneous values: images below the box, constant
         # terms, multi-letter odd terms and cancellations

@@ -10,9 +10,11 @@ environment sets it.
 
 The second line gives the per-call microseconds of in-process
 `spw.cli.main` with stdout captured, the median of 200 calls each, on
-`operad pn --arity 3 --n 1 --json` and on
-`de-rham examples_dsl/plane_poisson.spw --json`, both in one child process
-with the SPW_MAX_* variables unset.  The third line gives the same for
+`operad pn --arity 3 --n 1 --json`, on
+`de-rham examples_dsl/plane_poisson.spw --json` and on
+`d-functor examples_dsl/koszul_square.spw --json` (the job that perfbench's
+`derham_dims` job_tail_s reads), all in one child process with the
+SPW_MAX_* variables unset.  The third line gives the same for
 `operad pn|bd1|bd0|arnold|weyl --arity 4 --n 1 --json`, in one more child.
 
 A rung (ke, ko, L) is the de Rham algebra of the free algebra on ke even
@@ -88,7 +90,8 @@ IMPORT_CHILD = (
 )
 CLI_CALLS = 200
 CLI_ARGV = (["operad", "pn", "--arity", "3", "--n", "1", "--json"],
-            ["de-rham", "examples_dsl/plane_poisson.spw", "--json"])
+            ["de-rham", "examples_dsl/plane_poisson.spw", "--json"],
+            ["d-functor", "examples_dsl/koszul_square.spw", "--json"])
 OPERAD_ARGV = tuple(["operad", op, "--arity", "4", "--n", "1", "--json"]
                     for op in ("pn", "bd1", "bd0", "arnold", "weyl"))
 CLI_CHILD = (
