@@ -174,9 +174,12 @@ def cmd_check_mixed(manifest, args, report):
 def cmd_de_rham(manifest, args, report):
     from .freecdga import de_rham
 
-    dr = de_rham(dsl.build_algebra(_target_block(manifest, args, "algebra")))
+    b = dsl.build_algebra(_target_block(manifest, args, "algebra"))
+    dr = de_rham(b)
     _check_cdga(report, "de Rham mixed identities", dr.algebra)
-    dims = dr.weight_dim_window(0, 2, args.max_len)
+    # from the unit's weight 0, or B's least generator weight w0 below it, up to w0 + 2
+    w0 = min((g.weight for g in b.generators), default=0)
+    dims = dr.weight_dim_window(min(0, w0), w0 + 2, args.max_len)
     report.table("weight dims", {str(k): v for k, v in dims.items()})
 
 
@@ -256,14 +259,14 @@ def cmd_darboux(manifest, args, report):
 
 
 def cmd_ce(manifest, args, report):
-    from .gradedmixed import realization, validate_mixed
+    from .gradedmixed import validate_mixed, weight_window_total_complex
     from .lieinfty import ce_complex, validate_lie
 
     g = dsl.build_lie(_target_block(manifest, args, "lie"))
     report.check("Lie identities", validate_lie(g).valid)
     cx = ce_complex(g)
     report.check("CE mixed identities", validate_mixed(cx).valid)
-    dims = realization(cx, g.dim).homology_dims(range(0, g.dim + 1))
+    dims = weight_window_total_complex(cx, 0, g.dim).homology_dims(range(0, g.dim + 1))
     report.table("realization homology", dims)
 
 
@@ -337,10 +340,10 @@ def cmd_d_functor(manifest, args, report):
 
 
 def cmd_realize(manifest, args, report):
-    from .gradedmixed import realization, realization_oracle_dims
+    from .gradedmixed import realization_oracle_dims, weight_window_total_complex
 
     cx = dsl.build_complex(_target_block(manifest, args, "complex"))
-    dims = realization(cx, args.max_weight).homology_dims()
+    dims = weight_window_total_complex(cx, 0, args.max_weight).homology_dims()
     report.table("homology dims", dims)
     report.check(
         "agrees with Hom(cell model, E)",
@@ -349,10 +352,10 @@ def cmd_realize(manifest, args, report):
 
 
 def cmd_tate(manifest, args, report):
-    from .gradedmixed import realization, tate_realization
+    from .gradedmixed import tate_realization, weight_window_total_complex
 
     cx = dsl.build_complex(_target_block(manifest, args, "complex"))
-    base = realization(cx, args.max_weight).homology_dims()
+    base = weight_window_total_complex(cx, 0, args.max_weight).homology_dims()
     full = tate_realization(cx, args.stage, args.max_weight)[0].homology_dims()
     report.table("realization homology", base)
     report.table("tate homology", full)

@@ -3,11 +3,11 @@
 Coefficients are `int` while integral and `Fraction` otherwise; never
 `float`.  One sparse, fraction-free elimination serves rank, pivot
 columns, kernels, solving and homology: rows are kept as primitive
-integer dicts, pivot columns are taken left to right, and the pivot row
-is the sparsest row with a nonzero in the current column (Markowitz),
-ties going to the smaller |pivot|.  Matrices are immutable and cache the
-forward echelon form, and the reduced echelon form once a kernel is
-asked for.
+integer dicts and inserted one at a time, sparsest first, each reduced
+at its leading column against the pivot rows found so far until it
+vanishes or becomes the pivot row of a new column.  Matrices are
+immutable and cache the forward echelon form, and the reduced echelon
+form once a kernel is asked for.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class SparseMatrix:
     def _forward(self):
         """Cached forward echelon: [(pivot_col, {col: int})] in pivot order."""
         if self._fwd is None:
-            self._fwd = _eliminate(_int_rows(self._entries.items()), self.cols)
+            self._fwd = _eliminate(_int_rows(self._entries.items()))
         return self._fwd
 
     def _reduced(self):
@@ -198,83 +198,46 @@ def _int_rows(items):
     return rows
 
 
-def _eliminate(rows, n_cols):
-    """Fraction-free forward elimination of primitive integer rows.
+def _eliminate(rows):
+    """Fraction-free row insertion of primitive integer rows.
 
-    `rows` ({row id: {col: int}}, no zero entries) is consumed.  Pivot
-    columns are taken left to right, so they are the leftmost independent
-    columns whatever the row choice.  Among the rows with a nonzero in the
-    pivot column the sparsest is the pivot row (Markowitz), ties going to
-    the smaller |pivot| and then the lower row id; a column -> rows index
-    means only those rows are touched.  Returns [(pivot_col, row)].
+    `rows` ({row id: {col: int}}, no zero entries) is consumed.  The rows
+    are taken sparsest first, ties going to the lower row id.  Each is
+    reduced at its leading column against the pivot row found there so
+    far, and made primitive after each step, until it vanishes or leads
+    at a column with no pivot row, whose pivot row it becomes.  The
+    leading columns of an echelon basis are the leftmost independent
+    columns, whatever the order of insertion.  Returns [(pivot_col, row)]
+    sorted by column.
     """
-    where = {}
-    for r, row in rows.items():
-        for j in row:
-            where.setdefault(j, set()).add(r)
-    echelon = []
-    for c in range(n_cols):
-        cand = where.pop(c, None)
-        if not cand:
-            continue
-        if len(cand) == 1:
-            (pr,) = cand
-        else:
-            pr = min(cand, key=lambda r: (len(rows[r]), abs(rows[r][c]), r))
-        prow = rows.pop(pr)
-        p = prow[c]
-        if len(prow) == 1:
-            # the pivot alone: fp * row - fa * prow is fp * row without
-            # column c, and made primitive it is that row over its
-            # content, negated when p < 0
-            for r in cand:
-                if r == pr:
-                    continue
-                row = rows[r]
-                del row[c]
-                if not row:
-                    del rows[r]
-                    continue
-                g = gcd(*row.values())
-                if p < 0:
-                    g = -g
-                if g != 1:
-                    for j in row:
-                        row[j] //= g
-            echelon.append((c, prow))
-            continue
-        rest = [(j, v) for j, v in prow.items() if j != c]
-        for j, _ in rest:
-            where[j].discard(pr)
-        for r in cand:
-            if r == pr:
-                continue
-            row = rows[r]
-            a = row.pop(c)
+    pivots = {}
+    # a stable sort by length of the rows in id order
+    for row in sorted([rows[r] for r in sorted(rows)], key=len):
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            p, a = prow[c], row[c]
             g = gcd(p, a)
             fp, fa = p // g, a // g
             # row <- fp * row - fa * prow, which clears column c
             if fp != 1:
                 for j in row:
                     row[j] *= fp
-            for j, v in rest:
+            for j, v in prow.items():
                 w = row.get(j, 0) - fa * v
                 if w:
-                    if j not in row:
-                        where.setdefault(j, set()).add(r)
                     row[j] = w
-                elif j in row:
+                else:
                     del row[j]
-                    where[j].discard(r)
-            if not row:
-                del rows[r]
-                continue
-            g = gcd(*row.values())
-            if g > 1:
-                for j in row:
-                    row[j] //= g
-        echelon.append((c, prow))
-    return echelon
+            if row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+    return sorted(pivots.items())
 
 
 def _reduce(echelon):
@@ -345,7 +308,9 @@ class HomologyResult:
 
 def _cycles_mod_image(ker, d_in) -> HomologyResult:
     """span(ker) / im(d_in), for independent cycles `ker` spanning a space
-    that holds the image of d_in; d_in None is the zero map.
+    that holds the image of d_in; d_in None is the zero map.  The vectors
+    of `ker` hold nonzero entries as `_as_rat` gives them, as
+    `kernel_basis` does, so [d_in | ker] is built unchecked.
 
     Representatives are the vectors of `ker` independent of the image and
     of the vectors before them: those whose columns are pivot columns of
@@ -362,7 +327,7 @@ def _cycles_mod_image(ker, d_in) -> HomologyResult:
         for t, v in enumerate(ker):
             for i, x in v.items():
                 entries[i, n + t] = x
-        stacked = SparseMatrix(d_in.rows, n + len(ker), entries)
+        stacked = SparseMatrix._owned(d_in.rows, n + len(ker), entries)
         reps = [ker[c - n] for c in stacked.pivot_columns() if c >= n]
     return HomologyResult(dim, reps)
 
@@ -379,7 +344,7 @@ def solve_linear(m: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         raise ValueError("rhs rows mismatch")
     n = m.cols
     rhs = (((i, n + j), v) for (i, j), v in b.items())
-    reduced = _reduce(_eliminate(_int_rows(chain(m.items(), rhs)), n + b.cols))
+    reduced = _reduce(_eliminate(_int_rows(chain(m.items(), rhs))))
     if reduced and reduced[-1][0] >= n:
         raise NoSolution("rhs not in the image")
     x = SparseMatrix(

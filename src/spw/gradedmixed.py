@@ -270,21 +270,11 @@ class ChainComplex:
         return {m: self.homology_dim(m) for m in degrees}
 
 
-def realization(e: GradedMixedComplex, wmax: int) -> ChainComplex:
-    """Total complex of weights 0..wmax with differential d + eps.
-
-    This is the finite truncation of the product realization; weights
-    above wmax are projected away (a quotient complex, so d^2 = 0 holds
-    on the nose).  For E supported in weights [0, wmax] it is exact.
-    """
-    return weight_window_total_complex(e, 0, wmax)
-
-
 def tate_realization(e: GradedMixedComplex, stage: int, wmax: int):
     """Stage-`stage` Tate realization: weights -stage..wmax, plus comparison.
 
-    Returns (complex, comparison) where comparison maps
-    realization(e, wmax) into the stage complex degreewise (a subcomplex
+    Returns (complex, comparison) where comparison maps the total complex
+    of weights 0..wmax into the stage complex degreewise (a subcomplex
     inclusion, since the total differential never lowers the weight): the
     labels of weight >= 0 are the tail of each degree of the stage complex.
     """
@@ -305,7 +295,9 @@ def weight_window_total_complex(e: GradedMixedComplex, wmin: int, wmax: int) -> 
     """Total complex of the weights wmin..wmax with differential d + eps.
 
     Weights below wmin are cut (a subcomplex is removed: legitimate since
-    d + eps never lowers weight); weights above wmax are projected away.
+    d + eps never lowers weight); weights above wmax are projected away (a
+    quotient complex).  With wmin = 0 this is the finite truncation of the
+    product realization, exact for E supported in weights [0, wmax].
     Degree m is the labels (p, label) of E(p)^m, p ascending, each weight
     in the module's label order.
     """

@@ -3,8 +3,8 @@
 Generators: valid complexes, blocks, algebras, matrices and coefficients.
 Each oracle is an older or plainer computation kept only to check one
 unit against:
-- dense Bareiss elimination and the scale-and-subtract loop of every pivot
-  row: `exactlin` and `exactlin._eliminate`;
+- dense Bareiss elimination and the right-looking Markowitz elimination:
+  `exactlin` and `exactlin._eliminate`;
 - homology of a pair of maps with its own d^2 check: `exactlin._cycles_mod_image`;
 - dense-scan window and total-complex assembly, the word enumeration and
   the four-product loop: `freecdga.graded_mixed_window`, the order of
@@ -460,8 +460,12 @@ def oracle_homology(d_in, d_out):
 
 
 def oracle_eliminate(rows, n_cols):
-    """`exactlin._eliminate` with one scale-and-subtract loop for every
-    pivot row, a one-entry pivot row included."""
+    """The right-looking elimination that row insertion replaced in
+    `exactlin._eliminate`: pivot columns left to right, the pivot row the
+    sparsest row with a nonzero in the column (Markowitz), ties going to
+    the smaller |pivot| and then the lower row id, found through a column
+    -> rows index; one scale-and-subtract loop for every pivot row.
+    Returns [(pivot_col, row)] in column order."""
     where = {}
     for r, row in rows.items():
         for j in row:

@@ -97,14 +97,14 @@ def test_criterion_1_structural_identities():
 
 
 def test_criterion_2_realization_oracle():
-    from spw.gradedmixed import realization, realization_oracle_dims
+    from spw.gradedmixed import realization_oracle_dims, weight_window_total_complex
 
     rng = random.Random(4091)
     with criterion(2, 5.0, "realization homology equals the cell-model hom oracle"):
         for _ in range(10):
             e = random_valid_complex(rng, 0, 4, pieces=3)
             degrees = range(-4, 6)
-            total = realization(e, 4)
+            total = weight_window_total_complex(e, 0, 4)
             dims = {m: total.homology(m).dimension for m in degrees}
             oracle = realization_oracle_dims(e, 4, degrees)
             assert dims == oracle
@@ -415,13 +415,13 @@ def test_criterion_8_operad_layer():
 
 
 def test_criterion_9_tate_realization():
-    from spw.gradedmixed import realization, tate_realization, unit_complex
+    from spw.gradedmixed import tate_realization, unit_complex, weight_window_total_complex
 
     rng = random.Random(4457)
     with criterion(9, 2.0, "Tate comparison quasi-iso for nonnegative weights, k(-1) case"):
         for _ in range(5):
             e = random_valid_complex(rng, 0, 3, pieces=3)
-            base = realization(e, 4)
+            base = weight_window_total_complex(e, 0, 4)
             base_dims = base.homology_dims(range(-4, 6))
             for stage in (0, 1, 2, 3):
                 full, cmp = tate_realization(e, stage, 4)
@@ -429,7 +429,8 @@ def test_criterion_9_tate_realization():
                 for m, mat in cmp.items():
                     assert mat.rows == mat.cols  # identity comparison
         e = unit_complex(-1, 0)
-        assert sum(realization(e, 3).dim(m) for m in realization(e, 3).degrees()) == 0
+        empty = weight_window_total_complex(e, 0, 3)
+        assert sum(empty.dim(m) for m in empty.degrees()) == 0
         full, _ = tate_realization(e, 1, 3)
         assert full.homology(0).dimension == 1
 

@@ -495,6 +495,21 @@ def test_de_rham_fails_d_squared_at_any_weight(tmp_path, capsys, weight):
         assert report["witnesses"] == {check: witness}
 
 
+def test_de_rham_tabulates_from_the_least_generator_weight(tmp_path, capsys):
+    """Generators of weight 7 show at weight 7 and their symbols at 8; the
+    table runs from the unit's weight 0 to 7 + 2."""
+    manifest = tmp_path / "b.spw"
+    manifest.write_text("algebra B { gens = x(0, 7), y(1, 7), z(2, 7); d(x) = y; d(y) = z; }")
+    code, out, err = run(capsys, "de-rham", str(manifest), "--json")
+    assert (code, err) == (1, "")
+    table = json.loads(out)["tables"]["weight dims"]
+    assert list(table) == [str(w) for w in range(10)]
+    assert table["0"] == {"0": 1}
+    assert table["7"] == {"0": 1, "1": 1, "2": 1}  # x, y, z
+    assert table["8"] == {"1": 1, "2": 1, "3": 1}  # dx, dy, dz
+    assert not any(table[str(w)] for w in (1, 2, 3, 4, 5, 6, 9))
+
+
 PLANE = "algebra B { gens = x(0), y(0); }\n"
 ROW_LIMIT_S = 5.0
 LINE = "algebra B { gens = x(0), xi(1); }\n"

@@ -12,8 +12,9 @@ from spw.exactlin import (
     kernel_basis,
     solve_linear,
 )
-from spw.freecdga import FreeCDGA, Window, de_rham, graded_mixed_window
-from spw.gradedmixed import ChainComplex, realization, weight_window_total_complex
+from spw.freecdga import FreeCDGA, Window, closed_form_classes, de_rham, graded_mixed_window, koszul
+from spw.gradedmixed import ChainComplex, weight_window_total_complex
+from spw.operads import arnold_algebra
 
 
 def test_kernel_of_zero_map():
@@ -212,16 +213,22 @@ def _short_and_long_rows(rng):
         yield SparseMatrix(rows, cols, entries)
 
 
-def _echelon_in_order(echelon):
-    return [(c, list(row.items())) for c, row in echelon]
+def _assert_matches_the_oracle(rows, echelon):
+    """`echelon`, the elimination of `rows`, has the pivot columns and the
+    reduced echelon form of `oracle_eliminate` on a copy of `rows`, which
+    it returns."""
+    n_cols = 1 + max((j for row in rows.values() for j in row), default=-1)
+    want = helpers.oracle_eliminate({r: dict(row) for r, row in rows.items()}, n_cols)
+    assert [c for c, _ in echelon] == [c for c, _ in want]
+    assert exactlin._reduce(echelon) == exactlin._reduce(want)
+    return want
 
 
 def test_one_entry_pivot_rows_match_the_scaling_loop():
     rng = random.Random(131)
     negative = 0
     for m in _short_and_long_rows(rng):
-        want = helpers.oracle_eliminate(exactlin._int_rows(m.items()), m.cols)
-        assert _echelon_in_order(m._forward()) == _echelon_in_order(want)
+        want = _assert_matches_the_oracle(exactlin._int_rows(m.items()), m._forward())
         assert (m.rank(), m.pivot_columns()) == helpers.oracle_rank_and_pivots(m)
         assert [helpers.dense_vector(v, m.cols) for v in kernel_basis(m)] == helpers.oracle_kernel_basis(m)
         negative += sum(1 for c, row in want if len(row) == 1 and row[c] < 0)
@@ -232,8 +239,70 @@ def test_one_entry_pivot_rows_match_the_scaling_loop():
         total = weight_window_total_complex(cx, 0, 4)
         for deg in total.degrees():
             m = helpers.d_block(total, deg)
-            want = helpers.oracle_eliminate(exactlin._int_rows(m.items()), m.cols)
-            assert _echelon_in_order(m._forward()) == _echelon_in_order(want)
+            _assert_matches_the_oracle(exactlin._int_rows(m.items()), m._forward())
+
+
+def _recorded_eliminations(monkeypatch):
+    """[(rows, echelon, inside [d_in | ker])] of every `_eliminate` call
+    from now on, the rows copied before elimination consumes them."""
+    eliminate, cycles_mod_image = exactlin._eliminate, exactlin._cycles_mod_image
+    calls, stacking = [], []
+
+    def recording(rows):
+        copy = {r: dict(row) for r, row in rows.items()}
+        echelon = eliminate(rows)
+        calls.append((copy, echelon, bool(stacking)))
+        return echelon
+
+    def stacked(ker, d_in):
+        stacking.append(True)
+        try:
+            return cycles_mod_image(ker, d_in)
+        finally:
+            stacking.pop()
+
+    monkeypatch.setattr(exactlin, "_eliminate", recording)
+    monkeypatch.setattr(exactlin, "_cycles_mod_image", stacked)
+    return calls
+
+
+def test_row_insertion_matches_the_markowitz_oracle(monkeypatch):
+    rng = random.Random(3217)
+    calls = _recorded_eliminations(monkeypatch)
+    # random int and Fraction matrices, sparse to fill-heavy
+    for _ in range(150):
+        rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
+        entries = {(i, j): rng.choice((-3, -2, -1, 1, 2, 5, F(1, 2), F(-2, 3)))
+                   for i in range(rows) for j in range(cols) if rng.random() < rng.choice((0.2, 0.5, 0.9))}
+        m = SparseMatrix(rows, cols, entries)
+        kernel_basis(m)
+        solve_linear(m, m @ helpers.random_rational_matrix(rng, cols, 2))
+    random_calls = len(calls)
+    # de Rham total complexes and Koszul windows
+    for gens in ([("x", 0), ("y", 0)], [("x", 0), ("a", 1)], [("x", 0), ("y", 1), ("z", 0)]):
+        cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 4, -4, 4, 4))
+        weight_window_total_complex(cx, 0, 4).homology_dims()
+    for k in (1, 2, 3):
+        b = FreeCDGA([(f"x{i}", 0) for i in range(k)])
+        x = [b.gen(f"x{i}") for i in range(k)]
+        for fs in ([x[0] * x[-1]], x, [x[0], x[0] + x[-1] * x[-1]]):
+            koszul(b, fs).homotopy_dims(max_len=5, min_degree=-3)
+    window_calls = len(calls) - random_calls
+    # operad arnold rank certificates at arity 3 and 4
+    for n in (1, 2):
+        for labels in ((1, 2, 3), (1, 2, 3, 4)):
+            alg = arnold_algebra(n, labels)
+            for length in range(2, len(labels)):
+                alg.rank_certificate(length)
+    arnold_calls = len(calls) - random_calls - window_calls
+    # closed forms: homology representatives from [d_in | ker] stacks
+    for ko, max_len in ((1, 3), (1, 4), (2, 3)):
+        gens = [("x", 0), ("y", 0)] + [(f"a{i}", 1) for i in range(ko)]
+        closed_form_classes(FreeCDGA(gens), 1, 1, 4, max_len=max_len)
+    stacks = sum(1 for *_, stack in calls if stack)
+    assert random_calls == 300 and window_calls >= 20 and arnold_calls == 6 and stacks >= 3
+    for rows, echelon, _ in calls:
+        _assert_matches_the_oracle(rows, echelon)
 
 
 def _dense_columns(m):
@@ -310,7 +379,7 @@ def test_homology_representatives_match_greedy_oracle(monkeypatch):
 def test_homology_dims_is_rank_nullity_of_homology():
     rng = random.Random(3)
     for _ in range(10):
-        cx = realization(helpers.random_valid_complex(rng, 0, 4, pieces=3), 4)
+        cx = weight_window_total_complex(helpers.random_valid_complex(rng, 0, 4, pieces=3), 0, 4)
         dims = cx.homology_dims()
         assert dims == {m: cx.homology(m).dimension for m in dims}
 

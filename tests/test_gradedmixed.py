@@ -23,7 +23,6 @@ from spw.gradedmixed import (
     cell_model,
     dg_hom_complex,
     enriched_hom,
-    realization,
     realization_oracle_dims,
     shift,
     stage_homology_dims,
@@ -107,15 +106,15 @@ def test_realization_of_cell_model_windows():
     # model realizes k in degree 0; with y_m kept (window m+1) the top cell
     # cancels the augmentation class and the total complex is acyclic.
     for m in (0, 1, 2, 3):
-        dims = realization(cell_model(m), m).homology_dims(range(-1, 3))
+        dims = weight_window_total_complex(cell_model(m), 0, m).homology_dims(range(-1, 3))
         assert dims[0] == 1
         assert all(v == 0 for k, v in dims.items() if k != 0)
-        full = realization(cell_model(m), m + 1).homology_dims(range(-1, 3))
+        full = weight_window_total_complex(cell_model(m), 0, m + 1).homology_dims(range(-1, 3))
         assert all(v == 0 for v in full.values())
 
 
 def test_realization_of_weight_one_unit():
-    cx = realization(unit_complex(1, 0), 2)
+    cx = weight_window_total_complex(unit_complex(1, 0), 0, 2)
     assert cx.homology(0).dimension == 1
 
 
@@ -124,7 +123,7 @@ def test_realization_shift_discards_low_weights():
     e = random_valid_complex(rng, 0, 3)
     q = 2
     shifted = shift(e, 0, q)  # weights move down by ... p -> p - q
-    cx = realization(shifted, 10)
+    cx = weight_window_total_complex(shifted, 0, 10)
     expected = sum(
         len(labels) for (p, m), labels in e.module.basis.items() if p - q >= 0
     )
@@ -136,7 +135,7 @@ def test_realization_matches_cell_hom_oracle_on_random_complexes():
     for _ in range(10):
         e = random_valid_complex(rng, 0, 4, pieces=3)
         degrees = range(-4, 6)
-        real_dims = {m: realization(e, 4).homology(m).dimension for m in degrees}
+        real_dims = {m: weight_window_total_complex(e, 0, 4).homology(m).dimension for m in degrees}
         oracle = realization_oracle_dims(e, 4, degrees)
         assert real_dims == oracle
 
@@ -159,7 +158,7 @@ def test_dg_hom_complex_of_cell_with_unit():
 def test_tate_realization_nonnegative_weights_identity_comparison():
     rng = random.Random(23)
     e = random_valid_complex(rng, 0, 3)
-    base = realization(e, 4)
+    base = weight_window_total_complex(e, 0, 4)
     for stage in (0, 1, 2):
         full, cmp = tate_realization(e, stage, 4)
         assert {m: full.dim(m) for m in full.degrees()} == {
@@ -171,7 +170,8 @@ def test_tate_realization_nonnegative_weights_identity_comparison():
 
 def test_tate_realization_negative_weight_unit():
     e = unit_complex(-1, 0)
-    assert sum(realization(e, 3).dim(m) for m in realization(e, 3).degrees()) == 0
+    empty = weight_window_total_complex(e, 0, 3)
+    assert sum(empty.dim(m) for m in empty.degrees()) == 0
     full, _ = tate_realization(e, 1, 3)
     assert full.homology(0).dimension == 1
 
@@ -180,7 +180,7 @@ def test_tate_comparison_is_a_tail_inclusion_that_commutes_with_d():
     rng = random.Random(89)
     for _ in range(15):
         e = random_valid_complex(rng, -2, 3, pieces=3)
-        small = realization(e, 4)
+        small = weight_window_total_complex(e, 0, 4)
         for stage in (0, 1, 3):
             full, cmp = tate_realization(e, stage, 4)
             assert sorted(cmp) == small.degrees()
@@ -340,18 +340,18 @@ def test_homology_with_a_missing_differential_eliminates_no_zero_matrix(monkeypa
     from spw import exactlin
 
     rng = random.Random(21)
-    complexes = [realization(random_valid_complex(rng), 4) for _ in range(12)]
-    complexes.append(realization(cell_model(3), 3))
+    complexes = [weight_window_total_complex(random_valid_complex(rng), 0, 4) for _ in range(12)]
+    complexes.append(weight_window_total_complex(cell_model(3), 0, 3))
     gens = [("x", 0), ("y", 0), ("a", 1)]
     cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 3, -3, 3, 3))
     complexes.append(weight_window_total_complex(cx, 0, 3))
     eliminate = exactlin._eliminate
     zero = []
 
-    def counting(rows, n_cols):
+    def counting(rows):
         if not rows:
-            zero.append(n_cols)
-        return eliminate(rows, n_cols)
+            zero.append(rows)
+        return eliminate(rows)
 
     monkeypatch.setattr(exactlin, "_eliminate", counting)
     results = []
@@ -374,7 +374,7 @@ def test_homology_with_a_missing_differential_eliminates_no_zero_matrix(monkeypa
 def test_homology_forms_no_composite(monkeypatch):
     # the constructor proved d(m) d(m-1) = 0: homology(m) does not form it again
     rng = random.Random(31)
-    complexes = [realization(random_valid_complex(rng), 4) for _ in range(16)]
+    complexes = [weight_window_total_complex(random_valid_complex(rng), 0, 4) for _ in range(16)]
     gens = [("x", 0), ("y", 0), ("a", 1)]
     cx, _ = graded_mixed_window(de_rham(FreeCDGA(gens)).algebra, Window(0, 3, -3, 3, 3))
     complexes.append(weight_window_total_complex(cx, 0, 3))

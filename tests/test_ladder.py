@@ -1,11 +1,13 @@
 """`tools/ladder.py` times `import spw.cli`, in-process `cli.main` calls
 (operad calls among them),
 de Rham window rungs, a closed-forms rung and phi_pi rungs in child
-processes, each rung also in reference seconds with the probe's drift,
-and checks each rung against its oracle."""
+processes, each rung also in reference seconds with the probe's drift
+(the probe sampled while the child runs), and checks each rung against
+its oracle."""
 
 import importlib.util
 import os
+import time
 
 LADDER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools", "ladder.py")
 
@@ -90,10 +92,12 @@ def test_ladder_runs_the_first_phi_pi_rung(monkeypatch):
     ladder = load_ladder()
     assert ladder.PHI_PI_RUNGS == ((3, 6), (4, 6))
     # the probe reads twice its reference time before the child and three
-    # times after it: ref_s = seconds / mean probe * PROBE_REF_S is 2/5 of
-    # the wall seconds, and the drift after / before is 1.5
+    # times after it, and not while it runs: ref_s = seconds / median
+    # reading * PROBE_REF_S is 2/5 of the wall seconds, and the drift
+    # after / before is 1.5
     readings = iter([2 * ladder.PROBE_REF_S] * ladder.PROBE_RUNS + [3 * ladder.PROBE_REF_S] * ladder.PROBE_RUNS)
     monkeypatch.setattr(ladder, "fraction_loop", lambda steps: next(readings))
+    monkeypatch.setattr(ladder, "PROBE_PERIOD_S", 3600)
     line, ok = ladder.run_phi_pi_rung(3, 6)
     assert ok, line
     cells = line.split()
@@ -102,3 +106,40 @@ def test_ladder_runs_the_first_phi_pi_rung(monkeypatch):
     assert total > 0 and rss > 0
     assert abs(ref - total * 2 / 5) <= 0.001  # both printed to the millisecond
     assert drift == 1.5
+
+
+def test_ladder_samples_the_probe_while_the_child_runs(monkeypatch):
+    ladder = load_ladder()
+    # the host runs at its reference speed before and after a 2-second
+    # child and at a quarter of it while the child runs: the samples taken
+    # meanwhile set ref_s, where the probes before and after alone would
+    # read no slowdown
+    phase = ["before"]
+    speed = {"before": 1, "during": 4, "after": 1}
+    taken = []
+
+    def reading(steps):
+        assert steps == ladder.PROBE_STEPS
+        taken.append(phase[0])
+        return speed[phase[0]] * ladder.PROBE_REF_S
+
+    run = ladder.subprocess.run
+
+    def child(*args, **kwargs):
+        phase[0] = "during"
+        try:
+            return run(*args, **kwargs)
+        finally:
+            phase[0] = "after"
+
+    monkeypatch.setattr(ladder, "fraction_loop", reading)
+    monkeypatch.setattr(ladder.subprocess, "run", child)
+    start = time.perf_counter()
+    proc, probe_s, drift = ladder.run_child("import time; time.sleep(2)")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0
+    during = taken.count("during")
+    assert taken == ["before"] * ladder.PROBE_RUNS + ["during"] * during + ["after"] * ladder.PROBE_RUNS
+    # at most one sample each PROBE_PERIOD_S
+    assert 3 <= during <= elapsed / ladder.PROBE_PERIOD_S
+    assert probe_s == 4 * ladder.PROBE_REF_S and drift == 1

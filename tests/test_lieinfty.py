@@ -17,7 +17,7 @@ from helpers import (
 )
 from spw import dsl
 from spw.errors import Degenerate, NotFreeOnV, NotInvariant
-from spw.gradedmixed import realization, validate_mixed
+from spw.gradedmixed import validate_mixed, weight_window_total_complex
 from spw.lieinfty import (
     InvariantTensor,
     LieAlgebra,
@@ -95,7 +95,7 @@ def test_ce_invalid_iff_lie_invalid():
 
 
 def test_h3_of_sl2_realization():
-    cx = realization(ce_complex(LieAlgebra.sl2()), 3)
+    cx = weight_window_total_complex(ce_complex(LieAlgebra.sl2()), 0, 3)
     dims = cx.homology_dims(range(0, 4))
     assert dims[3] == 1
     assert dims[0] == 1

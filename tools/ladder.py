@@ -44,13 +44,17 @@ result) and its peak RSS. The rungs are (3, 6) and (4, 6).
 
 Each rung's line also gives its end-to-end time in reference seconds:
 perfbench's Fraction probe (`perfbench/run.py`, `fraction_loop` of
-PROBE_STEPS steps) is read just before and just after the rung's child, and
-ref_s = seconds / mean probe * PROBE_REF_S, as perfbench reports job times,
-so that rungs timed on hosts of different speed can be compared. Each
-reading is the median of PROBE_RUNS probes: on a 2-vCPU host, a lone
-probe in this process, idle while its child ran, read from 1.4 to 6.4 ms
-where the median of eight read 1.7 ms. Next to ref_s, `drift` is the
-probe after the child over the probe before it: the host's speed moved
+PROBE_STEPS steps) is read just before and just after the rung's child, as
+the median of PROBE_RUNS probes each, and once every PROBE_PERIOD_S while
+the child runs, from a thread of this process, and
+ref_s = seconds / median reading * PROBE_REF_S, as perfbench reports job
+times, so that rungs timed on hosts of different speed can be compared.
+The median, not the mean: on a 2-vCPU host, a lone probe in this process,
+idle while its child ran, read from 1.4 to 6.4 ms where the median of eight
+read 1.7 ms. Next to
+ref_s, `drift` is the median of the later half of the readings over that
+of the earlier half (the probe after the child over the one before it
+when the child ran too briefly to be sampled): the host's speed moved
 while the rung ran when it is far from 1, and ref_s is then uncertain.
 
 The import line fails when one of its children fails, the cli.main and
@@ -70,7 +74,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from math import comb
+from statistics import median
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -81,6 +87,7 @@ RUNGS = ((3, 3, 6), (4, 4, 6), (5, 5, 6), (6, 6, 6), (4, 4, 8))
 CLOSED_FORMS_RUNG = (4, 2, 2, 0, 6, 6)
 PHI_PI_RUNGS = ((3, 6), (4, 6))
 PROBE_RUNS = 5
+PROBE_PERIOD_S = 0.25
 IMPORT_RUNS = 5
 IMPORT_CHILD = (
     "import time\n"
@@ -194,14 +201,28 @@ def probe():
 
 def run_child(code, *args):
     """(the finished child process running `code` on this checkout's spw,
-    the mean of the probes read just before and just after it, the one
-    after over the one before)."""
+    the median of the probe readings, the later half's median over the
+    earlier half's).  The readings are `probe()` just before and just after
+    the child and one probe every PROBE_PERIOD_S while it runs."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    before = probe()
-    proc = subprocess.run([sys.executable, "-c", code, *args],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
-    after = probe()
-    return proc, (before + after) / 2, after / before
+    readings = [probe()]
+    done = threading.Event()
+
+    def sample():
+        while not done.wait(PROBE_PERIOD_S):
+            readings.append(fraction_loop(PROBE_STEPS))
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        proc = subprocess.run([sys.executable, "-c", code, *args],
+                              cwd=ROOT, env=env, capture_output=True, text=True)
+    finally:
+        done.set()
+        sampler.join()
+    readings.append(probe())
+    half = len(readings) // 2
+    return proc, median(readings), median(readings[-half:]) / median(readings[:half])
 
 
 def import_line():
