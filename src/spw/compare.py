@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Rat
 
-from .errors import Degenerate, GaugeNotFound, IdentityViolated, NoSolution, NotMinimal
+from .errors import Degenerate, GaugeNotFound, IdentityViolated, NoSolution, NotMinimal, WindowTooSmall
 from .exactlin import SparseMatrix, solve_linear
 from .freecdga import (
     ClosedFormTower,
@@ -225,7 +225,10 @@ def strictify_closed_two_form(
 
     Requires the differential of B to vanish at the augmentation to first
     order (minimality); the search is a bounded linear solve, and failure
-    raises GaugeNotFound when the window holds no solution.
+    raises GaugeNotFound when the window holds no solution.  Raises
+    WindowTooSmall when the window cannot hold omega: its max weight is
+    below 2, or a term of omega of weight <= max weight is not a window
+    word (the least such word is the witness).
     """
     for i, g in enumerate(b.generators):
         dg = b.differential.get(i)
@@ -236,17 +239,19 @@ def strictify_closed_two_form(
     n = tower.n
     deg = n + 2
     window = window or Window(wmin=1, wmax=6, dmin=deg - 2, dmax=deg + 2, max_len=6)
+    if window.wmax < 2:
+        raise WindowTooSmall(f"max weight {window.wmax} is below the form degree p = 2")
     omega = tower.total()
 
     # unknowns: eta monomials (weight 1, degree n+1), h monomials
     # (weights >= 2, degree n+1); equations per monomial:
     #   eps(eta) + (d + eps)(h) = omega            (degree n+2)
     #   d(eps(eta)) = 0                            (degree n+3)
+    # the unknowns are sorted, so the solution does not depend on the order
+    # in which the closure met its words
     basis, images = _closure(alg, window)
-    eta_monos = [
-        m for m, (w, d) in basis.items() if w == 1 and d == n + 1
-    ]
-    h_monos = [m for m, (w, d) in basis.items() if 2 <= w and d == n + 1]
+    eta_monos = sorted(m for m, (w, d) in basis.items() if w == 1 and d == n + 1)
+    h_monos = sorted(m for m, (w, d) in basis.items() if 2 <= w and d == n + 1)
 
     def image(e, k):
         """d (k = 0) or eps (k = 1) of e, from the closure's images where it has them."""
@@ -266,6 +271,10 @@ def strictify_closed_two_form(
             },
         )
 
+    outside = [m for m in drop_overflow(omega).terms if m not in basis]
+    if outside:
+        word = alg.mono_str(min(outside))
+        raise WindowTooSmall(f"the form's term {word} is not a window word", witness=word)
     unknowns = [("eta", m) for m in eta_monos] + [("h", m) for m in h_monos]
     targets = {}
     side_targets = {}

@@ -26,7 +26,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction as Rat
 from functools import cached_property
-from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -292,8 +291,8 @@ def mono_mul(parities, m1, m2):
 def apply_derivation(alg, elem, values, parity):
     """Extend generator values {gen index: Elem} to a graded derivation of
     the given parity and apply it to elem: `_image` images each word of
-    elem, in the order of its terms, into one shared dict.  The term table
-    holds only the letters of elem."""
+    elem into one shared dict.  The term table holds only the letters of
+    elem."""
     table = _term_table(alg, {i: values[i] for mono in elem.terms for i in mono if i in values}, parity)
     return _derive(alg, table, elem)
 
@@ -480,10 +479,8 @@ def _term_table(alg, values, parity):
 
 def _image(table, mono, inside=None, fresh=None, w=0, d=0, acc=None, coeff=1):
     """The derivation of `table` (see _term_table) on coeff * mono, added
-    into `acc` (a new dict by default) and returned.  Words and their order
-    are those of adding the terms one by one, letter by letter and copy by
-    copy, into the dict: a word whose coefficient reaches 0 is deleted,
-    and a word added anew goes last.
+    into `acc` (a new dict by default) and returned; a word whose
+    coefficient sums to 0 is deleted.
 
     On the j-th letter, a value term c * t gives (-1)^s coeff c t * rest,
     rest the word without that letter, where s is keep times the number of
@@ -495,11 +492,7 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0, acc=None, coeff=1):
 
     A run of e equal letters is imaged once: its copies share the rest of
     the word and (being even when e > 1) the sign, so each term is added
-    once with e times its coefficient v.  Copy by copy, a word already in
-    `acc` at prev = -r * v (1 <= r < e), whatever wrote it, would be
-    cancelled by the r-th copy and put back last, at (e - r) * v, by the
-    following ones; such words are put back after the run, by r and then
-    in term order.
+    once with e times its coefficient.
     """
     parities, by_letter = table
     if acc is None:
@@ -519,7 +512,6 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0, acc=None, coeff=1):
             j = mono.index(letter)  # where the run starts
             rest = mono[:j] + mono[j + 1:]
             e = 1 if odd_letter else mono.count(letter)
-            moved = None
             for t, c, b, odd_t, keep, dw, dd in terms:
                 cross = 0
                 if odd_t:
@@ -554,16 +546,10 @@ def _image(table, mono, inside=None, fresh=None, w=0, d=0, acc=None, coeff=1):
                 if not s:
                     del acc[m]
                 elif e > 1 and (prev < 0) != (s < 0) and not prev % v:
-                    del acc[m]
-                    if moved is None:
-                        moved = []
-                    r = -prev // v
-                    moved.append((r, m, v * (e - r)))
+                    # copy by copy the sum reaches 0 and starts again from
+                    # v: the coefficient takes v's type
+                    acc[m] = v * (e + prev // v)
                 else:
-                    acc[m] = s
-            if moved is not None:
-                moved.sort(key=itemgetter(0))  # stable: term order within one r
-                for _, m, s in moved:
                     acc[m] = s
         pre += odd_letter
     return acc
@@ -573,9 +559,9 @@ def _closure(alg: FreeCDGA, window: Window):
     """The window basis {mono: (w, d)} and {mono: (d mono, eps mono)}, the
     images as {mono: coeff} dicts.
 
-    The basis starts from the words of length <= max_len in the box, in
-    `_box_words` order, and grows in closure order.  Each basis
-    monomial's two images are computed once, as the closure reaches it.
+    The basis starts from the words of length <= max_len in the box.
+    Each basis monomial's two images are computed once, as the closure
+    reaches it.
     When every term of d and eps raises the degree by one, a word of
     degree dmax has no term of its images inside the window and gets no
     entry in the images; otherwise (a d of another degree) every word is
@@ -605,8 +591,6 @@ def _closure(alg: FreeCDGA, window: Window):
             )
             if not fresh:
                 continue
-            # the d-image's new words go first, each image in its own order:
-            # `inside`'s order is the order of strictify's unknowns
             for image in pair:
                 for m2 in image:
                     bideg = fresh.pop(m2, None)

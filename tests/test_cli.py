@@ -120,7 +120,7 @@ PLANE3 = "algebra B { gens = x(0), y(0), z(0); } form F { on = B; degree = 0; "
     [
         # de Rham closed only up to dx*dy*dz: no eta and gauge solve it in any window
         ("x*dy*dz", 1, "", "obstruction: no gauge in the window\n"),
-        ("x*dx*dy", 0, '  potential: {"value": "-x*y*dx"}\n', ""),
+        ("x*dx*dy", 0, '  potential: {"value": "1/2*x^2*dy"}\n', ""),
     ],
     ids=("obstruction", "potential"),
 )
@@ -131,6 +131,21 @@ def test_strictify_reports_an_obstruction_or_a_potential(capsys, monkeypatch, w2
     got_code, got_out, got_err = run(capsys, "strictify")
     assert (got_code, got_err) == (code, err)
     assert got_out.endswith(out)
+
+
+@pytest.mark.parametrize(
+    "limit, err",
+    [
+        (("--max-weight", "1"), "max weight 1 is below the form degree p = 2"),
+        (("--max-len", "0"), "the form's term dx*dxi is not a window word"),
+        (("--max-len", "1"), "the form's term dx*dxi is not a window word"),
+    ],
+    ids=("max-weight-1", "max-len-0", "max-len-1"),
+)
+def test_strictify_in_a_window_that_cannot_hold_the_form_exits_three(capsys, limit, err):
+    # omega = dx*dxi has weight 2 and two letters: none of these windows holds it
+    code, out, got_err = run(capsys, "strictify", path("cotangent.spw"), *limit)
+    assert (code, out, got_err) == (3, "", f"window too small: {err}\n")
 
 
 def test_ce_and_invariants_and_z(capsys):

@@ -14,10 +14,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
 
+from spw import freecdga, lieinfty, polyvec
 from spw.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -74,6 +76,29 @@ def test_golden_cli(argv, table, monkeypatch):
     for var in ENV:
         monkeypatch.delenv(var, raising=False)
     assert run(argv) == table[" ".join(argv)]
+
+
+@pytest.mark.parametrize("order", ("reversed", "shuffled"))
+def test_golden_cli_under_another_closure_order(order, table, monkeypatch):
+    # the window closure starts from `_box_words`' dict, in its order: with
+    # that order reversed, or shuffled, no row moves
+    for var in ENV:
+        monkeypatch.delenv(var, raising=False)
+    box_words = freecdga._box_words
+    rng = random.Random(1)
+
+    def reordered(*args, **kwargs):
+        words = list(box_words(*args, **kwargs).items())
+        if order == "reversed":
+            words.reverse()
+        else:
+            rng.shuffle(words)
+        return dict(words)
+
+    for module in (freecdga, lieinfty, polyvec):
+        monkeypatch.setattr(module, "_box_words", reordered)
+    moved = [" ".join(argv) for argv in invocations() if run(argv) != table[" ".join(argv)]]
+    assert moved == []
 
 
 if __name__ == "__main__":
